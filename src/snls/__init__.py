@@ -9,14 +9,13 @@ global-existence checks.
 """
 
 from .errors import (
+    BlowUp,
     ConfigError,
     CriticalDelta,
     EmptyTrajectory,
     GridMismatch,
     LengthMismatch,
-    MaxItersExceeded,
     MeshMismatch,
-    NoContraction,
     NotAdmissible,
     NotConservative,
     OutOfRange,
@@ -87,7 +86,6 @@ from .dynamics import (
 from .solver import (
     SimConfig,
     SolveReport,
-    WindowRecord,
     materialize,
     path_coincidence_check,
     path_for,

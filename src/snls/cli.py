@@ -1,7 +1,7 @@
 """Command-line surface: exponents | simulate | ensemble | verify.
 
 Exit codes: 0 success, 1 failed verification assertion, 2 invalid
-configuration, 3 solver failure (no contracting window), 4 I/O failure.
+configuration, 3 solver failure (a Picard step blew up), 4 I/O failure.
 Machine-readable failure reasons go to standard error as one JSON line.
 
 Run directories are self-describing: every simulate/ensemble invocation

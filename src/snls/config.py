@@ -8,9 +8,6 @@ and solver knobs have documented defaults:
     grid                {"n": 256, "L": 64.0}
     scheme              "splitstep"
     truncation_level    "inf"  (cutoff disabled)
-    picard_tol          1e-8
-    picard_max_iters    60
-    contraction_target  0.5
     seed                0
     enable_laplacian    true
     enable_nonlinearity true
@@ -43,9 +40,6 @@ _TOP_KEYS = {
     "grid",
     "scheme",
     "truncation_level",
-    "picard_tol",
-    "picard_max_iters",
-    "contraction_target",
     "seed",
     "enable_laplacian",
     "enable_nonlinearity",
@@ -98,9 +92,6 @@ def parse_config_dict(doc: dict) -> SimConfig:
         dt=dt,
         scheme=str(doc.get("scheme", "splitstep")),
         truncation_level=float(level),
-        picard_tol=float(doc.get("picard_tol", 1e-8)),
-        picard_max_iters=int(doc.get("picard_max_iters", 60)),
-        contraction_target=float(doc.get("contraction_target", 0.5)),
         seed=int(doc.get("seed", 0)),
         enable_laplacian=bool(doc.get("enable_laplacian", True)),
         enable_nonlinearity=bool(doc.get("enable_nonlinearity", True)),
@@ -132,9 +123,6 @@ def config_to_dict(config: SimConfig) -> dict:
         "grid": {"n": config.grid.n, "L": config.grid.L},
         "scheme": config.scheme,
         "truncation_level": "inf" if math.isinf(config.truncation_level) else config.truncation_level,
-        "picard_tol": config.picard_tol,
-        "picard_max_iters": config.picard_max_iters,
-        "contraction_target": config.contraction_target,
         "seed": config.seed,
         "enable_laplacian": config.enable_laplacian,
         "enable_nonlinearity": config.enable_nonlinearity,

@@ -39,11 +39,11 @@ def theta(x, level: float):
     """
     if level <= 0:
         raise OutOfRange(f"level must be positive, got {level}")
+    if not np.ndim(x):
+        return 1.0 if math.isinf(level) else min(max(2.0 - float(x) / level, 0.0), 1.0)
     if math.isinf(level):
-        return np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else 1.0
-    xa = np.asarray(x, dtype=float)
-    out = np.clip(2.0 - xa / level, 0.0, 1.0)
-    return out if np.ndim(x) else float(out)
+        return np.ones_like(np.asarray(x, dtype=float))
+    return np.clip(2.0 - np.asarray(x, dtype=float) / level, 0.0, 1.0)
 
 
 @dataclass

@@ -49,24 +49,15 @@ class SolverError(SnlsError):
     """Base class for time-integrator failures."""
 
 
-class NoContraction(SolverError):
-    """Picard window refinement bottomed out without a contracting map.
+class BlowUp(SolverError):
+    """A time step produced non-finite values or an oversized L^2 norm.
 
-    Carries diagnostics: the window start time, the smallest window tried
-    and the observed iterate ratios.
+    Carries the start time `t` of that step and the running norm `z` and
+    L^2 norm `l2` of the last finite state there.
     """
 
-    def __init__(self, message, window_start=None, window_steps=None, ratios=None):
+    def __init__(self, message, t=None, z=None, l2=None):
         super().__init__(message)
-        self.window_start = window_start
-        self.window_steps = window_steps
-        self.ratios = list(ratios) if ratios is not None else []
-
-
-class MaxItersExceeded(SolverError):
-    """Picard iteration hit the iteration cap on a minimal window."""
-
-    def __init__(self, message, window_start=None, iterations=None):
-        super().__init__(message)
-        self.window_start = window_start
-        self.iterations = iterations
+        self.t = t
+        self.z = z
+        self.l2 = l2

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,15 +178,22 @@ def mass_outside_central_halfbox(f: ComplexField) -> float:
     Wrap-around monitor for the periodic surrogate of free space: runs are
     trustworthy only while this stays tiny.
     """
-    axes = f.grid.meshgrid()
-    outside = np.zeros(f.grid.shape, dtype=bool)
-    for ax in axes:
-        outside |= np.abs(ax) >= 0.25 * f.grid.L
-    a2 = np.abs(f.reshaped()) ** 2
+    a2 = np.abs(f.values) ** 2
     total = float(np.sum(a2))
     if total == 0.0:
         return 0.0
-    return float(np.sum(a2[outside])) / total
+    return float(np.sum(a2[_outside_halfbox_mask(f.grid)])) / total
+
+
+@lru_cache(maxsize=16)
+def _outside_halfbox_mask(grid: Grid) -> np.ndarray:
+    """Flat read-only mask of the points outside [-L/4, L/4)^d."""
+    outside = np.zeros(grid.shape, dtype=bool)
+    for ax in grid.meshgrid():
+        outside |= np.abs(ax) >= 0.25 * grid.L
+    outside = outside.reshape(-1)
+    outside.setflags(write=False)
+    return outside
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +277,15 @@ class Trajectory:
 
     def z_components_at(self, t: float) -> tuple[float, float]:
         """The two running-norm components at time t (interpolated)."""
-        acc1, acc2 = self.raw_accumulators_at(t)
+        return self._components(*self.raw_accumulators_at(t))
+
+    def z_end(self) -> float:
+        """Z at the last recorded time, from the last accumulators in O(1)."""
+        c1, c2 = self._components(self.acc1[-1], self.acc2[-1])
+        return c1 + c2
+
+    def _components(self, acc1: float, acc2: float) -> tuple[float, float]:
+        """Running-norm components from raw accumulators (root of the powers)."""
         c1 = acc1 ** (1.0 / float(self.zexp.q)) if acc1 > 0 else 0.0
         if self.zexp.q_tilde_finite:
             c2 = acc2 ** (1.0 / float(self.zexp.q_tilde)) if acc2 > 0 else 0.0

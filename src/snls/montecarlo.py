@@ -3,8 +3,9 @@
 Paths are embarrassingly parallel and keyed by (seed, path_index) alone, so
 identical inputs give bitwise-identical summaries under any execution
 order; aggregation is an ordered reduction by path index.  Failed paths
-(no contracting window, iteration cap) are first-class results: they are
-recorded with their reason and never silently dropped from denominators.
+(any SolverError, such as a Picard step that blew up) are first-class
+results: they are recorded with their reason and never silently dropped
+from denominators.
 
 Worker count: the SNLS_THREADS environment variable caps process workers
 (0 = one per CPU); unset or 1 runs serially in-process.
@@ -41,7 +42,8 @@ def solve_path(config: SimConfig, path_index: int, persist_dir: str | None = Non
     """Solve one path and reduce it to the ensemble statistics.
 
     With `persist_dir` set, the per-path report (outcome plus the solver's
-    window diagnostics) is written there as `path_<index>.json`.
+    report summary: tau, cutoff activity, half-box leakage, notes) is
+    written there as `path_<index>.json`.
     """
     _, model, _ = materialize(config)
     path = sample_brownian_path(config.mesh(), model.total_modes, config.seed, path_index)

@@ -1,16 +1,16 @@
-"""Time integrators: Picard fixed-point solver and split-step reference.
+"""Time integrators: Picard (exponential-Euler) march and split-step reference.
 
-`picard_solve` realizes the mild formulation directly: on each time window
-it iterates
+`picard_solve` realizes the mild formulation
 
-    u <- U(.) u(a) + K_det[u] + K_strat[u] + K_stoch[u]
+    u(t) = U(t) u0 + K_det[u](t) + K_strat[u](t) + K_stoch[u](t)
 
-with the three convolution operators discretized by left-endpoint sums in
-Fourier space, the cutoff evaluated on the running norm of the current
-iterate (chained across windows through raw accumulators), and the sampled
-Brownian increments held fixed, so each path is solved deterministically.
-A window is accepted only when successive iterates contract at the
-configured ratio; otherwise the window is halved, down to a single step.
+with the three convolution operators discretized by left-endpoint sums and
+the cutoff evaluated on the running norm Z.  That discrete equation is
+causal: v_{l+1} depends only on v_0..v_l, and the cutoff at step l reads Z
+only up to t_l.  Its fixed point is therefore the explicit exponential-Euler
+(Lawson) recurrence, which the solver marches one step at a time with the
+sampled Brownian increments held fixed, so each path is solved
+deterministically.
 
 `splitstep_solve` is the untruncated reference scheme: Strang splitting
 with an exactly unitary linear half-step, an exact pointwise phase step for
@@ -26,8 +26,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import ZPrefix, detect_stopping_time
-from .errors import ConfigError, MaxItersExceeded, MeshMismatch, NoContraction
+from .dynamics import detect_stopping_time, theta
+from .errors import BlowUp, ConfigError, MeshMismatch
 from .exponents import ModelParams, z_exponents
 from .grid_field import (
     ComplexField,
@@ -48,13 +48,16 @@ from .specs import build_field, build_noise_model
 
 SCHEMES = ("picard", "splitstep")
 
+# L^2 norm beyond which a Picard step counts as blown up.
+BLOWUP_L2 = 1e12
+
 
 @dataclass
 class SimConfig:
     """Everything a single-path solve needs, JSON-representable.
 
     Physical data (params, grid, noise, initial condition, horizon) have no
-    defaults; discretization and solver tolerances do.  `truncation_level`
+    defaults; discretization and solver choices do.  `truncation_level`
     is the cutoff level of the Picard solver (inf disables the cutoff);
     split-step always solves the untruncated equation and only monitors the
     stopping time against this level.
@@ -68,9 +71,6 @@ class SimConfig:
     dt: float
     scheme: str = "splitstep"
     truncation_level: float = math.inf
-    picard_tol: float = 1e-8
-    picard_max_iters: int = 60
-    contraction_target: float = 0.5
     seed: int = 0
     enable_laplacian: bool = True
     enable_nonlinearity: bool = True
@@ -87,12 +87,6 @@ class SimConfig:
             raise ConfigError(f"dt={self.dt} does not divide T={self.T}")
         if not self.truncation_level > 0:
             raise ConfigError(f"truncation level must be positive, got {self.truncation_level}")
-        if not 0 < self.contraction_target < 1:
-            raise ConfigError(
-                f"contraction target must lie in (0, 1), got {self.contraction_target}"
-            )
-        if self.picard_tol <= 0 or self.picard_max_iters < 1:
-            raise ConfigError("picard_tol must be positive and picard_max_iters >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
@@ -105,30 +99,11 @@ class SimConfig:
 
 
 @dataclass
-class WindowRecord:
-    start: float
-    length: float
-    iterations: int
-    final_ratio: float
-    halvings: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "start": self.start,
-            "length": self.length,
-            "iterations": self.iterations,
-            "final_ratio": self.final_ratio,
-            "halvings": self.halvings,
-        }
-
-
-@dataclass
 class SolveReport:
-    """One solved path: trajectory, stopping time and window diagnostics."""
+    """One solved path: trajectory, stopping time and resolution monitors."""
 
     trajectory: Trajectory
     tau: float
-    windows: list
     truncation_ever_active: bool
     scheme: str
     halfbox_leakage: float
@@ -141,7 +116,6 @@ class SolveReport:
             "scheme": self.scheme,
             "tau": self.tau,
             "truncation_ever_active": self.truncation_ever_active,
-            "windows": [w.as_dict() for w in self.windows],
             "halfbox_leakage": self.halfbox_leakage,
             "seed": self.seed,
             "path_index": self.path_index,
@@ -252,7 +226,6 @@ def splitstep_solve(
     return SolveReport(
         trajectory=traj,
         tau=tau,
-        windows=[],
         truncation_ever_active=False,
         scheme="splitstep",
         halfbox_leakage=leak,
@@ -275,148 +248,8 @@ def _config_notes(config: SimConfig) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Picard fixed-point solver
+# Picard (exponential-Euler) integrator
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _WindowAttempt:
-    converged: bool
-    iterations: int
-    ratios: list
-    block: np.ndarray | None
-    phi_min: float
-    diverged: bool = False
-
-    @property
-    def max_ratio(self) -> float:
-        return max(self.ratios) if self.ratios else 0.0
-
-    @property
-    def final_ratio(self) -> float:
-        return self.ratios[-1] if self.ratios else 0.0
-
-
-class _PicardDriver:
-    def __init__(self, config: SimConfig, model: NoiseModel, u0: ComplexField, path: BrownianPath):
-        self.config = config
-        self.grid = config.grid
-        self.model = model
-        self.u0 = u0
-        self.path = path
-        self.params = config.params
-        self.zexp = z_exponents(self.params)
-        self.plan = get_plan(self.grid, config.enable_laplacian)
-        self.dt = config.dt
-        self.alpha = float(self.params.alpha)
-        self.gamma = float(self.params.gamma)
-        self.lam = self.params.lam if config.enable_nonlinearity else 0
-        self.level = config.truncation_level
-        self.cell = self.grid.cell_volume
-        self.q = float(self.zexp.q)
-        self.p1 = float(self.zexp.p1)
-        self.p2 = float(self.zexp.p2)
-        self.qt = None if not self.zexp.q_tilde_finite else float(self.zexp.q_tilde)
-        # E-norm uses the component with the dominant spatial exponent; on a
-        # tie the (q, p1) branch wins.
-        if self.zexp.p1 >= self.zexp.p2:
-            self.qY, self.pY = self.q, self.p1
-        else:
-            self.qY, self.pY = float(self.zexp.q_tilde), self.p2
-        self.mult_dt = self.plan.multiplier(self.dt)
-        self.ksq_flat = self.plan.wavenumber_squares.reshape(-1)
-
-    # -- norms -------------------------------------------------------------
-
-    def _lp_rows(self, block_abs: np.ndarray, p: float) -> np.ndarray:
-        return (np.sum(block_abs**p, axis=1) * self.cell) ** (1.0 / p)
-
-    def _enorm(self, block: np.ndarray) -> float:
-        a = np.abs(block)
-        sup_l2 = float(np.max(np.sqrt(np.sum(a * a, axis=1) * self.cell)))
-        y_pow = np.sum(self._lp_rows(a[:-1], self.pY) ** self.qY) * self.dt
-        return sup_l2 + y_pow ** (1.0 / self.qY)
-
-    # -- cutoff ------------------------------------------------------------
-
-    def _phis(self, block: np.ndarray, prefix: ZPrefix, steps: int) -> np.ndarray:
-        """Cutoff values at the window's left mesh points, chained."""
-        if math.isinf(self.level):
-            return np.ones(steps)
-        a = np.abs(block[:steps])
-        n1 = self._lp_rows(a, self.p1)
-        acc1 = prefix.acc1 + self.dt * np.concatenate(([0.0], np.cumsum(n1**self.q)[:-1]))
-        comp1 = np.where(acc1 > 0, acc1, 0.0) ** (1.0 / self.q)
-        n2 = self._lp_rows(a, self.p2)
-        if self.qt is not None:
-            acc2 = prefix.acc2 + self.dt * np.concatenate(([0.0], np.cumsum(n2**self.qt)[:-1]))
-            comp2 = np.where(acc2 > 0, acc2, 0.0) ** (1.0 / self.qt)
-        else:
-            comp2 = np.maximum.accumulate(np.concatenate(([prefix.acc2], n2[:-1])))
-        z = comp1 + comp2
-        return np.clip(2.0 - z / self.level, 0.0, 1.0)
-
-    # -- one window attempt --------------------------------------------------
-
-    def attempt_window(self, g: int, steps: int, u_start: np.ndarray, prefix: ZPrefix) -> _WindowAttempt:
-        """Iterate the window map on [t_g, t_{g+steps}]; fixed increments."""
-        cfg = self.config
-        size = self.grid.size
-        A = self.plan.forward(u_start)
-        phases = np.exp(-1j * np.outer(self.dt * np.arange(steps + 1), self.ksq_flat))
-        free_block = self.plan.inverse(phases * A[None, :])
-        free_block[0] = u_start
-        inc = self.path.increments[:, g : g + steps]
-        n_e = self.model.n_modes
-        # increment-weighted coefficient fields are iteration-independent
-        weighted = inc[:n_e].T @ self.model.coeffs if n_e else None
-        weighted_lin = (
-            inc[n_e:].T @ self.model.linear_coeffs if self.model.n_linear_modes else None
-        )
-        v = free_block.copy()
-        ratios: list = []
-        prev_diff = None
-        phi_min = 1.0
-        for it in range(1, cfg.picard_max_iters + 1):
-            phi = self._phis(v, prefix, steps)
-            phi_min = min(phi_min, float(phi.min()) if steps else 1.0)
-            vl = v[:steps]
-            absv = np.abs(vl)
-            forcing = np.zeros((steps, size), dtype=np.complex128)
-            if self.lam:
-                forcing += (-1j * self.lam) * (phi[:, None] * absv ** (self.alpha - 1.0) * vl)
-            if n_e:
-                forcing += (
-                    phi[:, None]
-                    * self.model.mu1[None, :]
-                    * absv ** (2.0 * (self.gamma - 1.0))
-                    * vl
-                )
-            if self.model.n_linear_modes:
-                forcing += self.model.mu2[None, :] * vl
-            kick = np.zeros((steps, size), dtype=np.complex128)
-            if weighted is not None:
-                kick += -1j * (phi[:, None] * weighted * absv ** (self.gamma - 1.0) * vl)
-            if weighted_lin is not None:
-                kick += -1j * weighted_lin * vl
-            src_hat = self.plan.forward(forcing * self.dt + kick)
-            conv_hat = np.zeros((steps + 1, size), dtype=np.complex128)
-            c = np.zeros(size, dtype=np.complex128)
-            for l in range(steps):
-                c = self.mult_dt * (c + src_hat[l])
-                conv_hat[l + 1] = c
-            v_new = self.plan.inverse(phases * A[None, :] + conv_hat)
-            v_new[0] = u_start
-            diff = self._enorm(v_new - v)
-            v = v_new
-            if not np.isfinite(diff) or diff > 1e12:
-                return _WindowAttempt(False, it, ratios, None, phi_min, diverged=True)
-            if prev_diff is not None and prev_diff > 0.0:
-                ratios.append(diff / prev_diff)
-            if diff < cfg.picard_tol:
-                return _WindowAttempt(True, it, ratios, v, phi_min)
-            prev_diff = diff
-        return _WindowAttempt(False, cfg.picard_max_iters, ratios, None, phi_min)
 
 
 def picard_solve(
@@ -427,13 +260,21 @@ def picard_solve(
     u0: ComplexField | None = None,
     keep_states: bool = True,
 ) -> SolveReport:
-    """Mild-solution fixed point with adaptive window chaining.
+    """Fixed point of the discrete mild equation, marched step by step.
 
-    Windows shrink by halving until the iteration both converges below
-    `picard_tol` in the discrete sup-L^2 + Y norm and contracts with every
-    observed ratio <= `contraction_target`.  Raises NoContraction when a
-    single-step window still fails to contract, MaxItersExceeded when a
-    single-step window contracts but cannot reach the tolerance.
+    Step l reads phi_l = theta(Z_{t_l}, level) from the running-norm
+    accumulators of the states up to t_l, then sets
+
+        v_{l+1} = U(dt) (v_l + dt F(v_l, phi_l) + K(v_l, phi_l, dbeta_l))
+
+    with the forcing and the noise kick (see `noise.stratonovich_drift` and
+    `noise.noise_term`)
+
+        F = -i lam phi |v|^(alpha-1) v + phi mu1 |v|^(2(gamma-1)) v + mu2 v,
+        K = -i phi (dbeta_l . e) |v|^(gamma-1) v - i (dbeta'_l . b) v.
+
+    Raises BlowUp when a step yields non-finite values or an L^2 norm above
+    BLOWUP_L2.
     """
     grid, built_model, built_u0 = materialize(config)
     model = model if model is not None else built_model
@@ -441,75 +282,54 @@ def picard_solve(
     if path is None:
         path = path_for(config, path_index, model)
     mesh = _check_mesh(config, path)
-    driver = _PicardDriver(config, model, u0, path)
-    K = config.n_steps
+    params = config.params
+    plan = get_plan(grid, config.enable_laplacian)
+    dt = config.dt
+    alpha = float(params.alpha)
+    gamma = float(params.gamma)
+    lam = params.lam if config.enable_nonlinearity else 0
+    mult_dt = plan.multiplier(dt)
+    cell = grid.cell_volume
+    inc = path.increments
+    n_e = model.n_modes
 
-    traj = Trajectory.start(u0, driver.zexp, 0.0, keep_states=True)
-    prefix = ZPrefix.zero(driver.zexp.q_tilde_finite)
-    windows: list = []
+    traj = Trajectory.start(u0, z_exponents(params), 0.0, keep_states=keep_states)
     leak = mass_outside_central_halfbox(u0)
     ever_active = False
-    g = 0
-    win = K
-    u_start = u0.values
-    while g < K:
-        steps = min(win, K - g)
-        halvings = 0
-        while True:
-            attempt = driver.attempt_window(g, steps, u_start, prefix)
-            ok = attempt.converged and attempt.max_ratio <= config.contraction_target
-            if ok:
-                break
-            if steps > 1:
-                steps = steps // 2
-                halvings += 1
-                continue
-            contracting = (
-                not attempt.diverged
-                and attempt.max_ratio <= config.contraction_target
-                and attempt.ratios
+    state = u0
+    for l in range(config.n_steps):
+        z = traj.z_end()
+        phi = theta(z, config.truncation_level)
+        ever_active = ever_active or phi < 1.0
+        v = state.values
+        with np.errstate(over="ignore", invalid="ignore"):
+            absv = np.abs(v)
+            w = v.copy()
+            if lam:
+                w += (-1j * lam * phi * dt) * absv ** (alpha - 1.0) * v
+            if n_e:
+                w += (phi * dt) * model.mu1 * absv ** (2.0 * (gamma - 1.0)) * v
+                w += (-1j * phi) * (inc[:n_e, l] @ model.coeffs) * absv ** (gamma - 1.0) * v
+            if model.n_linear_modes:
+                w += (dt * model.mu2 - 1j * (inc[n_e:, l] @ model.linear_coeffs)) * v
+            v = plan.inverse(mult_dt * plan.forward(w))
+            l2 = math.sqrt(float(np.sum(np.abs(v) ** 2)) * cell)
+        if not l2 <= BLOWUP_L2:
+            last = traj.running_mass[-1]
+            raise BlowUp(
+                f"step from t={mesh[l]:.6g} blew up: L^2 norm {l2:.3g} "
+                f"(from {last:.6g}, Z={z:.6g})",
+                t=float(mesh[l]),
+                z=z,
+                l2=last,
             )
-            if not attempt.converged and contracting:
-                raise MaxItersExceeded(
-                    f"window at t={mesh[g]:.6g} contracts but missed tolerance "
-                    f"{config.picard_tol} within {config.picard_max_iters} iterations",
-                    window_start=mesh[g],
-                    iterations=attempt.iterations,
-                )
-            raise NoContraction(
-                f"no contracting window at t={mesh[g]:.6g}: single-step ratios {attempt.ratios[-3:]}",
-                window_start=mesh[g],
-                window_steps=steps,
-                ratios=attempt.ratios,
-            )
-        block = attempt.block
-        phi_accepted = driver._phis(block, prefix, steps)
-        ever_active = ever_active or bool(np.min(phi_accepted) < 1.0)
-        for j in range(1, steps + 1):
-            state = ComplexField(grid, block[j])
-            traj.append(mesh[g + j], state)
-            leak = max(leak, mass_outside_central_halfbox(state))
-        prefix = ZPrefix.of(traj)
-        windows.append(
-            WindowRecord(
-                start=float(mesh[g]),
-                length=steps * config.dt,
-                iterations=attempt.iterations,
-                final_ratio=attempt.final_ratio,
-                halvings=halvings,
-            )
-        )
-        u_start = block[steps]
-        g += steps
-        win = min(2 * steps, K)
+        state = ComplexField(grid, v)
+        traj.append(mesh[l + 1], state)
+        leak = max(leak, mass_outside_central_halfbox(state))
     tau = detect_stopping_time(traj, config.truncation_level, config.T)
-    if not keep_states:
-        traj.states = [None] * len(traj.states)
-        traj.keep_states = False
     return SolveReport(
         trajectory=traj,
         tau=tau,
-        windows=windows,
         truncation_ever_active=ever_active,
         scheme="picard",
         halfbox_leakage=leak,

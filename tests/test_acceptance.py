@@ -236,7 +236,7 @@ def test_criterion_5_cross_validation():
 
 def test_criterion_6_localization():
     """Picard runs at cutoff levels (n, 2n) on the same path coincide up to
-    tau_n within 10 * picard_tol, on 20 paths."""
+    tau_n within 1e-7, on 20 paths."""
     t0 = time.monotonic()
     cfg = SimConfig(
         params=ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(1), lam=1),
@@ -246,7 +246,6 @@ def test_criterion_6_localization():
         T=1.0,
         dt=1.0 / 64.0,
         scheme="picard",
-        picard_tol=1e-8,
         seed=42,
     )
     _, model, _ = materialize(cfg)
@@ -258,11 +257,11 @@ def test_criterion_6_localization():
         rep = picard_solve(replace(cfg, truncation_level=3.5), path)
         if 0.0 < rep.tau < cfg.T:
             interior_taus += 1
-    ok = worst <= 10 * cfg.picard_tol and interior_taus > 0
+    ok = worst <= 1e-7 and interior_taus > 0
     _report(
         "criterion-6-localization",
         ok,
-        f"max discrepancy {worst:.2e} <= {10 * cfg.picard_tol:.0e}; {interior_taus}/20 paths stop inside (0, T)",
+        f"max discrepancy {worst:.2e} <= 1e-07; {interior_taus}/20 paths stop inside (0, T)",
         time.monotonic() - t0,
         120.0,
     )

@@ -60,6 +60,10 @@ def test_config_rejects_unknown_keys():
     doc["alfa"] = 2
     with pytest.raises(ConfigError):
         parse_config_dict(doc)
+    # knobs of the removed Picard window driver are rejected, not ignored
+    for key, value in (("picard_tol", 1e-8), ("picard_max_iters", 60), ("contraction_target", 0.5)):
+        with pytest.raises(ConfigError, match=key):
+            parse_config_dict(dict(VALID_DOC, **{key: value}))
 
 
 def test_config_rational_strings():
@@ -186,16 +190,15 @@ def test_cli_simulate_invalid_alpha_exit_2(tmp_path, capsys):
     assert "alpha" in err["message"]
 
 
-def test_cli_simulate_no_contraction_exit_3(tmp_path, capsys):
+def test_cli_simulate_blowup_exit_3(tmp_path, capsys):
     doc = dict(VALID_DOC)
     doc["lambda"] = -1
     doc["scheme"] = "picard"
-    doc["picard_max_iters"] = 8
     doc["initial_condition"] = {"kind": "gaussian_bump", "amplitude": 80.0, "width": 0.8}
     cfg_path = write_config(tmp_path, doc)
     assert main(["simulate", cfg_path, "--out", str(tmp_path / "x")]) == 3
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] in ("NoContraction", "MaxItersExceeded")
+    assert err["error"] == "BlowUp"
 
 
 def test_cli_scheme_and_seed_overrides(tmp_path):

@@ -92,6 +92,8 @@ def test_theta_lipschitz_randomized():
         level = float(rng.uniform(0.05, 20.0))
         x, y = rng.uniform(0.0, 4.0 * level, size=2)
         assert abs(theta(x, level) - theta(y, level)) <= abs(x - y) / level + 1e-15
+        # scalar and array inputs take different code paths with the same arithmetic
+        assert theta(x, level) == theta(np.array([x]), level)[0]
 
 
 def test_evaluate_phi_fresh_trajectory():

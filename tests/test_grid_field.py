@@ -104,10 +104,23 @@ def test_parseval_consistency():
 
 
 def test_mass_outside_central_halfbox():
-    narrow = gaussian_field(GRID, 1.0, 0.3)
-    assert mass_outside_central_halfbox(narrow) < 1e-10
-    shifted = gaussian_field(GRID, 1.0, 0.3, center=[GRID.L * 0.3])
-    assert mass_outside_central_halfbox(shifted) > 0.5
+    rng = np.random.default_rng(4)
+    for grid in (GRID, Grid(d=2, n=32, L=16.0), Grid(d=3, n=16, L=8.0)):
+        narrow = gaussian_field(grid, 1.0, 0.3)
+        assert mass_outside_central_halfbox(narrow) < 1e-10
+        center = np.zeros(grid.d)
+        center[0] = grid.L * 0.3
+        shifted = gaussian_field(grid, 1.0, 0.3, center=center)
+        assert mass_outside_central_halfbox(shifted) > 0.5
+        # reference: the mask rebuilt from the meshgrid on every call
+        f = random_field(grid, rng)
+        outside = np.zeros(grid.shape, dtype=bool)
+        for ax in grid.meshgrid():
+            outside |= np.abs(ax) >= 0.25 * grid.L
+        a2 = np.abs(f.reshaped()) ** 2
+        expected = float(np.sum(a2[outside])) / float(np.sum(a2))
+        assert mass_outside_central_halfbox(f) == expected
+        assert mass_outside_central_halfbox(f) == expected  # cached mask
 
 
 def test_bochner_norm_single_step_constant():

@@ -85,19 +85,19 @@ def test_solve_path_outcome_fields():
 
 
 def test_failed_paths_are_recorded_not_dropped():
-    """A picard run that cannot contract is a first-class failed path."""
+    """A picard run that blows up is a first-class failed path."""
     params = ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(1), lam=-1)
     cfg = config(
         params=params,
         scheme="picard",
         ic_spec={"kind": "gaussian_bump", "amplitude": 60.0, "width": 0.8},
-        picard_max_iters=8,
         dt=1.0 / 64.0,
         T=0.5,
     )
     s = run_ensemble(cfg, 3)
     assert s.n_failed == 3
     assert len(s.failures) == 3
+    assert all(err.startswith("BlowUp: ") for _, err in s.failures)
     assert all(math.isnan(t) for t in s.taus)
     # failed paths count against the stopping-time frequency
     assert s.tau_equals_T_frequency == 0.0

@@ -1,7 +1,7 @@
 """Command-line surface: exponents | simulate | ensemble | verify.
 
 Exit codes: 0 success, 1 failed verification assertion, 2 invalid
-configuration, 3 solver failure (a Picard step blew up), 4 I/O failure.
+configuration, 3 solver failure (a step blew up, in either scheme), 4 I/O failure.
 Machine-readable failure reasons go to standard error as one JSON line.
 
 Run directories are self-describing: every simulate/ensemble invocation
@@ -252,12 +252,12 @@ def cmd_simulate(args) -> int:
         files = ["trajectory.csv", "report.json"]
         if args.plot:
             traj = report.trajectory
-            comps = [traj.z_components_at(t) for t in traj.times]
+            c1, c2 = traj.z_columns()
             svg = render_svg_plot(
-                traj.times,
+                traj.times.tolist(),
                 {
-                    "mass": list(traj.running_mass),
-                    "z_total": [c1 + c2 for c1, c2 in comps],
+                    "mass": traj.running_mass.tolist(),
+                    "z_total": (c1 + c2).tolist(),
                 },
                 title=f"single path (scheme={config.scheme}, seed={config.seed}, path={args.path_index})",
             )

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange
-from .exponents import ModelParams
+from .errors import OutOfRange, SnlsError
+from .exponents import ModelParams, z_exponents
 from .grid_field import ComplexField, Trajectory, z_process
 
 
@@ -123,12 +123,17 @@ def evaluate_phi_chained(
 def detect_stopping_time(
     traj: Trajectory, level: float, T: float, params: ModelParams | None = None
 ) -> float:
-    """First mesh time with Z_t >= level, else T; resolved to mesh times."""
+    """First mesh time with Z_t >= level, else T; resolved to mesh times.
+
+    One vectorised pass over the trajectory's accumulator columns (Z at a
+    recorded time is read from the accumulators there, as `z_process` does).
+    """
     if level <= 0:
         raise OutOfRange(f"level must be positive, got {level}")
-    for t in traj.times:
-        if t > T + 1e-12:
-            break
-        if z_process(traj, t, params) >= level:
-            return float(min(t, T))
-    return float(T)
+    if params is not None and z_exponents(params) != traj.zexp:
+        raise SnlsError(f"trajectory exponents {traj.zexp} do not match params {z_exponents(params)}")
+    c1, c2 = traj.z_columns()
+    times = traj.times
+    hit = (c1 + c2 >= level) & (times <= T + 1e-12)
+    j = int(np.argmax(hit))
+    return float(min(times[j], T)) if hit[j] else float(T)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -162,14 +162,43 @@ def random_field(grid: Grid, rng: np.random.Generator, unit_l2: bool = False) ->
 
 def lp_norm(f: ComplexField, p: float) -> float:
     """Discrete L^p norm (sum |f_i|^p h^d)^(1/p); max |f_i| for p = inf."""
-    if p == math.inf:
-        return float(np.max(np.abs(f.values))) if f.values.size else 0.0
     if p < 1:
         raise OutOfRange(f"p must be >= 1 or inf, got {p}")
-    a = np.abs(f.values)
+    return float(_row_lp(np.abs(f.values), p, f.grid.cell_volume))
+
+
+def _row_lp(a: np.ndarray, p: float, cell: float, sq=None):
+    """L^p norms over the last axis of a = |v|; `sq` may carry sum(a*a)."""
+    if p == math.inf:
+        return np.max(a, axis=-1)
     if p == 2.0:
-        return float(np.sqrt(np.sum(a * a) * f.grid.cell_volume))
-    return float(np.sum(a**p) * f.grid.cell_volume) ** (1.0 / p)
+        return np.sqrt((np.sum(a * a, axis=-1) if sq is None else sq) * cell)
+    return np.power(np.sum(np.power(a, p), axis=-1) * cell, 1.0 / p)
+
+
+def row_norms(a: np.ndarray, cell: float, p1: float, p2: float):
+    """(L^2, L^p1, L^p2) norms over the last axis of a = |v|.
+
+    The one arithmetic for the recorded norms: the solver applies it to a
+    (P, size) stack of paths, `Trajectory.append` to a single state.  Every
+    operation is a numpy ufunc or a row-wise sum over a C-contiguous last
+    axis, so a row's norms do not depend on the rows stacked with it.
+    """
+    sq = np.sum(a * a, axis=-1)
+    return _row_lp(a, 2.0, cell, sq), _row_lp(a, p1, cell, sq), _row_lp(a, p2, cell, sq)
+
+
+def halfbox_leakage(a: np.ndarray, grid: Grid):
+    """Per row of a = |v|: fraction of sum |v|^2 outside [-L/4, L/4)^d.
+
+    The outside part is gathered with `np.take` into a C-contiguous block,
+    so its row sums equal those of one row alone (a boolean column mask
+    would gather into an F-ordered copy whose row sums differ in rounding).
+    """
+    a2 = a * a
+    total = np.asarray(np.sum(a2, axis=-1))
+    outside = np.sum(np.take(a2, _outside_halfbox_index(grid), axis=-1), axis=-1)
+    return np.divide(outside, total, out=np.zeros_like(total), where=total != 0.0)
 
 
 def mass_outside_central_halfbox(f: ComplexField) -> float:
@@ -178,22 +207,18 @@ def mass_outside_central_halfbox(f: ComplexField) -> float:
     Wrap-around monitor for the periodic surrogate of free space: runs are
     trustworthy only while this stays tiny.
     """
-    a2 = np.abs(f.values) ** 2
-    total = float(np.sum(a2))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(a2[_outside_halfbox_mask(f.grid)])) / total
+    return float(halfbox_leakage(np.abs(f.values), f.grid))
 
 
 @lru_cache(maxsize=16)
-def _outside_halfbox_mask(grid: Grid) -> np.ndarray:
-    """Flat read-only mask of the points outside [-L/4, L/4)^d."""
+def _outside_halfbox_index(grid: Grid) -> np.ndarray:
+    """Read-only flat indices of the points outside [-L/4, L/4)^d."""
     outside = np.zeros(grid.shape, dtype=bool)
     for ax in grid.meshgrid():
         outside |= np.abs(ax) >= 0.25 * grid.L
-    outside = outside.reshape(-1)
-    outside.setflags(write=False)
-    return outside
+    index = np.flatnonzero(outside)
+    index.setflags(write=False)
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -201,120 +226,167 @@ def _outside_halfbox_mask(grid: Grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+def advance_accumulators(acc1, acc2, n1, n2, dt, zexp: ZExponents):
+    """Running-norm accumulators at t + dt from those at t and the norms
+    (n1, n2) = (||u(t)||_p1, ||u(t)||_p2): left-endpoint power integrals,
+    or a running sup for the second component when qt = inf.  Scalars or
+    arrays alike, with the same ufunc arithmetic."""
+    a1 = acc1 + np.power(n1, float(zexp.q)) * dt
+    if zexp.q_tilde_finite:
+        return a1, acc2 + np.power(n2, float(zexp.q_tilde)) * dt
+    return a1, np.maximum(acc2, n2)
+
+
+def z_components(acc1, acc2, zexp: ZExponents):
+    """The two running-norm components (roots of the raw accumulators),
+    elementwise over scalars or arrays with numpy ufuncs, so a single
+    lookup and a whole column agree bitwise."""
+    c1 = np.power(acc1, 1.0 / float(zexp.q))
+    if zexp.q_tilde_finite:
+        return c1, np.power(acc2, 1.0 / float(zexp.q_tilde))
+    return c1, acc2
+
+
 class Trajectory:
     """Time-stamped states plus running mass and running-norm accumulators.
 
-    Built by a single writer via `append`; `times[0]` is the start time of
-    the record (0 for whole runs).  `acc1[j]` is the left-endpoint power
+    Columnar: `times`, `running_mass`, `acc1`, `acc2` are float arrays with
+    one entry per recorded time, and the states, when kept, are one
+    (len, grid.size) complex block read through `state_at_index`.
+    `times[0]` is the start time of the
+    record (0 for whole runs).  `acc1[j]` is the left-endpoint power
     integral int_0^{t_j} ||u||_{p1}^{q} ds; `acc2[j]` is the analogous
     integral for (qt, p2), or max_{l<j} ||u(t_l)||_{p2} when qt = inf.
+    `last_norms` holds (||u||_p1, ||u||_p2) of the last state.
+
+    The solver builds whole trajectories from its columns; `start` and
+    `append` grow one state by state (capacity doubles as needed).
     """
 
-    grid: Grid
-    zexp: ZExponents
-    times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-    running_mass: list = field(default_factory=list)
-    acc1: list = field(default_factory=list)
-    acc2: list = field(default_factory=list)
-    keep_states: bool = True
+    def __init__(self, grid: Grid, zexp: ZExponents, times, running_mass, acc1, acc2, states, last_norms):
+        self.grid = grid
+        self.zexp = zexp
+        self._n = len(times)
+        self._times = times
+        self._mass = running_mass
+        self._acc1 = acc1
+        self._acc2 = acc2
+        self._states = states
+        self.last_norms = last_norms
 
     @classmethod
     def start(cls, u0: ComplexField, zexp: ZExponents, t0: float = 0.0, keep_states: bool = True):
-        traj = cls(grid=u0.grid, zexp=zexp, keep_states=keep_states)
-        traj.times.append(float(t0))
-        traj.states.append(u0 if keep_states else None)
-        traj.running_mass.append(lp_norm(u0, 2))
-        traj.acc1.append(0.0)
-        traj.acc2.append(0.0)
-        traj._last_p1 = lp_norm(u0, float(zexp.p1))
-        traj._last_p2 = lp_norm(u0, float(zexp.p2))
-        return traj
+        mass, n1, n2 = row_norms(np.abs(u0.values), u0.grid.cell_volume, float(zexp.p1), float(zexp.p2))
+        states = u0.values[None, :].copy() if keep_states else None
+        return cls(
+            u0.grid, zexp, np.array([float(t0)]), np.array([mass]), np.zeros(1), np.zeros(1), states, (n1, n2)
+        )
 
     def append(self, t: float, state: ComplexField) -> None:
         if state.grid != self.grid:
             raise GridMismatch("state grid differs from trajectory grid")
         t = float(t)
-        t_prev = self.times[-1]
+        n = self._n
+        t_prev = float(self._times[n - 1])
         if t <= t_prev:
             raise OutOfRange(f"times must increase: {t} after {t_prev}")
-        dt = t - t_prev
-        q = float(self.zexp.q)
-        self.acc1.append(self.acc1[-1] + self._last_p1**q * dt)
-        if self.zexp.q_tilde_finite:
-            qt = float(self.zexp.q_tilde)
-            self.acc2.append(self.acc2[-1] + self._last_p2**qt * dt)
-        else:
-            self.acc2.append(max(self.acc2[-1], self._last_p2))
-        self.times.append(t)
-        self.states.append(state if self.keep_states else None)
-        self.running_mass.append(lp_norm(state, 2))
-        self._last_p1 = lp_norm(state, float(self.zexp.p1))
-        self._last_p2 = lp_norm(state, float(self.zexp.p2))
+        if n == len(self._times):
+            self._grow()
+        zexp = self.zexp
+        self._acc1[n], self._acc2[n] = advance_accumulators(
+            self._acc1[n - 1], self._acc2[n - 1], *self.last_norms, t - t_prev, zexp
+        )
+        mass, n1, n2 = row_norms(np.abs(state.values), self.grid.cell_volume, float(zexp.p1), float(zexp.p2))
+        self._times[n] = t
+        self._mass[n] = mass
+        self.last_norms = (n1, n2)
+        if self._states is not None:
+            self._states[n] = state.values
+        self._n = n + 1
+
+    def _grow(self) -> None:
+        n = self._n
+
+        def grown(col):
+            out = np.empty((2 * n,) + col.shape[1:], dtype=col.dtype)
+            out[:n] = col[:n]
+            return out
+
+        self._times, self._mass, self._acc1, self._acc2 = map(
+            grown, (self._times, self._mass, self._acc1, self._acc2)
+        )
+        if self._states is not None:
+            self._states = grown(self._states)
+
+    @property
+    def times(self) -> np.ndarray:
+        return self._times[: self._n]
+
+    @property
+    def running_mass(self) -> np.ndarray:
+        return self._mass[: self._n]
+
+    @property
+    def acc1(self) -> np.ndarray:
+        return self._acc1[: self._n]
+
+    @property
+    def acc2(self) -> np.ndarray:
+        return self._acc2[: self._n]
 
     def __len__(self) -> int:
-        return len(self.times)
+        return self._n
 
     @property
     def t_end(self) -> float:
-        return self.times[-1]
+        return float(self._times[self._n - 1])
 
     def state_at_index(self, j: int) -> ComplexField:
-        s = self.states[j]
-        if s is None:
+        if self._states is None:
             raise EmptyTrajectory("trajectory was recorded without states")
-        return s
+        return ComplexField(self.grid, self._states[: self._n][j])
 
     def _locate(self, t: float) -> int:
         """Largest index j with times[j] <= t."""
-        if not self.times:
+        if not self._n:
             raise EmptyTrajectory("trajectory has no samples")
-        if t < self.times[0] - 1e-12:
-            raise OutOfRange(f"t={t} precedes trajectory start {self.times[0]}")
-        j = int(np.searchsorted(np.asarray(self.times), t, side="right") - 1)
+        if t < self._times[0] - 1e-12:
+            raise OutOfRange(f"t={t} precedes trajectory start {self._times[0]}")
+        j = int(np.searchsorted(self.times, t, side="right") - 1)
         return max(j, 0)
 
     def z_components_at(self, t: float) -> tuple[float, float]:
         """The two running-norm components at time t (interpolated)."""
-        return self._components(*self.raw_accumulators_at(t))
+        c1, c2 = z_components(*self.raw_accumulators_at(t), self.zexp)
+        return float(c1), float(c2)
 
     def z_end(self) -> float:
         """Z at the last recorded time, from the last accumulators in O(1)."""
-        c1, c2 = self._components(self.acc1[-1], self.acc2[-1])
-        return c1 + c2
+        c1, c2 = z_components(self.acc1[-1], self.acc2[-1], self.zexp)
+        return float(c1 + c2)
 
-    def _components(self, acc1: float, acc2: float) -> tuple[float, float]:
-        """Running-norm components from raw accumulators (root of the powers)."""
-        c1 = acc1 ** (1.0 / float(self.zexp.q)) if acc1 > 0 else 0.0
-        if self.zexp.q_tilde_finite:
-            c2 = acc2 ** (1.0 / float(self.zexp.q_tilde)) if acc2 > 0 else 0.0
-        else:
-            c2 = acc2
-        return c1, c2
+    def z_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both running-norm components at every recorded time, in O(len)."""
+        return z_components(self.acc1, self.acc2, self.zexp)
 
     def raw_accumulators_at(self, t: float) -> tuple[float, float]:
         """Raw power integrals (or sup) at t, left-constant between samples."""
         j = self._locate(t)
-        frac = t - self.times[j]
-        if frac <= 0.0 or j == len(self.times) - 1:
+        times, acc1, acc2 = self.times, self.acc1, self.acc2
+        frac = t - float(times[j])
+        if frac <= 0.0 or j == self._n - 1:
             # between the last sample and t the integrand is the last state
             if frac > 0.0:
-                a1 = self.acc1[j] + self._last_p1 ** float(self.zexp.q) * frac
-                if self.zexp.q_tilde_finite:
-                    a2 = self.acc2[j] + self._last_p2 ** float(self.zexp.q_tilde) * frac
-                else:
-                    a2 = max(self.acc2[j], self._last_p2)
-                return a1, a2
-            return self.acc1[j], self.acc2[j]
+                a1, a2 = advance_accumulators(acc1[j], acc2[j], *self.last_norms, frac, self.zexp)
+                return float(a1), float(a2)
+            return float(acc1[j]), float(acc2[j])
         # t lies strictly between samples j and j+1: integrand is state j
-        p1j = ((self.acc1[j + 1] - self.acc1[j]) / (self.times[j + 1] - self.times[j]))
-        a1 = self.acc1[j] + p1j * frac
+        span = float(times[j + 1] - times[j])
+        a1 = float(acc1[j]) + float(acc1[j + 1] - acc1[j]) / span * frac
         if self.zexp.q_tilde_finite:
-            p2j = (self.acc2[j + 1] - self.acc2[j]) / (self.times[j + 1] - self.times[j])
-            a2 = self.acc2[j] + p2j * frac
+            a2 = float(acc2[j]) + float(acc2[j + 1] - acc2[j]) / span * frac
         else:
-            a2 = self.acc2[j + 1]
+            a2 = float(acc2[j + 1])
         return a1, a2
 
 
@@ -400,9 +472,10 @@ def read_field(path) -> ComplexField:
 def trajectory_csv_lines(traj: Trajectory):
     """CSV rows (t, mass, z_component_1, z_component_2, z_total)."""
     yield "t,mass,z_component_1,z_component_2,z_total"
-    for j, t in enumerate(traj.times):
-        c1, c2 = traj.z_components_at(t)
-        yield f"{t!r},{traj.running_mass[j]!r},{c1!r},{c2!r},{(c1 + c2)!r}"
+    c1, c2 = traj.z_columns()
+    columns = (traj.times, traj.running_mass, c1, c2, c1 + c2)
+    for t, m, z1, z2, z in zip(*(col.tolist() for col in columns)):
+        yield f"{t!r},{m!r},{z1!r},{z2!r},{z!r}"
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:

@@ -1,14 +1,18 @@
 """Ensemble driver: moments, stopping-time frequencies, level studies.
 
-Paths are embarrassingly parallel and keyed by (seed, path_index) alone, so
-identical inputs give bitwise-identical summaries under any execution
-order; aggregation is an ordered reduction by path index.  Failed paths
-(any SolverError, such as a Picard step that blew up) are first-class
-results: they are recorded with their reason and never silently dropped
-from denominators.
+Paths are keyed by (seed, path_index) alone and solved in chunks of
+consecutive indices, each chunk marched as one stack by
+`solver.solve_paths`.  A path's result is bitwise the same whatever chunk
+it lands in, so identical inputs give bitwise-identical summaries under
+any chunking, execution order or worker count; aggregation is an ordered
+reduction by path index.  A chunk's (P, grid.size) complex stack is capped
+at CHUNK_STACK_BYTES.  Failed paths (any SolverError, such as a step that
+blew up) are first-class results: they are recorded with their reason and
+never silently dropped from denominators.
 
-Worker count: the SNLS_THREADS environment variable caps process workers
-(0 = one per CPU); unset or 1 runs serially in-process.
+Worker count: the SNLS_THREADS environment variable caps process workers,
+which take whole chunks (0 = one per CPU); unset or 1 runs serially
+in-process.
 """
 
 from __future__ import annotations
@@ -16,15 +20,17 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .errors import SolverError
-from .solver import SimConfig, materialize, sample_brownian_path, solve
+from .solver import SimConfig, materialize, sample_brownian_path, solve, solve_paths
 
 _TAU_EQ_T_RTOL = 1e-9
+
+# Cap on the bytes of one chunk's (P, grid.size) complex128 stack.
+CHUNK_STACK_BYTES = 1 << 18
 
 
 @dataclass
@@ -45,25 +51,41 @@ def solve_path(config: SimConfig, path_index: int, persist_dir: str | None = Non
     report summary: tau, cutoff activity, half-box leakage, notes) is
     written there as `path_<index>.json`.
     """
-    _, model, _ = materialize(config)
+    _, model, u0 = materialize(config)
     path = sample_brownian_path(config.mesh(), model.total_modes, config.seed, path_index)
     try:
-        report = solve(config, path, keep_states=False)
+        result = solve(config, path, model=model, u0=u0, keep_states=False)
     except SolverError as exc:
-        outcome = PathOutcome(path_index=path_index, ok=False, error=f"{type(exc).__name__}: {exc}")
+        result = exc
+    return _outcome(config, path_index, result, persist_dir)
+
+
+def solve_chunk(config: SimConfig, indices, persist_dir: str | None = None) -> list:
+    """`solve_path` for consecutive path indices, marched as one stack."""
+    _, model, u0 = materialize(config)
+    mesh = config.mesh()
+    paths = [sample_brownian_path(mesh, model.total_modes, config.seed, i) for i in indices]
+    results = solve_paths(config, paths, model, u0, keep_states=False)
+    return [_outcome(config, i, r, persist_dir) for i, r in zip(indices, results)]
+
+
+def _outcome(config: SimConfig, path_index: int, result, persist_dir: str | None) -> PathOutcome:
+    """Reduce one solve result (a report or its SolverError) and persist it."""
+    if isinstance(result, SolverError):
+        outcome = PathOutcome(path_index=path_index, ok=False, error=f"{type(result).__name__}: {result}")
         _persist(persist_dir, outcome, None)
         return outcome
-    traj = report.trajectory
+    traj = result.trajectory
     c1, c2 = traj.z_components_at(config.T)
     outcome = PathOutcome(
         path_index=path_index,
         ok=True,
-        tau=report.tau,
+        tau=result.tau,
         yt_norm=c1,
         z_final=c1 + c2,
         sup_mass=float(np.max(traj.running_mass)),
     )
-    _persist(persist_dir, outcome, report)
+    _persist(persist_dir, outcome, result)
     return outcome
 
 
@@ -150,6 +172,14 @@ def worker_count(n_paths: int) -> int:
     return max(1, min(w, n_paths))
 
 
+def path_chunks(n_paths: int, grid_size: int, workers: int = 1) -> list:
+    """Consecutive index ranges: at most CHUNK_STACK_BYTES of stack each,
+    and at least `workers` of them when there are that many paths."""
+    rows = max(1, CHUNK_STACK_BYTES // (16 * grid_size))
+    rows = min(rows, -(-n_paths // workers))
+    return [range(s, min(s + rows, n_paths)) for s in range(0, n_paths, rows)]
+
+
 def run_ensemble(
     config: SimConfig,
     n_paths: int,
@@ -167,14 +197,17 @@ def run_ensemble(
     if seed is not None:
         config = replace(config, seed=int(seed))
     workers = worker_count(n_paths)
-    indices = list(range(n_paths))
+    chunks = path_chunks(n_paths, config.grid.size, workers)
     if workers == 1:
-        outcomes = [solve_path(config, i, persist_dir) for i in indices]
+        outcomes = [o for chunk in chunks for o in solve_chunk(config, chunk, persist_dir)]
     else:
+        # imported here, so that serial runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        n = len(chunks)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(solve_path, [config] * n_paths, indices, [persist_dir] * n_paths, chunksize=8)
-            )
+            done = pool.map(solve_chunk, [config] * n, chunks, [persist_dir] * n)
+            outcomes = [o for chunk in done for o in chunk]
     outcomes.sort(key=lambda o: o.path_index)
 
     taus = np.array([o.tau for o in outcomes])

@@ -17,6 +17,15 @@ with an exactly unitary linear half-step, an exact pointwise phase step for
 the power nonlinearity, and an exact phase step for conservative noise
 (Euler–Maruyama fallback otherwise), so discrete mass is conserved to
 rounding when every sub-step is an isometry.
+
+Both schemes run in one engine, `solve_paths`, which marches P paths as a
+(P, grid.size) stack: one batched FFT per transform and step, the norms,
+accumulators and half-box monitor as (P, K+1) columns, and the cutoff
+theta(Z) per row.  A path's result does not depend on the other rows of
+its stack, bitwise.  A row whose step gives non-finite values or an L^2
+norm above BLOWUP_L2 becomes a BlowUp and leaves the stack; the others
+march on.  `solve`, `picard_solve` and `splitstep_solve` are the P = 1
+case.
 """
 
 from __future__ import annotations
@@ -27,28 +36,26 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import detect_stopping_time, theta
-from .errors import BlowUp, ConfigError, MeshMismatch
+from .errors import BlowUp, ConfigError, MeshMismatch, SolverError
 from .exponents import ModelParams, z_exponents
 from .grid_field import (
     ComplexField,
     Grid,
     Trajectory,
+    advance_accumulators,
+    halfbox_leakage,
     lp_norm,
     mass_outside_central_halfbox,
+    row_norms,
+    z_components,
 )
-from .noise import (
-    BrownianPath,
-    NoiseModel,
-    noise_term,
-    sample_brownian_path,
-    stratonovich_drift,
-)
+from .noise import BrownianPath, NoiseModel, sample_brownian_path
 from .propagator import get_plan
 from .specs import build_field, build_noise_model
 
 SCHEMES = ("picard", "splitstep")
 
-# L^2 norm beyond which a Picard step counts as blown up.
+# L^2 norm beyond which a step counts as blown up (either scheme).
 BLOWUP_L2 = 1e12
 
 
@@ -138,28 +145,23 @@ def path_for(config: SimConfig, path_index: int = 0, model: NoiseModel | None = 
     return sample_brownian_path(config.mesh(), model.total_modes, config.seed, path_index)
 
 
-def _check_mesh(config: SimConfig, path: BrownianPath) -> np.ndarray:
-    mesh = config.mesh()
+def _model_and_u0(config: SimConfig, model: NoiseModel | None, u0: ComplexField | None):
+    """The given noise model and initial state, built from the config if absent."""
+    if model is None or u0 is None:
+        _, built_model, built_u0 = materialize(config)
+        model = built_model if model is None else model
+        u0 = built_u0 if u0 is None else u0
+    return model, u0
+
+
+def _check_mesh(mesh: np.ndarray, path: BrownianPath) -> None:
     if path.mesh.size != mesh.size or not np.allclose(path.mesh, mesh, atol=1e-12):
         raise MeshMismatch(
             f"path mesh ({path.mesh.size} points) does not match config mesh ({mesh.size} points)"
         )
-    return mesh
 
 
-def solve(config: SimConfig, path: BrownianPath | None = None, path_index: int = 0, **kw) -> SolveReport:
-    """Dispatch on config.scheme."""
-    if config.scheme == "picard":
-        return picard_solve(config, path, path_index=path_index, **kw)
-    return splitstep_solve(config, path, path_index=path_index, **kw)
-
-
-# ---------------------------------------------------------------------------
-# Split-step reference integrator
-# ---------------------------------------------------------------------------
-
-
-def splitstep_solve(
+def solve(
     config: SimConfig,
     path: BrownianPath | None = None,
     path_index: int = 0,
@@ -167,72 +169,149 @@ def splitstep_solve(
     u0: ComplexField | None = None,
     keep_states: bool = True,
 ) -> SolveReport:
+    """Solve one path with config.scheme: the P = 1 case of `solve_paths`.
+
+    Raises the path's BlowUp if it failed.
+    """
+    model, u0 = _model_and_u0(config, model, u0)
+    if path is None:
+        path = path_for(config, path_index, model)
+    (result,) = solve_paths(config, [path], model, u0, keep_states)
+    if isinstance(result, SolverError):
+        raise result
+    return result
+
+
+def splitstep_solve(config: SimConfig, path: BrownianPath | None = None, path_index: int = 0, **kw) -> SolveReport:
     """Strang split step: half linear, nonlinear phase, noise step, half linear.
 
     The nonlinear and conservative-noise sub-steps are exact pointwise phase
     rotations (|u| invariant); with the unitary linear half-steps every
     sub-step is an isometry on the grid, so discrete mass is conserved to
     rounding.  Non-conservative noise falls back to one Euler–Maruyama step
-    with the Itô correction drift.
+    with the Itô correction drift.  Keywords as for `solve`.
     """
-    grid, built_model, built_u0 = materialize(config)
-    model = model if model is not None else built_model
-    u0 = u0 if u0 is not None else built_u0
-    if path is None:
-        path = path_for(config, path_index, model)
-    mesh = _check_mesh(config, path)
-    params = config.params
-    zexp = z_exponents(params)
-    plan = get_plan(grid, config.enable_laplacian)
-    dt = config.dt
-    alpha = float(params.alpha)
-    gamma = float(params.gamma)
-    lam = params.lam if config.enable_nonlinearity else 0
-    half_mult = plan.multiplier(0.5 * dt)
-    exact_noise = model.conservative and model.linear_real
-    n_e = model.n_modes
-    coeffs_real = model.coeffs.real if exact_noise else None
-    linear_real = model.linear_coeffs.real if exact_noise else None
+    return solve(replace(config, scheme="splitstep"), path, path_index, **kw)
 
-    traj = Trajectory.start(u0, zexp, 0.0, keep_states=keep_states)
-    leak = mass_outside_central_halfbox(u0)
-    v = u0.values.copy()
+
+def picard_solve(config: SimConfig, path: BrownianPath | None = None, path_index: int = 0, **kw) -> SolveReport:
+    """Fixed point of the discrete mild equation, marched step by step.
+
+    Step l reads phi_l = theta(Z_{t_l}, level) from the running-norm
+    accumulators of the states up to t_l, then sets
+
+        v_{l+1} = U(dt) (v_l + dt F(v_l, phi_l) + K(v_l, phi_l, dbeta_l))
+
+    with the forcing and the noise kick (see `noise.stratonovich_drift` and
+    `noise.noise_term`)
+
+        F = -i lam phi |v|^(alpha-1) v + phi mu1 |v|^(2(gamma-1)) v + mu2 v,
+        K = -i phi (dbeta_l . e) |v|^(gamma-1) v - i (dbeta'_l . b) v.
+
+    Keywords as for `solve`.
+    """
+    return solve(replace(config, scheme="picard"), path, path_index, **kw)
+
+
+# ---------------------------------------------------------------------------
+# The path-batched engine
+# ---------------------------------------------------------------------------
+
+
+def solve_paths(
+    config: SimConfig,
+    paths,
+    model: NoiseModel | None = None,
+    u0: ComplexField | None = None,
+    keep_states: bool = True,
+) -> list:
+    """March P paths of config.scheme as one (P, grid.size) stack.
+
+    Returns one result per path, in order: its SolveReport, or the BlowUp
+    of a path whose step gave non-finite values or an L^2 norm above
+    BLOWUP_L2.  A failed row is dropped from the stack and the others march
+    on.  Every row is computed with numpy ufuncs, row-wise FFTs and sums
+    over the C-contiguous last axis, and mode sums in a fixed order, so a
+    path's result is bitwise the same in any batch, at any position.
+    """
+    model, u0 = _model_and_u0(config, model, u0)
+    mesh = config.mesh()
+    for path in paths:
+        _check_mesh(mesh, path)
+    P, K = len(paths), config.n_steps
+    if not P:
+        return []
+    grid = config.grid
+    zexp = z_exponents(config.params)
+    p1, p2, cell = float(zexp.p1), float(zexp.p2), grid.cell_volume
+    step = _picard_step(config, model) if config.scheme == "picard" else _splitstep_step(config, model)
+    increments = np.stack([path.increments for path in paths])  # (P, M, K)
+
+    mass = np.empty((P, K + 1))
+    acc1 = np.zeros((P, K + 1))
+    acc2 = np.zeros((P, K + 1))
+    states = np.empty((P, K + 1, grid.size), dtype=np.complex128) if keep_states else None
+    leak = np.full(P, mass_outside_central_halfbox(u0))
+    ever_active = np.zeros(P, dtype=bool)
+    norm1 = np.empty(P)  # ||.||_p1 and ||.||_p2 of each row's last state
+    norm2 = np.empty(P)
+    failures = {}
+    rows = np.arange(P)  # rows still marching, in stack order
+    v = np.repeat(u0.values[None, :], P, axis=0)
+    if keep_states:
+        states[:, 0] = v
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mass[:, 0], norm1[:], norm2[:] = row_norms(np.abs(v), cell, p1, p2)
+        for l in range(K):
+            z1, z2 = z_components(acc1[rows, l], acc2[rows, l], zexp)
+            z = z1 + z2
+            v, active = step(v, z, increments[rows, :, l])
+            ever_active[rows] |= active
+            a = np.abs(v)
+            m, n1, n2 = row_norms(a, cell, p1, p2)
+            bad = ~(m <= BLOWUP_L2)
+            if bad.any():
+                for r, l2, zr in zip(rows[bad], m[bad], z[bad]):
+                    last = float(mass[r, l])
+                    failures[r] = BlowUp(
+                        f"step from t={mesh[l]:.6g} blew up: L^2 norm {l2:.3g} "
+                        f"(from {last:.6g}, Z={zr:.6g})",
+                        t=float(mesh[l]),
+                        z=float(zr),
+                        l2=last,
+                    )
+                rows, v, a, m, n1, n2 = (x[~bad] for x in (rows, v, a, m, n1, n2))
+            acc1[rows, l + 1], acc2[rows, l + 1] = advance_accumulators(
+                acc1[rows, l], acc2[rows, l], norm1[rows], norm2[rows], mesh[l + 1] - mesh[l], zexp
+            )
+            mass[rows, l + 1] = m
+            norm1[rows], norm2[rows] = n1, n2
+            leak[rows] = np.maximum(leak[rows], halfbox_leakage(a, grid))
+            if keep_states:
+                states[rows, l + 1] = v
     notes = _config_notes(config)
-    for l in range(config.n_steps):
-        v = plan.inverse(half_mult * plan.forward(v))
-        if lam:
-            v = v * np.exp(-1j * lam * dt * np.abs(v) ** (alpha - 1.0))
-        if model.total_modes:
-            inc = path.increments[:, l]
-            if exact_noise:
-                phase = np.zeros(grid.size)
-                if n_e:
-                    phase = (inc[:n_e] @ coeffs_real) * np.abs(v) ** (gamma - 1.0)
-                if model.n_linear_modes:
-                    phase = phase + inc[n_e:] @ linear_real
-                v = v * np.exp(-1j * phase)
-            else:
-                u = ComplexField(grid, v)
-                v = (
-                    v
-                    + dt * stratonovich_drift(u, model, gamma, 1.0).values
-                    + noise_term(u, model, gamma, 1.0, inc).values
-                )
-        v = plan.inverse(half_mult * plan.forward(v))
-        state = ComplexField(grid, v)
-        traj.append(mesh[l + 1], state)
-        leak = max(leak, mass_outside_central_halfbox(state))
-    tau = detect_stopping_time(traj, config.truncation_level, config.T)
-    return SolveReport(
-        trajectory=traj,
-        tau=tau,
-        truncation_ever_active=False,
-        scheme="splitstep",
-        halfbox_leakage=leak,
-        seed=path.seed,
-        path_index=path.path_index,
-        notes=notes,
-    )
+    results = []
+    for r, path in enumerate(paths):
+        if r in failures:
+            results.append(failures[r])
+            continue
+        traj = Trajectory(
+            grid, zexp, mesh, mass[r], acc1[r], acc2[r],
+            states[r] if keep_states else None, (norm1[r], norm2[r]),
+        )
+        results.append(
+            SolveReport(
+                trajectory=traj,
+                tau=detect_stopping_time(traj, config.truncation_level, config.T),
+                truncation_ever_active=bool(ever_active[r]),
+                scheme=config.scheme,
+                halfbox_leakage=float(leak[r]),
+                seed=path.seed,
+                path_index=path.path_index,
+                notes=list(notes),
+            )
+        )
+    return results
 
 
 def _config_notes(config: SimConfig) -> list:
@@ -247,96 +326,82 @@ def _config_notes(config: SimConfig) -> list:
     return notes
 
 
-# ---------------------------------------------------------------------------
-# Picard (exponential-Euler) integrator
-# ---------------------------------------------------------------------------
+def _mode_sum(dinc: np.ndarray, fields: np.ndarray) -> np.ndarray:
+    """sum_m dinc[:, m] fields[m] per row, accumulated in mode order.
 
-
-def picard_solve(
-    config: SimConfig,
-    path: BrownianPath | None = None,
-    path_index: int = 0,
-    model: NoiseModel | None = None,
-    u0: ComplexField | None = None,
-    keep_states: bool = True,
-) -> SolveReport:
-    """Fixed point of the discrete mild equation, marched step by step.
-
-    Step l reads phi_l = theta(Z_{t_l}, level) from the running-norm
-    accumulators of the states up to t_l, then sets
-
-        v_{l+1} = U(dt) (v_l + dt F(v_l, phi_l) + K(v_l, phi_l, dbeta_l))
-
-    with the forcing and the noise kick (see `noise.stratonovich_drift` and
-    `noise.noise_term`)
-
-        F = -i lam phi |v|^(alpha-1) v + phi mu1 |v|^(2(gamma-1)) v + mu2 v,
-        K = -i phi (dbeta_l . e) |v|^(gamma-1) v - i (dbeta'_l . b) v.
-
-    Raises BlowUp when a step yields non-finite values or an L^2 norm above
-    BLOWUP_L2.
+    No matrix product: BLAS may block a product differently for different
+    row counts, which would make a row depend on the size of its stack.
     """
-    grid, built_model, built_u0 = materialize(config)
-    model = model if model is not None else built_model
-    u0 = u0 if u0 is not None else built_u0
-    if path is None:
-        path = path_for(config, path_index, model)
-    mesh = _check_mesh(config, path)
-    params = config.params
-    plan = get_plan(grid, config.enable_laplacian)
-    dt = config.dt
-    alpha = float(params.alpha)
-    gamma = float(params.gamma)
-    lam = params.lam if config.enable_nonlinearity else 0
-    mult_dt = plan.multiplier(dt)
-    cell = grid.cell_volume
-    inc = path.increments
-    n_e = model.n_modes
+    out = dinc[:, :1] * fields[0]
+    for m in range(1, fields.shape[0]):
+        out = out + dinc[:, m : m + 1] * fields[m]
+    return out
 
-    traj = Trajectory.start(u0, z_exponents(params), 0.0, keep_states=keep_states)
-    leak = mass_outside_central_halfbox(u0)
-    ever_active = False
-    state = u0
-    for l in range(config.n_steps):
-        z = traj.z_end()
-        phi = theta(z, config.truncation_level)
-        ever_active = ever_active or phi < 1.0
-        v = state.values
-        with np.errstate(over="ignore", invalid="ignore"):
-            absv = np.abs(v)
-            w = v.copy()
-            if lam:
-                w += (-1j * lam * phi * dt) * absv ** (alpha - 1.0) * v
-            if n_e:
-                w += (phi * dt) * model.mu1 * absv ** (2.0 * (gamma - 1.0)) * v
-                w += (-1j * phi) * (inc[:n_e, l] @ model.coeffs) * absv ** (gamma - 1.0) * v
-            if model.n_linear_modes:
-                w += (dt * model.mu2 - 1j * (inc[n_e:, l] @ model.linear_coeffs)) * v
-            v = plan.inverse(mult_dt * plan.forward(w))
-            l2 = math.sqrt(float(np.sum(np.abs(v) ** 2)) * cell)
-        if not l2 <= BLOWUP_L2:
-            last = traj.running_mass[-1]
-            raise BlowUp(
-                f"step from t={mesh[l]:.6g} blew up: L^2 norm {l2:.3g} "
-                f"(from {last:.6g}, Z={z:.6g})",
-                t=float(mesh[l]),
-                z=z,
-                l2=last,
-            )
-        state = ComplexField(grid, v)
-        traj.append(mesh[l + 1], state)
-        leak = max(leak, mass_outside_central_halfbox(state))
-    tau = detect_stopping_time(traj, config.truncation_level, config.T)
-    return SolveReport(
-        trajectory=traj,
-        tau=tau,
-        truncation_ever_active=ever_active,
-        scheme="picard",
-        halfbox_leakage=leak,
-        seed=path.seed,
-        path_index=path.path_index,
-        notes=_config_notes(config),
-    )
+
+def _ito_step(v, phi, dinc, dt, lam, alpha, gamma, model: NoiseModel) -> np.ndarray:
+    """v + dt F(v, phi) + K(v, phi, dbeta) row by row, phi of shape (R, 1)."""
+    absv = np.abs(v)
+    w = v.copy()
+    if lam:
+        w += (-1j * lam * phi * dt) * absv ** (alpha - 1.0) * v
+    n_e = model.n_modes
+    if n_e:
+        w += (phi * dt) * model.mu1 * absv ** (2.0 * (gamma - 1.0)) * v
+        w += (-1j * phi) * _mode_sum(dinc[:, :n_e], model.coeffs) * absv ** (gamma - 1.0) * v
+    if model.n_linear_modes:
+        w += (dt * model.mu2 - 1j * _mode_sum(dinc[:, n_e:], model.linear_coeffs)) * v
+    return w
+
+
+def _splitstep_step(config: SimConfig, model: NoiseModel):
+    """One Strang step of a (R, size) stack; the cutoff is never applied."""
+    plan = get_plan(config.grid, config.enable_laplacian)
+    dt = config.dt
+    alpha = float(config.params.alpha)
+    gamma = float(config.params.gamma)
+    lam = config.params.lam if config.enable_nonlinearity else 0
+    half_mult = plan.multiplier(0.5 * dt)
+    n_e = model.n_modes
+    exact_noise = model.conservative and model.linear_real
+    coeffs_real = model.coeffs.real
+    linear_real = model.linear_coeffs.real
+
+    def step(v, z, dinc):
+        v = plan.inverse(half_mult * plan.forward(v))
+        if lam:
+            v = v * np.exp(-1j * lam * dt * np.abs(v) ** (alpha - 1.0))
+        if model.total_modes:
+            if exact_noise:
+                phase = 0.0
+                if n_e:
+                    phase = _mode_sum(dinc[:, :n_e], coeffs_real) * np.abs(v) ** (gamma - 1.0)
+                if model.n_linear_modes:
+                    phase = phase + _mode_sum(dinc[:, n_e:], linear_real)
+                v = v * np.exp(-1j * phase)
+            else:
+                v = _ito_step(v, np.ones((len(v), 1)), dinc, dt, 0, alpha, gamma, model)
+        v = plan.inverse(half_mult * plan.forward(v))
+        return v, False
+
+    return step
+
+
+def _picard_step(config: SimConfig, model: NoiseModel):
+    """One exponential-Euler step of a (R, size) stack at cutoff theta(z)."""
+    plan = get_plan(config.grid, config.enable_laplacian)
+    dt = config.dt
+    alpha = float(config.params.alpha)
+    gamma = float(config.params.gamma)
+    lam = config.params.lam if config.enable_nonlinearity else 0
+    mult_dt = plan.multiplier(dt)
+    level = config.truncation_level
+
+    def step(v, z, dinc):
+        phi = theta(z, level)
+        w = _ito_step(v, phi[:, None], dinc, dt, lam, alpha, gamma, model)
+        return plan.inverse(mult_dt * plan.forward(w)), phi < 1.0
+
+    return step
 
 
 def path_coincidence_check(config: SimConfig, path: BrownianPath, levels) -> float:

@@ -201,6 +201,25 @@ def test_cli_simulate_blowup_exit_3(tmp_path, capsys):
     assert err["error"] == "BlowUp"
 
 
+def _overflow_doc(ic_amplitude, coeff_amplitude):
+    """Split-step, alpha = gamma = 3, complex noise coefficient: overflows."""
+    doc = dict(VALID_DOC, alpha=3, gamma=3, T=1.0, seed=0)
+    doc["initial_condition"] = {"kind": "gaussian_bump", "amplitude": ic_amplitude, "width": 2.0}
+    doc["noise"] = {"coefficients": [{"kind": "gaussian_bump", "amplitude": coeff_amplitude, "width": 3.0}]}
+    return doc
+
+
+@pytest.mark.parametrize("ic_amplitude, coeff_amplitude, path_index", [(1.0, [5, 5], 3), (2.0, [3, 3], 0)])
+def test_cli_simulate_splitstep_overflow_exit_3(tmp_path, capsys, ic_amplitude, coeff_amplitude, path_index):
+    """A split-step path that overflows is a solver failure (exit 3), not a
+    config error and not a traceback."""
+    cfg_path = write_config(tmp_path, _overflow_doc(ic_amplitude, coeff_amplitude))
+    code = main(["simulate", cfg_path, "--path-index", str(path_index), "--out", str(tmp_path / "x")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "BlowUp"
+
+
 def test_cli_scheme_and_seed_overrides(tmp_path):
     cfg_path = write_config(tmp_path, VALID_DOC)
     assert main(["simulate", cfg_path, "--scheme", "picard", "--seed", "9", "--out", str(tmp_path / "o")]) == 0

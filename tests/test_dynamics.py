@@ -183,6 +183,25 @@ def test_detect_stopping_time_monotone_in_level():
         assert all(b >= a for a, b in zip(taus, taus[1:]))
 
 
+def test_detect_stopping_time_matches_pointwise_scan():
+    """The vectorised detector equals the scan of z_process over the
+    recorded times, including T inside the record and T past its end."""
+    rng = np.random.default_rng(10)
+    for _ in range(100):
+        traj = random_trajectory(rng, n_states=int(rng.integers(2, 9)))
+        z_end = z_process(traj, traj.t_end)
+        level = float(rng.uniform(0.05, 1.5)) * max(z_end, 1e-3)
+        T = float(rng.choice([traj.t_end, 0.5 * traj.t_end, 2.0 * traj.t_end]))
+        expected = T
+        for t in traj.times:
+            if t > T + 1e-12:
+                break
+            if z_process(traj, float(t), PARAMS) >= level:
+                expected = float(min(t, T))
+                break
+        assert detect_stopping_time(traj, level, T, PARAMS) == expected
+
+
 def test_stopping_time_T_implies_phi_one():
     """tau = T means the cutoff never engaged at any mesh time up to T."""
     rng = np.random.default_rng(9)

@@ -245,6 +245,21 @@ def test_trajectory_csv_layout():
     assert float(row[0]) == 0.0 and float(row[4]) == 0.0
 
 
+def test_trajectory_csv_columns_match_pointwise_lookups():
+    """The one-pass export gives, row for row, the text of a
+    `z_components_at` lookup at each recorded time."""
+    rng = np.random.default_rng(8)
+    for zexp in (ZX, z_exponents(ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(1), lam=1))):
+        states = [random_field(GRID, rng) for _ in range(7)]
+        traj = make_trajectory(states, np.cumsum(rng.uniform(0.05, 0.4, size=7)) - 0.05, zexp)
+        lines = list(trajectory_csv_lines(traj))[1:]
+        assert len(lines) == len(traj)
+        for j, line in enumerate(lines):
+            t = float(traj.times[j])
+            c1, c2 = traj.z_components_at(t)
+            assert line == f"{t!r},{float(traj.running_mass[j])!r},{c1!r},{c2!r},{(c1 + c2)!r}"
+
+
 def test_plane_wave_field_is_single_mode():
     g = Grid(d=1, n=32, L=4.0)
     f = plane_wave_field(g, [3], 2.0)

@@ -1,6 +1,7 @@
 """Ensemble statistics, reproducibility, level studies."""
 
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 
 from snls.exponents import ModelParams
 from snls.grid_field import Grid
+import snls.montecarlo as mc
 from snls.montecarlo import (
     chebyshev_consistency,
+    path_chunks,
     run_ensemble,
     solve_path,
     truncation_uniformity_study,
@@ -180,3 +183,53 @@ def test_antithetic_increments_preserve_diffusion_statistics(monkeypatch):
     assert np.allclose(
         [flipped.mean_sup_mass_p[2.0][0]], [base.mean_sup_mass_p[2.0][0]], rtol=1e-12
     )
+
+
+def _per_path_reports(cfg, n_paths, out_dir):
+    """Summary plus every per-path report file (tau, yt_norm, z_final,
+    sup_mass, halfbox_leakage, ...) of one ensemble run, as bytes."""
+    summary = run_ensemble(cfg, n_paths, persist_dir=str(out_dir))
+    files = {name: (out_dir / name).read_bytes() for name in sorted(os.listdir(out_dir))}
+    return summary.to_dict(), files
+
+
+@pytest.mark.parametrize(
+    "scheme, level",
+    [("splitstep", math.inf), ("picard", math.inf), ("picard", 3.0), ("splitstep", 3.0)],
+)
+def test_ensemble_is_bitwise_independent_of_chunks_and_workers(monkeypatch, tmp_path, scheme, level):
+    """One chunk, chunks of 2 (paths split across chunk boundaries) and two
+    worker processes give byte-identical summaries and per-path reports."""
+    cfg = config(scheme=scheme, truncation_level=level, ic_spec={"kind": "gaussian_bump", "amplitude": 1.2, "width": 2.0})
+    monkeypatch.delenv("SNLS_THREADS", raising=False)
+    assert len(path_chunks(5, cfg.grid.size)) == 1
+    whole = _per_path_reports(cfg, 5, tmp_path / "whole")
+    monkeypatch.setattr(mc, "CHUNK_STACK_BYTES", 2 * 16 * cfg.grid.size)
+    assert [list(c) for c in path_chunks(5, cfg.grid.size)] == [[0, 1], [2, 3], [4]]
+    assert _per_path_reports(cfg, 5, tmp_path / "pairs") == whole
+    monkeypatch.undo()
+    monkeypatch.setenv("SNLS_THREADS", "2")
+    assert _per_path_reports(cfg, 5, tmp_path / "workers") == whole
+    if level == 3.0:
+        assert any(t < cfg.T for t in whole[0]["taus"])
+
+
+def test_splitstep_overflow_is_recorded_per_path():
+    """Non-conservative split-step noise that overflows on one path only:
+    that path is recorded as BlowUp, the other rows equal their solo
+    solves bitwise, and no RuntimeWarning escapes (warnings are errors)."""
+    cfg = config(
+        params=ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(3), lam=1),
+        noise_spec={"coefficients": [{"kind": "gaussian_bump", "amplitude": [5, 5], "width": 3.0}]},
+        T=1.0,
+        seed=0,
+    )
+    s = run_ensemble(cfg, 6)
+    assert [i for i, _ in s.failures] == [3]
+    assert s.failures[0][1].startswith("BlowUp: ")
+    for i in (0, 1, 2, 4, 5):
+        solo = solve_path(cfg, i)
+        assert solo.ok
+        assert (s.taus[i], s.yt_norms[i], s.z_finals[i], s.sup_masses[i]) == (
+            solo.tau, solo.yt_norm, solo.z_final, solo.sup_mass
+        )

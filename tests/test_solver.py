@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snls.errors import BlowUp, ConfigError
 from snls.exponents import ModelParams
-from snls.grid_field import Grid, lp_norm
+from snls.grid_field import Grid, Trajectory, lp_norm
 from snls.noise import coarsen_path, diffusion_only_exact, sample_brownian_path
 from snls.propagator import free_evolve
 from snls.solver import (
@@ -21,6 +23,7 @@ from snls.solver import (
     path_for,
     picard_solve,
     solve,
+    solve_paths,
     splitstep_solve,
 )
 
@@ -325,3 +328,89 @@ def test_keep_states_false_still_tracks_norms():
     assert len(rep.trajectory.running_mass) == cfg.n_steps + 1
     c1, c2 = rep.trajectory.z_components_at(cfg.T)
     assert c1 > 0 and c2 > 0
+
+
+# -- the path-batched engine -------------------------------------------------
+
+CUTOFF_IC = {"kind": "gaussian_bump", "amplitude": 1.2, "width": 2.0}
+
+
+def _fingerprint(rep):
+    """Everything a solved path reports, as bitwise-comparable values."""
+    traj = rep.trajectory
+    c1, c2 = traj.z_components_at(traj.t_end)
+    return (
+        rep.tau,
+        c1,
+        c1 + c2,
+        float(np.max(traj.running_mass)),
+        rep.halfbox_leakage,
+        rep.truncation_ever_active,
+        traj.running_mass.tobytes(),
+        traj.acc1.tobytes(),
+        traj.acc2.tobytes(),
+        traj.state_at_index(-1).values.tobytes(),
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    scheme=st.sampled_from(["picard", "splitstep"]),
+    level=st.sampled_from([math.inf, 3.5]),
+    order=st.permutations(range(5)),
+    size=st.integers(2, 5),
+)
+def test_batch_results_are_bitwise_independent_of_the_batch(scheme, level, order, size):
+    """A path's result is the same alone, in a batch of P and in shuffled
+    order, with and without an active cutoff (level 3.5 stops inside the
+    run; for Picard it engages the cutoff)."""
+    cfg = config(scheme=scheme, truncation_level=level, ic_spec=CUTOFF_IC, dt=1.0 / 32.0)
+    _, model, u0 = materialize(cfg)
+    paths = [path_for(cfg, i, model) for i in order[:size]]
+    alone = {p.path_index: _fingerprint(solve_paths(cfg, [p], model, u0)[0]) for p in paths}
+    batch = solve_paths(cfg, paths, model, u0)
+    for p, rep in zip(paths, batch):
+        assert rep.path_index == p.path_index
+        assert _fingerprint(rep) == alone[p.path_index]
+    if level == 3.5:
+        assert any(rep.tau < cfg.T for rep in batch)
+        if scheme == "picard":
+            assert any(rep.truncation_ever_active for rep in batch)
+
+
+@pytest.mark.parametrize("scheme", ["picard", "splitstep"])
+def test_append_rebuild_matches_engine_columns(scheme):
+    """`Trajectory.append` and the engine share one arithmetic for the
+    norms and the accumulators: rebuilding a kept-states solve state by
+    state reproduces its columns bitwise."""
+    cfg = config(scheme=scheme, ic_spec=CUTOFF_IC, truncation_level=3.5)
+    traj = solve(cfg, path_index=1).trajectory
+    rebuilt = Trajectory.start(traj.state_at_index(0), traj.zexp)
+    for j in range(1, len(traj)):
+        rebuilt.append(traj.times[j], traj.state_at_index(j))
+    for name in ("times", "running_mass", "acc1", "acc2"):
+        assert np.array_equal(getattr(rebuilt, name), getattr(traj, name)), name
+    assert rebuilt.last_norms == traj.last_norms
+    assert rebuilt.z_end() == traj.z_end()
+
+
+def test_failed_row_does_not_disturb_the_others():
+    """One row of a batch blows up: it is returned as BlowUp and the
+    other rows equal their solo solves bitwise."""
+    params = ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(3), lam=1)
+    cfg = config(
+        params=params,
+        grid=Grid(d=1, n=64, L=32.0),
+        noise_spec={"coefficients": [{"kind": "gaussian_bump", "amplitude": [5, 5], "width": 3.0}]},
+        ic_spec=GAUSS_IC,
+        seed=0,
+    )
+    _, model, u0 = materialize(cfg)
+    paths = [path_for(cfg, i, model) for i in range(6)]
+    batch = solve_paths(cfg, paths, model, u0)
+    assert [isinstance(r, BlowUp) for r in batch] == [False, False, False, True, False, False]
+    err = batch[3]
+    assert 0.0 <= err.t < cfg.T and math.isfinite(err.z) and 0 < err.l2 <= BLOWUP_L2
+    for p, rep in zip(paths, batch):
+        if p.path_index != 3:
+            assert _fingerprint(rep) == _fingerprint(solve(cfg, p))

@@ -50,7 +50,8 @@ class SolverError(SnlsError):
 
 
 class BlowUp(SolverError):
-    """A time step produced non-finite values or an oversized L^2 norm.
+    """A time step produced non-finite values, an oversized L^2 norm or
+    running-norm accumulators that overflow.
 
     Carries the start time `t` of that step and the running norm `z` and
     L^2 norm `l2` of the last finite state there.

@@ -25,11 +25,15 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import SolverError
-from .solver import SimConfig, materialize, sample_brownian_path, solve, solve_paths
+from .solver import SimConfig, materialize, sample_brownian_path, solve_paths
 
 _TAU_EQ_T_RTOL = 1e-9
 
-# Cap on the bytes of one chunk's (P, grid.size) complex128 stack.
+# Cap on the bytes of one chunk's (P, grid.size) complex128 stack.  Set from
+# paths/s measured at caps of 16 KiB to 16 MiB (2 CPUs, d = 1 and d = 2
+# ensembles): smaller caps were slower (about 0.55x at 16 KiB for d = 1,
+# n = 128), larger ones gave no resolved gain, and peak RSS grows with the
+# stack (+25 MB at 4 MiB for d = 2, n = 128).
 CHUNK_STACK_BYTES = 1 << 18
 
 
@@ -51,17 +55,11 @@ def solve_path(config: SimConfig, path_index: int, persist_dir: str | None = Non
     report summary: tau, cutoff activity, half-box leakage, notes) is
     written there as `path_<index>.json`.
     """
-    _, model, u0 = materialize(config)
-    path = sample_brownian_path(config.mesh(), model.total_modes, config.seed, path_index)
-    try:
-        result = solve(config, path, model=model, u0=u0, keep_states=False)
-    except SolverError as exc:
-        result = exc
-    return _outcome(config, path_index, result, persist_dir)
+    return solve_chunk(config, [path_index], persist_dir)[0]
 
 
 def solve_chunk(config: SimConfig, indices, persist_dir: str | None = None) -> list:
-    """`solve_path` for consecutive path indices, marched as one stack."""
+    """`solve_path` for several path indices, marched as one stack."""
     _, model, u0 = materialize(config)
     mesh = config.mesh()
     paths = [sample_brownian_path(mesh, model.total_modes, config.seed, i) for i in indices]

@@ -22,10 +22,10 @@ Both schemes run in one engine, `solve_paths`, which marches P paths as a
 (P, grid.size) stack: one batched FFT per transform and step, the norms,
 accumulators and half-box monitor as (P, K+1) columns, and the cutoff
 theta(Z) per row.  A path's result does not depend on the other rows of
-its stack, bitwise.  A row whose step gives non-finite values or an L^2
-norm above BLOWUP_L2 becomes a BlowUp and leaves the stack; the others
-march on.  `solve`, `picard_solve` and `splitstep_solve` are the P = 1
-case.
+its stack, bitwise.  A row whose step gives non-finite values, an L^2
+norm above BLOWUP_L2 or running-norm accumulators that overflow becomes a
+BlowUp and leaves the stack; the others march on.  `solve`, `picard_solve`
+and `splitstep_solve` are the P = 1 case.
 """
 
 from __future__ import annotations
@@ -145,15 +145,6 @@ def path_for(config: SimConfig, path_index: int = 0, model: NoiseModel | None = 
     return sample_brownian_path(config.mesh(), model.total_modes, config.seed, path_index)
 
 
-def _model_and_u0(config: SimConfig, model: NoiseModel | None, u0: ComplexField | None):
-    """The given noise model and initial state, built from the config if absent."""
-    if model is None or u0 is None:
-        _, built_model, built_u0 = materialize(config)
-        model = built_model if model is None else model
-        u0 = built_u0 if u0 is None else u0
-    return model, u0
-
-
 def _check_mesh(mesh: np.ndarray, path: BrownianPath) -> None:
     if path.mesh.size != mesh.size or not np.allclose(path.mesh, mesh, atol=1e-12):
         raise MeshMismatch(
@@ -173,7 +164,10 @@ def solve(
 
     Raises the path's BlowUp if it failed.
     """
-    model, u0 = _model_and_u0(config, model, u0)
+    if model is None or u0 is None:
+        _, built_model, built_u0 = materialize(config)
+        model = built_model if model is None else model
+        u0 = built_u0 if u0 is None else u0
     if path is None:
         path = path_for(config, path_index, model)
     (result,) = solve_paths(config, [path], model, u0, keep_states)
@@ -221,20 +215,19 @@ def picard_solve(config: SimConfig, path: BrownianPath | None = None, path_index
 def solve_paths(
     config: SimConfig,
     paths,
-    model: NoiseModel | None = None,
-    u0: ComplexField | None = None,
+    model: NoiseModel,
+    u0: ComplexField,
     keep_states: bool = True,
 ) -> list:
     """March P paths of config.scheme as one (P, grid.size) stack.
 
     Returns one result per path, in order: its SolveReport, or the BlowUp
-    of a path whose step gave non-finite values or an L^2 norm above
-    BLOWUP_L2.  A failed row is dropped from the stack and the others march
-    on.  Every row is computed with numpy ufuncs, row-wise FFTs and sums
+    of a path whose step gave non-finite values, an L^2 norm above
+    BLOWUP_L2 or non-finite running-norm accumulators.  A failed row is
+    dropped from the stack and the others march on.  Every row is computed with numpy ufuncs, row-wise FFTs and sums
     over the C-contiguous last axis, and mode sums in a fixed order, so a
     path's result is bitwise the same in any batch, at any position.
     """
-    model, u0 = _model_and_u0(config, model, u0)
     mesh = config.mesh()
     for path in paths:
         _check_mesh(mesh, path)
@@ -269,21 +262,24 @@ def solve_paths(
             ever_active[rows] |= active
             a = np.abs(v)
             m, n1, n2 = row_norms(a, cell, p1, p2)
-            bad = ~(m <= BLOWUP_L2)
+            a1, a2 = advance_accumulators(
+                acc1[rows, l], acc2[rows, l], norm1[rows], norm2[rows], mesh[l + 1] - mesh[l], zexp
+            )
+            bad = ~((m <= BLOWUP_L2) & np.isfinite(a1 + a2))
             if bad.any():
                 for r, l2, zr in zip(rows[bad], m[bad], z[bad]):
                     last = float(mass[r, l])
+                    what = f"L^2 norm {l2:.3g}"
+                    if l2 <= BLOWUP_L2:
+                        what = f"running norm Z overflowed, {what}"
                     failures[r] = BlowUp(
-                        f"step from t={mesh[l]:.6g} blew up: L^2 norm {l2:.3g} "
-                        f"(from {last:.6g}, Z={zr:.6g})",
+                        f"step from t={mesh[l]:.6g} blew up: {what} (from {last:.6g}, Z={zr:.6g})",
                         t=float(mesh[l]),
                         z=float(zr),
                         l2=last,
                     )
-                rows, v, a, m, n1, n2 = (x[~bad] for x in (rows, v, a, m, n1, n2))
-            acc1[rows, l + 1], acc2[rows, l + 1] = advance_accumulators(
-                acc1[rows, l], acc2[rows, l], norm1[rows], norm2[rows], mesh[l + 1] - mesh[l], zexp
-            )
+                rows, v, a, m, n1, n2, a1, a2 = (x[~bad] for x in (rows, v, a, m, n1, n2, a1, a2))
+            acc1[rows, l + 1], acc2[rows, l + 1] = a1, a2
             mass[rows, l + 1] = m
             norm1[rows], norm2[rows] = n1, n2
             leak[rows] = np.maximum(leak[rows], halfbox_leakage(a, grid))

@@ -18,7 +18,8 @@ from snls.montecarlo import (
     truncation_uniformity_study,
     worker_count,
 )
-from snls.solver import SimConfig
+from snls.errors import BlowUp
+from snls.solver import BLOWUP_L2, SimConfig, solve
 
 PARAMS = ModelParams(d=1, alpha=Fraction(2), gamma=Fraction(1), lam=1)
 GRID = Grid(d=1, n=64, L=32.0)
@@ -216,8 +217,9 @@ def test_ensemble_is_bitwise_independent_of_chunks_and_workers(monkeypatch, tmp_
 
 def test_splitstep_overflow_is_recorded_per_path():
     """Non-conservative split-step noise that overflows on one path only:
-    that path is recorded as BlowUp, the other rows equal their solo
-    solves bitwise, and no RuntimeWarning escapes (warnings are errors)."""
+    that path is recorded as the BlowUp its solo solve raises, the other
+    rows equal their solo solves bitwise, and no RuntimeWarning escapes
+    (warnings are errors)."""
     cfg = config(
         params=ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(3), lam=1),
         noise_spec={"coefficients": [{"kind": "gaussian_bump", "amplitude": [5, 5], "width": 3.0}]},
@@ -226,7 +228,11 @@ def test_splitstep_overflow_is_recorded_per_path():
     )
     s = run_ensemble(cfg, 6)
     assert [i for i, _ in s.failures] == [3]
-    assert s.failures[0][1].startswith("BlowUp: ")
+    with pytest.raises(BlowUp) as info:
+        solve(cfg, path_index=3)
+    err = info.value
+    assert s.failures[0][1] == f"BlowUp: {err}"
+    assert 0.0 <= err.t < cfg.T and math.isfinite(err.z) and 0 < err.l2 <= BLOWUP_L2
     for i in (0, 1, 2, 4, 5):
         solo = solve_path(cfg, i)
         assert solo.ok

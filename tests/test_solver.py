@@ -228,6 +228,20 @@ def test_picard_is_causal():
         assert not np.array_equal(a.state_at_index(-1).values, b.state_at_index(-1).values)
 
 
+@pytest.mark.parametrize("scheme", ["splitstep", "picard"])
+def test_running_norm_overflow_is_blowup(scheme):
+    """d=1, gamma=21/20 gives qt=84: the power integral of ||u||_p2
+    overflows at the first step while the L^2 norm stays far below
+    BLOWUP_L2.  The path fails with BlowUp instead of reporting Z = inf."""
+    params = ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(21, 20), lam=1)
+    cfg = config(scheme=scheme, params=params, ic_spec={"kind": "gaussian_bump", "amplitude": 1e4, "width": 2.0})
+    with pytest.raises(BlowUp) as info:
+        solve(cfg, keep_states=False)
+    err = info.value
+    assert "running norm Z overflowed" in str(err)
+    assert err.t == 0.0 and err.z == 0.0 and 0 < err.l2 < BLOWUP_L2
+
+
 def test_picard_blowup_is_typed_and_silent():
     """A focusing run from huge data fails with BlowUp, carrying where it
     happened, and lets no RuntimeWarning escape."""
@@ -392,25 +406,3 @@ def test_append_rebuild_matches_engine_columns(scheme):
         assert np.array_equal(getattr(rebuilt, name), getattr(traj, name)), name
     assert rebuilt.last_norms == traj.last_norms
     assert rebuilt.z_end() == traj.z_end()
-
-
-def test_failed_row_does_not_disturb_the_others():
-    """One row of a batch blows up: it is returned as BlowUp and the
-    other rows equal their solo solves bitwise."""
-    params = ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(3), lam=1)
-    cfg = config(
-        params=params,
-        grid=Grid(d=1, n=64, L=32.0),
-        noise_spec={"coefficients": [{"kind": "gaussian_bump", "amplitude": [5, 5], "width": 3.0}]},
-        ic_spec=GAUSS_IC,
-        seed=0,
-    )
-    _, model, u0 = materialize(cfg)
-    paths = [path_for(cfg, i, model) for i in range(6)]
-    batch = solve_paths(cfg, paths, model, u0)
-    assert [isinstance(r, BlowUp) for r in batch] == [False, False, False, True, False, False]
-    err = batch[3]
-    assert 0.0 <= err.t < cfg.T and math.isfinite(err.z) and 0 < err.l2 <= BLOWUP_L2
-    for p, rep in zip(paths, batch):
-        if p.path_index != 3:
-            assert _fingerprint(rep) == _fingerprint(solve(cfg, p))

@@ -54,9 +54,12 @@ from .grid_field import (
 from .noise import (
     BrownianPath,
     NoiseModel,
+    coarsen_increments,
     coarsen_path,
     diffusion_only_exact,
+    diffusion_only_exact_paths,
     euler_maruyama_diffusion,
+    euler_maruyama_paths,
     heun_stratonovich_diffusion,
     make_noise_model,
     negate_path,

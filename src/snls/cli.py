@@ -32,7 +32,7 @@ from .exponents import (
     gamma_global_bound,
     z_exponents,
 )
-from .grid_field import trajectory_csv_lines
+from .grid_field import write_trajectory_csv
 from .montecarlo import run_ensemble, truncation_uniformity_study
 from .solver import solve
 from .verify import SUITES, run_suites
@@ -239,10 +239,7 @@ def cmd_simulate(args) -> int:
         return _fail(EXIT_CONFIG, type(exc).__name__, str(exc))
     try:
         os.makedirs(args.out, exist_ok=True)
-        traj_path = os.path.join(args.out, "trajectory.csv")
-        with open(traj_path, "w", newline="") as fh:
-            for line in trajectory_csv_lines(report.trajectory):
-                fh.write(line + "\r\n")
+        write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), report.trajectory)
         report_doc = report.summary_dict()
         report_doc["config"] = config_to_dict(config)
         report_doc["config_hash"] = config_hash(config)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import OutOfRange, SnlsError
 from .exponents import ModelParams, z_exponents
-from .grid_field import ComplexField, Trajectory, z_process
+from .grid_field import ComplexField, Trajectory, z_components, z_process
 
 
 def power_nonlinearity(u: ComplexField, sigma) -> ComplexField:
@@ -103,14 +103,9 @@ def chained_z_value(prefix: ZPrefix, window: Trajectory, t: float) -> float:
     if prefix.q_tilde_finite != window.zexp.q_tilde_finite:
         raise OutOfRange("prefix and window disagree on the second exponent")
     w1, w2 = window.raw_accumulators_at(t)
-    a1 = prefix.acc1 + w1
-    c1 = a1 ** (1.0 / float(window.zexp.q)) if a1 > 0 else 0.0
-    if prefix.q_tilde_finite:
-        a2 = prefix.acc2 + w2
-        c2 = a2 ** (1.0 / float(window.zexp.q_tilde)) if a2 > 0 else 0.0
-    else:
-        c2 = max(prefix.acc2, w2)
-    return c1 + c2
+    a2 = prefix.acc2 + w2 if prefix.q_tilde_finite else max(prefix.acc2, w2)
+    c1, c2 = z_components(prefix.acc1 + w1, a2, window.zexp)
+    return float(c1) + float(c2)
 
 
 def evaluate_phi_chained(

@@ -94,8 +94,7 @@ class ComplexField:
             raise GridMismatch(
                 f"field has {values.size} values, grid expects {grid.size}"
             )
-        if not np.all(np.isfinite(values.view(np.float64))):
-            raise SnlsError("field contains non-finite values")
+        require_finite(values)
         values.setflags(write=False)
         self.grid = grid
         self.values = values
@@ -113,6 +112,12 @@ class ComplexField:
 
     def scaled(self, c: complex) -> "ComplexField":
         return ComplexField(self.grid, c * self.values)
+
+
+def require_finite(values: np.ndarray) -> None:
+    """Raise SnlsError unless every complex value (any shape) is finite."""
+    if not np.all(np.isfinite(values.view(np.float64))):
+        raise SnlsError("field contains non-finite values")
 
 
 def _check_same_grid(a: ComplexField, b: ComplexField) -> None:
@@ -162,9 +167,15 @@ def random_field(grid: Grid, rng: np.random.Generator, unit_l2: bool = False) ->
 
 def lp_norm(f: ComplexField, p: float) -> float:
     """Discrete L^p norm (sum |f_i|^p h^d)^(1/p); max |f_i| for p = inf."""
+    return float(lp_norm_rows(f.values, p, f.grid))
+
+
+def lp_norm_rows(values: np.ndarray, p: float, grid: Grid) -> np.ndarray:
+    """`lp_norm` of each row of a (P, grid.size) stack of values, bitwise
+    equal to the norm of that row alone."""
     if p < 1:
         raise OutOfRange(f"p must be >= 1 or inf, got {p}")
-    return float(_row_lp(np.abs(f.values), p, f.grid.cell_volume))
+    return _row_lp(np.abs(values), p, grid.cell_volume)
 
 
 def _row_lp(a: np.ndarray, p: float, cell: float, sq=None):

@@ -13,7 +13,11 @@ and the noise increment
 For real coefficients ("conservative" noise) the combined flow with the
 Laplacian and the power nonlinearity switched off is solved exactly by a
 pointwise phase rotation; `diffusion_only_exact` below is the package's
-strongest oracle.
+strongest oracle, and `euler_maruyama_diffusion` the Itô march checked
+against it.  Both have a stack form, `diffusion_only_exact_paths` and
+`euler_maruyama_paths`, that takes a (P, M, K) block of increments on one
+mesh and returns a (P, grid.size) array; the one-path functions are its
+P = 1 case, and a row is bitwise the same in any stack.
 
 Brownian increments are generated with the counter-based Philox generator,
 keyed by (seed, path index, mode), so every increment is a pure function of
@@ -29,11 +33,12 @@ import numpy as np
 from .errors import (
     GridMismatch,
     LengthMismatch,
+    MeshMismatch,
     NotConservative,
     OutOfRange,
     UnboundedCoefficient,
 )
-from .grid_field import ComplexField, Grid
+from .grid_field import ComplexField, Grid, require_finite
 
 _REAL_TOL = 1e-14
 
@@ -128,10 +133,6 @@ def make_noise_model(coeffs, linear_coeffs=(), grid: Grid | None = None) -> Nois
     )
 
 
-def empty_noise_model(grid: Grid) -> NoiseModel:
-    return make_noise_model([], [], grid)
-
-
 # ---------------------------------------------------------------------------
 # Brownian paths
 # ---------------------------------------------------------------------------
@@ -194,12 +195,21 @@ def sample_brownian_path(mesh, M: int, seed: int, path_index: int) -> BrownianPa
     return BrownianPath(mesh=mesh, increments=increments, seed=seed, path_index=path_index)
 
 
+def coarsen_increments(increments: np.ndarray, factor: int) -> np.ndarray:
+    """Increments (..., K) summed in consecutive groups of `factor` steps,
+    giving (..., K / factor): the same Brownian motion on the mesh
+    thinned to every factor-th point.  Each group is summed over the last
+    axis, so a path's coarse increments do not depend on its stack."""
+    steps = increments.shape[-1]
+    if factor < 1 or steps % factor != 0:
+        raise OutOfRange(f"factor {factor} does not divide {steps} steps")
+    return increments.reshape(increments.shape[:-1] + (-1, factor)).sum(axis=-1)
+
+
 def coarsen_path(path: BrownianPath, factor: int) -> BrownianPath:
     """Same Brownian motion on a mesh thinned by `factor` (increments summed)."""
-    if factor < 1 or path.n_steps % factor != 0:
-        raise OutOfRange(f"factor {factor} does not divide {path.n_steps} steps")
+    inc = coarsen_increments(path.increments, factor)
     mesh = path.mesh[::factor].copy()
-    inc = path.increments.reshape(path.increments.shape[0], -1, factor).sum(axis=2)
     inc.setflags(write=False)
     mesh.setflags(write=False)
     return replace(path, mesh=mesh, increments=inc)
@@ -221,17 +231,43 @@ def _check_model_grid(u: ComplexField, model: NoiseModel) -> None:
         raise GridMismatch("field grid differs from noise-model grid")
 
 
+def mode_sum(dinc: np.ndarray, fields: np.ndarray) -> np.ndarray:
+    """sum_m dinc[..., m] fields[m], accumulated in mode order.
+
+    `dinc` is (M,) for one field or (R, M) for a stack of R rows.  No
+    matrix product: BLAS may block a product differently for different row
+    counts, which would make a row depend on the size of its stack.
+    """
+    d = dinc[..., None]
+    out = d[..., 0, :] * fields[0]
+    for m in range(1, fields.shape[0]):
+        out = out + d[..., m, :] * fields[m]
+    return out
+
+
+def _drift(v: np.ndarray, model: NoiseModel, g: float, phi: float) -> np.ndarray:
+    out = model.mu2 * v
+    if model.n_modes:
+        out = out + model.mu1 * phi * np.abs(v) ** (2.0 * (g - 1.0)) * v
+    return out
+
+
+def _kick(v: np.ndarray, model: NoiseModel, g: float, phi: float, dinc: np.ndarray) -> np.ndarray:
+    n_e = model.n_modes
+    out = np.zeros(v.shape, dtype=np.complex128)
+    if n_e:
+        out += -1j * phi * mode_sum(dinc[..., :n_e], model.coeffs) * np.abs(v) ** (g - 1.0) * v
+    if model.n_linear_modes:
+        out += -1j * mode_sum(dinc[..., n_e:], model.linear_coeffs) * v
+    return out
+
+
 def stratonovich_drift(
     u: ComplexField, model: NoiseModel, gamma, phi: float = 1.0
 ) -> ComplexField:
     """Correction drift mu1 phi |u|^(2(gamma-1)) u + mu2 u, pointwise."""
     _check_model_grid(u, model)
-    g = float(gamma)
-    v = u.values
-    out = model.mu2 * v
-    if model.n_modes:
-        out = out + model.mu1 * phi * np.abs(v) ** (2.0 * (g - 1.0)) * v
-    return ComplexField(u.grid, out)
+    return ComplexField(u.grid, _drift(u.values, model, float(gamma), phi))
 
 
 def noise_term(
@@ -244,16 +280,43 @@ def noise_term(
         raise LengthMismatch(
             f"expected {model.total_modes} increments, got shape {inc.shape}"
         )
+    return ComplexField(u.grid, _kick(u.values, model, float(gamma), phi, inc))
+
+
+def _stack_increments(mesh, increments, n_modes: int):
+    """Mesh and (P, M, K) increment block, checked against each other and
+    against the model's mode count."""
+    mesh = np.asarray(mesh, dtype=float)
+    increments = np.asarray(increments, dtype=float)
+    if increments.ndim != 3:
+        raise LengthMismatch(f"increments must be a (P, M, K) block, got shape {increments.shape}")
+    if increments.shape[1] != n_modes:
+        raise LengthMismatch(f"path carries {increments.shape[1]} modes, model has {n_modes}")
+    if increments.shape[2] != max(mesh.size - 1, 0):
+        raise MeshMismatch(f"{increments.shape[2]} increments on a mesh of {mesh.size} points")
+    return mesh, increments
+
+
+def diffusion_only_exact_paths(
+    u0: ComplexField, model: NoiseModel, gamma, mesh, increments, t: float
+) -> np.ndarray:
+    """`diffusion_only_exact` at time t for a (P, M, K) block of increments
+    on one mesh, as a (P, grid.size) array; row p is bitwise the P = 1
+    result of path p."""
+    _check_model_grid(u0, model)
+    if not model.conservative or model.n_linear_modes:
+        raise NotConservative(
+            "exact diffusion-only solution requires real e_m and no linear part"
+        )
+    mesh, increments = _stack_increments(mesh, increments, model.n_modes)
     g = float(gamma)
-    v = u.values
-    out = np.zeros(u.grid.size, dtype=np.complex128)
-    if model.n_modes:
-        weighted = inc[: model.n_modes] @ model.coeffs
-        out += -1j * phi * weighted * np.abs(v) ** (g - 1.0) * v
-    if model.n_linear_modes:
-        weighted_b = inc[model.n_modes :] @ model.linear_coeffs
-        out += -1j * weighted_b * v
-    return ComplexField(u.grid, out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the mesh increases, so the steps that start before t are a prefix
+        beta_t = increments[..., : np.count_nonzero(mesh[:-1] < t)].sum(axis=-1)
+        phase = mode_sum(beta_t, model.coeffs.real) * np.abs(u0.values) ** (g - 1.0)
+        v = u0.values * np.exp(-1j * phase)
+    require_finite(v)
+    return v
 
 
 def diffusion_only_exact(
@@ -264,22 +327,33 @@ def diffusion_only_exact(
         u(t, x) = u0(x) exp(-i sum_m e_m(x) |u0(x)|^(gamma-1) beta_m(t)).
 
     Valid for conservative noise without a linear part, where the flow is a
-    pure pointwise phase rotation and |u(t, x)| = |u0(x)| exactly.
+    pure pointwise phase rotation and |u(t, x)| = |u0(x)| exactly.  The
+    P = 1 case of `diffusion_only_exact_paths`.
+    """
+    (row,) = diffusion_only_exact_paths(u0, model, gamma, path.mesh, path.increments[None], t)
+    return ComplexField(u0.grid, row)
+
+
+def euler_maruyama_paths(u0: ComplexField, model: NoiseModel, gamma, mesh, increments) -> np.ndarray:
+    """Euler–Maruyama march of the diffusion-only Itô dynamics to mesh end,
+    for a (P, M, K) block of increments on one mesh, as a (P, grid.size)
+    array.
+
+    One step: v += stratonovich_drift(v) dt + noise_term(v, dbeta), with
+    the same ufunc arithmetic row by row, so row p is bitwise the P = 1
+    result of path p.  A step that gives a non-finite value in any row
+    raises SnlsError, as a ComplexField would, and no RuntimeWarning.
     """
     _check_model_grid(u0, model)
-    if not model.conservative or model.n_linear_modes:
-        raise NotConservative(
-            "exact diffusion-only solution requires real e_m and no linear part"
-        )
-    if path.increments.shape[0] != model.n_modes:
-        raise LengthMismatch(
-            f"path carries {path.increments.shape[0]} modes, model has {model.n_modes}"
-        )
+    mesh, increments = _stack_increments(mesh, increments, model.total_modes)
     g = float(gamma)
-    mask = path.mesh[:-1] < t
-    beta_t = path.increments[:, mask].sum(axis=1) if path.n_steps else np.zeros(model.n_modes)
-    phase = (beta_t @ model.coeffs.real) * np.abs(u0.values) ** (g - 1.0)
-    return ComplexField(u0.grid, u0.values * np.exp(-1j * phase))
+    v = np.repeat(u0.values[None, :], increments.shape[0], axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(increments.shape[2]):
+            dt = mesh[l + 1] - mesh[l]
+            v = v + dt * _drift(v, model, g, 1.0) + _kick(v, model, g, 1.0, increments[:, :, l])
+            require_finite(v)
+    return v
 
 
 def euler_maruyama_diffusion(
@@ -287,17 +361,11 @@ def euler_maruyama_diffusion(
 ) -> ComplexField:
     """Euler–Maruyama march of the diffusion-only Itô dynamics to mesh end.
 
-    One step: u += stratonovich_drift(u) dt + noise_term(u, dbeta).
-    Reference scheme for strong-order checks against `diffusion_only_exact`.
+    Reference scheme for strong-order checks against `diffusion_only_exact`;
+    the P = 1 case of `euler_maruyama_paths`.
     """
-    _check_model_grid(u0, model)
-    u = u0
-    for l in range(path.n_steps):
-        dt = path.mesh[l + 1] - path.mesh[l]
-        drift = stratonovich_drift(u, model, gamma, 1.0)
-        kick = noise_term(u, model, gamma, 1.0, path.increments[:, l])
-        u = ComplexField(u.grid, u.values + dt * drift.values + kick.values)
-    return u
+    (row,) = euler_maruyama_paths(u0, model, gamma, path.mesh, path.increments[None])
+    return ComplexField(u0.grid, row)
 
 
 def heun_stratonovich_diffusion(
@@ -305,23 +373,16 @@ def heun_stratonovich_diffusion(
 ) -> ComplexField:
     """Stratonovich–Heun march of the diffusion-only dynamics (no drift).
 
-    Predictor-corrector on du = -i sum_m e_m |u|^(gamma-1) u o dbeta_m;
-    used to re-verify the closed form of `diffusion_only_exact`.
+    Predictor-corrector on du = -i sum_m e_m |u|^(gamma-1) u o dbeta_m
+    (the noise term at phi = 1); used to re-verify the closed form of
+    `diffusion_only_exact`.
     """
     _check_model_grid(u0, model)
     g = float(gamma)
-
-    def b(v: np.ndarray, inc: np.ndarray) -> np.ndarray:
-        weighted = inc[: model.n_modes] @ model.coeffs
-        out = -1j * weighted * np.abs(v) ** (g - 1.0) * v
-        if model.n_linear_modes:
-            out += -1j * (inc[model.n_modes :] @ model.linear_coeffs) * v
-        return out
-
     v = u0.values.copy()
     for l in range(path.n_steps):
         inc = path.increments[:, l]
-        k1 = b(v, inc)
-        k2 = b(v + k1, inc)
+        k1 = _kick(v, model, g, 1.0, inc)
+        k2 = _kick(v + k1, model, g, 1.0, inc)
         v = v + 0.5 * (k1 + k2)
     return ComplexField(u0.grid, v)

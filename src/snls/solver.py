@@ -49,7 +49,7 @@ from .grid_field import (
     row_norms,
     z_components,
 )
-from .noise import BrownianPath, NoiseModel, sample_brownian_path
+from .noise import BrownianPath, NoiseModel, mode_sum, sample_brownian_path
 from .propagator import get_plan
 from .specs import build_field, build_noise_model
 
@@ -322,18 +322,6 @@ def _config_notes(config: SimConfig) -> list:
     return notes
 
 
-def _mode_sum(dinc: np.ndarray, fields: np.ndarray) -> np.ndarray:
-    """sum_m dinc[:, m] fields[m] per row, accumulated in mode order.
-
-    No matrix product: BLAS may block a product differently for different
-    row counts, which would make a row depend on the size of its stack.
-    """
-    out = dinc[:, :1] * fields[0]
-    for m in range(1, fields.shape[0]):
-        out = out + dinc[:, m : m + 1] * fields[m]
-    return out
-
-
 def _ito_step(v, phi, dinc, dt, lam, alpha, gamma, model: NoiseModel) -> np.ndarray:
     """v + dt F(v, phi) + K(v, phi, dbeta) row by row, phi of shape (R, 1)."""
     absv = np.abs(v)
@@ -343,9 +331,9 @@ def _ito_step(v, phi, dinc, dt, lam, alpha, gamma, model: NoiseModel) -> np.ndar
     n_e = model.n_modes
     if n_e:
         w += (phi * dt) * model.mu1 * absv ** (2.0 * (gamma - 1.0)) * v
-        w += (-1j * phi) * _mode_sum(dinc[:, :n_e], model.coeffs) * absv ** (gamma - 1.0) * v
+        w += (-1j * phi) * mode_sum(dinc[:, :n_e], model.coeffs) * absv ** (gamma - 1.0) * v
     if model.n_linear_modes:
-        w += (dt * model.mu2 - 1j * _mode_sum(dinc[:, n_e:], model.linear_coeffs)) * v
+        w += (dt * model.mu2 - 1j * mode_sum(dinc[:, n_e:], model.linear_coeffs)) * v
     return w
 
 
@@ -370,9 +358,9 @@ def _splitstep_step(config: SimConfig, model: NoiseModel):
             if exact_noise:
                 phase = 0.0
                 if n_e:
-                    phase = _mode_sum(dinc[:, :n_e], coeffs_real) * np.abs(v) ** (gamma - 1.0)
+                    phase = mode_sum(dinc[:, :n_e], coeffs_real) * np.abs(v) ** (gamma - 1.0)
                 if model.n_linear_modes:
-                    phase = phase + _mode_sum(dinc[:, n_e:], linear_real)
+                    phase = phase + mode_sum(dinc[:, n_e:], linear_real)
                 v = v * np.exp(-1j * phase)
             else:
                 v = _ito_step(v, np.ones((len(v), 1)), dinc, dt, 0, alpha, gamma, model)

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from snls.dynamics import ZPrefix, chained_z_value, theta
+from snls.errors import SolverError
 from snls.exponents import (
     ModelParams,
     bootstrap_exponents,
@@ -31,9 +32,10 @@ from snls.grid_field import (
     z_process,
 )
 from snls.montecarlo import chebyshev_consistency, truncation_uniformity_study
-from snls.noise import coarsen_path, diffusion_only_exact, euler_maruyama_diffusion, make_noise_model, sample_brownian_path
+from snls.noise import coarsen_path, sample_brownian_path
 from snls.propagator import free_evolve
-from snls.solver import SimConfig, materialize, path_coincidence_check, picard_solve, splitstep_solve
+from snls.solver import SimConfig, materialize, path_coincidence_check, picard_solve, solve_paths, splitstep_solve
+from snls.verify import oracle_sde_orders, splitstep_mass_drift
 
 
 def _report(name: str, ok: bool, detail: str, elapsed: float, budget: float):
@@ -103,27 +105,8 @@ def test_criterion_3_sde_oracle():
     with fitted order 0.5 +- 0.1 over dt in {2^-6..2^-10} T, 100 paths,
     gamma in {1, 2}."""
     t0 = time.monotonic()
-    grid = Grid(d=1, n=64, L=16.0)
-    e = gaussian_field(grid, amplitude=0.5, width=2.0)
-    model = make_noise_model([e], [], grid)
-    u0 = gaussian_field(grid, amplitude=2.0, width=2.0)
-    T = 1.0
-    fine = 2**10
-    slopes = {}
-    ok = True
-    for gamma in (1.0, 2.0):
-        errs = []
-        for k in (6, 7, 8, 9, 10):
-            per_path = []
-            for pi in range(100):
-                path = sample_brownian_path(np.linspace(0.0, T, fine + 1), 1, 11, pi)
-                em = euler_maruyama_diffusion(u0, model, gamma, coarsen_path(path, fine // 2**k))
-                exact = diffusion_only_exact(u0, model, gamma, path, T)
-                per_path.append(lp_norm(em - exact, 2))
-            errs.append(float(np.mean(per_path)))
-        slope = float(np.polyfit([-6, -7, -8, -9, -10], np.log2(errs), 1)[0])
-        slopes[gamma] = slope
-        ok &= 0.4 <= slope <= 0.6
+    slopes = oracle_sde_orders(100)
+    ok = all(0.4 <= slope <= 0.6 for slope in slopes.values())
     _report(
         "criterion-3-sde-oracle",
         ok,
@@ -151,13 +134,10 @@ def test_criterion_4_mass_law():
     steps on 20 paths (gamma 1 and 3/2); the Picard sup-mass overshoot
     above ||u0||_2 shrinks at measured order >= 0.5 under dt-halving."""
     t0 = time.monotonic()
-    worst_drift = 0.0
-    for gamma in (Fraction(1), Fraction(3, 2)):
-        cfg = _mass_cfg(gamma, 1.0 / 1000.0, "splitstep")
-        for pi in range(20):
-            rep = splitstep_solve(cfg, path_index=pi)
-            m = np.asarray(rep.trajectory.running_mass)
-            worst_drift = max(worst_drift, float(np.max(np.abs(m - m[0])) / m[0]))
+    worst_drift = max(
+        splitstep_mass_drift(_mass_cfg(gamma, 1.0 / 1000.0, "splitstep"), 20)
+        for gamma in (Fraction(1), Fraction(3, 2))
+    )
     drift_ok = worst_drift < 1e-10
 
     fine = 512
@@ -171,12 +151,16 @@ def test_criterion_4_mass_law():
             _mass_cfg(Fraction(1), 1.0 / steps, "picard"),
             noise_spec={"coefficients": [{"kind": "gaussian_bump", "amplitude": 0.1, "width": 3.0}]},
         )
-        _, model, _ = materialize(cfg)
+        _, model, u0 = materialize(cfg)
+        paths = [
+            coarsen_path(sample_brownian_path(fine_mesh, model.total_modes, 5, pi), fine // steps)
+            for pi in range(16)
+        ]
         per_path = []
-        for pi in range(16):
-            path = coarsen_path(sample_brownian_path(fine_mesh, model.total_modes, 5, pi), fine // steps)
-            rep = picard_solve(cfg, path)
-            m = np.asarray(rep.trajectory.running_mass)
+        for rep in solve_paths(cfg, paths, model, u0, keep_states=False):
+            if isinstance(rep, SolverError):
+                raise rep
+            m = rep.trajectory.running_mass
             per_path.append(max(0.0, float(m.max() / m[0]) - 1.0))
         overshoots.append(float(np.mean(per_path)))
     if max(overshoots) < 1e-12:

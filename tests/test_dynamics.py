@@ -159,6 +159,23 @@ def test_window_chaining_matches_concatenation():
                 assert z_c == pytest.approx(z_f, rel=1e-12, abs=1e-12)
 
 
+def test_chained_z_value_with_empty_prefix_is_z_process():
+    """With nothing accumulated before the window, the chained Z is the
+    window's own Z bitwise: both take the roots with `z_components`."""
+    rng = np.random.default_rng(0)
+    gamma_one = z_exponents(ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(1), lam=1))
+    for zexp in (ZX, gamma_one):
+        for _ in range(100):
+            states = [random_field(GRID, rng) for _ in range(6)]
+            times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.3, size=5))])
+            traj = Trajectory.start(states[0], zexp)
+            for j in range(1, 6):
+                traj.append(float(times[j]), states[j])
+            prefix = ZPrefix.zero(zexp.q_tilde_finite)
+            for t in rng.uniform(0.0, 1.2 * times[-1], size=5):
+                assert chained_z_value(prefix, traj, float(t)) == z_process(traj, float(t))
+
+
 def test_detect_stopping_time_zero_solution():
     traj = Trajectory.start(zero_field(GRID), ZX)
     for t in (0.5, 1.0):

@@ -1,11 +1,22 @@
 """Noise model, Brownian paths, correction drift and the exact oracle."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from snls.errors import LengthMismatch, NotConservative, UnboundedCoefficient
+from snls.errors import (
+    LengthMismatch,
+    MeshMismatch,
+    NotConservative,
+    OutOfRange,
+    SnlsError,
+    UnboundedCoefficient,
+)
 from snls.grid_field import (
     ComplexField,
     Grid,
@@ -16,9 +27,13 @@ from snls.grid_field import (
     zero_field,
 )
 from snls.noise import (
+    BrownianPath,
+    coarsen_increments,
     coarsen_path,
     diffusion_only_exact,
+    diffusion_only_exact_paths,
     euler_maruyama_diffusion,
+    euler_maruyama_paths,
     heun_stratonovich_diffusion,
     make_noise_model,
     negate_path,
@@ -26,6 +41,7 @@ from snls.noise import (
     sample_brownian_path,
     stratonovich_drift,
 )
+from snls.verify import em_strong_errors, strong_order
 
 GRID = Grid(d=1, n=64, L=16.0)
 
@@ -247,22 +263,99 @@ def test_heun_reverifies_exact_solution():
 
 def test_euler_maruyama_strong_order_to_exact():
     """EM on (Ito drift, noise term) converges to the closed form at
-    strong order about 1/2; regression over four dt levels, gamma = 2."""
+    strong order about 1/2; regression over four dt levels, gamma = 2,
+    40 paths marched as one stack per level."""
     model = make_noise_model([gaussian_field(GRID, 0.5, 2.0)], [], GRID)
     u0 = gaussian_field(GRID, 2.0, 2.0)
-    fine = 2**9
-    errs = []
     ks = [5, 6, 7, 8]
-    for k in ks:
-        per_path = []
-        for pi in range(40):
-            path = sample_brownian_path(np.linspace(0.0, 1.0, fine + 1), 1, 13, pi)
-            em = euler_maruyama_diffusion(u0, model, 2.0, coarsen_path(path, fine // 2**k))
-            exact = diffusion_only_exact(u0, model, 2.0, path, 1.0)
-            per_path.append(lp_norm(em - exact, 2))
-        errs.append(np.mean(per_path))
-    slope = np.polyfit([-k for k in ks], np.log2(errs), 1)[0]
+    errors = em_strong_errors(model, u0, [2.0], n_paths=40, seed=13, fine=2**9, ks=ks)
+    slope = strong_order(ks, errors[2.0])
     assert 0.4 <= slope <= 0.6, f"strong order {slope} outside 0.5 +- 0.1"
+
+
+def _stack_problem(n_modes: int, n_linear: int, P: int, seed: int):
+    """Real bump coefficients (plus constant linear modes), a bump initial
+    state and P paths of 32 steps on [0, 1] as a (P, M, K) block."""
+    model = make_noise_model(
+        [gaussian_field(GRID, 0.6 + 0.2 * m, 1.5 + m) for m in range(n_modes)],
+        [constant_field(GRID, 0.3 + 0.1 * m) for m in range(n_linear)],
+        GRID,
+    )
+    u0 = gaussian_field(GRID, 1.5, 2.0)
+    mesh = np.linspace(0.0, 1.0, 33)
+    increments = np.stack(
+        [sample_brownian_path(mesh, model.total_modes, seed, i).increments for i in range(P)]
+    )
+    return model, u0, mesh, increments
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    P=st.integers(1, 6),
+    gamma=st.sampled_from([1.0, 1.5, 2.0]),
+    n_modes=st.sampled_from([1, 2]),
+    n_linear=st.sampled_from([0, 1, 2]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_stack_forms_are_bitwise_independent_of_the_batch(P, gamma, n_modes, n_linear, seed, data):
+    """Row p of a stack is the solo result of path p, bitwise, for a batch
+    of P, a batch of one and shuffled order; the one-path functions agree.
+    The exact flow admits no linear modes and takes the model without."""
+    order = data.draw(st.permutations(range(P)))
+    model, u0, mesh, increments = _stack_problem(n_modes, n_linear, P, seed)
+    conservative, _, _, _ = _stack_problem(n_modes, 0, P, seed)
+    t = data.draw(st.sampled_from([0.3, 1.0]))
+    factor = data.draw(st.sampled_from([1, 2, 8]))
+    forms = {
+        "em": (lambda inc: euler_maruyama_paths(u0, model, gamma, mesh, inc), increments),
+        "exact": (lambda inc: diffusion_only_exact_paths(u0, conservative, gamma, mesh, inc, t), increments[:, :n_modes]),
+        "coarsen": (lambda inc: coarsen_increments(inc, factor), increments),
+    }
+    batches = {}
+    for name, (form, block) in forms.items():
+        batch = batches[name] = form(block)
+        shuffled = form(block[order])
+        for i, p in enumerate(order):
+            assert np.array_equal(form(block[p : p + 1])[0], batch[p])
+            assert np.array_equal(shuffled[i], batch[p])
+    for p in range(P):
+        path = BrownianPath(mesh, increments[p], seed, p)
+        assert np.array_equal(euler_maruyama_diffusion(u0, model, gamma, path).values, batches["em"][p])
+        assert np.array_equal(coarsen_path(path, factor).increments, batches["coarsen"][p])
+        exact = diffusion_only_exact(u0, conservative, gamma, replace(path, increments=increments[p, :n_modes]), t)
+        assert np.array_equal(exact.values, batches["exact"][p])
+
+
+@settings(max_examples=10, deadline=None)
+@given(P=st.integers(1, 6), gamma=st.sampled_from([1.0, 1.5, 2.0]), data=st.data())
+def test_stack_overflow_raises_snls_error(P, gamma, data):
+    """One row driven by huge increments overflows (its Brownian motion
+    reaches inf): the stack forms raise the typed SnlsError of a non-finite
+    field, and no RuntimeWarning."""
+    bad = data.draw(st.integers(0, P - 1))
+    model, u0, mesh, increments = _stack_problem(1, 0, P, 7)
+    increments[bad] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SnlsError, match="non-finite") as em:
+            euler_maruyama_paths(u0, model, gamma, mesh, increments)
+        assert type(em.value) is SnlsError
+        with pytest.raises(SnlsError, match="non-finite") as ex:
+            diffusion_only_exact_paths(u0, model, gamma, mesh, increments, 1.0)
+        assert type(ex.value) is SnlsError
+
+
+def test_stack_forms_reject_mismatched_blocks():
+    model, u0, mesh, increments = _stack_problem(2, 1, 3, 0)
+    with pytest.raises(LengthMismatch):
+        euler_maruyama_paths(u0, model, 1.5, mesh, increments[:, :2])
+    with pytest.raises(MeshMismatch):
+        euler_maruyama_paths(u0, model, 1.5, mesh[:-1], increments)
+    with pytest.raises(LengthMismatch):
+        diffusion_only_exact_paths(u0, make_noise_model(list(model.coeffs), [], GRID), 1.5, mesh, increments, 1.0)
+    with pytest.raises(OutOfRange):
+        coarsen_increments(increments, 5)
 
 
 def test_antithetic_modulus_invariance():

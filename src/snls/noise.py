@@ -163,6 +163,15 @@ class BrownianPath:
         return out
 
 
+def _checked_mesh(mesh) -> np.ndarray:
+    mesh = np.asarray(mesh, dtype=float)
+    if mesh.ndim != 1:
+        raise OutOfRange("mesh must be one-dimensional")
+    if mesh.size >= 2 and not np.all(np.diff(mesh) > 0):
+        raise OutOfRange("mesh must be strictly increasing")
+    return mesh
+
+
 def sample_brownian_path(mesh, M: int, seed: int, path_index: int) -> BrownianPath:
     """Counter-addressed increments: mode m uses Philox at counter
 
@@ -171,11 +180,7 @@ def sample_brownian_path(mesh, M: int, seed: int, path_index: int) -> BrownianPa
     so distinct (path, mode) streams occupy disjoint counter blocks and the
     full path is a pure function of (seed, path_index).
     """
-    mesh = np.asarray(mesh, dtype=float)
-    if mesh.ndim != 1:
-        raise OutOfRange("mesh must be one-dimensional")
-    if mesh.size >= 2 and not np.all(np.diff(mesh) > 0):
-        raise OutOfRange("mesh must be strictly increasing")
+    mesh = _checked_mesh(mesh)
     if seed < 0 or path_index < 0:
         raise OutOfRange("seed and path_index must be nonnegative")
     steps = max(mesh.size - 1, 0)
@@ -245,14 +250,20 @@ def mode_sum(dinc: np.ndarray, fields: np.ndarray) -> np.ndarray:
     return out
 
 
-def _drift(v: np.ndarray, model: NoiseModel, g: float, phi: float) -> np.ndarray:
+def stratonovich_drift(v: np.ndarray, model: NoiseModel, gamma, phi: float = 1.0) -> np.ndarray:
+    """Correction drift mu1 phi |v|^(2(gamma-1)) v + mu2 v, pointwise, for a
+    field's values or a (P, grid.size) stack of them."""
+    g = float(gamma)
     out = model.mu2 * v
     if model.n_modes:
         out = out + model.mu1 * phi * np.abs(v) ** (2.0 * (g - 1.0)) * v
     return out
 
 
-def _kick(v: np.ndarray, model: NoiseModel, g: float, phi: float, dinc: np.ndarray) -> np.ndarray:
+def noise_term(v: np.ndarray, model: NoiseModel, gamma, phi: float, dinc: np.ndarray) -> np.ndarray:
+    """-i sum_m e_m phi |v|^(gamma-1) v dbeta_m - i sum_m b_m v dbeta'_m for
+    one step's increments: (M,) for a field's values, (P, M) for a stack."""
+    g = float(gamma)
     n_e = model.n_modes
     out = np.zeros(v.shape, dtype=np.complex128)
     if n_e:
@@ -262,31 +273,10 @@ def _kick(v: np.ndarray, model: NoiseModel, g: float, phi: float, dinc: np.ndarr
     return out
 
 
-def stratonovich_drift(
-    u: ComplexField, model: NoiseModel, gamma, phi: float = 1.0
-) -> ComplexField:
-    """Correction drift mu1 phi |u|^(2(gamma-1)) u + mu2 u, pointwise."""
-    _check_model_grid(u, model)
-    return ComplexField(u.grid, _drift(u.values, model, float(gamma), phi))
-
-
-def noise_term(
-    u: ComplexField, model: NoiseModel, gamma, phi: float, increments_at_step
-) -> ComplexField:
-    """-i sum_m e_m phi |u|^(gamma-1) u dbeta_m - i sum_m b_m u dbeta'_m."""
-    _check_model_grid(u, model)
-    inc = np.asarray(increments_at_step, dtype=float)
-    if inc.shape != (model.total_modes,):
-        raise LengthMismatch(
-            f"expected {model.total_modes} increments, got shape {inc.shape}"
-        )
-    return ComplexField(u.grid, _kick(u.values, model, float(gamma), phi, inc))
-
-
 def _stack_increments(mesh, increments, n_modes: int):
     """Mesh and (P, M, K) increment block, checked against each other and
     against the model's mode count."""
-    mesh = np.asarray(mesh, dtype=float)
+    mesh = _checked_mesh(mesh)
     increments = np.asarray(increments, dtype=float)
     if increments.ndim != 3:
         raise LengthMismatch(f"increments must be a (P, M, K) block, got shape {increments.shape}")
@@ -339,9 +329,9 @@ def euler_maruyama_paths(u0: ComplexField, model: NoiseModel, gamma, mesh, incre
     for a (P, M, K) block of increments on one mesh, as a (P, grid.size)
     array.
 
-    One step: v += stratonovich_drift(v) dt + noise_term(v, dbeta), with
-    the same ufunc arithmetic row by row, so row p is bitwise the P = 1
-    result of path p.  A step that gives a non-finite value in any row
+    One step: v += stratonovich_drift(v) dt + noise_term(v, dbeta).  Both
+    act elementwise and sum modes in mode order, so row p is bitwise the
+    P = 1 result of path p.  A step that gives a non-finite value in any row
     raises SnlsError, as a ComplexField would, and no RuntimeWarning.
     """
     _check_model_grid(u0, model)
@@ -351,7 +341,7 @@ def euler_maruyama_paths(u0: ComplexField, model: NoiseModel, gamma, mesh, incre
     with np.errstate(over="ignore", invalid="ignore"):
         for l in range(increments.shape[2]):
             dt = mesh[l + 1] - mesh[l]
-            v = v + dt * _drift(v, model, g, 1.0) + _kick(v, model, g, 1.0, increments[:, :, l])
+            v = v + dt * stratonovich_drift(v, model, g) + noise_term(v, model, g, 1.0, increments[:, :, l])
             require_finite(v)
     return v
 
@@ -382,7 +372,7 @@ def heun_stratonovich_diffusion(
     v = u0.values.copy()
     for l in range(path.n_steps):
         inc = path.increments[:, l]
-        k1 = _kick(v, model, g, 1.0, inc)
-        k2 = _kick(v + k1, model, g, 1.0, inc)
+        k1 = noise_term(v, model, g, 1.0, inc)
+        k2 = noise_term(v + k1, model, g, 1.0, inc)
         v = v + 0.5 * (k1 + k2)
     return ComplexField(u0.grid, v)

@@ -9,14 +9,14 @@ The oracle and mass suites march their paths as one stack: the
 Euler–Maruyama oracle through `noise.euler_maruyama_paths` against
 `noise.diffusion_only_exact_paths`, the mass law through
 `solver.solve_paths`.  Their helpers (`em_strong_errors`, `strong_order`,
-`oracle_sde_orders`, `splitstep_mass_drift`) are shared with acceptance
-criteria 3 and 4, which run them with their own path counts and seeds.
+`oracle_sde_orders`, `running_masses`, `mass_drift`) are shared with
+acceptance criteria 3 and 4, which run them with their own path counts and
+seeds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -154,20 +154,24 @@ def _mass_config(gamma: Fraction) -> SimConfig:
     )
 
 
-def splitstep_mass_drift(cfg: SimConfig, n_paths: int) -> float:
-    """Largest relative drift of the running mass, max_t |m(t) - m(0)| /
-    m(0), over paths 0..n_paths-1 of cfg solved by split-step as one
-    stack.  Raises the SolverError of the first path that failed."""
-    cfg = replace(cfg, scheme="splitstep")
-    _, model, u0 = materialize(cfg)
-    paths = [path_for(cfg, i, model) for i in range(n_paths)]
-    worst = 0.0
+def running_masses(cfg: SimConfig, model: NoiseModel, u0: ComplexField, paths) -> list[np.ndarray]:
+    """Running mass of each path, solved by cfg's scheme as one stack
+    without keeping states.  Raises the SolverError of the first path that
+    failed."""
+    masses = []
     for rep in solve_paths(cfg, paths, model, u0, keep_states=False):
         if isinstance(rep, SolverError):
             raise rep
-        m = rep.trajectory.running_mass
-        worst = max(worst, float(np.max(np.abs(m - m[0])) / m[0]))
-    return worst
+        masses.append(rep.trajectory.running_mass)
+    return masses
+
+
+def mass_drift(cfg: SimConfig, n_paths: int) -> float:
+    """Largest relative drift of the running mass, max_t |m(t) - m(0)| /
+    m(0), over paths 0..n_paths-1 of cfg."""
+    _, model, u0 = materialize(cfg)
+    paths = [path_for(cfg, i, model) for i in range(n_paths)]
+    return max(float(np.max(np.abs(m - m[0])) / m[0]) for m in running_masses(cfg, model, u0, paths))
 
 
 def suite_mass() -> list[dict]:
@@ -175,7 +179,7 @@ def suite_mass() -> list[dict]:
     for gamma in (Fraction(1), Fraction(3, 2)):
         name = f"splitstep-mass-gamma-{gamma}"
         try:
-            worst = splitstep_mass_drift(_mass_config(gamma), 5)
+            worst = mass_drift(_mass_config(gamma), 5)
         except SolverError as exc:
             checks.append(_check(name, False, f"{type(exc).__name__}: {exc}"))
             continue
@@ -183,21 +187,21 @@ def suite_mass() -> list[dict]:
     return checks
 
 
-def em_strong_errors(model: NoiseModel, u0: ComplexField, gammas, n_paths: int, seed: int, fine: int, ks, T: float = 1.0) -> dict:
-    """L^2 gap at T between Euler–Maruyama with dt = T 2^-k and the exact
+def em_strong_errors(model: NoiseModel, u0: ComplexField, gammas, n_paths: int, seed: int, fine: int, ks) -> dict:
+    """L^2 gap at T = 1 between Euler–Maruyama with dt = 2^-k and the exact
     diffusion-only flow, per path: {gamma: (len(ks), n_paths) array}.
 
     Paths 0..n_paths-1 of `seed` are drawn once on the fine mesh of `fine`
     steps; each gamma takes the exact flow once and marches every level as
     one stack of coarsened increments.
     """
-    mesh = np.linspace(0.0, T, fine + 1)
+    mesh = np.linspace(0.0, 1.0, fine + 1)
     increments = np.stack(
         [sample_brownian_path(mesh, model.total_modes, seed, pi).increments for pi in range(n_paths)]
     )
     errors = {}
     for gamma in gammas:
-        exact = diffusion_only_exact_paths(u0, model, gamma, mesh, increments, T)
+        exact = diffusion_only_exact_paths(u0, model, gamma, mesh, increments, 1.0)
         rows = []
         for k in ks:
             factor = fine // 2**k

@@ -18,7 +18,6 @@ from snls.errors import (
     UnboundedCoefficient,
 )
 from snls.grid_field import (
-    ComplexField,
     Grid,
     constant_field,
     gaussian_field,
@@ -139,55 +138,50 @@ def test_coarsen_path_sums_increments():
 
 def test_stratonovich_drift_cases():
     model = make_noise_model([constant_field(GRID, 1.0)], [], GRID)
-    u = zero_field(GRID)
-    assert lp_norm(stratonovich_drift(u, model, 1.0), 2) == 0.0
+    assert np.max(np.abs(stratonovich_drift(zero_field(GRID).values, model, 1.0))) == 0.0
 
     # gamma = 1, e = 1: drift is -u/2
     u = random_field(GRID, np.random.default_rng(0))
-    d = stratonovich_drift(u, model, 1.0, 1.0)
-    assert np.max(np.abs(d.values + 0.5 * u.values)) < 1e-14
+    d = stratonovich_drift(u.values, model, 1.0, 1.0)
+    assert np.max(np.abs(d + 0.5 * u.values)) < 1e-14
 
     # gamma = 2, e = 2, u = 1: -1/2 * 4 * 1 * 1 = -2 everywhere
     model2 = make_noise_model([constant_field(GRID, 2.0)], [], GRID)
-    ones = constant_field(GRID, 1.0)
-    d2 = stratonovich_drift(ones, model2, 2.0, 1.0)
-    assert np.max(np.abs(d2.values + 2.0)) < 1e-14
+    d2 = stratonovich_drift(constant_field(GRID, 1.0).values, model2, 2.0, 1.0)
+    assert np.max(np.abs(d2 + 2.0)) < 1e-14
 
 
 def test_stratonovich_drift_includes_linear_part():
     model = make_noise_model([], [constant_field(GRID, 3.0)], GRID)
     u = constant_field(GRID, 1.0 + 1.0j)
-    d = stratonovich_drift(u, model, 1.0, 0.0)  # phi multiplies only the e_m part
-    assert np.max(np.abs(d.values + 4.5 * u.values)) < 1e-14
+    d = stratonovich_drift(u.values, model, 1.0, 0.0)  # phi multiplies only the e_m part
+    assert np.max(np.abs(d + 4.5 * u.values)) < 1e-14
 
 
 def test_noise_term_cases():
     model = make_noise_model([constant_field(GRID, 1.0)], [], GRID)
     u = random_field(GRID, np.random.default_rng(1))
-    assert lp_norm(noise_term(u, model, 1.0, 1.0, [0.0]), 2) == 0.0
+    assert np.max(np.abs(noise_term(u.values, model, 1.0, 1.0, np.array([0.0])))) == 0.0
     h = 0.3
-    out = noise_term(u, model, 1.0, 1.0, [h])
-    assert np.max(np.abs(out.values + 1j * h * u.values)) < 1e-14
+    out = noise_term(u.values, model, 1.0, 1.0, np.array([h]))
+    assert np.max(np.abs(out + 1j * h * u.values)) < 1e-14
     # homogeneity in the increments
-    out2 = noise_term(u, model, 1.0, 1.0, [2 * h])
-    assert np.max(np.abs(out2.values - 2.0 * out.values)) < 1e-14
-    with pytest.raises(LengthMismatch):
-        noise_term(u, model, 1.0, 1.0, [0.1, 0.2])
+    out2 = noise_term(u.values, model, 1.0, 1.0, np.array([2 * h]))
+    assert np.max(np.abs(out2 - 2.0 * out)) < 1e-14
 
 
 def test_noise_term_pointwise_local():
     model = make_noise_model([gaussian_field(GRID, 1.0, 2.0)], [], GRID)
     rng = np.random.default_rng(2)
-    u = random_field(GRID, rng)
-    v = u.values.copy()
-    v[17] += 1.0
-    u2 = ComplexField(GRID, v)
-    a = noise_term(u, model, 2.0, 1.0, [0.7]).values
-    b = noise_term(u2, model, 2.0, 1.0, [0.7]).values
+    u = random_field(GRID, rng).values
+    u2 = u.copy()
+    u2[17] += 1.0
+    a = noise_term(u, model, 2.0, 1.0, np.array([0.7]))
+    b = noise_term(u2, model, 2.0, 1.0, np.array([0.7]))
     changed = np.nonzero(np.abs(a - b) > 1e-14)[0]
     assert np.array_equal(changed, [17])
-    da = stratonovich_drift(u, model, 2.0).values
-    db = stratonovich_drift(u2, model, 2.0).values
+    da = stratonovich_drift(u, model, 2.0)
+    db = stratonovich_drift(u2, model, 2.0)
     assert np.array_equal(np.nonzero(np.abs(da - db) > 1e-14)[0], [17])
 
 
@@ -199,8 +193,8 @@ def test_conservative_noise_orthogonality():
     for gamma in (1.0, 1.5, 2.0):
         for _ in range(25):
             u = random_field(GRID, rng)
-            kick = noise_term(u, model, gamma, 1.0, [1.0])
-            inner = np.sum(np.conj(u.values) * kick.values) * GRID.cell_volume
+            kick = noise_term(u.values, model, gamma, 1.0, np.array([1.0]))
+            inner = np.sum(np.conj(u.values) * kick) * GRID.cell_volume
             assert abs(inner.real) < 1e-12 * lp_norm(u, 2) ** 2
 
 
@@ -352,10 +346,16 @@ def test_stack_forms_reject_mismatched_blocks():
         euler_maruyama_paths(u0, model, 1.5, mesh, increments[:, :2])
     with pytest.raises(MeshMismatch):
         euler_maruyama_paths(u0, model, 1.5, mesh[:-1], increments)
+    conservative = make_noise_model(list(model.coeffs), [], GRID)
     with pytest.raises(LengthMismatch):
-        diffusion_only_exact_paths(u0, make_noise_model(list(model.coeffs), [], GRID), 1.5, mesh, increments, 1.0)
+        diffusion_only_exact_paths(u0, conservative, 1.5, mesh, increments, 1.0)
     with pytest.raises(OutOfRange):
         coarsen_increments(increments, 5)
+    # a mesh that does not increase would pick the wrong prefix of steps
+    with pytest.raises(OutOfRange):
+        diffusion_only_exact_paths(u0, conservative, 1.5, mesh[::-1], increments[:, :2], 1.0)
+    with pytest.raises(OutOfRange):
+        euler_maruyama_paths(u0, model, 1.5, np.zeros_like(mesh), increments)
 
 
 def test_antithetic_modulus_invariance():

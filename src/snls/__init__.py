@@ -76,16 +76,7 @@ from .propagator import (
     get_plan,
     stochastic_convolution,
 )
-from .dynamics import (
-    TruncationState,
-    ZPrefix,
-    chained_z_value,
-    detect_stopping_time,
-    evaluate_phi,
-    evaluate_phi_chained,
-    power_nonlinearity,
-    theta,
-)
+from .dynamics import detect_stopping_time, theta
 from .solver import (
     SimConfig,
     SolveReport,

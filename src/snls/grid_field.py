@@ -13,7 +13,8 @@ column in exports) and the raw accumulators behind the running norm
 
 stored as the power integrals int_0^t ||u(s)||_{p}^{q} ds (or a running sup
 when the second temporal exponent is infinite, which happens at gamma = 1).
-Storing raw powers makes window chaining an exact addition.
+Storing raw powers lets a window continue a prefix by starting from the
+prefix's last accumulators.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyTrajectory, GridMismatch, OutOfRange, SnlsError
+from .errors import EmptyTrajectory, GridMismatch, LengthMismatch, OutOfRange, SnlsError
 from .exponents import ModelParams, ZExponents, z_exponents
 
 _HEADER = struct.Struct("<qqd")  # d, n as int64, L as float64, little-endian
@@ -191,9 +192,10 @@ def row_norms(a: np.ndarray, cell: float, p1: float, p2: float):
     """(L^2, L^p1, L^p2) norms over the last axis of a = |v|.
 
     The one arithmetic for the recorded norms: the solver applies it to a
-    (P, size) stack of paths, `Trajectory.append` to a single state.  Every
-    operation is a numpy ufunc or a row-wise sum over a C-contiguous last
-    axis, so a row's norms do not depend on the rows stacked with it.
+    (P, size) stack of paths, `Trajectory.from_states` to the states of one
+    trajectory.  Every operation is a numpy ufunc or a row-wise sum over a
+    C-contiguous last axis, so a row's norms do not depend on the rows
+    stacked with it.
     """
     sq = np.sum(a * a, axis=-1)
     return _row_lp(a, 2.0, cell, sq), _row_lp(a, p1, cell, sq), _row_lp(a, p2, cell, sq)
@@ -262,107 +264,75 @@ class Trajectory:
     """Time-stamped states plus running mass and running-norm accumulators.
 
     Columnar: `times`, `running_mass`, `acc1`, `acc2` are float arrays with
-    one entry per recorded time, and the states, when kept, are one
-    (len, grid.size) complex block read through `state_at_index`.
-    `times[0]` is the start time of the
-    record (0 for whole runs).  `acc1[j]` is the left-endpoint power
-    integral int_0^{t_j} ||u||_{p1}^{q} ds; `acc2[j]` is the analogous
-    integral for (qt, p2), or max_{l<j} ||u(t_l)||_{p2} when qt = inf.
-    `last_norms` holds (||u||_p1, ||u||_p2) of the last state.
+    one entry per recorded time, and `states`, when kept, is one
+    (len, grid.size) complex block (else None); `state_at_index` reads one
+    row as a field.  `acc1[j]` is the left-endpoint power integral of
+    ||u||_{p1}^{q} up to t_j; `acc2[j]` is the analogous integral for
+    (qt, p2), or the max of ||u(t_l)||_{p2} over l < j when qt = inf.  Both
+    start from their values at `times[0]`: zero for a whole run, a prefix's
+    last accumulators for a window that continues it.  `last_norms` holds
+    (||u||_p1, ||u||_p2) of the last state.
 
-    The solver builds whole trajectories from its columns; `start` and
-    `append` grow one state by state (capacity doubles as needed).
+    The solver builds trajectories from its columns, everything else
+    through `from_states`.
     """
 
     def __init__(self, grid: Grid, zexp: ZExponents, times, running_mass, acc1, acc2, states, last_norms):
         self.grid = grid
         self.zexp = zexp
-        self._n = len(times)
-        self._times = times
-        self._mass = running_mass
-        self._acc1 = acc1
-        self._acc2 = acc2
-        self._states = states
+        self.times = times
+        self.running_mass = running_mass
+        self.acc1 = acc1
+        self.acc2 = acc2
+        self.states = states
         self.last_norms = last_norms
 
     @classmethod
-    def start(cls, u0: ComplexField, zexp: ZExponents, t0: float = 0.0, keep_states: bool = True):
-        mass, n1, n2 = row_norms(np.abs(u0.values), u0.grid.cell_volume, float(zexp.p1), float(zexp.p2))
-        states = u0.values[None, :].copy() if keep_states else None
-        return cls(
-            u0.grid, zexp, np.array([float(t0)]), np.array([mass]), np.zeros(1), np.zeros(1), states, (n1, n2)
-        )
+    def from_states(cls, times, states, zexp: ZExponents, acc0=(0.0, 0.0)) -> "Trajectory":
+        """The trajectory of `states` (fields on one grid) at strictly
+        increasing `times`, with accumulators `acc0` at times[0].
 
-    def append(self, t: float, state: ComplexField) -> None:
-        if state.grid != self.grid:
-            raise GridMismatch("state grid differs from trajectory grid")
-        t = float(t)
-        n = self._n
-        t_prev = float(self._times[n - 1])
-        if t <= t_prev:
-            raise OutOfRange(f"times must increase: {t} after {t_prev}")
-        if n == len(self._times):
-            self._grow()
-        zexp = self.zexp
-        self._acc1[n], self._acc2[n] = advance_accumulators(
-            self._acc1[n - 1], self._acc2[n - 1], *self.last_norms, t - t_prev, zexp
-        )
-        mass, n1, n2 = row_norms(np.abs(state.values), self.grid.cell_volume, float(zexp.p1), float(zexp.p2))
-        self._times[n] = t
-        self._mass[n] = mass
-        self.last_norms = (n1, n2)
-        if self._states is not None:
-            self._states[n] = state.values
-        self._n = n + 1
-
-    def _grow(self) -> None:
-        n = self._n
-
-        def grown(col):
-            out = np.empty((2 * n,) + col.shape[1:], dtype=col.dtype)
-            out[:n] = col[:n]
-            return out
-
-        self._times, self._mass, self._acc1, self._acc2 = map(
-            grown, (self._times, self._mass, self._acc1, self._acc2)
-        )
-        if self._states is not None:
-            self._states = grown(self._states)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self._times[: self._n]
-
-    @property
-    def running_mass(self) -> np.ndarray:
-        return self._mass[: self._n]
-
-    @property
-    def acc1(self) -> np.ndarray:
-        return self._acc1[: self._n]
-
-    @property
-    def acc2(self) -> np.ndarray:
-        return self._acc2[: self._n]
+        Norms and accumulators come from `row_norms` on the stacked states
+        and `advance_accumulators` step by step, the solver's arithmetic,
+        so the columns equal the solver's bitwise.
+        """
+        if not len(states):
+            raise EmptyTrajectory("trajectory has no samples")
+        times = np.array(times, dtype=float)
+        if times.shape != (len(states),):
+            raise LengthMismatch(f"{times.size} times for {len(states)} states")
+        if np.any(np.diff(times) <= 0.0):
+            raise OutOfRange(f"times must increase, got {times}")
+        grid = states[0].grid
+        if any(s.grid != grid for s in states):
+            raise GridMismatch("states lie on different grids")
+        block = np.stack([s.values for s in states])
+        mass, n1, n2 = row_norms(np.abs(block), grid.cell_volume, float(zexp.p1), float(zexp.p2))
+        acc1 = np.empty(len(times))
+        acc2 = np.empty(len(times))
+        acc1[0], acc2[0] = acc0
+        for j in range(1, len(times)):
+            acc1[j], acc2[j] = advance_accumulators(
+                acc1[j - 1], acc2[j - 1], n1[j - 1], n2[j - 1], times[j] - times[j - 1], zexp
+            )
+        return cls(grid, zexp, times, mass, acc1, acc2, block, (n1[-1], n2[-1]))
 
     def __len__(self) -> int:
-        return self._n
+        return len(self.times)
 
     @property
     def t_end(self) -> float:
-        return float(self._times[self._n - 1])
+        return float(self.times[-1])
 
     def state_at_index(self, j: int) -> ComplexField:
-        if self._states is None:
+        if self.states is None:
             raise EmptyTrajectory("trajectory was recorded without states")
-        return ComplexField(self.grid, self._states[: self._n][j])
+        return ComplexField(self.grid, self.states[j])
 
     def _locate(self, t: float) -> int:
         """Largest index j with times[j] <= t."""
-        if not self._n:
-            raise EmptyTrajectory("trajectory has no samples")
-        if t < self._times[0] - 1e-12:
-            raise OutOfRange(f"t={t} precedes trajectory start {self._times[0]}")
+        if t < self.times[0] - 1e-12:
+            raise OutOfRange(f"t={t} precedes trajectory start {self.times[0]}")
         j = int(np.searchsorted(self.times, t, side="right") - 1)
         return max(j, 0)
 
@@ -385,7 +355,7 @@ class Trajectory:
         j = self._locate(t)
         times, acc1, acc2 = self.times, self.acc1, self.acc2
         frac = t - float(times[j])
-        if frac <= 0.0 or j == self._n - 1:
+        if frac <= 0.0 or j == len(times) - 1:
             # between the last sample and t the integrand is the last state
             if frac > 0.0:
                 a1, a2 = advance_accumulators(acc1[j], acc2[j], *self.last_norms, frac, self.zexp)
@@ -433,15 +403,17 @@ def bochner_norm(traj: Trajectory, q: float, p: float, t_end: float) -> float:
 
 
 def z_process(traj: Trajectory, t: float, params: ModelParams | None = None) -> float:
-    """Running norm Z_t: sum of the two Bochner-norm components up to t."""
+    """Running norm Z_t: sum of the two Bochner-norm components up to t.
+
+    Read from the accumulators, so it is exactly 0.0 at the start of a
+    whole run and the prefix's Z at the start of a window built on one.
+    """
     if params is not None:
         expected = z_exponents(params)
         if expected != traj.zexp:
             raise SnlsError(
                 f"trajectory exponents {traj.zexp} do not match params {expected}"
             )
-    if t <= traj.times[0]:
-        return 0.0
     c1, c2 = traj.z_components_at(t)
     return c1 + c2
 

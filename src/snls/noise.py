@@ -253,6 +253,10 @@ def mode_sum(dinc: np.ndarray, fields: np.ndarray) -> np.ndarray:
 def stratonovich_drift(v: np.ndarray, model: NoiseModel, gamma, phi: float = 1.0) -> np.ndarray:
     """Correction drift mu1 phi |v|^(2(gamma-1)) v + mu2 v, pointwise, for a
     field's values or a (P, grid.size) stack of them."""
+    # With `noise_term`, the Euler–Maruyama oracle's step.  It is kept apart
+    # from the solver's `_ito_step`, which computes the same terms in another
+    # association order: the oracle checks the solver only while the two
+    # share no arithmetic.
     g = float(gamma)
     out = model.mu2 * v
     if model.n_modes:
@@ -263,6 +267,7 @@ def stratonovich_drift(v: np.ndarray, model: NoiseModel, gamma, phi: float = 1.0
 def noise_term(v: np.ndarray, model: NoiseModel, gamma, phi: float, dinc: np.ndarray) -> np.ndarray:
     """-i sum_m e_m phi |v|^(gamma-1) v dbeta_m - i sum_m b_m v dbeta'_m for
     one step's increments: (M,) for a field's values, (P, M) for a stack."""
+    # Kept apart from `solver._ito_step` on purpose; see `stratonovich_drift`.
     g = float(gamma)
     n_e = model.n_modes
     out = np.zeros(v.shape, dtype=np.complex128)

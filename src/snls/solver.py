@@ -44,7 +44,7 @@ from .grid_field import (
     Trajectory,
     advance_accumulators,
     halfbox_leakage,
-    lp_norm,
+    lp_norm_rows,
     mass_outside_central_halfbox,
     row_norms,
     z_components,
@@ -324,6 +324,9 @@ def _config_notes(config: SimConfig) -> list:
 
 def _ito_step(v, phi, dinc, dt, lam, alpha, gamma, model: NoiseModel) -> np.ndarray:
     """v + dt F(v, phi) + K(v, phi, dbeta) row by row, phi of shape (R, 1)."""
+    # The Euler–Maruyama oracle (`noise.stratonovich_drift` + `noise_term`)
+    # computes the same terms in another association order, on purpose: the
+    # oracle checks this step only while it shares no arithmetic with it.
     absv = np.abs(v)
     w = v.copy()
     if lam:
@@ -388,21 +391,31 @@ def _picard_step(config: SimConfig, model: NoiseModel):
     return step
 
 
-def path_coincidence_check(config: SimConfig, path: BrownianPath, levels) -> float:
-    """Max relative L^2 gap, up to the lower level's stopping time, between
-    Picard solves at two cutoff levels on the same Brownian path."""
+def path_coincidence_check(config: SimConfig, paths, levels) -> tuple[list, list]:
+    """Picard solves of `paths` at two cutoff levels, each level one stack.
+
+    Returns (gaps, taus): per path, the max relative L^2 gap between the
+    two runs over the mesh times up to the lower level's stopping time, and
+    that stopping time.  Raises the SolverError of the first path that
+    failed at either level.
+    """
     n1, n2 = levels
     if not n1 < n2:
         raise ConfigError(f"levels must increase, got {levels}")
-    rep1 = picard_solve(replace(config, scheme="picard", truncation_level=float(n1)), path)
-    rep2 = picard_solve(replace(config, scheme="picard", truncation_level=float(n2)), path)
-    t1, t2 = rep1.trajectory, rep2.trajectory
-    worst = 0.0
-    for j, t in enumerate(t1.times):
-        if t > rep1.tau + 1e-12:
-            break
-        a = t1.state_at_index(j)
-        b = t2.state_at_index(j)
-        denom = max(lp_norm(a, 2), 1e-300)
-        worst = max(worst, lp_norm(a - b, 2) / denom)
-    return worst
+    _, model, u0 = materialize(config)
+    low, high = (
+        solve_paths(replace(config, scheme="picard", truncation_level=float(n)), paths, model, u0)
+        for n in (n1, n2)
+    )
+    gaps, taus = [], []
+    for rep1, rep2 in zip(low, high):
+        for rep in (rep1, rep2):
+            if isinstance(rep, SolverError):
+                raise rep
+        t1, t2 = rep1.trajectory, rep2.trajectory
+        upto = int(np.searchsorted(t1.times, rep1.tau + 1e-12, side="right"))
+        a, b = t1.states[:upto], t2.states[:upto]
+        rel = lp_norm_rows(a - b, 2, config.grid) / np.maximum(lp_norm_rows(a, 2, config.grid), 1e-300)
+        gaps.append(float(np.max(rel, initial=0.0)))
+        taus.append(rep1.tau)
+    return gaps, taus

@@ -8,10 +8,12 @@ exponents, all.
 The oracle and mass suites march their paths as one stack: the
 Euler–Maruyama oracle through `noise.euler_maruyama_paths` against
 `noise.diffusion_only_exact_paths`, the mass law through
-`solver.solve_paths`.  Their helpers (`em_strong_errors`, `strong_order`,
-`oracle_sde_orders`, `running_masses`, `mass_drift`) are shared with
-acceptance criteria 3 and 4, which run them with their own path counts and
-seeds.
+`solver.solve_paths`.  The checks are coded once, as helpers shared with
+the acceptance criteria, which run them with their own seeds, counts and
+ranges: `propagator_residuals` and `dispersive_decay` (criterion 2),
+`oracle_sde_orders` (criterion 3), `running_masses` and `mass_drift`
+(criterion 4), `cutoff_lipschitz_ok` and `window_chaining_gap`
+(criterion 8).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exponents as xp
-from .dynamics import ZPrefix, chained_z_value, theta
+from .dynamics import theta
 from .errors import SolverError
 from .grid_field import (
     ComplexField,
@@ -31,6 +33,7 @@ from .grid_field import (
     gaussian_field,
     lp_norm,
     lp_norm_rows,
+    mass_outside_central_halfbox,
     random_field,
     z_process,
 )
@@ -113,31 +116,47 @@ def suite_exponents() -> list[dict]:
     return checks
 
 
-def suite_unitarity() -> list[dict]:
-    checks = []
+def propagator_residuals(n_fields: int, seed: int, t_max: float) -> tuple[float, float, float]:
+    """Worst relative unitarity drift, group-law residual and time-reversal
+    residual of U(t) over random fields on d = 1, n = 512, L = 64, with s, t
+    uniform in [-t_max, t_max]."""
     grid = Grid(d=1, n=512, L=64.0)
-    rng = np.random.default_rng(11)
+    rng = np.random.default_rng(seed)
     worst_unit = worst_group = worst_rev = 0.0
-    for _ in range(300):
+    for _ in range(n_fields):
         f = random_field(grid, rng)
-        t = float(rng.uniform(-3.0, 3.0))
-        s = float(rng.uniform(-3.0, 3.0))
+        t = float(rng.uniform(-t_max, t_max))
+        s = float(rng.uniform(-t_max, t_max))
         n0 = lp_norm(f, 2)
         worst_unit = max(worst_unit, abs(lp_norm(free_evolve(f, t), 2) - n0) / n0)
         ab = free_evolve(free_evolve(f, s), t)
         worst_group = max(worst_group, lp_norm(ab - free_evolve(f, s + t), 2) / n0)
         worst_rev = max(worst_rev, lp_norm(free_evolve(free_evolve(f, t), -t) - f, 2) / n0)
-    checks.append(_check("unitarity", worst_unit < 1e-12, f"max relative L2 drift {worst_unit:.2e}"))
-    checks.append(_check("group-law", worst_group < 1e-12, f"max residual {worst_group:.2e}"))
-    checks.append(_check("time-reversal", worst_rev < 1e-12, f"max residual {worst_rev:.2e}"))
+    return worst_unit, worst_group, worst_rev
 
+
+def dispersive_decay() -> tuple[float, float]:
+    """Log-log slope of sup |U(t) u0| over t = 2..10 for a unit Gaussian on
+    a wide box (d = 1, n = 2048, L = 512; the free rate is -1/2), and the
+    largest half-box leakage along the way."""
     wide = Grid(d=1, n=2048, L=512.0)
     u0 = gaussian_field(wide, 1.0, 1.0)
     ts = np.linspace(2.0, 10.0, 9)
-    sups = [lp_norm(free_evolve(u0, float(t)), math.inf) for t in ts]
+    evolved = [free_evolve(u0, float(t)) for t in ts]
+    sups = [lp_norm(ut, math.inf) for ut in evolved]
     slope = float(np.polyfit(np.log(ts), np.log(sups), 1)[0])
-    checks.append(_check("dispersive-decay", -0.55 <= slope <= -0.45, f"log-log slope {slope:.4f}"))
-    return checks
+    return slope, max(mass_outside_central_halfbox(ut) for ut in evolved)
+
+
+def suite_unitarity() -> list[dict]:
+    worst_unit, worst_group, worst_rev = propagator_residuals(300, seed=11, t_max=3.0)
+    slope, _ = dispersive_decay()
+    return [
+        _check("unitarity", worst_unit < 1e-12, f"max relative L2 drift {worst_unit:.2e}"),
+        _check("group-law", worst_group < 1e-12, f"max residual {worst_group:.2e}"),
+        _check("time-reversal", worst_rev < 1e-12, f"max residual {worst_rev:.2e}"),
+        _check("dispersive-decay", -0.55 <= slope <= -0.45, f"log-log slope {slope:.4f}"),
+    ]
 
 
 def _mass_config(gamma: Fraction) -> SimConfig:
@@ -286,48 +305,56 @@ def suite_strichartz() -> list[dict]:
     return checks
 
 
-def suite_truncation() -> list[dict]:
-    checks = []
-    rng = np.random.default_rng(23)
-    lip_ok = True
+def cutoff_lipschitz_ok(seed: int, level_lo: float, span: float) -> bool:
+    """|theta(x) - theta(y)| <= |x - y| / level on 1e4 random pairs, with
+    level uniform in [level_lo, 10] and x, y uniform in [0, span level]."""
+    rng = np.random.default_rng(seed)
+    ok = True
     for _ in range(10**4):
-        level = float(rng.uniform(0.1, 10.0))
-        x, y = rng.uniform(0.0, 4.0 * level, size=2)
-        if abs(theta(x, level) - theta(y, level)) > abs(x - y) / level + 1e-15:
-            lip_ok = False
-    checks.append(_check("cutoff-lipschitz", lip_ok, "|theta(x)-theta(y)| <= |x-y|/level on 1e4 pairs"))
+        level = float(rng.uniform(level_lo, 10.0))
+        x, y = rng.uniform(0.0, span * level, size=2)
+        ok &= abs(theta(x, level) - theta(y, level)) <= abs(x - y) / level + 1e-15
+    return bool(ok)
+
+
+def window_chaining_gap(first_seed: int) -> float:
+    """Largest relative gap between Z on a whole trajectory and Z on a
+    window that continues its head from the head's last accumulators, over
+    50 random two-window cases (seeds first_seed..first_seed+49; d = 1,
+    alpha = 3, gamma = 3/2).  The window keeps its own clock from 0, as the
+    local-existence proof chains its Picard windows."""
+    grid = Grid(d=1, n=32, L=8.0)
+    zx = xp.z_exponents(xp.ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(3, 2), lam=1))
+    worst = 0.0
+    for case in range(50):
+        rng = np.random.default_rng(first_seed + case)
+        n_total = int(rng.integers(4, 12))
+        split = int(rng.integers(1, n_total))
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.3, size=n_total))])
+        states = [random_field(grid, rng) for _ in range(n_total + 1)]
+        full = Trajectory.from_states(times, states, zx)
+        head = Trajectory.from_states(times[: split + 1], states[: split + 1], zx)
+        window = Trajectory.from_states(
+            times[split:] - times[split], states[split:], zx, acc0=(head.acc1[-1], head.acc2[-1])
+        )
+        for j in range(split, n_total + 1):
+            z_chain = z_process(window, float(times[j] - times[split]))
+            z_full = z_process(full, float(times[j]))
+            worst = max(worst, abs(z_chain - z_full) / max(z_full, 1e-30))
+    return worst
+
+
+def suite_truncation() -> list[dict]:
+    lip_ok = cutoff_lipschitz_ok(23, level_lo=0.1, span=4.0)
     exact_ok = all(
         theta(v * 1.0, 1.0) == e for v, e in ((0.0, 1.0), (1.0, 1.0), (1.5, 0.5), (2.0, 0.0), (3.0, 0.0))
     )
-    checks.append(_check("cutoff-breakpoints", exact_ok, "exact piecewise values at 0, n, 1.5n, 2n, 3n"))
-
-    grid = Grid(d=1, n=32, L=8.0)
-    params = xp.ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(3, 2), lam=1)
-    zx = xp.z_exponents(params)
-    worst = 0.0
-    for case in range(50):
-        case_rng = np.random.default_rng(100 + case)
-        n_total = int(case_rng.integers(4, 12))
-        split = int(case_rng.integers(1, n_total))
-        times = np.cumsum(case_rng.uniform(0.05, 0.3, size=n_total + 1))
-        times -= times[0]
-        states = [random_field(grid, case_rng) for _ in range(n_total + 1)]
-        full = Trajectory.start(states[0], zx, 0.0)
-        for j in range(1, n_total + 1):
-            full.append(float(times[j]), states[j])
-        prefix_traj = Trajectory.start(states[0], zx, 0.0)
-        for j in range(1, split + 1):
-            prefix_traj.append(float(times[j]), states[j])
-        prefix = ZPrefix.of(prefix_traj)
-        window = Trajectory.start(states[split], zx, 0.0)
-        for j in range(split + 1, n_total + 1):
-            window.append(float(times[j] - times[split]), states[j])
-        for j in range(split, n_total + 1):
-            z_chain = chained_z_value(prefix, window, float(times[j] - times[split]))
-            z_full = z_process(full, float(times[j]))
-            worst = max(worst, abs(z_chain - z_full) / max(z_full, 1e-30))
-    checks.append(_check("window-chaining-identity", worst < 1e-12, f"max relative gap {worst:.2e} on 50 two-window cases"))
-    return checks
+    worst = window_chaining_gap(100)
+    return [
+        _check("cutoff-lipschitz", lip_ok, "|theta(x)-theta(y)| <= |x-y|/level on 1e4 pairs"),
+        _check("cutoff-breakpoints", exact_ok, "exact piecewise values at 0, n, 1.5n, 2n, 3n"),
+        _check("window-chaining-identity", worst < 1e-12, f"max relative gap {worst:.2e} on 50 two-window cases"),
+    ]
 
 
 SUITES = {

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from snls.dynamics import ZPrefix, chained_z_value, theta
+from snls.errors import SolverError
 from snls.exponents import (
     ModelParams,
     bootstrap_exponents,
@@ -20,21 +20,19 @@ from snls.exponents import (
     strichartz_q,
     z_exponents,
 )
-from snls.grid_field import (
-    Grid,
-    Trajectory,
-    bochner_norm,
-    gaussian_field,
-    lp_norm,
-    mass_outside_central_halfbox,
-    random_field,
-    z_process,
-)
+from snls.grid_field import Grid, Trajectory, bochner_norm, lp_norm, random_field
 from snls.montecarlo import chebyshev_consistency, truncation_uniformity_study
 from snls.noise import coarsen_path, sample_brownian_path
-from snls.propagator import free_evolve
-from snls.solver import SimConfig, materialize, path_coincidence_check, picard_solve, splitstep_solve
-from snls.verify import mass_drift, oracle_sde_orders, running_masses
+from snls.solver import SimConfig, materialize, path_coincidence_check, solve_paths
+from snls.verify import (
+    cutoff_lipschitz_ok,
+    dispersive_decay,
+    mass_drift,
+    oracle_sde_orders,
+    propagator_residuals,
+    running_masses,
+    window_chaining_gap,
+)
 
 
 def _report(name: str, ok: bool, detail: str, elapsed: float, budget: float):
@@ -69,27 +67,9 @@ def test_criterion_2_propagator():
     """Unitarity and group-law residuals < 1e-12 on 1000 random fields
     (d=1, n=512); free-Gaussian sup-norm decay slope in [-0.55, -0.45]."""
     t0 = time.monotonic()
-    grid = Grid(d=1, n=512, L=64.0)
-    rng = np.random.default_rng(2024)
-    worst_u = worst_g = 0.0
-    for _ in range(1000):
-        f = random_field(grid, rng)
-        t = float(rng.uniform(-2.0, 2.0))
-        s = float(rng.uniform(-2.0, 2.0))
-        n0 = lp_norm(f, 2)
-        worst_u = max(worst_u, abs(lp_norm(free_evolve(f, t), 2) - n0) / n0)
-        worst_g = max(worst_g, lp_norm(free_evolve(free_evolve(f, s), t) - free_evolve(f, s + t), 2) / n0)
-    wide = Grid(d=1, n=2048, L=512.0)
-    u0 = gaussian_field(wide, 1.0, 1.0)  # width 1: exp(-x^2/(4a)) with a = 1/2
-    ts = np.linspace(2.0, 10.0, 9)
-    sups = []
-    leak_ok = True
-    for t in ts:
-        ut = free_evolve(u0, float(t))
-        leak_ok &= mass_outside_central_halfbox(ut) < 1e-8
-        sups.append(lp_norm(ut, math.inf))
-    slope = float(np.polyfit(np.log(ts), np.log(sups), 1)[0])
-    ok = worst_u < 1e-12 and worst_g < 1e-12 and -0.55 <= slope <= -0.45 and leak_ok
+    worst_u, worst_g, _ = propagator_residuals(1000, seed=2024, t_max=2.0)
+    slope, leak = dispersive_decay()
+    ok = worst_u < 1e-12 and worst_g < 1e-12 and -0.55 <= slope <= -0.45 and leak < 1e-8
     _report(
         "criterion-2-propagator",
         ok,
@@ -187,16 +167,19 @@ def test_criterion_5_cross_validation():
     )
     steps_list = (32, 64, 128, 256)
     fine = steps_list[-1]
+    fine_paths = [sample_brownian_path(np.linspace(0.0, 1.0, fine + 1), 1, 3, pi) for pi in range(12)]
     means = []
     for steps in steps_list:
+        paths = [coarsen_path(p, fine // steps) for p in fine_paths]
+        ss, pic = (SimConfig(**base, dt=1.0 / steps, scheme=scheme) for scheme in ("splitstep", "picard"))
+        _, model, u0 = materialize(ss)
         gaps = []
-        for pi in range(12):
-            fine_path = sample_brownian_path(np.linspace(0.0, 1.0, fine + 1), 1, 3, pi)
-            path = coarsen_path(fine_path, fine // steps)
-            ss = splitstep_solve(SimConfig(**base, dt=1.0 / steps), path)
-            pic = picard_solve(SimConfig(**base, dt=1.0 / steps, scheme="picard"), path)
-            a = ss.trajectory.state_at_index(-1)
-            b = pic.trajectory.state_at_index(-1)
+        for rep_ss, rep_pic in zip(solve_paths(ss, paths, model, u0), solve_paths(pic, paths, model, u0)):
+            for rep in (rep_ss, rep_pic):
+                if isinstance(rep, SolverError):
+                    raise rep
+            a = rep_ss.trajectory.state_at_index(-1)
+            b = rep_pic.trajectory.state_at_index(-1)
             gaps.append(lp_norm(a - b, 2) / lp_norm(a, 2))
         means.append(float(np.mean(gaps)))
     order = float(np.polyfit(np.log2([1.0 / s for s in steps_list]), np.log2(means), 1)[0])
@@ -226,14 +209,10 @@ def test_criterion_6_localization():
         seed=42,
     )
     _, model, _ = materialize(cfg)
-    worst = 0.0
-    interior_taus = 0
-    for pi in range(20):
-        path = sample_brownian_path(cfg.mesh(), model.total_modes, cfg.seed, pi)
-        worst = max(worst, path_coincidence_check(cfg, path, (3.5, 7.0)))
-        rep = picard_solve(replace(cfg, truncation_level=3.5), path)
-        if 0.0 < rep.tau < cfg.T:
-            interior_taus += 1
+    paths = [sample_brownian_path(cfg.mesh(), model.total_modes, cfg.seed, pi) for pi in range(20)]
+    gaps, taus = path_coincidence_check(cfg, paths, (3.5, 7.0))
+    worst = max(gaps)
+    interior_taus = sum(0.0 < tau < cfg.T for tau in taus)
     ok = worst <= 1e-7 and interior_taus > 0
     _report(
         "criterion-6-localization",
@@ -280,36 +259,8 @@ def test_criterion_8_truncation_machinery():
     chaining identity matches the concatenated-trajectory oracle to 1e-12
     on 50 cases."""
     t0 = time.monotonic()
-    rng = np.random.default_rng(88)
-    lip_ok = True
-    for _ in range(10**4):
-        level = float(rng.uniform(0.05, 10.0))
-        x, y = rng.uniform(0.0, 3.5 * level, size=2)
-        lip_ok &= abs(theta(x, level) - theta(y, level)) <= abs(x - y) / level + 1e-15
-    grid = Grid(d=1, n=32, L=8.0)
-    params = ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(3, 2), lam=1)
-    zx = z_exponents(params)
-    worst = 0.0
-    for case in range(50):
-        case_rng = np.random.default_rng(900 + case)
-        n_total = int(case_rng.integers(4, 12))
-        split = int(case_rng.integers(1, n_total))
-        times = np.concatenate([[0.0], np.cumsum(case_rng.uniform(0.05, 0.3, size=n_total))])
-        states = [random_field(grid, case_rng) for _ in range(n_total + 1)]
-        full = Trajectory.start(states[0], zx)
-        for j in range(1, n_total + 1):
-            full.append(float(times[j]), states[j])
-        head = Trajectory.start(states[0], zx)
-        for j in range(1, split + 1):
-            head.append(float(times[j]), states[j])
-        prefix = ZPrefix.of(head)
-        window = Trajectory.start(states[split], zx)
-        for j in range(split + 1, n_total + 1):
-            window.append(float(times[j] - times[split]), states[j])
-        for j in range(split, n_total + 1):
-            z_c = chained_z_value(prefix, window, float(times[j] - times[split]))
-            z_f = z_process(full, float(times[j]))
-            worst = max(worst, abs(z_c - z_f) / max(abs(z_f), 1e-30))
+    lip_ok = cutoff_lipschitz_ok(88, level_lo=0.05, span=3.5)
+    worst = window_chaining_gap(900)
     ok = lip_ok and worst < 1e-12
     _report(
         "criterion-8-truncation",
@@ -343,9 +294,7 @@ def test_criterion_9_discrete_interpolation():
         n_states = int(rng.integers(3, 9))
         states = [random_field(grid, rng) for _ in range(n_states)]
         times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.4, size=n_states - 1))])
-        traj = Trajectory.start(states[0], zx)
-        for t, s in zip(times[1:], states[1:]):
-            traj.append(float(t), s)
+        traj = Trajectory.from_states(times, states, zx)
         t_end = float(times[-1])
         lhs = bochner_norm(traj, qt, float(zx.p2), t_end) ** qt
         sup_mass = max(lp_norm(s, 2) for s in states[:-1])

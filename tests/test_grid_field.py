@@ -31,13 +31,6 @@ PARAMS = ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(3, 2), lam=1)
 ZX = z_exponents(PARAMS)
 
 
-def make_trajectory(states, times, zexp=ZX):
-    traj = Trajectory.start(states[0], zexp, float(times[0]))
-    for t, s in zip(times[1:], states[1:]):
-        traj.append(float(t), s)
-    return traj
-
-
 def test_grid_validation():
     with pytest.raises(OutOfRange):
         Grid(d=4, n=8, L=1.0)
@@ -125,7 +118,7 @@ def test_mass_outside_central_halfbox():
 
 def test_bochner_norm_single_step_constant():
     f = constant_field(GRID, 1.0 + 0j)
-    traj = make_trajectory([f, f], [0.0, 2.0])
+    traj = Trajectory.from_states([0.0, 2.0], [f, f], ZX)
     # constant state: ||u||_{L^q(0,t;L^p)} = ||u||_p * t^(1/q)
     got = bochner_norm(traj, 4.0, 2.0, 2.0)
     assert got == pytest.approx(lp_norm(f, 2) * 2.0 ** 0.25, rel=1e-13)
@@ -136,16 +129,17 @@ def test_bochner_norm_piecewise_hand_quadrature():
     c = GRID.L ** -0.5  # unit L^2 norm constant field
     u1 = constant_field(GRID, c)
     u2 = constant_field(GRID, 2 * c)
-    traj = make_trajectory([u1, u2, u2], [0.0, 1.0, 2.0])
+    traj = Trajectory.from_states([0.0, 1.0, 2.0], [u1, u2, u2], ZX)
     q = 3.0
     assert bochner_norm(traj, q, 2.0, 2.0) == pytest.approx((1 + 2**q) ** (1 / q), rel=1e-13)
 
 
 def test_bochner_norm_sup_in_time():
     c = GRID.L ** -0.5
-    traj = make_trajectory(
-        [constant_field(GRID, c), constant_field(GRID, 3 * c), constant_field(GRID, 2 * c)],
+    traj = Trajectory.from_states(
         [0.0, 0.5, 1.0],
+        [constant_field(GRID, c), constant_field(GRID, 3 * c), constant_field(GRID, 2 * c)],
+        ZX,
     )
     assert bochner_norm(traj, math.inf, 2.0, 1.0) == pytest.approx(3.0, rel=1e-13)
     # left convention: at t = 0.5 only the first state counts
@@ -156,7 +150,7 @@ def test_z_process_zero_at_origin_and_matches_bochner():
     rng = np.random.default_rng(3)
     states = [random_field(GRID, rng) for _ in range(6)]
     times = [0.0, 0.2, 0.5, 0.6, 1.1, 1.4]
-    traj = make_trajectory(states, times)
+    traj = Trajectory.from_states(times, states, ZX)
     assert z_process(traj, 0.0, PARAMS) == 0.0
     for t in (0.2, 0.6, 1.4):
         expected = bochner_norm(traj, float(ZX.q), float(ZX.p1), t) + bochner_norm(
@@ -170,7 +164,7 @@ def test_z_process_gamma_one_uses_running_sup():
     zx1 = z_exponents(params1)
     rng = np.random.default_rng(4)
     states = [random_field(GRID, rng) for _ in range(4)]
-    traj = make_trajectory(states, [0.0, 0.5, 1.0, 1.5], zx1)
+    traj = Trajectory.from_states([0.0, 0.5, 1.0, 1.5], states, zx1)
     expected = bochner_norm(traj, float(zx1.q), float(zx1.p1), 1.5) + bochner_norm(
         traj, math.inf, 2.0, 1.5
     )
@@ -184,7 +178,7 @@ def test_z_process_monotone_and_continuous():
         states = [random_field(GRID, rng) for _ in range(n_states)]
         times = np.cumsum(rng.uniform(0.05, 0.5, size=n_states))
         times -= times[0]
-        traj = make_trajectory(states, times)
+        traj = Trajectory.from_states(times, states, ZX)
         zs = [z_process(traj, t) for t in np.linspace(0.0, times[-1], 23)]
         assert all(b >= a - 1e-12 for a, b in zip(zs, zs[1:]))
 
@@ -199,7 +193,7 @@ def test_discrete_interpolation_inequality():
         n_states = int(rng.integers(3, 9))
         states = [random_field(GRID, rng) for _ in range(n_states)]
         times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.4, size=n_states - 1))])
-        traj = make_trajectory(states, times)
+        traj = Trajectory.from_states(times, states, ZX)
         t_end = float(times[-1])
         lhs = bochner_norm(traj, qt, float(ZX.p2), t_end) ** qt
         sup_mass = max(lp_norm(s, 2) for s in states[:-1])
@@ -209,9 +203,12 @@ def test_discrete_interpolation_inequality():
 
 def test_trajectory_times_must_increase():
     f = zero_field(GRID)
-    traj = Trajectory.start(f, ZX)
     with pytest.raises(OutOfRange):
-        traj.append(0.0, f)
+        Trajectory.from_states([0.0, 0.0], [f, f], ZX)
+    with pytest.raises(OutOfRange):
+        Trajectory.from_states([0.0, 1.0, 0.5], [f, f, f], ZX)
+    with pytest.raises(GridMismatch):
+        Trajectory.from_states([0.0, 1.0], [f, zero_field(Grid(d=1, n=32, L=8.0))], ZX)
 
 
 def test_field_serialization_roundtrip():
@@ -237,7 +234,7 @@ def test_serialization_header_layout():
 
 def test_trajectory_csv_layout():
     f = gaussian_field(GRID, 1.0, 1.0)
-    traj = make_trajectory([f, f], [0.0, 1.0])
+    traj = Trajectory.from_states([0.0, 1.0], [f, f], ZX)
     lines = list(trajectory_csv_lines(traj))
     assert lines[0] == "t,mass,z_component_1,z_component_2,z_total"
     assert len(lines) == 3
@@ -251,7 +248,7 @@ def test_trajectory_csv_columns_match_pointwise_lookups():
     rng = np.random.default_rng(8)
     for zexp in (ZX, z_exponents(ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(1), lam=1))):
         states = [random_field(GRID, rng) for _ in range(7)]
-        traj = make_trajectory(states, np.cumsum(rng.uniform(0.05, 0.4, size=7)) - 0.05, zexp)
+        traj = Trajectory.from_states(np.cumsum(rng.uniform(0.05, 0.4, size=7)) - 0.05, states, zexp)
         lines = list(trajectory_csv_lines(traj))[1:]
         assert len(lines) == len(traj)
         for j, line in enumerate(lines):

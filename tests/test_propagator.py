@@ -113,10 +113,7 @@ def test_grid_mismatch_rejected():
 
 
 def _forcing_trajectory(states, times):
-    traj = Trajectory.start(states[0], ZX, float(times[0]))
-    for t, s in zip(times[1:], states[1:]):
-        traj.append(float(t), s)
-    return traj
+    return Trajectory.from_states(times, states, ZX)
 
 
 def test_duhamel_zero_forcing():

@@ -175,16 +175,15 @@ def test_picard_fixed_point_satisfies_mild_equation():
     gamma = float(cfg.params.gamma)
     zx = z_exponents(cfg.params)
 
-    forcing = Trajectory.start(_mild_forcing(traj.state_at_index(0), model, alpha, gamma, cfg.params.lam), zx)
+    forcings = []
     mode_fields = np.empty((len(traj), model.n_modes, grid.size), dtype=complex)
     for j in range(len(traj)):
         uj = traj.state_at_index(j)
-        if j > 0:
-            forcing.append(traj.times[j], _mild_forcing(uj, model, alpha, gamma, cfg.params.lam))
+        forcings.append(_mild_forcing(uj, model, alpha, gamma, cfg.params.lam))
         mode_fields[j] = -1j * model.coeffs * (np.abs(uj.values) ** (gamma - 1.0) * uj.values)[None, :]
 
     T = cfg.T
-    det = duhamel_convolution(forcing, T)
+    det = duhamel_convolution(Trajectory.from_states(traj.times, forcings, zx), T)
     sto = stochastic_convolution(ModeForcing(grid, path.mesh, mode_fields), path, T)
     expected = fe(u0, T).values + det.values + sto.values
     got = traj.state_at_index(-1).values
@@ -293,27 +292,26 @@ def test_picard_mass_inequality_overshoot_shrinks():
 def test_path_coincidence_trivial_and_noisy():
     # linear free equation: discrepancy at rounding level
     cfg = config(scheme="picard", noise_spec=NO_NOISE, enable_nonlinearity=False)
-    path = path_for(cfg, 0)
-    assert path_coincidence_check(cfg, path, (2.0, 4.0)) < 1e-12
+    (gap,), _ = path_coincidence_check(cfg, [path_for(cfg, 0)], (2.0, 4.0))
+    assert gap < 1e-12
 
     cfg2 = config(scheme="picard", ic_spec={"kind": "gaussian_bump", "amplitude": 1.2, "width": 2.0})
-    for pi in range(3):
-        path = path_for(cfg2, pi)
-        assert path_coincidence_check(cfg2, path, (3.5, 7.0)) <= 1e-7
+    gaps, _ = path_coincidence_check(cfg2, [path_for(cfg2, pi) for pi in range(3)], (3.5, 7.0))
+    assert max(gaps) <= 1e-7
 
 
 def test_path_coincidence_is_exact_before_tau():
     """Up to the lower level's stopping time both cutoffs read 1, so the
     two runs perform the same arithmetic and agree bitwise."""
     cfg = config(scheme="picard", ic_spec={"kind": "gaussian_bump", "amplitude": 1.2, "width": 2.0})
-    for pi in range(3):
-        assert path_coincidence_check(cfg, path_for(cfg, pi), (3.5, 7.0)) == 0.0
+    gaps, _ = path_coincidence_check(cfg, [path_for(cfg, pi) for pi in range(3)], (3.5, 7.0))
+    assert gaps == [0.0, 0.0, 0.0]
 
 
 def test_path_coincidence_rejects_bad_levels():
     cfg = config(scheme="picard")
     with pytest.raises(ConfigError):
-        path_coincidence_check(cfg, path_for(cfg, 0), (4.0, 2.0))
+        path_coincidence_check(cfg, [path_for(cfg, 0)], (4.0, 2.0))
 
 
 def test_solve_dispatch_and_report_dict():
@@ -394,14 +392,12 @@ def test_batch_results_are_bitwise_independent_of_the_batch(scheme, level, order
 
 @pytest.mark.parametrize("scheme", ["picard", "splitstep"])
 def test_append_rebuild_matches_engine_columns(scheme):
-    """`Trajectory.append` and the engine share one arithmetic for the
-    norms and the accumulators: rebuilding a kept-states solve state by
-    state reproduces its columns bitwise."""
+    """`Trajectory.from_states` and the engine share one arithmetic for the
+    norms and the accumulators: rebuilding a kept-states solve from its
+    states reproduces its columns bitwise."""
     cfg = config(scheme=scheme, ic_spec=CUTOFF_IC, truncation_level=3.5)
     traj = solve(cfg, path_index=1).trajectory
-    rebuilt = Trajectory.start(traj.state_at_index(0), traj.zexp)
-    for j in range(1, len(traj)):
-        rebuilt.append(traj.times[j], traj.state_at_index(j))
+    rebuilt = Trajectory.from_states(traj.times, [traj.state_at_index(j) for j in range(len(traj))], traj.zexp)
     for name in ("times", "running_mass", "acc1", "acc2"):
         assert np.array_equal(getattr(rebuilt, name), getattr(traj, name)), name
     assert rebuilt.last_norms == traj.last_norms

@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 failed verification assertion, 2 invalid
 configuration, 3 solver failure (a step blew up, in either scheme), 4 I/O failure.
 Machine-readable failure reasons go to standard error as one JSON line.
+`main` alone turns an exception into an exit code: SolverError gives 3, any
+other SnlsError 2 and OSError 4; every reader of outside input (config,
+field specs, --levels, table rows, SNLS_THREADS) raises ConfigError on a
+malformed value.
 
 Run directories are self-describing: every simulate/ensemble invocation
 writes a manifest listing each output file with its SHA-256, the canonical
@@ -23,8 +27,8 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .config import config_hash, config_to_dict, load_config
-from .errors import ConfigError, NotAdmissible, OutOfRange, SnlsError, SolverError
+from .config import config_hash, config_to_dict, load_config, write_json
+from .errors import ConfigError, OutOfRange, SnlsError, SolverError
 from .exponents import (
     ModelParams,
     as_fraction,
@@ -34,7 +38,7 @@ from .exponents import (
 )
 from .grid_field import write_trajectory_csv
 from .montecarlo import run_ensemble, truncation_uniformity_study
-from .solver import solve
+from .solver import SCHEMES, solve
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -59,18 +63,21 @@ _EXP_HEADER = (
 )
 
 
-def _exponent_row(d: int, alpha, gamma) -> str:
-    params = ModelParams(d=d, alpha=as_fraction(alpha), gamma=as_fraction(gamma), lam=1)
-    zx = z_exponents(params)
-    boot = bootstrap_exponents(params)
+def _exponent_row(d, alpha, gamma) -> str:
     try:
-        bound = str(gamma_global_bound(d, params.alpha))
+        params = ModelParams(d=int(d), alpha=as_fraction(alpha), gamma=as_fraction(gamma), lam=1)
+        zx = z_exponents(params)
+        boot = bootstrap_exponents(params)
+    except (SnlsError, ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"(d={d}, alpha={alpha}, gamma={gamma}): {exc}") from exc
+    try:
+        bound = str(gamma_global_bound(params.d, params.alpha))
     except OutOfRange:
         bound = ""
     q_tilde = "inf" if not zx.q_tilde_finite else str(zx.q_tilde)
     return ",".join(
         [
-            str(d),
+            str(params.d),
             str(params.alpha),
             str(params.gamma),
             str(zx.q),
@@ -86,30 +93,24 @@ def _exponent_row(d: int, alpha, gamma) -> str:
     )
 
 
+def _table_rows(path) -> list:
+    """The (d, alpha, gamma) rows of a CSV table file; header rows are skipped."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = [rec for rec in csv.reader(fh) if rec and rec[0].strip().lower() != "d"]
+    for rec in rows:
+        if len(rec) < 3:
+            raise ConfigError(f"table row {rec} does not give d, alpha and gamma")
+    return [[x.strip() for x in rec[:3]] for rec in rows]
+
+
 def cmd_exponents(args) -> int:
-    rows = []
     if args.table_file:
-        try:
-            with open(args.table_file, "r", encoding="utf-8", newline="") as fh:
-                for rec in csv.reader(fh):
-                    if not rec or rec[0].strip().lower() == "d":
-                        continue
-                    rows.append((int(rec[0]), rec[1].strip(), rec[2].strip()))
-        except OSError as exc:
-            return _fail(EXIT_IO, "IOError", f"cannot read table file: {exc}")
-        except (ValueError, IndexError) as exc:
-            return _fail(EXIT_CONFIG, "ConfigError", f"bad table row: {exc}")
+        rows = _table_rows(args.table_file)
+    elif args.d is None or args.alpha is None or args.gamma is None:
+        raise ConfigError("give --d, --alpha and --gamma, or --table-file")
     else:
-        if args.d is None or args.alpha is None or args.gamma is None:
-            return _fail(EXIT_CONFIG, "ConfigError", "give --d, --alpha and --gamma, or --table-file")
-        rows.append((args.d, args.alpha, args.gamma))
-    out = [_EXP_HEADER]
-    for d, alpha, gamma in rows:
-        try:
-            out.append(_exponent_row(d, alpha, gamma))
-        except (OutOfRange, NotAdmissible, ValueError, ZeroDivisionError) as exc:
-            return _fail(EXIT_CONFIG, type(exc).__name__, f"(d={d}, alpha={alpha}, gamma={gamma}): {exc}")
-    print("\n".join(out))
+        rows = [(args.d, args.alpha, args.gamma)]
+    print("\n".join([_EXP_HEADER] + [_exponent_row(*row) for row in rows]))
     return EXIT_OK
 
 
@@ -203,10 +204,7 @@ def write_manifest(out_dir, command: str, config, extra: dict, filenames) -> dic
         },
     }
     manifest.update(extra)
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
 
 
@@ -217,127 +215,84 @@ def write_manifest(out_dir, command: str, config, extra: dict, filenames) -> dic
 
 def _load_config_for_cli(args):
     config = load_config(args.config)
-    if getattr(args, "scheme", None):
+    if args.scheme:
         config = replace(config, scheme=args.scheme)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = replace(config, seed=args.seed)
     return config
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config = _load_config_for_cli(args)
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, "ConfigError", str(exc))
-    except OSError as exc:
-        return _fail(EXIT_IO, "IOError", str(exc))
-    try:
-        report = solve(config, path_index=args.path_index)
-    except SolverError as exc:
-        return _fail(EXIT_SOLVER, type(exc).__name__, str(exc))
-    except SnlsError as exc:
-        return _fail(EXIT_CONFIG, type(exc).__name__, str(exc))
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), report.trajectory)
-        report_doc = report.summary_dict()
-        report_doc["config"] = config_to_dict(config)
-        report_doc["config_hash"] = config_hash(config)
-        with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
-            json.dump(report_doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        files = ["trajectory.csv", "report.json"]
-        if args.plot:
-            traj = report.trajectory
-            c1, c2 = traj.z_columns()
-            svg = render_svg_plot(
-                traj.times.tolist(),
-                {
-                    "mass": traj.running_mass.tolist(),
-                    "z_total": (c1 + c2).tolist(),
-                },
-                title=f"single path (scheme={config.scheme}, seed={config.seed}, path={args.path_index})",
-            )
-            with open(os.path.join(args.out, "plot.svg"), "w", encoding="utf-8") as fh:
-                fh.write(svg)
-            files.append("plot.svg")
-        manifest = write_manifest(
-            args.out, "simulate", config, {"tau": report.tau, "path_index": args.path_index}, files
+    config = _load_config_for_cli(args)
+    report = solve(config, path_index=args.path_index, keep_states=False)
+    os.makedirs(args.out, exist_ok=True)
+    write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), report.trajectory)
+    report_doc = report.summary_dict()
+    report_doc["config"] = config_to_dict(config)
+    report_doc["config_hash"] = config_hash(config)
+    write_json(os.path.join(args.out, "report.json"), report_doc)
+    files = ["trajectory.csv", "report.json"]
+    if args.plot:
+        traj = report.trajectory
+        c1, c2 = traj.z_columns()
+        svg = render_svg_plot(
+            traj.times.tolist(),
+            {
+                "mass": traj.running_mass.tolist(),
+                "z_total": (c1 + c2).tolist(),
+            },
+            title=f"single path (scheme={config.scheme}, seed={config.seed}, path={args.path_index})",
         )
-    except OSError as exc:
-        return _fail(EXIT_IO, "IOError", str(exc))
+        with open(os.path.join(args.out, "plot.svg"), "w", encoding="utf-8") as fh:
+            fh.write(svg)
+        files.append("plot.svg")
+    manifest = write_manifest(
+        args.out, "simulate", config, {"tau": report.tau, "path_index": args.path_index}, files
+    )
     print(json.dumps({"out": args.out, "tau": report.tau, "config_hash": manifest["config_hash"]}))
     return EXIT_OK
 
 
 def cmd_ensemble(args) -> int:
-    try:
-        config = _load_config_for_cli(args)
-        levels = [float(x) for x in args.levels.split(",")] if args.levels else None
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, "ConfigError", str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_CONFIG, "ConfigError", f"bad --levels: {exc}")
-    except OSError as exc:
-        return _fail(EXIT_IO, "IOError", str(exc))
+    config = _load_config_for_cli(args)
+    levels = args.levels.split(",") if args.levels else None
     if args.keep_paths and levels:
-        return _fail(EXIT_CONFIG, "ConfigError", "--keep-paths is not supported together with --levels")
-    persist_dir = None
-    if args.keep_paths:
-        persist_dir = os.path.join(args.out, f"paths-{config_hash(config)[:12]}")
-    try:
-        if levels:
-            study = truncation_uniformity_study(config, levels, args.paths, seed=config.seed)
-            summary_doc = study.to_dict()
-        else:
-            summary = run_ensemble(config, args.paths, seed=config.seed, persist_dir=persist_dir)
-            summary_doc = summary.to_dict()
-    except SolverError as exc:
-        return _fail(EXIT_SOLVER, type(exc).__name__, str(exc))
-    except (SnlsError, ValueError) as exc:
-        return _fail(EXIT_CONFIG, type(exc).__name__, str(exc))
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
-            json.dump(summary_doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        files = ["summary.json"]
-        if levels:
-            with open(os.path.join(args.out, "levels.csv"), "w", newline="") as fh:
-                fh.write("level,mean_yt_norm,stderr_yt_norm,tau_equals_T_frequency,n_failed\r\n")
-                for lev, s in zip(study.levels, study.summaries):
-                    fh.write(
-                        f"{lev!r},{s.mean_yt_norm!r},{s.stderr_yt_norm!r},"
-                        f"{s.tau_equals_T_frequency!r},{s.n_failed}\r\n"
-                    )
-            files.append("levels.csv")
-        if persist_dir is not None:
-            rel = os.path.relpath(persist_dir, args.out)
-            files.extend(os.path.join(rel, name) for name in sorted(os.listdir(persist_dir)))
-        write_manifest(args.out, "ensemble", config, {"paths": args.paths}, files)
-    except OSError as exc:
-        return _fail(EXIT_IO, "IOError", str(exc))
+        raise ConfigError("--keep-paths is not supported together with --levels")
+    persist_dir = os.path.join(args.out, f"paths-{config_hash(config)[:12]}") if args.keep_paths else None
+    if levels:
+        study = truncation_uniformity_study(config, levels, args.paths, seed=config.seed)
+        summary_doc = study.to_dict()
+    else:
+        summary_doc = run_ensemble(config, args.paths, seed=config.seed, persist_dir=persist_dir).to_dict()
+    os.makedirs(args.out, exist_ok=True)
+    write_json(os.path.join(args.out, "summary.json"), summary_doc)
+    files = ["summary.json"]
+    if levels:
+        with open(os.path.join(args.out, "levels.csv"), "w", newline="") as fh:
+            fh.write("level,mean_yt_norm,stderr_yt_norm,tau_equals_T_frequency,n_failed\r\n")
+            for lev, s in zip(study.levels, study.summaries):
+                fh.write(
+                    f"{lev!r},{s.mean_yt_norm!r},{s.stderr_yt_norm!r},"
+                    f"{s.tau_equals_T_frequency!r},{s.n_failed}\r\n"
+                )
+        files.append("levels.csv")
+    if persist_dir is not None:
+        rel = os.path.relpath(persist_dir, args.out)
+        files.extend(os.path.join(rel, name) for name in sorted(os.listdir(persist_dir)))
+    write_manifest(args.out, "ensemble", config, {"paths": args.paths}, files)
     print(json.dumps({"out": args.out, "paths": args.paths}))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        results = run_suites(args.suite)
-    except KeyError as exc:
-        return _fail(EXIT_CONFIG, "ConfigError", str(exc))
+    results = run_suites(args.suite)
     for suite_name, suite in results["suites"].items():
         for check in suite["checks"]:
             status = "PASS" if check["passed"] else "FAIL"
             print(f"{status} {suite_name}/{check['name']}: {check['detail']}")
     print(f"{'PASS' if results['passed'] else 'FAIL'} overall")
     if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(results, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            return _fail(EXIT_IO, "IOError", str(exc))
+        write_json(args.json, results)
     return EXIT_OK if results["passed"] else EXIT_VERIFY_FAILED
 
 
@@ -362,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="solve a single path and persist the run")
     p_sim.add_argument("config", help="JSON config file")
-    p_sim.add_argument("--scheme", choices=["picard", "splitstep"], help="override config scheme")
+    p_sim.add_argument("--scheme", choices=SCHEMES, help="override config scheme")
     p_sim.add_argument("--seed", type=int, help="override config seed")
     p_sim.add_argument("--path-index", type=int, default=0)
     p_sim.add_argument("--out", default="run", help="output directory")
@@ -373,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens.add_argument("config")
     p_ens.add_argument("--paths", type=int, required=True)
     p_ens.add_argument("--levels", help="comma-separated truncation levels for a level study")
-    p_ens.add_argument("--scheme", choices=["picard", "splitstep"])
+    p_ens.add_argument("--scheme", choices=SCHEMES)
     p_ens.add_argument("--seed", type=int)
     p_ens.add_argument("--out", default="run")
     p_ens.add_argument(
@@ -394,7 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SolverError as exc:
+        return _fail(EXIT_SOLVER, type(exc).__name__, str(exc))
+    except SnlsError as exc:
+        return _fail(EXIT_CONFIG, type(exc).__name__, str(exc))
+    except OSError as exc:
+        return _fail(EXIT_IO, "IOError", str(exc))
 
 
 if __name__ == "__main__":

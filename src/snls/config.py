@@ -13,9 +13,11 @@ and solver knobs have documented defaults:
     enable_nonlinearity true
 
 alpha and gamma accept integers, floats or exact "p/q" strings and are kept
-as exact rationals internally.  `config_hash` is the SHA-256 of the
-canonical JSON serialization (sorted keys, compact separators), so equal
-configs hash equally regardless of input formatting.
+as exact rationals internally; the enable_* switches accept only JSON
+booleans.  A value that cannot be read as its type raises ConfigError.
+`config_hash` is the SHA-256 of the canonical JSON serialization (sorted
+keys, compact separators), so equal configs hash equally regardless of
+input formatting.
 """
 
 from __future__ import annotations
@@ -23,30 +25,39 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from fractions import Fraction
 
 from .errors import ConfigError, OutOfRange
 from .exponents import ModelParams, as_fraction
 from .grid_field import Grid
-from .solver import SCHEMES, SimConfig
+from .solver import SimConfig
 
-_TOP_KEYS = {
-    "d",
-    "alpha",
-    "gamma",
-    "lambda",
-    "T",
-    "dt",
-    "grid",
-    "scheme",
-    "truncation_level",
-    "seed",
-    "enable_laplacian",
-    "enable_nonlinearity",
-    "initial_condition",
-    "noise",
-}
 _REQUIRED = ("d", "alpha", "gamma", "lambda", "T", "initial_condition", "noise")
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected a JSON boolean, got {value!r}")
+    return value
+
+
+# How each scalar config value is read; SimConfig holds the defaults of the
+# optional solver knobs.
+_READERS = {
+    "d": int,
+    "alpha": as_fraction,
+    "gamma": as_fraction,
+    "lambda": int,
+    "T": float,
+    "dt": float,
+    "grid.n": int,
+    "grid.L": float,
+    "scheme": str,
+    "truncation_level": float,
+    "seed": int,
+    "enable_laplacian": _flag,
+    "enable_nonlinearity": _flag,
+}
+_TOP_KEYS = {key.split(".")[0] for key in _READERS} | {"initial_condition", "noise"}
 
 
 def parse_config_dict(doc: dict) -> SimConfig:
@@ -58,43 +69,36 @@ def parse_config_dict(doc: dict) -> SimConfig:
     missing = [k for k in _REQUIRED if k not in doc]
     if missing:
         raise ConfigError(f"missing required config keys (no defaults on physics): {missing}")
-    try:
-        params = ModelParams(
-            d=int(doc["d"]),
-            alpha=as_fraction(doc["alpha"]),
-            gamma=as_fraction(doc["gamma"]),
-            lam=int(doc["lambda"]),
-        )
-    except OutOfRange as exc:
-        raise ConfigError(f"invalid model parameters: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"unreadable model parameters: {exc}") from exc
     grid_doc = doc.get("grid", {})
     if not isinstance(grid_doc, dict) or set(grid_doc) - {"n", "L"}:
         raise ConfigError(f"grid must be an object with keys n, L; got {grid_doc!r}")
+    raw = dict(doc, **{f"grid.{k}": v for k, v in grid_doc.items()})
+    values = {}
+    for key, read in _READERS.items():
+        if key in raw:
+            try:
+                values[key] = read(raw[key])
+            except (TypeError, ValueError, ArithmeticError) as exc:
+                raise ConfigError(f"malformed value for config key {key!r}: {exc}") from exc
     try:
-        grid = Grid(d=params.d, n=int(grid_doc.get("n", 256)), L=float(grid_doc.get("L", 64.0)))
+        params = ModelParams(
+            d=values.pop("d"),
+            alpha=values.pop("alpha"),
+            gamma=values.pop("gamma"),
+            lam=values.pop("lambda"),
+        )
+        grid = Grid(d=params.d, n=values.pop("grid.n", 256), L=values.pop("grid.L", 64.0))
     except OutOfRange as exc:
-        raise ConfigError(f"invalid grid: {exc}") from exc
-    T = float(doc["T"])
-    dt = float(doc.get("dt", T / 256.0))
-    level = doc.get("truncation_level", "inf")
-    if isinstance(level, str):
-        if level.lower() not in ("inf", "infinity"):
-            raise ConfigError(f"truncation_level string must be 'inf', got {level!r}")
-        level = math.inf
+        raise ConfigError(f"invalid model parameters or grid: {exc}") from exc
+    T = values.pop("T")
     return SimConfig(
         params=params,
         grid=grid,
         noise_spec=doc["noise"],
         ic_spec=doc["initial_condition"],
         T=T,
-        dt=dt,
-        scheme=str(doc.get("scheme", "splitstep")),
-        truncation_level=float(level),
-        seed=int(doc.get("seed", 0)),
-        enable_laplacian=bool(doc.get("enable_laplacian", True)),
-        enable_nonlinearity=bool(doc.get("enable_nonlinearity", True)),
+        dt=values.pop("dt", T / 256.0),
+        **values,
     )
 
 
@@ -102,21 +106,25 @@ def load_config(path) -> SimConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     return parse_config_dict(doc)
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
+def write_json(path, doc) -> None:
+    """Write `doc` as strict JSON (indented, keys sorted, newline-terminated);
+    a NaN or infinity in it raises ValueError."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
 
 
 def config_to_dict(config: SimConfig) -> dict:
     """Canonical, JSON-ready echo of a SimConfig (exact rationals as strings)."""
     return {
         "d": config.params.d,
-        "alpha": _frac_str(config.params.alpha),
-        "gamma": _frac_str(config.params.gamma),
+        "alpha": str(config.params.alpha),
+        "gamma": str(config.params.gamma),
         "lambda": config.params.lam,
         "T": config.T,
         "dt": config.dt,
@@ -140,10 +148,10 @@ def config_hash(config: SimConfig) -> str:
 
 
 __all__ = [
-    "SCHEMES",
     "canonical_json",
     "config_hash",
     "config_to_dict",
     "load_config",
     "parse_config_dict",
+    "write_json",
 ]

@@ -12,22 +12,26 @@ never silently dropped from denominators.
 
 Worker count: the SNLS_THREADS environment variable caps process workers,
 which take whole chunks (0 = one per CPU); unset or 1 runs serially
-in-process.
+in-process, and a value that is not an integer raises ConfigError.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import SolverError
+from .config import write_json
+from .errors import ConfigError, SolverError
 from .solver import SimConfig, materialize, sample_brownian_path, solve_paths
 
 _TAU_EQ_T_RTOL = 1e-9
+# Powers p of the per-path sup mass whose ensemble means are reported.
+_SUP_MASS_POWERS = (1.0, 2.0)
+# Slack of `chebyshev_consistency`, in standard errors.
+_CHEBYSHEV_SLACK_STDERRS = 3.0
 
 # Cap on the bytes of one chunk's (P, grid.size) complex128 stack.  Set from
 # paths/s measured at caps of 16 KiB to 16 MiB (2 CPUs, d = 1 and d = 2
@@ -94,10 +98,7 @@ def _persist(persist_dir: str | None, outcome: PathOutcome, report) -> None:
     if report is not None:
         doc["report"] = report.summary_dict()
     os.makedirs(persist_dir, exist_ok=True)
-    path = os.path.join(persist_dir, f"path_{outcome.path_index:05d}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(persist_dir, f"path_{outcome.path_index:05d}.json"), doc)
 
 
 @dataclass
@@ -131,9 +132,9 @@ class EnsembleSummary:
             "seed": self.seed,
             "scheme": self.scheme,
             "truncation_level": _json_float(self.truncation_level),
-            "mean_yt_norm": self.mean_yt_norm,
-            "stderr_yt_norm": self.stderr_yt_norm,
-            "mean_sup_mass_p": {str(p): [m, s] for p, (m, s) in self.mean_sup_mass_p.items()},
+            "mean_yt_norm": _json_float(self.mean_yt_norm),
+            "stderr_yt_norm": _json_float(self.stderr_yt_norm),
+            "mean_sup_mass_p": {str(p): [_json_float(x) for x in ms] for p, ms in self.mean_sup_mass_p.items()},
             "tau_equals_T_frequency": self.tau_equals_T_frequency,
             "stderr_tau_frequency": self.stderr_tau_frequency,
             "taus": [_json_float(x) for x in self.taus],
@@ -163,8 +164,8 @@ def worker_count(n_paths: int) -> int:
     raw = os.environ.get("SNLS_THREADS", "1")
     try:
         w = int(raw)
-    except ValueError:
-        w = 1
+    except ValueError as exc:
+        raise ConfigError(f"SNLS_THREADS must be an integer, got {raw!r}") from exc
     if w == 0:
         w = os.cpu_count() or 1
     return max(1, min(w, n_paths))
@@ -182,7 +183,6 @@ def run_ensemble(
     config: SimConfig,
     n_paths: int,
     seed: int | None = None,
-    sup_mass_powers=(1.0, 2.0),
     persist_dir: str | None = None,
 ) -> EnsembleSummary:
     """Solve n_paths independent paths and aggregate the statistics.
@@ -191,7 +191,7 @@ def run_ensemble(
     path index) in addition to the aggregated summary.
     """
     if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
+        raise ConfigError(f"an ensemble needs at least 2 paths, got {n_paths}")
     if seed is not None:
         config = replace(config, seed=int(seed))
     workers = worker_count(n_paths)
@@ -216,12 +216,9 @@ def run_ensemble(
     failures = [(o.path_index, o.error) for o in outcomes if not o.ok]
 
     mean_yt, se_yt = _mean_stderr(yt[ok])
-    sup_mass_p = {}
-    for p in sup_mass_powers:
-        sup_mass_p[float(p)] = _mean_stderr(sm[ok] ** float(p))
+    sup_mass_p = {p: _mean_stderr(sm[ok] ** p) for p in _SUP_MASS_POWERS}
     hits = ok & (taus >= config.T * (1.0 - _TAU_EQ_T_RTOL))
-    freq = float(np.mean(hits))
-    se_freq = float(np.std(hits.astype(float), ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
+    freq, se_freq = _mean_stderr(hits.astype(float))
 
     return EnsembleSummary(
         n_paths=n_paths,
@@ -267,9 +264,12 @@ def truncation_uniformity_study(
     same Brownian increments; the max/min ratio of the per-level means
     reports how uniform the estimates are across levels.
     """
-    levels = [float(l) for l in levels]
+    try:
+        levels = [float(l) for l in levels]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"truncation levels must be numbers, got {levels}") from exc
     if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError(f"levels must be strictly increasing, got {levels}")
+        raise ConfigError(f"levels must be strictly increasing, got {levels}")
     summaries = []
     for level in levels:
         cfg = replace(config, scheme="picard", truncation_level=level)
@@ -282,7 +282,7 @@ def truncation_uniformity_study(
     return UniformityStudy(levels=levels, summaries=summaries, max_over_min_ratio=ratio)
 
 
-def chebyshev_consistency(summary: EnsembleSummary, levels, slack_stderrs: float = 3.0):
+def chebyshev_consistency(summary: EnsembleSummary, levels):
     """Markov-style check: empirical P(Z_T >= n) <= mean(Z_T)/n + slack.
 
     Holds exactly for the empirical measure (1[z >= n] <= z/n pointwise);
@@ -296,9 +296,8 @@ def chebyshev_consistency(summary: EnsembleSummary, levels, slack_stderrs: float
     mean_z, se_z = _mean_stderr(z)
     for n in levels:
         n = float(n)
-        freq = float(np.mean(z >= n))
-        se_freq = float(np.std((z >= n).astype(float), ddof=1) / math.sqrt(z.size)) if z.size > 1 else 0.0
-        bound = mean_z / n + slack_stderrs * (se_freq + se_z / n)
+        freq, se_freq = _mean_stderr((z >= n).astype(float))
+        bound = mean_z / n + _CHEBYSHEV_SLACK_STDERRS * (se_freq + se_z / n)
         records.append(
             {"level": n, "frequency": freq, "bound": bound, "ok": freq <= bound}
         )

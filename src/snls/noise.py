@@ -77,19 +77,8 @@ class NoiseModel:
         return self.n_modes + self.n_linear_modes
 
 
-def make_noise_model(coeffs, linear_coeffs=(), grid: Grid | None = None) -> NoiseModel:
-    """Build a NoiseModel from ComplexFields or flat arrays of coefficients."""
-    coeffs = list(coeffs)
-    linear_coeffs = list(linear_coeffs)
-    inferred = None
-    for c in coeffs + linear_coeffs:
-        if isinstance(c, ComplexField):
-            inferred = c.grid
-            break
-    grid = grid or inferred
-    if grid is None:
-        raise GridMismatch("grid must be given when coefficients are raw arrays")
-
+def make_noise_model(coeffs, linear_coeffs, grid: Grid) -> NoiseModel:
+    """Build a NoiseModel on `grid` from ComplexFields or flat arrays of coefficients."""
     def to_rows(items) -> list[np.ndarray]:
         rows = []
         for c in items:
@@ -114,8 +103,11 @@ def make_noise_model(coeffs, linear_coeffs=(), grid: Grid | None = None) -> Nois
     b.setflags(write=False)
     conservative = bool(np.all(np.abs(e.imag) <= _REAL_TOL)) if e.size else True
     linear_real = bool(np.all(np.abs(b.imag) <= _REAL_TOL)) if b.size else True
-    sum_e = float(np.sum(np.max(np.abs(e), axis=1) ** 2)) if e.size else 0.0
-    sum_b = float(np.sum(np.max(np.abs(b), axis=1) ** 2)) if b.size else 0.0
+    with np.errstate(over="ignore"):
+        sum_e = float(np.sum(np.max(np.abs(e), axis=1) ** 2)) if e.size else 0.0
+        sum_b = float(np.sum(np.max(np.abs(b), axis=1) ** 2)) if b.size else 0.0
+    if not np.isfinite(sum_e + sum_b):
+        raise UnboundedCoefficient("coefficients too large: their squared sup norms overflow")
     mu1 = -0.5 * np.sum(np.abs(e) ** 2, axis=0) if e.size else np.zeros(grid.size)
     mu2 = -0.5 * np.sum(np.abs(b) ** 2, axis=0) if b.size else np.zeros(grid.size)
     mu1.setflags(write=False)
@@ -154,13 +146,6 @@ class BrownianPath:
     @property
     def n_steps(self) -> int:
         return self.increments.shape[1]
-
-    def cumulative(self) -> np.ndarray:
-        """beta_m at mesh points: shape (M, len(mesh)); beta_m(mesh[0]) = 0."""
-        M = self.increments.shape[0]
-        out = np.zeros((M, self.mesh.size))
-        np.cumsum(self.increments, axis=1, out=out[:, 1:])
-        return out
 
 
 def _checked_mesh(mesh) -> np.ndarray:

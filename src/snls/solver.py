@@ -90,7 +90,7 @@ class SimConfig:
         if not (self.dt > 0 and self.dt <= self.T):
             raise ConfigError(f"dt must lie in (0, T], got {self.dt}")
         steps = self.T / self.dt
-        if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
             raise ConfigError(f"dt={self.dt} does not divide T={self.T}")
         if not self.truncation_level > 0:
             raise ConfigError(f"truncation level must be positive, got {self.truncation_level}")

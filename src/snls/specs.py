@@ -14,6 +14,8 @@ Noise specs:
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import ConfigError
 from .grid_field import (
     ComplexField,
@@ -39,30 +41,37 @@ def build_field(spec: dict, grid: Grid) -> ComplexField:
         raise ConfigError(f"field spec must be an object with a 'kind', got {spec!r}")
     kind = spec["kind"]
     try:
-        if kind == "constant":
-            return constant_field(grid, _as_complex(spec["value"]))
-        if kind == "gaussian_bump":
-            return gaussian_field(
-                grid,
-                amplitude=_as_complex(spec.get("amplitude", 1.0)),
-                width=float(spec.get("width", 1.0)),
-                center=spec.get("center"),
-            )
-        if kind == "plane_wave":
-            return plane_wave_field(
-                grid,
-                mode=spec.get("mode", [0] * grid.d),
-                amplitude=_as_complex(spec.get("amplitude", 1.0)),
-            )
-        if kind == "file":
-            f = read_field(spec["path"])
-            if f.grid != grid:
-                raise ConfigError(
-                    f"field file {spec['path']!r} carries grid {f.grid}, expected {grid}"
+        # a value that overflows gives a non-finite field, which ComplexField
+        # rejects, instead of a numpy warning
+        with np.errstate(all="ignore"):
+            if kind == "constant":
+                return constant_field(grid, _as_complex(spec["value"]))
+            if kind == "gaussian_bump":
+                return gaussian_field(
+                    grid,
+                    amplitude=_as_complex(spec.get("amplitude", 1.0)),
+                    width=float(spec.get("width", 1.0)),
+                    center=spec.get("center"),
                 )
-            return f
+            if kind == "plane_wave":
+                return plane_wave_field(
+                    grid,
+                    mode=spec.get("mode", [0] * grid.d),
+                    amplitude=_as_complex(spec.get("amplitude", 1.0)),
+                )
+            if kind == "file":
+                if not isinstance(spec["path"], str):
+                    raise ConfigError(f"field file path must be a string, got {spec['path']!r}")
+                f = read_field(spec["path"])
+                if f.grid != grid:
+                    raise ConfigError(
+                        f"field file {spec['path']!r} carries grid {f.grid}, expected {grid}"
+                    )
+                return f
     except KeyError as exc:
         raise ConfigError(f"field spec {spec!r} is missing key {exc}") from exc
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"field spec {spec!r} has a malformed value: {exc}") from exc
     raise ConfigError(f"unknown field kind {kind!r}")
 
 
@@ -72,6 +81,8 @@ def build_noise_model(spec: dict, grid: Grid) -> NoiseModel:
     unknown = set(spec) - {"coefficients", "linear_coefficients"}
     if unknown:
         raise ConfigError(f"unknown noise spec keys: {sorted(unknown)}")
-    coeffs = [build_field(s, grid) for s in spec.get("coefficients", [])]
-    linear = [build_field(s, grid) for s in spec.get("linear_coefficients", [])]
+    lists = [spec.get(key, []) for key in ("coefficients", "linear_coefficients")]
+    if not all(isinstance(specs, list) for specs in lists):
+        raise ConfigError(f"noise coefficients must be lists of field specs, got {spec!r}")
+    coeffs, linear = ([build_field(s, grid) for s in specs] for specs in lists)
     return make_noise_model(coeffs, linear, grid)

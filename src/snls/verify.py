@@ -25,7 +25,7 @@ import numpy as np
 
 from . import exponents as xp
 from .dynamics import theta
-from .errors import SolverError
+from .errors import ConfigError, SolverError
 from .grid_field import (
     ComplexField,
     Grid,
@@ -378,7 +378,7 @@ def run_suites(names) -> dict:
         elif name in SUITES:
             expanded.append(name)
         else:
-            raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+            raise ConfigError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     seen = dict.fromkeys(expanded)
     results = {}
     for name in seen:

@@ -3,9 +3,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snls.cli import main, render_svg_plot
 from snls.config import (
@@ -14,7 +18,8 @@ from snls.config import (
     load_config,
     parse_config_dict,
 )
-from snls.errors import ConfigError
+from snls.errors import ConfigError, SnlsError
+from snls.solver import materialize
 
 VALID_DOC = {
     "d": 1,
@@ -102,6 +107,58 @@ def test_config_roundtrip_randomized():
         assert parse_config_dict(config_to_dict(cfg)) == cfg
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+TOP_KEYS = sorted(set(VALID_DOC) | {"truncation_level", "enable_laplacian", "enable_nonlinearity"})
+# (where, key): a top-level key, or a key of the initial condition (a
+# gaussian bump), the noise coefficient (a constant) or the linear
+# coefficient (a plane wave)
+BOUNDARY_SITES = (
+    [(None, key) for key in TOP_KEYS]
+    + [("initial_condition", key) for key in ("amplitude", "width", "center")]
+    + [("coefficients", "value"), ("linear_coefficients", "mode"), ("linear_coefficients", "amplitude")]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.sampled_from([1, 2, 3]),
+    n=st.sampled_from([2, 4, 8, 16, 32, 64]),
+    site=st.sampled_from(BOUNDARY_SITES),
+    value=JSON_VALUES,
+)
+def test_config_boundary_raises_only_snls_errors(d, n, site, value):
+    """Any JSON value anywhere in a config either parses and materializes or
+    raises an SnlsError, never a bare ValueError or TypeError."""
+    doc = dict(
+        VALID_DOC,
+        d=d,
+        alpha=2,
+        grid={"n": n, "L": 16.0},
+        initial_condition={"kind": "gaussian_bump", "amplitude": 1.0, "width": 2.0, "center": [0.0] * d},
+        noise={
+            "coefficients": [{"kind": "constant", "value": 0.3}],
+            "linear_coefficients": [{"kind": "plane_wave", "mode": [1] * d, "amplitude": 0.2}],
+        },
+    )
+    where, key = site
+    if where is None and key == "grid" and isinstance(value, dict):
+        value = dict(value, n=n)  # keep every example to a few MB
+    if where is None:
+        doc[key] = value
+    elif where == "initial_condition":
+        doc[where][key] = value
+    else:
+        doc["noise"][where][0][key] = value
+    try:
+        materialize(parse_config_dict(doc))
+    except SnlsError:
+        pass
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_config(str(tmp_path / "nope.json"))
@@ -125,10 +182,15 @@ def test_cli_exponents_gamma_one_flags_degenerate(capsys):
     assert row[11] == "true"  # theta_global degenerate
 
 
-def test_cli_exponents_invalid_params(capsys):
+def test_cli_exponents_invalid_params(tmp_path, capsys):
     assert main(["exponents", "--d", "1", "--alpha", "6", "--gamma", "1"]) == 2
     err = capsys.readouterr().err
     assert "alpha" in err
+    # a table row's message names the row
+    table = tmp_path / "table.csv"
+    table.write_text("d,alpha,gamma\n2,3,1\n1,6,1\n")
+    assert main(["exponents", "--table-file", str(table)]) == 2
+    assert "(d=1, alpha=6, gamma=1)" in json.loads(capsys.readouterr().err)["message"]
 
 
 def test_cli_exponents_table_file(tmp_path, capsys):
@@ -220,6 +282,112 @@ def test_cli_simulate_splitstep_overflow_exit_3(tmp_path, capsys, ic_amplitude, 
     assert err["error"] == "BlowUp"
 
 
+# -- failure contract --------------------------------------------------------
+# Every failure path of the CLI, as (files to write, argv, environment,
+# exit code, stderr error kind).  "{tmp}" in argv is the test's directory.
+
+BLOWUP_DOC = dict(
+    VALID_DOC,
+    scheme="picard",
+    initial_condition={"kind": "gaussian_bump", "amplitude": 80.0, "width": 0.8},
+    **{"lambda": -1},
+)
+SIMULATE = ["simulate", "{tmp}/c.json", "--out", "{tmp}/out"]
+ENSEMBLE = ["ensemble", "{tmp}/c.json", "--out", "{tmp}/out"]
+
+CLI_FAILURES = {
+    "missing-config": ({}, SIMULATE, {}, 4, "IOError"),
+    "alpha-6": ({"c.json": dict(VALID_DOC, alpha=6)}, SIMULATE, {}, 2, "ConfigError"),
+    "picard-blowup": ({"c.json": BLOWUP_DOC}, SIMULATE, {}, 3, "BlowUp"),
+    "keep-paths-with-levels": (
+        {"c.json": VALID_DOC}, ENSEMBLE + ["--paths", "2", "--levels", "4,8", "--keep-paths"], {}, 2, "ConfigError"
+    ),
+    "levels-not-numbers": ({"c.json": VALID_DOC}, ENSEMBLE + ["--paths", "2", "--levels", "4,x"], {}, 2, "ConfigError"),
+    "one-path": ({"c.json": VALID_DOC}, ENSEMBLE + ["--paths", "1"], {}, 2, "ConfigError"),
+    "exponents-without-d": ({}, ["exponents", "--alpha", "3", "--gamma", "1"], {}, 2, "ConfigError"),
+    "exponents-alpha-6": ({}, ["exponents", "--d", "1", "--alpha", "6", "--gamma", "1"], {}, 2, "ConfigError"),
+    "missing-table-file": ({}, ["exponents", "--table-file", "{tmp}/absent.csv"], {}, 4, "IOError"),
+    "table-row-d-not-int": (
+        {"t.csv": "d,alpha,gamma\n1,2,1\nx,2,1\n"}, ["exponents", "--table-file", "{tmp}/t.csv"], {}, 2, "ConfigError"
+    ),
+    "table-row-alpha-not-rational": (
+        {"t.csv": "d,alpha,gamma\n1,x,1\n"}, ["exponents", "--table-file", "{tmp}/t.csv"], {}, 2, "ConfigError"
+    ),
+    "verify-json-into-directory": ({}, ["verify", "--suite", "exponents", "--json", "{tmp}"], {}, 4, "IOError"),
+    "out-names-a-file": (
+        {"c.json": VALID_DOC, "f": "x"}, ["simulate", "{tmp}/c.json", "--out", "{tmp}/f"], {}, 4, "IOError"
+    ),
+    "SNLS_THREADS-four": ({"c.json": VALID_DOC}, ENSEMBLE + ["--paths", "2"], {"SNLS_THREADS": "four"}, 2, "ConfigError"),
+    # an OSError while solving, here from reading a `file` field spec
+    "missing-field-file": (
+        {"c.json": dict(VALID_DOC, initial_condition={"kind": "file", "path": "absent.field"})}, SIMULATE, {}, 4, "IOError"
+    ),
+}
+
+
+def _ic(**changes):
+    return dict(VALID_DOC, initial_condition=dict(VALID_DOC["initial_condition"], **changes))
+
+
+# Malformed values are bad input: exit 2, never a traceback and never a
+# silent default.
+MALFORMED = {
+    "T-abc": dict(VALID_DOC, T="abc"),
+    "T-null": dict(VALID_DOC, T=None),
+    "dt-x": dict(VALID_DOC, dt="x"),
+    "grid-n-x": dict(VALID_DOC, grid={"n": "x"}),
+    "seed-x": dict(VALID_DOC, seed="x"),
+    "truncation-level-list": dict(VALID_DOC, truncation_level=[1]),
+    "enable-laplacian-string": dict(VALID_DOC, enable_laplacian="false"),
+    "ic-width-wide": _ic(width="wide"),
+    "ic-center-x": _ic(center=["x"]),
+    "plane-wave-mode-x": dict(VALID_DOC, initial_condition={"kind": "plane_wave", "mode": ["x"]}),
+    "noise-coefficients-3": dict(VALID_DOC, noise={"coefficients": 3}),
+    # an integer path would be opened as a file descriptor
+    "file-path-int": dict(VALID_DOC, initial_condition={"kind": "file", "path": 987}),
+}
+CLI_FAILURES.update({name: ({"c.json": doc}, SIMULATE, {}, 2, "ConfigError") for name, doc in MALFORMED.items()})
+
+
+def run_cli_case(tmp_path, capsys, monkeypatch, files, argv, env):
+    """Run one CLI case; return its exit code and its stderr lines."""
+    for name, content in files.items():
+        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code = main([arg.format(tmp=tmp_path) for arg in argv])
+    return code, capsys.readouterr().err.strip().splitlines()
+
+
+@pytest.mark.parametrize("case", sorted(CLI_FAILURES))
+def test_cli_failure_contract(tmp_path, capsys, monkeypatch, case):
+    files, argv, env, exit_code, kind = CLI_FAILURES[case]
+    code, err = run_cli_case(tmp_path, capsys, monkeypatch, files, argv, env)
+    assert code == exit_code
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == kind
+
+
+def test_cli_malformed_value_in_a_process(tmp_path):
+    """A real process prints one JSON line on stderr and no traceback."""
+    import snls
+
+    cfg_path = write_config(tmp_path, MALFORMED["T-abc"])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(snls.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "snls.cli", "simulate", cfg_path, "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert proc.returncode == 2
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1
+    doc = json.loads(err[0])
+    assert doc["error"] == "ConfigError" and "'T'" in doc["message"]
+
+
 def test_cli_scheme_and_seed_overrides(tmp_path):
     cfg_path = write_config(tmp_path, VALID_DOC)
     assert main(["simulate", cfg_path, "--scheme", "picard", "--seed", "9", "--out", str(tmp_path / "o")]) == 0
@@ -287,6 +455,37 @@ def test_file_based_field_specs(tmp_path):
     assert np.array_equal(u0.values, ic.values)
     assert np.array_equal(model.coeffs[0], coeff.values)
     assert model.conservative
+
+
+# -- strict JSON in run files ------------------------------------------------
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"{path} holds the non-standard JSON token {token}")
+
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+def test_cli_run_files_are_strict_json(tmp_path):
+    cfg_path = write_config(tmp_path, VALID_DOC)
+    failing_path = write_config(tmp_path, BLOWUP_DOC, "failing.json")
+    runs = {
+        "simulate": ["simulate", cfg_path],
+        "ensemble": ["ensemble", cfg_path, "--paths", "3"],
+        "keep-paths": ["ensemble", cfg_path, "--paths", "3", "--keep-paths"],
+        "levels": ["ensemble", cfg_path, "--paths", "3", "--levels", "4,8"],
+        "all-failed": ["ensemble", failing_path, "--paths", "3"],
+    }
+    for name, argv in runs.items():
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+    assert main(["verify", "--suite", "exponents", "--json", str(tmp_path / "verify.json")]) == 0
+    written = [p for name in runs for p in (tmp_path / name).rglob("*.json")] + [tmp_path / "verify.json"]
+    assert len(written) == 14  # two per run, three per-path reports, the verify report
+    docs = {str(p): _strict_json(p) for p in written}
+    all_failed = docs[str(tmp_path / "all-failed" / "summary.json")]
+    assert all_failed["n_failed"] == 3 and all_failed["mean_yt_norm"] == "nan"
 
 
 # -- verify subcommand -------------------------------------------------------

@@ -18,7 +18,7 @@ from snls.montecarlo import (
     truncation_uniformity_study,
     worker_count,
 )
-from snls.errors import BlowUp
+from snls.errors import BlowUp, ConfigError
 from snls.solver import BLOWUP_L2, SimConfig, solve
 
 PARAMS = ModelParams(d=1, alpha=Fraction(2), gamma=Fraction(1), lam=1)
@@ -121,7 +121,7 @@ def test_tau_frequency_monotone_across_levels():
 
 
 def test_uniformity_study_requires_increasing_levels():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         truncation_uniformity_study(config(), [4.0, 4.0], 2)
 
 
@@ -153,6 +153,9 @@ def test_worker_count_env(monkeypatch):
     assert worker_count(2) == 2
     monkeypatch.setenv("SNLS_THREADS", "0")
     assert worker_count(4) >= 1
+    monkeypatch.setenv("SNLS_THREADS", "four")
+    with pytest.raises(ConfigError, match="SNLS_THREADS"):
+        worker_count(4)
 
 
 def test_parallel_matches_serial(monkeypatch):

@@ -13,7 +13,8 @@ and solver knobs have documented defaults:
     enable_nonlinearity true
 
 alpha and gamma accept integers, floats or exact "p/q" strings and are kept
-as exact rationals internally; the enable_* switches accept only JSON
+as exact rationals internally; d, lambda, grid.n and seed accept integers
+and integral floats (2.0, not 2.7); the enable_* switches accept only JSON
 booleans.  A value that cannot be read as its type raises ConfigError.
 `config_hash` is the SHA-256 of the canonical JSON serialization (sorted
 keys, compact separators), so equal configs hash equally regardless of
@@ -30,6 +31,7 @@ from .errors import ConfigError, OutOfRange
 from .exponents import ModelParams, as_fraction
 from .grid_field import Grid
 from .solver import SimConfig
+from .specs import as_integer
 
 _REQUIRED = ("d", "alpha", "gamma", "lambda", "T", "initial_condition", "noise")
 
@@ -43,17 +45,17 @@ def _flag(value) -> bool:
 # How each scalar config value is read; SimConfig holds the defaults of the
 # optional solver knobs.
 _READERS = {
-    "d": int,
+    "d": as_integer,
     "alpha": as_fraction,
     "gamma": as_fraction,
-    "lambda": int,
+    "lambda": as_integer,
     "T": float,
     "dt": float,
-    "grid.n": int,
+    "grid.n": as_integer,
     "grid.L": float,
     "scheme": str,
     "truncation_level": float,
-    "seed": int,
+    "seed": as_integer,
     "enable_laplacian": _flag,
     "enable_nonlinearity": _flag,
 }

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Union
 
 from .errors import CriticalDelta, NotAdmissible, OutOfRange
@@ -136,9 +136,14 @@ class ZExponents:
     q_tilde: Union[Fraction, float]  # Fraction, or math.inf at gamma = 1
     p2: Fraction
 
-    @property
+    @cached_property
     def q_tilde_finite(self) -> bool:
         return self.q_tilde != INF
+
+    @cached_property
+    def powers(self) -> tuple[float, float]:
+        """(q, qt) as floats, converted once for the per-step arithmetic."""
+        return float(self.q), float(self.q_tilde)
 
 
 def strichartz_q(p: RationalLike, d: int) -> Fraction:

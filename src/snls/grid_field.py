@@ -149,8 +149,8 @@ def gaussian_field(
 
 def plane_wave_field(grid: Grid, mode, amplitude: complex = 1.0) -> ComplexField:
     """amplitude * exp(i k.x) with k = 2 pi mode / L, integer mode per axis."""
-    mode = np.atleast_1d(np.asarray(mode, dtype=int))
-    if mode.shape != (grid.d,):
+    mode = np.atleast_1d(np.asarray(mode))
+    if mode.shape != (grid.d,) or mode.dtype.kind not in "iu":
         raise OutOfRange(f"mode must have {grid.d} integer components")
     axes = grid.meshgrid()
     phase = sum(2.0 * np.pi * m / grid.L * ax for m, ax in zip(mode, axes))
@@ -192,26 +192,37 @@ def row_norms(a: np.ndarray, cell: float, p1: float, p2: float):
     """(L^2, L^p1, L^p2) norms over the last axis of a = |v|.
 
     The one arithmetic for the recorded norms: the solver applies it to a
-    (P, size) stack of paths, `Trajectory.from_states` to the states of one
-    trajectory.  Every operation is a numpy ufunc or a row-wise sum over a
-    C-contiguous last axis, so a row's norms do not depend on the rows
-    stacked with it.
+    (P, size) stack of paths (through `norms_and_leakage`),
+    `Trajectory.from_states` to the states of one trajectory.  Every
+    operation is a numpy ufunc or a row-wise sum over a C-contiguous last
+    axis, so a row's norms do not depend on the rows stacked with it.
     """
-    sq = np.sum(a * a, axis=-1)
-    return _row_lp(a, 2.0, cell, sq), _row_lp(a, p1, cell, sq), _row_lp(a, p2, cell, sq)
+    return _norms(a, np.sum(a * a, axis=-1), cell, p1, p2)
+
+
+def _norms(a, sq, cell, p1, p2):
+    l2 = _row_lp(a, 2.0, cell, sq)
+    return (l2, *(l2 if p == 2.0 else _row_lp(a, p, cell, sq) for p in (p1, p2)))
 
 
 def halfbox_leakage(a: np.ndarray, grid: Grid):
-    """Per row of a = |v|: fraction of sum |v|^2 outside [-L/4, L/4)^d.
+    """Per row of a = |v|: fraction of sum |v|^2 outside [-L/4, L/4)^d."""
+    return norms_and_leakage(a, grid, 2.0, 2.0)[-1]
+
+
+def norms_and_leakage(a: np.ndarray, grid: Grid, p1: float, p2: float):
+    """`row_norms` and `halfbox_leakage` of a = |v|, from one pass that
+    forms |v|^2 and its row sum.
 
     The outside part is gathered with `np.take` into a C-contiguous block,
     so its row sums equal those of one row alone (a boolean column mask
     would gather into an F-ordered copy whose row sums differ in rounding).
     """
     a2 = a * a
-    total = np.asarray(np.sum(a2, axis=-1))
+    sq = np.asarray(np.sum(a2, axis=-1))
     outside = np.sum(np.take(a2, _outside_halfbox_index(grid), axis=-1), axis=-1)
-    return np.divide(outside, total, out=np.zeros_like(total), where=total != 0.0)
+    leak = np.divide(outside, sq, out=np.zeros_like(sq), where=sq != 0.0)
+    return (*_norms(a, sq, grid.cell_volume, p1, p2), leak)
 
 
 def mass_outside_central_halfbox(f: ComplexField) -> float:
@@ -244,9 +255,10 @@ def advance_accumulators(acc1, acc2, n1, n2, dt, zexp: ZExponents):
     (n1, n2) = (||u(t)||_p1, ||u(t)||_p2): left-endpoint power integrals,
     or a running sup for the second component when qt = inf.  Scalars or
     arrays alike, with the same ufunc arithmetic."""
-    a1 = acc1 + np.power(n1, float(zexp.q)) * dt
+    q, qt = zexp.powers
+    a1 = acc1 + np.power(n1, q) * dt
     if zexp.q_tilde_finite:
-        return a1, acc2 + np.power(n2, float(zexp.q_tilde)) * dt
+        return a1, acc2 + np.power(n2, qt) * dt
     return a1, np.maximum(acc2, n2)
 
 
@@ -254,9 +266,10 @@ def z_components(acc1, acc2, zexp: ZExponents):
     """The two running-norm components (roots of the raw accumulators),
     elementwise over scalars or arrays with numpy ufuncs, so a single
     lookup and a whole column agree bitwise."""
-    c1 = np.power(acc1, 1.0 / float(zexp.q))
+    q, qt = zexp.powers
+    c1 = np.power(acc1, 1.0 / q)
     if zexp.q_tilde_finite:
-        return c1, np.power(acc2, 1.0 / float(zexp.q_tilde))
+        return c1, np.power(acc2, 1.0 / qt)
     return c1, acc2
 
 

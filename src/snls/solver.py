@@ -19,13 +19,13 @@ the power nonlinearity, and an exact phase step for conservative noise
 rounding when every sub-step is an isometry.
 
 Both schemes run in one engine, `solve_paths`, which marches P paths as a
-(P, grid.size) stack: one batched FFT per transform and step, the norms,
-accumulators and half-box monitor as (P, K+1) columns, and the cutoff
-theta(Z) per row.  A path's result does not depend on the other rows of
-its stack, bitwise.  A row whose step gives non-finite values, an L^2
-norm above BLOWUP_L2 or running-norm accumulators that overflow becomes a
-BlowUp and leaves the stack; the others march on.  `solve`, `picard_solve`
-and `splitstep_solve` are the P = 1 case.
+(P, grid.size) stack: a batched 1-D FFT per spatial axis and transform, one
+|v|^2 pass per step for the norms and the half-box monitor, kept with the
+accumulators as (P, K+1) columns, and the cutoff theta(Z) per row.  A path's
+result does not depend on the other rows of its stack, bitwise.  A row whose
+step gives non-finite values, an L^2 norm above BLOWUP_L2 or running-norm
+accumulators that overflow becomes a BlowUp and leaves the stack; the others
+march on.  `solve`, `picard_solve` and `splitstep_solve` are the P = 1 case.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ from .grid_field import (
     Grid,
     Trajectory,
     advance_accumulators,
-    halfbox_leakage,
     lp_norm_rows,
     mass_outside_central_halfbox,
+    norms_and_leakage,
     row_norms,
     z_components,
 )
@@ -236,9 +236,10 @@ def solve_paths(
         return []
     grid = config.grid
     zexp = z_exponents(config.params)
-    p1, p2, cell = float(zexp.p1), float(zexp.p2), grid.cell_volume
-    step = _picard_step(config, model) if config.scheme == "picard" else _splitstep_step(config, model)
+    p1, p2 = float(zexp.p1), float(zexp.p2)
+    step = _picard_step(config, model, zexp) if config.scheme == "picard" else _splitstep_step(config, model)
     increments = np.stack([path.increments for path in paths])  # (P, M, K)
+    steps = np.diff(mesh)
 
     mass = np.empty((P, K + 1))
     acc1 = np.zeros((P, K + 1))
@@ -249,25 +250,23 @@ def solve_paths(
     norm1 = np.empty(P)  # ||.||_p1 and ||.||_p2 of each row's last state
     norm2 = np.empty(P)
     failures = {}
-    rows = np.arange(P)  # rows still marching, in stack order
+    rows = slice(None)  # rows still marching: a slice (views) until one fails, then their index
     v = np.repeat(u0.values[None, :], P, axis=0)
     if keep_states:
         states[:, 0] = v
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mass[:, 0], norm1[:], norm2[:] = row_norms(np.abs(v), cell, p1, p2)
+        mass[:, 0], norm1[:], norm2[:] = row_norms(np.abs(v), grid.cell_volume, p1, p2)
         for l in range(K):
-            z1, z2 = z_components(acc1[rows, l], acc2[rows, l], zexp)
-            z = z1 + z2
-            v, active = step(v, z, increments[rows, :, l])
+            c1, c2 = acc1[rows, l], acc2[rows, l]
+            v, active = step(v, c1, c2, increments[rows, :, l])
             ever_active[rows] |= active
-            a = np.abs(v)
-            m, n1, n2 = row_norms(a, cell, p1, p2)
-            a1, a2 = advance_accumulators(
-                acc1[rows, l], acc2[rows, l], norm1[rows], norm2[rows], mesh[l + 1] - mesh[l], zexp
-            )
+            m, n1, n2, lk = norms_and_leakage(np.abs(v), grid, p1, p2)
+            a1, a2 = advance_accumulators(c1, c2, norm1[rows], norm2[rows], steps[l], zexp)
             bad = ~((m <= BLOWUP_L2) & np.isfinite(a1 + a2))
             if bad.any():
-                for r, l2, zr in zip(rows[bad], m[bad], z[bad]):
+                marching = np.arange(P)[rows]
+                z1, z2 = z_components(c1[bad], c2[bad], zexp)
+                for r, l2, zr in zip(marching[bad], m[bad], z1 + z2):
                     last = float(mass[r, l])
                     what = f"L^2 norm {l2:.3g}"
                     if l2 <= BLOWUP_L2:
@@ -278,11 +277,12 @@ def solve_paths(
                         z=float(zr),
                         l2=last,
                     )
-                rows, v, a, m, n1, n2, a1, a2 = (x[~bad] for x in (rows, v, a, m, n1, n2, a1, a2))
+                rows = marching[~bad]
+                v, m, n1, n2, lk, a1, a2 = (x[~bad] for x in (v, m, n1, n2, lk, a1, a2))
             acc1[rows, l + 1], acc2[rows, l + 1] = a1, a2
             mass[rows, l + 1] = m
             norm1[rows], norm2[rows] = n1, n2
-            leak[rows] = np.maximum(leak[rows], halfbox_leakage(a, grid))
+            leak[rows] = np.maximum(leak[rows], lk)
             if keep_states:
                 states[rows, l + 1] = v
     notes = _config_notes(config)
@@ -333,8 +333,11 @@ def _ito_step(v, phi, dinc, dt, lam, alpha, gamma, model: NoiseModel) -> np.ndar
         w += (-1j * lam * phi * dt) * absv ** (alpha - 1.0) * v
     n_e = model.n_modes
     if n_e:
-        w += (phi * dt) * model.mu1 * absv ** (2.0 * (gamma - 1.0)) * v
-        w += (-1j * phi) * mode_sum(dinc[:, :n_e], model.coeffs) * absv ** (gamma - 1.0) * v
+        drift, kick = (phi * dt) * model.mu1, (-1j * phi) * mode_sum(dinc[:, :n_e], model.coeffs)
+        if gamma != 1.0:  # |v| ** 0 is exactly 1
+            drift, kick = drift * absv ** (2.0 * (gamma - 1.0)), kick * absv ** (gamma - 1.0)
+        w += drift * v
+        w += kick * v
     if model.n_linear_modes:
         w += (dt * model.mu2 - 1j * mode_sum(dinc[:, n_e:], model.linear_coeffs)) * v
     return w
@@ -353,7 +356,7 @@ def _splitstep_step(config: SimConfig, model: NoiseModel):
     coeffs_real = model.coeffs.real
     linear_real = model.linear_coeffs.real
 
-    def step(v, z, dinc):
+    def step(v, acc1, acc2, dinc):
         v = plan.inverse(half_mult * plan.forward(v))
         if lam:
             v = v * np.exp(-1j * lam * dt * np.abs(v) ** (alpha - 1.0))
@@ -361,7 +364,9 @@ def _splitstep_step(config: SimConfig, model: NoiseModel):
             if exact_noise:
                 phase = 0.0
                 if n_e:
-                    phase = mode_sum(dinc[:, :n_e], coeffs_real) * np.abs(v) ** (gamma - 1.0)
+                    phase = mode_sum(dinc[:, :n_e], coeffs_real)
+                    if gamma != 1.0:  # |v| ** 0 is exactly 1
+                        phase = phase * np.abs(v) ** (gamma - 1.0)
                 if model.n_linear_modes:
                     phase = phase + mode_sum(dinc[:, n_e:], linear_real)
                 v = v * np.exp(-1j * phase)
@@ -373,8 +378,8 @@ def _splitstep_step(config: SimConfig, model: NoiseModel):
     return step
 
 
-def _picard_step(config: SimConfig, model: NoiseModel):
-    """One exponential-Euler step of a (R, size) stack at cutoff theta(z)."""
+def _picard_step(config: SimConfig, model: NoiseModel, zexp):
+    """One exponential-Euler step of a (R, size) stack at cutoff theta(Z)."""
     plan = get_plan(config.grid, config.enable_laplacian)
     dt = config.dt
     alpha = float(config.params.alpha)
@@ -383,8 +388,9 @@ def _picard_step(config: SimConfig, model: NoiseModel):
     mult_dt = plan.multiplier(dt)
     level = config.truncation_level
 
-    def step(v, z, dinc):
-        phi = theta(z, level)
+    def step(v, acc1, acc2, dinc):
+        z1, z2 = z_components(acc1, acc2, zexp)
+        phi = theta(z1 + z2, level)
         w = _ito_step(v, phi[:, None], dinc, dt, lam, alpha, gamma, model)
         return plan.inverse(mult_dt * plan.forward(w)), phi < 1.0
 

@@ -36,10 +36,35 @@ def _as_complex(value) -> complex:
     raise ConfigError(f"cannot read {value!r} as a complex number")
 
 
+def as_integer(value) -> int:
+    """An integer, or a float with an integral value, as an int; anything
+    else (a boolean, a string, a fractional float) raises TypeError or
+    ValueError instead of being truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+# The keys each field kind reads, besides "kind".
+_FIELD_KEYS = {
+    "constant": {"value"},
+    "gaussian_bump": {"amplitude", "width", "center"},
+    "plane_wave": {"mode", "amplitude"},
+    "file": {"path"},
+}
+
+
 def build_field(spec: dict, grid: Grid) -> ComplexField:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"field spec must be an object with a 'kind', got {spec!r}")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _FIELD_KEYS:
+        raise ConfigError(f"unknown field kind {kind!r}")
+    unknown = set(spec) - _FIELD_KEYS[kind] - {"kind"}
+    if unknown:
+        raise ConfigError(f"unknown keys for field kind {kind!r}: {sorted(unknown)}")
     try:
         # a value that overflows gives a non-finite field, which ComplexField
         # rejects, instead of a numpy warning
@@ -54,25 +79,22 @@ def build_field(spec: dict, grid: Grid) -> ComplexField:
                     center=spec.get("center"),
                 )
             if kind == "plane_wave":
+                mode = spec.get("mode", [0] * grid.d)
                 return plane_wave_field(
                     grid,
-                    mode=spec.get("mode", [0] * grid.d),
+                    mode=[as_integer(m) for m in (mode if isinstance(mode, list) else [mode])],
                     amplitude=_as_complex(spec.get("amplitude", 1.0)),
                 )
-            if kind == "file":
-                if not isinstance(spec["path"], str):
-                    raise ConfigError(f"field file path must be a string, got {spec['path']!r}")
-                f = read_field(spec["path"])
-                if f.grid != grid:
-                    raise ConfigError(
-                        f"field file {spec['path']!r} carries grid {f.grid}, expected {grid}"
-                    )
-                return f
+            if not isinstance(spec["path"], str):
+                raise ConfigError(f"field file path must be a string, got {spec['path']!r}")
+            f = read_field(spec["path"])
+            if f.grid != grid:
+                raise ConfigError(f"field file {spec['path']!r} carries grid {f.grid}, expected {grid}")
+            return f
     except KeyError as exc:
         raise ConfigError(f"field spec {spec!r} is missing key {exc}") from exc
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"field spec {spec!r} has a malformed value: {exc}") from exc
-    raise ConfigError(f"unknown field kind {kind!r}")
 
 
 def build_noise_model(spec: dict, grid: Grid) -> NoiseModel:

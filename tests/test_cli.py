@@ -19,7 +19,9 @@ from snls.config import (
     parse_config_dict,
 )
 from snls.errors import ConfigError, SnlsError
+from snls.grid_field import Grid
 from snls.solver import materialize
+from snls.specs import build_field
 
 VALID_DOC = {
     "d": 1,
@@ -71,6 +73,37 @@ def test_config_rejects_unknown_keys():
             parse_config_dict(dict(VALID_DOC, **{key: value}))
 
 
+def test_config_integer_keys_take_integral_floats_only():
+    """d, lambda, grid.n and seed read 2.0 as 2 and reject 2.7 instead of
+    truncating it; a plane-wave mode reads the same way."""
+    as_floats = dict(VALID_DOC, d=1.0, seed=5.0, grid={"n": 64.0, "L": 32.0}, **{"lambda": 1.0})
+    assert parse_config_dict(as_floats) == parse_config_dict(VALID_DOC)
+    for key, value in (("d", 1.9), ("lambda", 1.5), ("seed", 2.7), ("seed", True), ("seed", "5")):
+        with pytest.raises(ConfigError, match=key):
+            parse_config_dict(dict(VALID_DOC, **{key: value}))
+    grid = Grid(d=1, n=16, L=8.0)
+    wave = build_field({"kind": "plane_wave", "mode": [2.0]}, grid)
+    assert np.array_equal(wave.values, build_field({"kind": "plane_wave", "mode": [2]}, grid).values)
+    with pytest.raises(ConfigError):
+        build_field({"kind": "plane_wave", "mode": [1.5]}, grid)
+
+
+def test_field_spec_rejects_unknown_keys():
+    """Each field kind takes only its own keys; a misspelt one is named."""
+    grid = Grid(d=1, n=16, L=8.0)
+    for spec, key in (
+        ({"kind": "gaussian_bump", "amplitude": 1.0, "widht": 3.0}, "widht"),
+        ({"kind": "constant", "value": 1.0, "width": 2.0}, "width"),
+        ({"kind": "plane_wave", "mode": [1], "center": [0.0]}, "center"),
+        ({"kind": "file", "path": "f.field", "grid": 1}, "grid"),
+    ):
+        with pytest.raises(ConfigError, match=key):
+            build_field(spec, grid)
+    for kind in ("bump", ["constant"]):
+        with pytest.raises(ConfigError, match="unknown field kind"):
+            build_field({"kind": kind}, grid)
+
+
 def test_config_rational_strings():
     doc = dict(VALID_DOC)
     doc["alpha"] = "7/2"
@@ -113,14 +146,22 @@ JSON_VALUES = st.recursive(
     max_leaves=6,
 )
 TOP_KEYS = sorted(set(VALID_DOC) | {"truncation_level", "enable_laplacian", "enable_nonlinearity"})
-# (where, key): a top-level key, or a key of the initial condition (a
+# (where, key): a top-level key, a key of the initial condition (a
 # gaussian bump), the noise coefficient (a constant) or the linear
-# coefficient (a plane wave)
+# coefficient (a plane wave), or grid.n
 BOUNDARY_SITES = (
     [(None, key) for key in TOP_KEYS]
     + [("initial_condition", key) for key in ("amplitude", "width", "center")]
     + [("coefficients", "value"), ("linear_coefficients", "mode"), ("linear_coefficients", "amplitude")]
+    + [("grid", "n")]
 )
+INTEGER_KEYS = ("d", "lambda", "seed")
+
+
+def _integral(value) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)) or (
+        isinstance(value, float) and value.is_integer()
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -132,7 +173,8 @@ BOUNDARY_SITES = (
 )
 def test_config_boundary_raises_only_snls_errors(d, n, site, value):
     """Any JSON value anywhere in a config either parses and materializes or
-    raises an SnlsError, never a bare ValueError or TypeError."""
+    raises an SnlsError, never a bare ValueError or TypeError.  A value at
+    an integer key that is not an integer or an integral float must raise."""
     doc = dict(
         VALID_DOC,
         d=d,
@@ -149,14 +191,23 @@ def test_config_boundary_raises_only_snls_errors(d, n, site, value):
         value = dict(value, n=n)  # keep every example to a few MB
     if where is None:
         doc[key] = value
+    elif where == "grid":
+        doc["grid"] = {"n": n if _integral(value) else value, "L": 16.0}  # a few MB at most
     elif where == "initial_condition":
         doc[where][key] = value
     else:
         doc["noise"][where][0][key] = value
+    if (where is None and key in INTEGER_KEYS) or where == "grid":
+        must_raise = not _integral(value)
+    elif key == "mode":
+        must_raise = not (_integral(value) or (isinstance(value, list) and all(map(_integral, value))))
+    else:
+        must_raise = False
     try:
         materialize(parse_config_dict(doc))
     except SnlsError:
-        pass
+        return
+    assert not must_raise, f"{site} accepted {value!r}"
 
 
 def test_load_config_missing_file(tmp_path):
@@ -345,6 +396,21 @@ MALFORMED = {
     "noise-coefficients-3": dict(VALID_DOC, noise={"coefficients": 3}),
     # an integer path would be opened as a file descriptor
     "file-path-int": dict(VALID_DOC, initial_condition={"kind": "file", "path": 987}),
+    # integer keys take integers or integral floats; they never truncate
+    "seed-2.7": dict(VALID_DOC, seed=2.7),
+    "seed-true": dict(VALID_DOC, seed=True),
+    "seed-string": dict(VALID_DOC, seed="5"),
+    "lambda-1.5": dict(VALID_DOC, **{"lambda": 1.5}),
+    "d-1.9": dict(VALID_DOC, d=1.9),
+    "d-true": dict(VALID_DOC, d=True),
+    "grid-n-64.9": dict(VALID_DOC, grid={"n": 64.9}),
+    "plane-wave-mode-1.5": dict(VALID_DOC, initial_condition={"kind": "plane_wave", "mode": [1.5]}),
+    "plane-wave-mode-true": dict(VALID_DOC, initial_condition={"kind": "plane_wave", "mode": [True]}),
+    # a misspelt field-spec key is not a silent default
+    "ic-unknown-key": _ic(widht=3.0),
+    "noise-coefficient-unknown-key": dict(
+        VALID_DOC, noise={"coefficients": [{"kind": "constant", "value": 0.3, "amplitude": 2.0}]}
+    ),
 }
 CLI_FAILURES.update({name: ({"c.json": doc}, SIMULATE, {}, 2, "ConfigError") for name, doc in MALFORMED.items()})
 

@@ -78,6 +78,29 @@ def test_unitarity_group_law_reversal():
     assert worst_r < 1e-12
 
 
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8)])
+@pytest.mark.parametrize("laplacian", [True, False])
+def test_transforms_equal_fftn_bitwise(d, n, laplacian):
+    """forward/inverse (one 1-D FFT per axis) are np.fft.fftn/ifftn over the
+    spatial axes bitwise, for one flat field and a (P, size) stack, and so
+    is a free evolution step with or without the Laplacian."""
+    grid = Grid(d=d, n=n, L=10.0)
+    plan = SpectralPlan(grid, laplacian)
+    rng = np.random.default_rng(d)
+    flat = random_field(grid, rng).values
+    stack = np.stack([random_field(grid, rng).values for _ in range(3)])
+    for x in (flat, stack):
+        axes = tuple(range(x.ndim - 1, x.ndim - 1 + d))
+        shaped = x.reshape(x.shape[:-1] + grid.shape)
+        fwd = np.fft.fftn(shaped, axes=axes).reshape(x.shape)
+        assert plan.forward(x).tobytes() == fwd.tobytes()
+        inv = np.fft.ifftn(shaped, axes=axes).reshape(x.shape)
+        assert plan.inverse(x).tobytes() == inv.tobytes()
+        mult = plan.multiplier(0.3)
+        step = np.fft.ifftn((mult * fwd).reshape(shaped.shape), axes=axes).reshape(x.shape)
+        assert plan.evolve_values(x, 0.3).tobytes() == step.tobytes()
+
+
 def test_multiplier_is_phase_only():
     plan = get_plan(GRID)
     for t in (0.0, 0.5, -3.7, 42.0):

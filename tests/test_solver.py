@@ -390,6 +390,31 @@ def test_batch_results_are_bitwise_independent_of_the_batch(scheme, level, order
             assert any(rep.truncation_ever_active for rep in batch)
 
 
+def test_rows_after_a_failure_equal_their_solo_solves():
+    """Once a row blows up mid-run the engine marches the other rows by
+    their index instead of by views.  Every surviving row still equals its
+    solo solve bitwise (columns, states, leakage, tau), and the failed row's
+    BlowUp is its solo solve's."""
+    cfg = config(
+        params=ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(3), lam=1),
+        grid=Grid(d=1, n=64, L=32.0),
+        noise_spec={"coefficients": [{"kind": "gaussian_bump", "amplitude": [5, 5], "width": 3.0}]},
+        seed=0,
+    )
+    _, model, u0 = materialize(cfg)
+    paths = [path_for(cfg, i, model) for i in range(6)]
+    stack = solve_paths(cfg, paths, model, u0)
+    assert [i for i, rep in enumerate(stack) if isinstance(rep, BlowUp)] == [3]
+    assert 0.0 < stack[3].t < cfg.T / 2
+    for path, rep in zip(paths, stack):
+        (solo,) = solve_paths(cfg, [path], model, u0)
+        if isinstance(rep, BlowUp):
+            assert (str(rep), rep.t, rep.z, rep.l2) == (str(solo), solo.t, solo.z, solo.l2)
+            continue
+        assert _fingerprint(rep) == _fingerprint(solo)
+        assert rep.trajectory.states.tobytes() == solo.trajectory.states.tobytes()
+
+
 @pytest.mark.parametrize("scheme", ["picard", "splitstep"])
 def test_append_rebuild_matches_engine_columns(scheme):
     """`Trajectory.from_states` and the engine share one arithmetic for the

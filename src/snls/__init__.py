@@ -68,11 +68,11 @@ from .noise import (
     stratonovich_drift,
 )
 from .propagator import (
-    ModeForcing,
     SpectralPlan,
     duhamel_convolution,
     estimate_strichartz_constant,
     free_evolve,
+    free_strichartz_norm,
     get_plan,
     stochastic_convolution,
 )

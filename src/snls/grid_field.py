@@ -188,41 +188,25 @@ def _row_lp(a: np.ndarray, p: float, cell: float, sq=None):
     return np.power(np.sum(np.power(a, p), axis=-1) * cell, 1.0 / p)
 
 
-def row_norms(a: np.ndarray, cell: float, p1: float, p2: float):
-    """(L^2, L^p1, L^p2) norms over the last axis of a = |v|.
+def norms_and_leakage(a: np.ndarray, grid: Grid, p1: float, p2: float):
+    """(L^2, L^p1, L^p2) norms over the last axis of a = |v|, and the
+    fraction of sum |v|^2 outside [-L/4, L/4)^d, from one pass that forms
+    |v|^2 and its row sum.
 
     The one arithmetic for the recorded norms: the solver applies it to a
-    (P, size) stack of paths (through `norms_and_leakage`),
-    `Trajectory.from_states` to the states of one trajectory.  Every
-    operation is a numpy ufunc or a row-wise sum over a C-contiguous last
-    axis, so a row's norms do not depend on the rows stacked with it.
-    """
-    return _norms(a, np.sum(a * a, axis=-1), cell, p1, p2)
-
-
-def _norms(a, sq, cell, p1, p2):
-    l2 = _row_lp(a, 2.0, cell, sq)
-    return (l2, *(l2 if p == 2.0 else _row_lp(a, p, cell, sq) for p in (p1, p2)))
-
-
-def halfbox_leakage(a: np.ndarray, grid: Grid):
-    """Per row of a = |v|: fraction of sum |v|^2 outside [-L/4, L/4)^d."""
-    return norms_and_leakage(a, grid, 2.0, 2.0)[-1]
-
-
-def norms_and_leakage(a: np.ndarray, grid: Grid, p1: float, p2: float):
-    """`row_norms` and `halfbox_leakage` of a = |v|, from one pass that
-    forms |v|^2 and its row sum.
-
-    The outside part is gathered with `np.take` into a C-contiguous block,
-    so its row sums equal those of one row alone (a boolean column mask
-    would gather into an F-ordered copy whose row sums differ in rounding).
+    (P, size) stack of paths, `Trajectory.from_states` to the states of one
+    trajectory.  Every operation is a numpy ufunc or a row-wise sum over a
+    C-contiguous last axis, so a row's results do not depend on the rows
+    stacked with it.  The outside part is gathered with `np.take` into a
+    C-contiguous block for that reason (a boolean column mask would gather
+    into an F-ordered copy whose row sums differ in rounding).
     """
     a2 = a * a
     sq = np.asarray(np.sum(a2, axis=-1))
     outside = np.sum(np.take(a2, _outside_halfbox_index(grid), axis=-1), axis=-1)
     leak = np.divide(outside, sq, out=np.zeros_like(sq), where=sq != 0.0)
-    return (*_norms(a, sq, grid.cell_volume, p1, p2), leak)
+    l2 = _row_lp(a, 2.0, grid.cell_volume, sq)
+    return (l2, *(l2 if p == 2.0 else _row_lp(a, p, grid.cell_volume) for p in (p1, p2)), leak)
 
 
 def mass_outside_central_halfbox(f: ComplexField) -> float:
@@ -231,7 +215,7 @@ def mass_outside_central_halfbox(f: ComplexField) -> float:
     Wrap-around monitor for the periodic surrogate of free space: runs are
     trustworthy only while this stays tiny.
     """
-    return float(halfbox_leakage(np.abs(f.values), f.grid))
+    return float(norms_and_leakage(np.abs(f.values), f.grid, 2.0, 2.0)[-1])
 
 
 @lru_cache(maxsize=16)
@@ -305,9 +289,9 @@ class Trajectory:
         """The trajectory of `states` (fields on one grid) at strictly
         increasing `times`, with accumulators `acc0` at times[0].
 
-        Norms and accumulators come from `row_norms` on the stacked states
-        and `advance_accumulators` step by step, the solver's arithmetic,
-        so the columns equal the solver's bitwise.
+        Norms and accumulators come from `norms_and_leakage` on the stacked
+        states and `advance_accumulators` step by step, the solver's
+        arithmetic, so the columns equal the solver's bitwise.
         """
         if not len(states):
             raise EmptyTrajectory("trajectory has no samples")
@@ -320,7 +304,7 @@ class Trajectory:
         if any(s.grid != grid for s in states):
             raise GridMismatch("states lie on different grids")
         block = np.stack([s.values for s in states])
-        mass, n1, n2 = row_norms(np.abs(block), grid.cell_volume, float(zexp.p1), float(zexp.p2))
+        mass, n1, n2, _ = norms_and_leakage(np.abs(block), grid, float(zexp.p1), float(zexp.p2))
         acc1 = np.empty(len(times))
         acc2 = np.empty(len(times))
         acc1[0], acc2[0] = acc0

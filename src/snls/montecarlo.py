@@ -12,7 +12,8 @@ never silently dropped from denominators.
 
 Worker count: the SNLS_THREADS environment variable caps process workers,
 which take whole chunks (0 = one per CPU); unset or 1 runs serially
-in-process, and a value that is not an integer raises ConfigError.
+in-process, and a value that is not a nonnegative integer raises
+ConfigError.
 """
 
 from __future__ import annotations
@@ -166,6 +167,8 @@ def worker_count(n_paths: int) -> int:
         w = int(raw)
     except ValueError as exc:
         raise ConfigError(f"SNLS_THREADS must be an integer, got {raw!r}") from exc
+    if w < 0:
+        raise ConfigError(f"SNLS_THREADS must be nonnegative, got {raw!r}")
     if w == 0:
         w = os.cpu_count() or 1
     return max(1, min(w, n_paths))

@@ -166,8 +166,8 @@ def sample_brownian_path(mesh, M: int, seed: int, path_index: int) -> BrownianPa
     full path is a pure function of (seed, path_index).
     """
     mesh = _checked_mesh(mesh)
-    if seed < 0 or path_index < 0:
-        raise OutOfRange("seed and path_index must be nonnegative")
+    if not (0 <= seed < 2**64 and 0 <= path_index < 2**64):  # Philox keys and counters are uint64
+        raise OutOfRange(f"seed and path_index must lie in [0, 2^64), got {seed} and {path_index}")
     steps = max(mesh.size - 1, 0)
     increments = np.empty((M, steps))
     if steps and M:

@@ -4,20 +4,21 @@ The group U(t) acts mode-by-mode as exp(-i |k|^2 t) on the FFT of the field,
 so it is exactly unitary in the discrete L^2 norm up to rounding.  The
 Duhamel and stochastic convolutions are left-endpoint quadratures of
 U(t - s) applied to sampled forcings, matching the Itô convention used
-everywhere in the package.
+everywhere in the package; both are one sum in Fourier space followed by
+one inverse FFT.  `free_strichartz_norm` is the discrete L^q(0,T;L^p) norm
+of U(.)x behind the empirical Strichartz constant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyTrajectory, GridMismatch, MeshMismatch
+from .errors import EmptyTrajectory, GridMismatch, LengthMismatch, MeshMismatch
 from .exponents import StrichartzPair
-from .grid_field import ComplexField, Grid, Trajectory, lp_norm, random_field
-from .noise import BrownianPath
+from .grid_field import ComplexField, Grid, lp_norm_rows, random_field
+from .noise import _checked_mesh, _stack_increments, mode_sum
 
 
 class SpectralPlan:
@@ -62,11 +63,6 @@ class SpectralPlan:
             return values.copy()
         return self.inverse(self.multiplier(t) * self.forward(values))
 
-    def free_evolve(self, f: ComplexField, t: float) -> ComplexField:
-        if f.grid != self.grid:
-            raise GridMismatch("field grid differs from plan grid")
-        return ComplexField(self.grid, self.evolve_values(f.values, t))
-
 
 @lru_cache(maxsize=16)
 def get_plan(grid: Grid, laplacian_enabled: bool = True) -> SpectralPlan:
@@ -75,82 +71,76 @@ def get_plan(grid: Grid, laplacian_enabled: bool = True) -> SpectralPlan:
 
 def free_evolve(f: ComplexField, t: float) -> ComplexField:
     """U(t) f through a cached plan for f's grid."""
-    return get_plan(f.grid).free_evolve(f, t)
+    return ComplexField(f.grid, get_plan(f.grid).evolve_values(f.values, t))
 
 
-def duhamel_convolution(forcing: Trajectory, t: float, plan: SpectralPlan | None = None) -> ComplexField:
-    """Left-endpoint quadrature of int_0^t U(t - s) f(s) ds.
+def _left_endpoint_sum(plan: SpectralPlan, starts, t: float, terms, shape) -> np.ndarray:
+    """Inverse FFT of sum_l multiplier(t - starts[l]) * terms[l], summed in
+    Fourier space in the order of l; each term is an array of `shape`."""
+    acc = np.zeros(shape, dtype=np.complex128)
+    for tl, term in zip(starts, terms):
+        acc += plan.multiplier(t - tl) * term
+    return plan.inverse(acc)
 
-    sum over mesh points t_l < t of U(t - t_l) f(t_l) (t_{l+1} ∧ t - t_l).
+
+def duhamel_convolution(plan: SpectralPlan, times, forcing, t: float) -> np.ndarray:
+    """Left-endpoint quadrature of int_0^t U(t - s) f(s) ds,
+
+        sum over t_l < t of U(t - t_l) f(t_l) (t_{l+1} ∧ t - t_l),
+
+    the last sample running up to t.  `forcing` is a (len(times),
+    grid.size) array of the samples f(t_l); the result is a flat array.
     """
-    if len(forcing) == 0:
-        raise EmptyTrajectory("forcing trajectory has no samples")
-    plan = plan or get_plan(forcing.grid)
-    if plan.grid != forcing.grid:
-        raise GridMismatch("forcing grid differs from plan grid")
-    times = np.asarray(forcing.times)
-    acc = np.zeros(forcing.grid.size, dtype=np.complex128)
-    for l, tl in enumerate(times):
-        if tl >= t:
-            break
-        t_next = times[l + 1] if l + 1 < len(times) else t
-        dt = min(t_next, t) - tl
-        if dt <= 0:
-            continue
-        fl = forcing.state_at_index(l).values
-        acc += dt * plan.multiplier(t - tl) * plan.forward(fl)
-    return ComplexField(forcing.grid, plan.inverse(acc))
+    times = _checked_mesh(times)
+    forcing = np.asarray(forcing, dtype=np.complex128)
+    if not times.size:
+        raise EmptyTrajectory("forcing has no samples")
+    if forcing.ndim != 2 or forcing.shape[0] != times.size:
+        raise LengthMismatch(f"forcing shape {forcing.shape} does not match {times.size} times")
+    if forcing.shape[1] != plan.grid.size:
+        raise GridMismatch("forcing does not match the plan's grid")
+    n = np.count_nonzero(times < t)  # the times increase, so those before t are a prefix
+    weights = np.minimum(np.append(times[1:], t)[:n], t) - times[:n]
+    terms = weights[:, None] * plan.forward(forcing[:n])
+    return _left_endpoint_sum(plan, times[:n], t, terms, plan.grid.size)
 
 
-@dataclass
-class ModeForcing:
-    """Per-mode integrand Phi_m(t_l) of the stochastic convolution.
-
-    `fields` has shape (len(mesh), M, grid.size); row l holds the M mode
-    fields at mesh point l.
-    """
-
-    grid: Grid
-    mesh: np.ndarray
-    fields: np.ndarray
-
-    def __post_init__(self):
-        self.mesh = np.asarray(self.mesh, dtype=float)
-        self.fields = np.asarray(self.fields, dtype=np.complex128)
-        if self.fields.ndim != 3 or self.fields.shape[0] != self.mesh.size:
-            raise MeshMismatch(
-                f"fields shape {self.fields.shape} does not match mesh of {self.mesh.size} points"
-            )
-        if self.fields.shape[2] != self.grid.size:
-            raise GridMismatch("mode fields do not match grid size")
-
-
-def stochastic_convolution(
-    integrand: ModeForcing, increments: BrownianPath, t: float, plan: SpectralPlan | None = None
-) -> ComplexField:
+def stochastic_convolution(plan: SpectralPlan, mesh, fields, increments, t: float) -> np.ndarray:
     """Itô left-point sum over modes m and mesh points t_l < t of
 
-        U(t - t_l) Phi_m(t_l) dbeta_m(t_l).
+        U(t - t_l) Phi_m(t_l) dbeta_m(t_l)
+
+    for a (P, M, K) block of increments on `mesh`, as a (P, grid.size)
+    array.  `fields` has shape (len(mesh), M, grid.size); row l holds the M
+    mode fields Phi_m(t_l).  By linearity each mode field is transformed
+    once, for all paths, and the modes are summed in Fourier space in mode
+    order.
     """
-    plan = plan or get_plan(integrand.grid)
-    if plan.grid != integrand.grid:
-        raise GridMismatch("integrand grid differs from plan grid")
-    mesh = increments.mesh
-    if mesh.size != integrand.mesh.size or not np.allclose(mesh, integrand.mesh):
-        raise MeshMismatch("integrand and increment meshes differ")
-    n_modes = increments.increments.shape[0]
-    if integrand.fields.shape[1] != n_modes:
-        raise MeshMismatch(
-            f"integrand supplies {integrand.fields.shape[1]} modes, path has {n_modes}"
-        )
-    acc = np.zeros(integrand.grid.size, dtype=np.complex128)
-    for l in range(mesh.size - 1):
-        tl = mesh[l]
-        if tl >= t:
-            break
-        step = integrand.fields[l].T @ increments.increments[:, l]
-        acc += plan.multiplier(t - tl) * plan.forward(step)
-    return ComplexField(integrand.grid, plan.inverse(acc))
+    fields = np.asarray(fields, dtype=np.complex128)
+    if fields.ndim != 3 or fields.shape[0] != np.size(mesh):
+        raise MeshMismatch(f"fields shape {fields.shape} does not match a mesh of {np.size(mesh)} points")
+    if fields.shape[2] != plan.grid.size:
+        raise GridMismatch("mode fields do not match the plan's grid")
+    mesh, increments = _stack_increments(mesh, increments, fields.shape[1])
+    n = np.count_nonzero(mesh[:-1] < t) if fields.shape[1] else 0  # no modes: a zero sum
+    modes_hat = plan.forward(fields[:n])
+    terms = (mode_sum(increments[:, :, l], modes_hat[l]) for l in range(n))
+    return _left_endpoint_sum(plan, mesh[:n], t, terms, (increments.shape[0], plan.grid.size))
+
+
+def free_strichartz_norm(plan: SpectralPlan, values: np.ndarray, pair: StrichartzPair, mesh) -> float:
+    """Discrete L^q(0,T;L^p) norm of the free evolution of the flat field
+    `values` on `mesh`,
+
+        (sum_l ||U(t_l) x||_p^q (t_{l+1} - t_l))^(1/q),
+
+    accumulated in time order; U(0) x is x itself."""
+    mesh = np.asarray(mesh, dtype=float)
+    q, p = float(pair.q), float(pair.p)
+    total = 0.0
+    for tl, dt in zip(mesh[:-1], np.diff(mesh)):
+        total += float(lp_norm_rows(plan.evolve_values(values, tl), p, plan.grid)) ** q * dt
+    return total ** (1.0 / q)
 
 
 def estimate_strichartz_constant(
@@ -163,20 +153,13 @@ def estimate_strichartz_constant(
 ) -> float:
     """Empirical lower bound on the homogeneous Strichartz constant.
 
-    Max over `samples` random unit-L^2 fields of the discrete
-    L^q(0,T;L^p) norm of the free evolution.  Never asserted against a
-    theoretical value; reported as an estimate only.
+    Max over `samples` random unit-L^2 fields of `free_strichartz_norm` on
+    `steps` equal steps of [0, T].  Never asserted against a theoretical
+    value; reported as an estimate only.
     """
     rng = np.random.default_rng(seed)
-    q = float(pair.q)
-    p = float(pair.p)
     mesh = np.linspace(0.0, T, steps + 1)
-    best = 0.0
-    for _ in range(samples):
-        x = random_field(plan.grid, rng, unit_l2=True)
-        total = 0.0
-        for l in range(steps):
-            ul = plan.free_evolve(x, mesh[l])
-            total += lp_norm(ul, p) ** q * (mesh[l + 1] - mesh[l])
-        best = max(best, total ** (1.0 / q))
-    return best
+    return max(
+        (free_strichartz_norm(plan, random_field(plan.grid, rng, unit_l2=True).values, pair, mesh) for _ in range(samples)),
+        default=0.0,
+    )

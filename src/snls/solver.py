@@ -44,9 +44,7 @@ from .grid_field import (
     Trajectory,
     advance_accumulators,
     lp_norm_rows,
-    mass_outside_central_halfbox,
     norms_and_leakage,
-    row_norms,
     z_components,
 )
 from .noise import BrownianPath, NoiseModel, mode_sum, sample_brownian_path
@@ -94,8 +92,8 @@ class SimConfig:
             raise ConfigError(f"dt={self.dt} does not divide T={self.T}")
         if not self.truncation_level > 0:
             raise ConfigError(f"truncation level must be positive, got {self.truncation_level}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2^64), got {self.seed}")
 
     @property
     def n_steps(self) -> int:
@@ -156,18 +154,13 @@ def solve(
     config: SimConfig,
     path: BrownianPath | None = None,
     path_index: int = 0,
-    model: NoiseModel | None = None,
-    u0: ComplexField | None = None,
     keep_states: bool = True,
 ) -> SolveReport:
     """Solve one path with config.scheme: the P = 1 case of `solve_paths`.
 
     Raises the path's BlowUp if it failed.
     """
-    if model is None or u0 is None:
-        _, built_model, built_u0 = materialize(config)
-        model = built_model if model is None else model
-        u0 = built_u0 if u0 is None else u0
+    _, model, u0 = materialize(config)
     if path is None:
         path = path_for(config, path_index, model)
     (result,) = solve_paths(config, [path], model, u0, keep_states)
@@ -245,7 +238,6 @@ def solve_paths(
     acc1 = np.zeros((P, K + 1))
     acc2 = np.zeros((P, K + 1))
     states = np.empty((P, K + 1, grid.size), dtype=np.complex128) if keep_states else None
-    leak = np.full(P, mass_outside_central_halfbox(u0))
     ever_active = np.zeros(P, dtype=bool)
     norm1 = np.empty(P)  # ||.||_p1 and ||.||_p2 of each row's last state
     norm2 = np.empty(P)
@@ -255,7 +247,7 @@ def solve_paths(
     if keep_states:
         states[:, 0] = v
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mass[:, 0], norm1[:], norm2[:] = row_norms(np.abs(v), grid.cell_volume, p1, p2)
+        mass[:, 0], norm1[:], norm2[:], leak = norms_and_leakage(np.abs(v), grid, p1, p2)
         for l in range(K):
             c1, c2 = acc1[rows, l], acc2[rows, l]
             v, active = step(v, c1, c2, increments[rows, :, l])

@@ -369,6 +369,11 @@ CLI_FAILURES = {
         {"c.json": VALID_DOC, "f": "x"}, ["simulate", "{tmp}/c.json", "--out", "{tmp}/f"], {}, 4, "IOError"
     ),
     "SNLS_THREADS-four": ({"c.json": VALID_DOC}, ENSEMBLE + ["--paths", "2"], {"SNLS_THREADS": "four"}, 2, "ConfigError"),
+    "SNLS_THREADS-negative": ({"c.json": VALID_DOC}, ENSEMBLE + ["--paths", "2"], {"SNLS_THREADS": "-4"}, 2, "ConfigError"),
+    # Philox keys and counters are 64-bit: 2^64 is out of range, not a crash
+    "seed-flag-2^64": ({"c.json": VALID_DOC}, SIMULATE + ["--seed", str(2**64)], {}, 2, "ConfigError"),
+    "ensemble-seed-flag-2^64": ({"c.json": VALID_DOC}, ENSEMBLE + ["--paths", "2", "--seed", str(2**64)], {}, 2, "ConfigError"),
+    "path-index-2^64": ({"c.json": VALID_DOC}, SIMULATE + ["--path-index", str(2**64)], {}, 2, "OutOfRange"),
     # an OSError while solving, here from reading a `file` field spec
     "missing-field-file": (
         {"c.json": dict(VALID_DOC, initial_condition={"kind": "file", "path": "absent.field"})}, SIMULATE, {}, 4, "IOError"
@@ -400,6 +405,7 @@ MALFORMED = {
     "seed-2.7": dict(VALID_DOC, seed=2.7),
     "seed-true": dict(VALID_DOC, seed=True),
     "seed-string": dict(VALID_DOC, seed="5"),
+    "seed-2^64": dict(VALID_DOC, seed=2**64),
     "lambda-1.5": dict(VALID_DOC, **{"lambda": 1.5}),
     "d-1.9": dict(VALID_DOC, d=1.9),
     "d-true": dict(VALID_DOC, d=True),

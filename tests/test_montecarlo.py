@@ -153,9 +153,10 @@ def test_worker_count_env(monkeypatch):
     assert worker_count(2) == 2
     monkeypatch.setenv("SNLS_THREADS", "0")
     assert worker_count(4) >= 1
-    monkeypatch.setenv("SNLS_THREADS", "four")
-    with pytest.raises(ConfigError, match="SNLS_THREADS"):
-        worker_count(4)
+    for bad in ("four", "-4"):
+        monkeypatch.setenv("SNLS_THREADS", bad)
+        with pytest.raises(ConfigError, match="SNLS_THREADS"):
+            worker_count(4)
 
 
 def test_parallel_matches_serial(monkeypatch):

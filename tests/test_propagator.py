@@ -5,33 +5,30 @@ import math
 import numpy as np
 import pytest
 
-from snls.errors import GridMismatch, MeshMismatch
+from snls.errors import EmptyTrajectory, GridMismatch, LengthMismatch, MeshMismatch
 from snls.exponents import strichartz_pair
 from snls.grid_field import (
-    ComplexField,
     Grid,
-    Trajectory,
     gaussian_field,
     lp_norm,
+    lp_norm_rows,
     mass_outside_central_halfbox,
     plane_wave_field,
     random_field,
-    zero_field,
 )
 from snls.noise import sample_brownian_path
 from snls.propagator import (
-    ModeForcing,
     SpectralPlan,
     duhamel_convolution,
     estimate_strichartz_constant,
     free_evolve,
+    free_strichartz_norm,
     get_plan,
     stochastic_convolution,
 )
-from snls.exponents import ModelParams, z_exponents
 
 GRID = Grid(d=1, n=256, L=32.0)
-ZX = z_exponents(ModelParams(d=1, alpha=3, gamma=1, lam=1))
+PLAN = get_plan(GRID)
 
 
 def test_identity_at_t_zero():
@@ -129,30 +126,32 @@ def test_gaussian_dispersive_decay_slope():
 
 
 def test_grid_mismatch_rejected():
-    plan = get_plan(GRID)
     other = random_field(Grid(d=1, n=128, L=32.0), np.random.default_rng(2))
     with pytest.raises(GridMismatch):
-        plan.free_evolve(other, 0.1)
-
-
-def _forcing_trajectory(states, times):
-    return Trajectory.from_states(times, states, ZX)
+        duhamel_convolution(PLAN, [0.0], other.values[None], 0.1)
+    with pytest.raises(GridMismatch):
+        stochastic_convolution(PLAN, [0.0, 0.1], np.stack([other.values] * 2)[:, None], np.zeros((1, 1, 1)), 0.1)
 
 
 def test_duhamel_zero_forcing():
-    traj = _forcing_trajectory([zero_field(GRID)] * 3, [0.0, 0.5, 1.0])
-    out = duhamel_convolution(traj, 1.0)
-    assert lp_norm(out, 2) == 0.0
+    out = duhamel_convolution(PLAN, [0.0, 0.5, 1.0], np.zeros((3, GRID.size)), 1.0)
+    assert lp_norm_rows(out, 2, GRID) == 0.0
 
 
 def test_duhamel_single_step():
     rng = np.random.default_rng(3)
     f0 = random_field(GRID, rng)
-    traj = _forcing_trajectory([f0], [0.0])
     t = 0.25
-    out = duhamel_convolution(traj, t)
+    out = duhamel_convolution(PLAN, [0.0], f0.values[None], t)
     expected = free_evolve(f0, t).values * t
-    assert np.max(np.abs(out.values - expected)) < 1e-12
+    assert np.max(np.abs(out - expected)) < 1e-12
+
+
+def test_duhamel_rejects_malformed_forcing():
+    with pytest.raises(LengthMismatch):
+        duhamel_convolution(PLAN, [0.0, 0.5], np.zeros((3, GRID.size)), 1.0)
+    with pytest.raises(EmptyTrajectory):
+        duhamel_convolution(PLAN, [], np.zeros((0, GRID.size)), 1.0)
 
 
 def test_duhamel_semigroup_forcing():
@@ -161,12 +160,11 @@ def test_duhamel_semigroup_forcing():
     rng = np.random.default_rng(4)
     g0 = random_field(GRID, rng, unit_l2=True)
     times = np.linspace(0.0, 1.0, 33)
-    states = [free_evolve(g0, float(s)) for s in times]
-    traj = _forcing_trajectory(states, times)
+    forcing = np.stack([free_evolve(g0, float(s)).values for s in times])
     t = 1.0
-    out = duhamel_convolution(traj, t)
+    out = duhamel_convolution(PLAN, times, forcing, t)
     expected = t * free_evolve(g0, t).values
-    assert lp_norm(ComplexField(GRID, out.values - expected), 2) < 1e-11
+    assert lp_norm_rows(out - expected, 2, GRID) < 1e-11
 
 
 def test_duhamel_time_derivative_consistency():
@@ -175,15 +173,14 @@ def test_duhamel_time_derivative_consistency():
     f0 = gaussian_field(g, 1.0, 1.5)
     dt = 1e-3
     times = np.arange(0.0, 1.0 + dt / 2, dt)
-    states = [free_evolve(f0, float(0.3 * s)) for s in times]  # smooth forcing
-    traj = _forcing_trajectory(states, times)
+    forcing = np.stack([free_evolve(f0, float(0.3 * s)).values for s in times])  # smooth forcing
     t = 0.5
     plan = get_plan(g)
-    conv_plus = duhamel_convolution(traj, t + dt, plan)
-    conv_at = duhamel_convolution(traj, t, plan)
-    lhs = (conv_plus.values - conv_at.values) / dt
-    lap = plan.inverse(-plan.wavenumber_squares.reshape(-1) * plan.forward(conv_at.values))
-    f_at = states[int(round(t / dt))].values
+    conv_plus = duhamel_convolution(plan, times, forcing, t + dt)
+    conv_at = duhamel_convolution(plan, times, forcing, t)
+    lhs = (conv_plus - conv_at) / dt
+    lap = plan.inverse(-plan.wavenumber_squares.reshape(-1) * plan.forward(conv_at))
+    f_at = forcing[int(round(t / dt))]
     rhs = 1j * lap + f_at
     err = np.sqrt(np.sum(np.abs(lhs - rhs) ** 2) * g.cell_volume)
     assert err < 50 * dt
@@ -192,11 +189,11 @@ def test_duhamel_time_derivative_consistency():
 def test_stochastic_convolution_zero_increments():
     mesh = np.linspace(0.0, 1.0, 9)
     fields = np.ones((9, 1, GRID.size), dtype=complex)
-    forcing = ModeForcing(GRID, mesh, fields)
-    path = sample_brownian_path(mesh, 1, 0, 0)
-    zeroed = type(path)(mesh=path.mesh, increments=np.zeros_like(path.increments), seed=0, path_index=0)
-    out = stochastic_convolution(forcing, zeroed, 1.0)
-    assert lp_norm(out, 2) == 0.0
+    out = stochastic_convolution(PLAN, mesh, fields, np.zeros((2, 1, 8)), 1.0)
+    assert out.shape == (2, GRID.size)
+    assert np.all(lp_norm_rows(out, 2, GRID) == 0.0)
+    no_modes = stochastic_convolution(PLAN, mesh, fields[:, :0], np.zeros((2, 0, 8)), 1.0)
+    assert no_modes.shape == (2, GRID.size) and not no_modes.any()
 
 
 def test_stochastic_convolution_single_mode_single_step():
@@ -204,25 +201,24 @@ def test_stochastic_convolution_single_mode_single_step():
     phi0 = random_field(GRID, rng)
     mesh = np.array([0.0, 0.5])
     fields = phi0.values[None, None, :].repeat(2, axis=0)
-    forcing = ModeForcing(GRID, mesh, fields)
     path = sample_brownian_path(mesh, 1, 7, 0)
-    out = stochastic_convolution(forcing, path, 0.5)
+    (out,) = stochastic_convolution(PLAN, mesh, fields, path.increments[None], 0.5)
     expected = free_evolve(phi0, 0.5).values * path.increments[0, 0]
-    assert np.max(np.abs(out.values - expected)) < 1e-13
+    assert np.max(np.abs(out - expected)) < 1e-13
 
 
 def test_stochastic_convolution_scalar_reduction():
-    """With the Laplacian disabled the sum collapses to g * beta(t)."""
+    """With the Laplacian disabled the sum collapses to g * beta(t), for
+    every path of a stack."""
     plan = SpectralPlan(GRID, laplacian_enabled=False)
     rng = np.random.default_rng(6)
     g0 = random_field(GRID, rng)
     mesh = np.linspace(0.0, 1.0, 65)
-    fields = np.broadcast_to(g0.values, (65, 1, GRID.size)).copy()
-    forcing = ModeForcing(GRID, mesh, fields)
-    path = sample_brownian_path(mesh, 1, 11, 3)
-    out = stochastic_convolution(forcing, path, 1.0, plan)
-    beta_T = float(np.sum(path.increments[0]))
-    assert np.max(np.abs(out.values - g0.values * beta_T)) < 1e-13
+    fields = np.broadcast_to(g0.values, (65, 1, GRID.size))
+    increments = np.stack([sample_brownian_path(mesh, 1, 11, pi).increments for pi in (3, 4)])
+    out = stochastic_convolution(plan, mesh, fields, increments, 1.0)
+    beta_T = np.sum(increments[:, 0], axis=-1)
+    assert np.max(np.abs(out - g0.values * beta_T[:, None])) < 1e-13
 
 
 def test_stochastic_convolution_linearity():
@@ -230,39 +226,47 @@ def test_stochastic_convolution_linearity():
     g0 = random_field(GRID, rng)
     mesh = np.linspace(0.0, 1.0, 17)
     fields = np.broadcast_to(g0.values, (17, 2, GRID.size)).copy()
-    forcing = ModeForcing(GRID, mesh, fields)
-    path = sample_brownian_path(mesh, 2, 13, 0)
-    doubled = type(path)(mesh=path.mesh, increments=2.0 * path.increments, seed=13, path_index=0)
-    out1 = stochastic_convolution(forcing, path, 1.0)
-    out2 = stochastic_convolution(forcing, doubled, 1.0)
-    assert np.max(np.abs(out2.values - 2.0 * out1.values)) < 1e-12
+    increments = sample_brownian_path(mesh, 2, 13, 0).increments[None]
+    out1 = stochastic_convolution(PLAN, mesh, fields, increments, 1.0)
+    out2 = stochastic_convolution(PLAN, mesh, fields, 2.0 * increments, 1.0)
+    assert np.max(np.abs(out2 - 2.0 * out1)) < 1e-12
 
-    half = ModeForcing(GRID, mesh, 0.5 * fields)
-    out3 = stochastic_convolution(half, path, 1.0)
-    assert np.max(np.abs(out3.values - 0.5 * out1.values)) < 1e-12
+    out3 = stochastic_convolution(PLAN, mesh, 0.5 * fields, increments, 1.0)
+    assert np.max(np.abs(out3 - 0.5 * out1)) < 1e-12
 
 
 def test_stochastic_convolution_mesh_mismatch():
     mesh = np.linspace(0.0, 1.0, 9)
-    forcing = ModeForcing(GRID, mesh, np.ones((9, 1, GRID.size), dtype=complex))
-    path = sample_brownian_path(np.linspace(0.0, 1.0, 17), 1, 0, 0)
+    fields = np.ones((9, 1, GRID.size), dtype=complex)
+    increments = sample_brownian_path(np.linspace(0.0, 1.0, 17), 1, 0, 0).increments[None]
     with pytest.raises(MeshMismatch):
-        stochastic_convolution(forcing, path, 1.0)
+        stochastic_convolution(PLAN, mesh, fields, increments, 1.0)
+    with pytest.raises(MeshMismatch):
+        stochastic_convolution(PLAN, np.linspace(0.0, 1.0, 17), fields, increments, 1.0)
+
+
+def test_stochastic_convolution_rows_are_their_solo_sums():
+    """A path's row of a stack equals the sum for that path alone, bitwise."""
+    rng = np.random.default_rng(8)
+    mesh = np.linspace(0.0, 1.0, 17)
+    fields = np.stack([np.stack([random_field(GRID, rng).values for _ in range(3)]) for _ in mesh])
+    increments = np.stack([sample_brownian_path(mesh, 3, 19, pi).increments for pi in range(4)])
+    stack = stochastic_convolution(PLAN, mesh, fields, increments, 0.7)
+    for p in range(4):
+        (solo,) = stochastic_convolution(PLAN, mesh, fields, increments[p : p + 1], 0.7)
+        assert stack[p].tobytes() == solo.tobytes()
 
 
 def test_estimate_strichartz_plane_wave_exact():
     """One plane wave: the free evolution has constant modulus, so the
-    L^q(0,T;L^p) norm is ||x||_p T^(1/q) and the estimate equals it."""
+    discrete L^q(0,T;L^p) norm is ||x||_p T^(1/q)."""
     g = Grid(d=1, n=64, L=2 * np.pi)
     pair = strichartz_pair(4, 1)
-    plan = get_plan(g)
     x = plane_wave_field(g, [2], 1.0)
     x = x.scaled(1.0 / lp_norm(x, 2))
-    q, p = float(pair.q), float(pair.p)
     mesh = np.linspace(0.0, 1.0, 65)
-    total = sum(lp_norm(plan.free_evolve(x, float(s)), p) ** q * (1.0 / 64.0) for s in mesh[:-1])
-    by_hand = total ** (1.0 / q)
-    assert by_hand == pytest.approx(lp_norm(x, p) * 1.0 ** (1 / q), rel=1e-12)
+    norm = free_strichartz_norm(get_plan(g), x.values, pair, mesh)
+    assert norm == pytest.approx(lp_norm(x, float(pair.p)) * 1.0 ** (1 / float(pair.q)), rel=1e-12)
 
 
 def test_estimate_strichartz_monotone_in_samples():

@@ -155,9 +155,7 @@ def test_picard_fixed_point_satisfies_mild_equation():
     convolutions (direct sums, not the solver's recursive sweep)."""
     import math as _math
 
-    from snls.exponents import z_exponents
-    from snls.propagator import ModeForcing, duhamel_convolution, free_evolve as fe, stochastic_convolution
-    from snls.grid_field import Trajectory
+    from snls.propagator import duhamel_convolution, free_evolve as fe, get_plan, stochastic_convolution
 
     grid = Grid(d=1, n=64, L=32.0)
     cfg = config(
@@ -173,33 +171,30 @@ def test_picard_fixed_point_satisfies_mild_equation():
     traj = rep.trajectory
     alpha = float(cfg.params.alpha)
     gamma = float(cfg.params.gamma)
-    zx = z_exponents(cfg.params)
 
-    forcings = []
+    forcing = np.empty((len(traj), grid.size), dtype=complex)
     mode_fields = np.empty((len(traj), model.n_modes, grid.size), dtype=complex)
     for j in range(len(traj)):
-        uj = traj.state_at_index(j)
-        forcings.append(_mild_forcing(uj, model, alpha, gamma, cfg.params.lam))
-        mode_fields[j] = -1j * model.coeffs * (np.abs(uj.values) ** (gamma - 1.0) * uj.values)[None, :]
+        v = traj.state_at_index(j).values
+        forcing[j] = _mild_forcing(v, model, alpha, gamma, cfg.params.lam)
+        mode_fields[j] = -1j * model.coeffs * (np.abs(v) ** (gamma - 1.0) * v)[None, :]
 
     T = cfg.T
-    det = duhamel_convolution(Trajectory.from_states(traj.times, forcings, zx), T)
-    sto = stochastic_convolution(ModeForcing(grid, path.mesh, mode_fields), path, T)
-    expected = fe(u0, T).values + det.values + sto.values
+    plan = get_plan(grid)
+    det = duhamel_convolution(plan, traj.times, forcing, T)
+    (sto,) = stochastic_convolution(plan, path.mesh, mode_fields, path.increments[None], T)
+    expected = fe(u0, T).values + det + sto
     got = traj.state_at_index(-1).values
     resid = np.sqrt(np.sum(np.abs(got - expected) ** 2) * grid.cell_volume)
     assert resid < 1e-8, f"mild-equation residual {resid}"
 
 
-def _mild_forcing(u, model, alpha, gamma, lam):
-    """-i lam |u|^(a-1) u + mu1 |u|^(2(g-1)) u + mu2 u at phi = 1."""
-    v = u.values
+def _mild_forcing(v, model, alpha, gamma, lam):
+    """-i lam |v|^(a-1) v + mu1 |v|^(2(g-1)) v + mu2 v at phi = 1."""
     out = (-1j * lam) * np.abs(v) ** (alpha - 1.0) * v + model.mu2 * v
     if model.n_modes:
         out = out + model.mu1 * np.abs(v) ** (2.0 * (gamma - 1.0)) * v
-    from snls.grid_field import ComplexField as _CF
-
-    return _CF(u.grid, out)
+    return out
 
 
 def test_solver_determinism_bitwise():

@@ -48,7 +48,6 @@ from .grid_field import (
     mass_outside_central_halfbox,
     plane_wave_field,
     random_field,
-    z_process,
     zero_field,
 )
 from .noise import (
@@ -62,7 +61,6 @@ from .noise import (
     euler_maruyama_paths,
     heun_stratonovich_diffusion,
     make_noise_model,
-    negate_path,
     noise_term,
     sample_brownian_path,
     stratonovich_drift,
@@ -83,9 +81,7 @@ from .solver import (
     materialize,
     path_coincidence_check,
     path_for,
-    picard_solve,
     solve,
-    splitstep_solve,
 )
 from .montecarlo import (
     EnsembleSummary,

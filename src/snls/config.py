@@ -14,11 +14,12 @@ and solver knobs have documented defaults:
 
 alpha and gamma accept integers, floats or exact "p/q" strings and are kept
 as exact rationals internally; d, lambda, grid.n and seed accept integers
-and integral floats (2.0, not 2.7); the enable_* switches accept only JSON
-booleans.  A value that cannot be read as its type raises ConfigError.
-`config_hash` is the SHA-256 of the canonical JSON serialization (sorted
-keys, compact separators), so equal configs hash equally regardless of
-input formatting.
+and integral floats (2.0, not 2.7); T, dt, grid.L and truncation_level
+accept integers and floats (`specs.as_real`), and the level also "inf"; the
+enable_* switches accept only JSON booleans.  A value that cannot be read
+as its type raises ConfigError.  `config_hash` is the SHA-256 of the
+canonical JSON serialization (sorted keys, compact separators), so equal
+configs hash equally regardless of input formatting.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import ConfigError, OutOfRange
 from .exponents import ModelParams, as_fraction
 from .grid_field import Grid
 from .solver import SimConfig
-from .specs import as_integer
+from .specs import as_integer, as_real
 
 _REQUIRED = ("d", "alpha", "gamma", "lambda", "T", "initial_condition", "noise")
 
@@ -49,12 +50,12 @@ _READERS = {
     "alpha": as_fraction,
     "gamma": as_fraction,
     "lambda": as_integer,
-    "T": float,
-    "dt": float,
+    "T": as_real,
+    "dt": as_real,
     "grid.n": as_integer,
-    "grid.L": float,
+    "grid.L": as_real,
     "scheme": str,
-    "truncation_level": float,
+    "truncation_level": lambda v: math.inf if v == "inf" else as_real(v),  # "inf": the echoed form
     "seed": as_integer,
     "enable_laplacian": _flag,
     "enable_nonlinearity": _flag,

@@ -14,8 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import OutOfRange, SnlsError
-from .exponents import ModelParams, z_exponents
+from .errors import OutOfRange
 from .grid_field import Trajectory
 
 
@@ -34,18 +33,14 @@ def theta(x, level: float):
     return np.clip(2.0 - np.asarray(x, dtype=float) / level, 0.0, 1.0)
 
 
-def detect_stopping_time(
-    traj: Trajectory, level: float, T: float, params: ModelParams | None = None
-) -> float:
+def detect_stopping_time(traj: Trajectory, level: float, T: float) -> float:
     """First mesh time with Z_t >= level, else T; resolved to mesh times.
 
-    One vectorised pass over the trajectory's accumulator columns (Z at a
-    recorded time is read from the accumulators there, as `z_process` does).
+    One vectorised pass over the trajectory's Z columns, which are bitwise
+    the values `Trajectory.z_components_at` reads at the recorded times.
     """
     if level <= 0:
         raise OutOfRange(f"level must be positive, got {level}")
-    if params is not None and z_exponents(params) != traj.zexp:
-        raise SnlsError(f"trajectory exponents {traj.zexp} do not match params {z_exponents(params)}")
     c1, c2 = traj.z_columns()
     times = traj.times
     hit = (c1 + c2 >= level) & (times <= T + 1e-12)

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EmptyTrajectory, GridMismatch, LengthMismatch, OutOfRange, SnlsError
-from .exponents import ModelParams, ZExponents, z_exponents
+from .exponents import ZExponents
 
 _HEADER = struct.Struct("<qqd")  # d, n as int64, L as float64, little-endian
 
@@ -267,14 +267,14 @@ class Trajectory:
     ||u||_{p1}^{q} up to t_j; `acc2[j]` is the analogous integral for
     (qt, p2), or the max of ||u(t_l)||_{p2} over l < j when qt = inf.  Both
     start from their values at `times[0]`: zero for a whole run, a prefix's
-    last accumulators for a window that continues it.  `last_norms` holds
-    (||u||_p1, ||u||_p2) of the last state.
+    last accumulators for a window that continues it.  Z is read only
+    inside the record, at times in [times[0], times[-1]].
 
     The solver builds trajectories from its columns, everything else
     through `from_states`.
     """
 
-    def __init__(self, grid: Grid, zexp: ZExponents, times, running_mass, acc1, acc2, states, last_norms):
+    def __init__(self, grid: Grid, zexp: ZExponents, times, running_mass, acc1, acc2, states):
         self.grid = grid
         self.zexp = zexp
         self.times = times
@@ -282,7 +282,6 @@ class Trajectory:
         self.acc1 = acc1
         self.acc2 = acc2
         self.states = states
-        self.last_norms = last_norms
 
     @classmethod
     def from_states(cls, times, states, zexp: ZExponents, acc0=(0.0, 0.0)) -> "Trajectory":
@@ -312,7 +311,7 @@ class Trajectory:
             acc1[j], acc2[j] = advance_accumulators(
                 acc1[j - 1], acc2[j - 1], n1[j - 1], n2[j - 1], times[j] - times[j - 1], zexp
             )
-        return cls(grid, zexp, times, mass, acc1, acc2, block, (n1[-1], n2[-1]))
+        return cls(grid, zexp, times, mass, acc1, acc2, block)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -327,45 +326,34 @@ class Trajectory:
         return ComplexField(self.grid, self.states[j])
 
     def _locate(self, t: float) -> int:
-        """Largest index j with times[j] <= t."""
-        if t < self.times[0] - 1e-12:
-            raise OutOfRange(f"t={t} precedes trajectory start {self.times[0]}")
-        j = int(np.searchsorted(self.times, t, side="right") - 1)
-        return max(j, 0)
+        """Largest index j with times[j] <= t, for t in the record (1e-12 slack)."""
+        if not self.times[0] - 1e-12 <= t <= self.times[-1] + 1e-12:
+            raise OutOfRange(f"t={t} lies outside the record [{self.times[0]}, {self.times[-1]}]")
+        return max(int(np.searchsorted(self.times, t, side="right") - 1), 0)
 
     def z_components_at(self, t: float) -> tuple[float, float]:
-        """The two running-norm components at time t (interpolated)."""
-        c1, c2 = z_components(*self.raw_accumulators_at(t), self.zexp)
-        return float(c1), float(c2)
-
-    def z_end(self) -> float:
-        """Z at the last recorded time, from the last accumulators in O(1)."""
-        c1, c2 = z_components(self.acc1[-1], self.acc2[-1], self.zexp)
-        return float(c1 + c2)
-
-    def z_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both running-norm components at every recorded time, in O(len)."""
-        return z_components(self.acc1, self.acc2, self.zexp)
-
-    def raw_accumulators_at(self, t: float) -> tuple[float, float]:
-        """Raw power integrals (or sup) at t, left-constant between samples."""
+        """The two running-norm components at a time t in the record, from
+        the raw accumulators interpolated linearly between samples (a sup
+        takes the next sample's); a t outside the record, or NaN, raises
+        OutOfRange."""
         j = self._locate(t)
         times, acc1, acc2 = self.times, self.acc1, self.acc2
         frac = t - float(times[j])
         if frac <= 0.0 or j == len(times) - 1:
-            # between the last sample and t the integrand is the last state
-            if frac > 0.0:
-                a1, a2 = advance_accumulators(acc1[j], acc2[j], *self.last_norms, frac, self.zexp)
-                return float(a1), float(a2)
-            return float(acc1[j]), float(acc2[j])
-        # t lies strictly between samples j and j+1: integrand is state j
-        span = float(times[j + 1] - times[j])
-        a1 = float(acc1[j]) + float(acc1[j + 1] - acc1[j]) / span * frac
-        if self.zexp.q_tilde_finite:
-            a2 = float(acc2[j]) + float(acc2[j + 1] - acc2[j]) / span * frac
-        else:
-            a2 = float(acc2[j + 1])
-        return a1, a2
+            a1, a2 = float(acc1[j]), float(acc2[j])
+        else:  # t lies strictly between samples j and j+1: integrand is state j
+            span = float(times[j + 1] - times[j])
+            a1 = float(acc1[j]) + float(acc1[j + 1] - acc1[j]) / span * frac
+            if self.zexp.q_tilde_finite:
+                a2 = float(acc2[j]) + float(acc2[j + 1] - acc2[j]) / span * frac
+            else:
+                a2 = float(acc2[j + 1])
+        c1, c2 = z_components(a1, a2, self.zexp)
+        return float(c1), float(c2)
+
+    def z_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both running-norm components at every recorded time, in O(len)."""
+        return z_components(self.acc1, self.acc2, self.zexp)
 
 
 def bochner_norm(traj: Trajectory, q: float, p: float, t_end: float) -> float:
@@ -397,22 +385,6 @@ def bochner_norm(traj: Trajectory, q: float, p: float, t_end: float) -> float:
             continue
         total += lp_norm(traj.state_at_index(j), p) ** q * dt
     return total ** (1.0 / q) if total > 0 else 0.0
-
-
-def z_process(traj: Trajectory, t: float, params: ModelParams | None = None) -> float:
-    """Running norm Z_t: sum of the two Bochner-norm components up to t.
-
-    Read from the accumulators, so it is exactly 0.0 at the start of a
-    whole run and the prefix's Z at the start of a window built on one.
-    """
-    if params is not None:
-        expected = z_exponents(params)
-        if expected != traj.zexp:
-            raise SnlsError(
-                f"trajectory exponents {traj.zexp} do not match params {expected}"
-            )
-    c1, c2 = traj.z_components_at(t)
-    return c1 + c2
 
 
 # ---------------------------------------------------------------------------

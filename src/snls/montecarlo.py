@@ -53,18 +53,14 @@ class PathOutcome:
     error: str = ""
 
 
-def solve_path(config: SimConfig, path_index: int, persist_dir: str | None = None) -> PathOutcome:
-    """Solve one path and reduce it to the ensemble statistics.
+def solve_chunk(config: SimConfig, indices, persist_dir: str | None = None) -> list:
+    """Solve the paths `indices`, marched as one stack, and reduce each to
+    its PathOutcome for the ensemble statistics.
 
-    With `persist_dir` set, the per-path report (outcome plus the solver's
+    With `persist_dir` set, each per-path report (outcome plus the solver's
     report summary: tau, cutoff activity, half-box leakage, notes) is
     written there as `path_<index>.json`.
     """
-    return solve_chunk(config, [path_index], persist_dir)[0]
-
-
-def solve_chunk(config: SimConfig, indices, persist_dir: str | None = None) -> list:
-    """`solve_path` for several path indices, marched as one stack."""
     _, model, u0 = materialize(config)
     mesh = config.mesh()
     paths = [sample_brownian_path(mesh, model.total_modes, config.seed, i) for i in indices]

@@ -205,12 +205,6 @@ def coarsen_path(path: BrownianPath, factor: int) -> BrownianPath:
     return replace(path, mesh=mesh, increments=inc)
 
 
-def negate_path(path: BrownianPath) -> BrownianPath:
-    inc = -path.increments
-    inc.setflags(write=False)
-    return replace(path, increments=inc)
-
-
 # ---------------------------------------------------------------------------
 # Drift, diffusion and the exact diffusion-only solution
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Time integrators: Picard (exponential-Euler) march and split-step reference.
 
-`picard_solve` realizes the mild formulation
+The Picard scheme realizes the mild formulation
 
     u(t) = U(t) u0 + K_det[u](t) + K_strat[u](t) + K_stoch[u](t)
 
@@ -10,13 +10,9 @@ causal: v_{l+1} depends only on v_0..v_l, and the cutoff at step l reads Z
 only up to t_l.  Its fixed point is therefore the explicit exponential-Euler
 (Lawson) recurrence, which the solver marches one step at a time with the
 sampled Brownian increments held fixed, so each path is solved
-deterministically.
-
-`splitstep_solve` is the untruncated reference scheme: Strang splitting
-with an exactly unitary linear half-step, an exact pointwise phase step for
-the power nonlinearity, and an exact phase step for conservative noise
-(Euler–Maruyama fallback otherwise), so discrete mass is conserved to
-rounding when every sub-step is an isometry.
+deterministically (`_picard_step`).  The split-step scheme
+(`_splitstep_step`) is the untruncated reference: Strang splitting whose
+sub-steps conserve discrete mass to rounding for conservative noise.
 
 Both schemes run in one engine, `solve_paths`, which marches P paths as a
 (P, grid.size) stack: a batched 1-D FFT per spatial axis and transform, one
@@ -25,7 +21,7 @@ accumulators as (P, K+1) columns, and the cutoff theta(Z) per row.  A path's
 result does not depend on the other rows of its stack, bitwise.  A row whose
 step gives non-finite values, an L^2 norm above BLOWUP_L2 or running-norm
 accumulators that overflow becomes a BlowUp and leaves the stack; the others
-march on.  `solve`, `picard_solve` and `splitstep_solve` are the P = 1 case.
+march on.  `solve` is the P = 1 case, in the config's scheme.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ from .grid_field import (
     norms_and_leakage,
     z_components,
 )
-from .noise import BrownianPath, NoiseModel, mode_sum, sample_brownian_path
+from .noise import BrownianPath, NoiseModel, _stack_increments, mode_sum, sample_brownian_path
 from .propagator import get_plan
 from .specs import build_field, build_noise_model
 
@@ -169,37 +165,6 @@ def solve(
     return result
 
 
-def splitstep_solve(config: SimConfig, path: BrownianPath | None = None, path_index: int = 0, **kw) -> SolveReport:
-    """Strang split step: half linear, nonlinear phase, noise step, half linear.
-
-    The nonlinear and conservative-noise sub-steps are exact pointwise phase
-    rotations (|u| invariant); with the unitary linear half-steps every
-    sub-step is an isometry on the grid, so discrete mass is conserved to
-    rounding.  Non-conservative noise falls back to one Euler–Maruyama step
-    with the Itô correction drift.  Keywords as for `solve`.
-    """
-    return solve(replace(config, scheme="splitstep"), path, path_index, **kw)
-
-
-def picard_solve(config: SimConfig, path: BrownianPath | None = None, path_index: int = 0, **kw) -> SolveReport:
-    """Fixed point of the discrete mild equation, marched step by step.
-
-    Step l reads phi_l = theta(Z_{t_l}, level) from the running-norm
-    accumulators of the states up to t_l, then sets
-
-        v_{l+1} = U(dt) (v_l + dt F(v_l, phi_l) + K(v_l, phi_l, dbeta_l))
-
-    with the forcing and the noise kick (see `noise.stratonovich_drift` and
-    `noise.noise_term`)
-
-        F = -i lam phi |v|^(alpha-1) v + phi mu1 |v|^(2(gamma-1)) v + mu2 v,
-        K = -i phi (dbeta_l . e) |v|^(gamma-1) v - i (dbeta'_l . b) v.
-
-    Keywords as for `solve`.
-    """
-    return solve(replace(config, scheme="picard"), path, path_index, **kw)
-
-
 # ---------------------------------------------------------------------------
 # The path-batched engine
 # ---------------------------------------------------------------------------
@@ -217,9 +182,11 @@ def solve_paths(
     Returns one result per path, in order: its SolveReport, or the BlowUp
     of a path whose step gave non-finite values, an L^2 norm above
     BLOWUP_L2 or non-finite running-norm accumulators.  A failed row is
-    dropped from the stack and the others march on.  Every row is computed with numpy ufuncs, row-wise FFTs and sums
-    over the C-contiguous last axis, and mode sums in a fixed order, so a
-    path's result is bitwise the same in any batch, at any position.
+    dropped from the stack and the others march on.  Every row is computed
+    with numpy ufuncs, row-wise FFTs and sums over the C-contiguous last
+    axis, and mode sums in a fixed order, so a path's result is bitwise the
+    same in any batch, at any position.  Paths off the config mesh raise
+    MeshMismatch, paths without the model's mode count LengthMismatch.
     """
     mesh = config.mesh()
     for path in paths:
@@ -231,7 +198,7 @@ def solve_paths(
     zexp = z_exponents(config.params)
     p1, p2 = float(zexp.p1), float(zexp.p2)
     step = _picard_step(config, model, zexp) if config.scheme == "picard" else _splitstep_step(config, model)
-    increments = np.stack([path.increments for path in paths])  # (P, M, K)
+    _, increments = _stack_increments(mesh, np.stack([path.increments for path in paths]), model.total_modes)
     steps = np.diff(mesh)
 
     mass = np.empty((P, K + 1))
@@ -239,7 +206,7 @@ def solve_paths(
     acc2 = np.zeros((P, K + 1))
     states = np.empty((P, K + 1, grid.size), dtype=np.complex128) if keep_states else None
     ever_active = np.zeros(P, dtype=bool)
-    norm1 = np.empty(P)  # ||.||_p1 and ||.||_p2 of each row's last state
+    norm1 = np.empty(P)  # ||.||_p1 and ||.||_p2 of each row's current state
     norm2 = np.empty(P)
     failures = {}
     rows = slice(None)  # rows still marching: a slice (views) until one fails, then their index
@@ -283,10 +250,7 @@ def solve_paths(
         if r in failures:
             results.append(failures[r])
             continue
-        traj = Trajectory(
-            grid, zexp, mesh, mass[r], acc1[r], acc2[r],
-            states[r] if keep_states else None, (norm1[r], norm2[r]),
-        )
+        traj = Trajectory(grid, zexp, mesh, mass[r], acc1[r], acc2[r], states[r] if keep_states else None)
         results.append(
             SolveReport(
                 trajectory=traj,
@@ -336,7 +300,15 @@ def _ito_step(v, phi, dinc, dt, lam, alpha, gamma, model: NoiseModel) -> np.ndar
 
 
 def _splitstep_step(config: SimConfig, model: NoiseModel):
-    """One Strang step of a (R, size) stack; the cutoff is never applied."""
+    """One Strang step of a (R, size) stack; the cutoff is never applied.
+
+    Half linear step, nonlinear phase, noise step, half linear step.  The
+    nonlinear and conservative-noise sub-steps are exact pointwise phase
+    rotations (|u| invariant); with the unitary linear half-steps every
+    sub-step is an isometry on the grid, so discrete mass is conserved to
+    rounding.  Non-conservative noise falls back to one Euler–Maruyama step
+    with the Itô correction drift.
+    """
     plan = get_plan(config.grid, config.enable_laplacian)
     dt = config.dt
     alpha = float(config.params.alpha)
@@ -371,7 +343,19 @@ def _splitstep_step(config: SimConfig, model: NoiseModel):
 
 
 def _picard_step(config: SimConfig, model: NoiseModel, zexp):
-    """One exponential-Euler step of a (R, size) stack at cutoff theta(Z)."""
+    """One exponential-Euler (Lawson) step of a (R, size) stack.
+
+    Step l reads phi_l = theta(Z_{t_l}, level) from the running-norm
+    accumulators of the states up to t_l, then sets
+
+        v_{l+1} = U(dt) (v_l + dt F(v_l, phi_l) + K(v_l, phi_l, dbeta_l))
+
+    with the forcing and the noise kick (see `noise.stratonovich_drift` and
+    `noise.noise_term`)
+
+        F = -i lam phi |v|^(alpha-1) v + phi mu1 |v|^(2(gamma-1)) v + mu2 v,
+        K = -i phi (dbeta_l . e) |v|^(gamma-1) v - i (dbeta'_l . b) v.
+    """
     plan = get_plan(config.grid, config.enable_laplacian)
     dt = config.dt
     alpha = float(config.params.alpha)

@@ -29,11 +29,16 @@ from .noise import NoiseModel, make_noise_model
 
 
 def _as_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"cannot read {value!r} as a complex number")
+        return complex(as_real(value[0]), as_real(value[1]))
+    return complex(as_real(value))
+
+
+def as_real(value) -> float:
+    """An int or a float as a float; a boolean or a string raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a real number, got {value!r}")
+    return float(value)
 
 
 def as_integer(value) -> int:
@@ -75,7 +80,7 @@ def build_field(spec: dict, grid: Grid) -> ComplexField:
                 return gaussian_field(
                     grid,
                     amplitude=_as_complex(spec.get("amplitude", 1.0)),
-                    width=float(spec.get("width", 1.0)),
+                    width=as_real(spec.get("width", 1.0)),
                     center=spec.get("center"),
                 )
             if kind == "plane_wave":

@@ -148,14 +148,16 @@ JSON_VALUES = st.recursive(
 TOP_KEYS = sorted(set(VALID_DOC) | {"truncation_level", "enable_laplacian", "enable_nonlinearity"})
 # (where, key): a top-level key, a key of the initial condition (a
 # gaussian bump), the noise coefficient (a constant) or the linear
-# coefficient (a plane wave), or grid.n
+# coefficient (a plane wave), or grid.n or grid.L
 BOUNDARY_SITES = (
     [(None, key) for key in TOP_KEYS]
     + [("initial_condition", key) for key in ("amplitude", "width", "center")]
     + [("coefficients", "value"), ("linear_coefficients", "mode"), ("linear_coefficients", "amplitude")]
-    + [("grid", "n")]
+    + [("grid", "n"), ("grid", "L")]
 )
 INTEGER_KEYS = ("d", "lambda", "seed")
+# keys read as real numbers (or complex ones, from reals): no booleans, no strings
+REAL_KEYS = ("T", "dt", "truncation_level", "L", "width", "amplitude", "value")
 
 
 def _integral(value) -> bool:
@@ -174,7 +176,8 @@ def _integral(value) -> bool:
 def test_config_boundary_raises_only_snls_errors(d, n, site, value):
     """Any JSON value anywhere in a config either parses and materializes or
     raises an SnlsError, never a bare ValueError or TypeError.  A value at
-    an integer key that is not an integer or an integral float must raise."""
+    an integer key that is not an integer or an integral float must raise,
+    and so must a boolean or a string at a real key ("inf" is a level)."""
     doc = dict(
         VALID_DOC,
         d=d,
@@ -191,14 +194,18 @@ def test_config_boundary_raises_only_snls_errors(d, n, site, value):
         value = dict(value, n=n)  # keep every example to a few MB
     if where is None:
         doc[key] = value
+    elif where == "grid" and key == "L":
+        doc["grid"] = {"n": n, "L": value}
     elif where == "grid":
         doc["grid"] = {"n": n if _integral(value) else value, "L": 16.0}  # a few MB at most
     elif where == "initial_condition":
         doc[where][key] = value
     else:
         doc["noise"][where][0][key] = value
-    if (where is None and key in INTEGER_KEYS) or where == "grid":
+    if (where is None and key in INTEGER_KEYS) or site == ("grid", "n"):
         must_raise = not _integral(value)
+    elif key in REAL_KEYS:
+        must_raise = isinstance(value, (bool, str)) and not (key == "truncation_level" and value == "inf")
     elif key == "mode":
         must_raise = not (_integral(value) or (isinstance(value, list) and all(map(_integral, value))))
     else:
@@ -417,6 +424,16 @@ MALFORMED = {
     "noise-coefficient-unknown-key": dict(
         VALID_DOC, noise={"coefficients": [{"kind": "constant", "value": 0.3, "amplitude": 2.0}]}
     ),
+    # real keys take integers or floats; a boolean or a string is not read as a number
+    "T-true": dict(VALID_DOC, T=True),
+    "T-string": dict(VALID_DOC, T="0.25"),
+    "dt-true": dict(VALID_DOC, T=2.0, dt=True),
+    "grid-L-true": dict(VALID_DOC, grid={"n": 64, "L": True}),
+    "truncation-level-true": dict(VALID_DOC, truncation_level=True),
+    "truncation-level-string": dict(VALID_DOC, truncation_level="8"),
+    "ic-width-true": _ic(width=True),
+    "ic-amplitude-true": _ic(amplitude=True),
+    "constant-value-true": dict(VALID_DOC, noise={"coefficients": [{"kind": "constant", "value": True}]}),
 }
 CLI_FAILURES.update({name: ({"c.json": doc}, SIMULATE, {}, 2, "ConfigError") for name, doc in MALFORMED.items()})
 

@@ -8,7 +8,7 @@ import pytest
 
 from snls.dynamics import detect_stopping_time, theta
 from snls.exponents import ModelParams, z_exponents
-from snls.grid_field import Grid, Trajectory, random_field, z_process, zero_field
+from snls.grid_field import Grid, Trajectory, random_field, zero_field
 
 GRID = Grid(d=1, n=32, L=8.0)
 PARAMS = ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(3, 2), lam=1)
@@ -45,7 +45,7 @@ def test_cutoff_nonincreasing_along_trajectory():
     rng = np.random.default_rng(5)
     for _ in range(20):
         traj = random_trajectory(rng)
-        level = 0.7 * z_process(traj, traj.t_end)
+        level = 0.7 * sum(traj.z_components_at(traj.t_end))
         c1, c2 = traj.z_columns()
         phis = theta(c1 + c2, level)
         assert np.all(np.diff(phis) <= 1e-12)
@@ -67,24 +67,24 @@ def test_window_chaining_matches_concatenation():
             window = Trajectory.from_states(
                 times[split:] - times[split], states[split:], zexp, acc0=(head.acc1[-1], head.acc2[-1])
             )
-            level = max(0.5 * z_process(full, float(times[-1])), 1e-6)
+            level = max(0.5 * sum(full.z_components_at(float(times[-1]))), 1e-6)
             for j in range(split, n_total + 1):
-                z_c = z_process(window, float(times[j] - times[split]))
-                z_f = z_process(full, float(times[j]))
+                z_c = sum(window.z_components_at(float(times[j] - times[split])))
+                z_f = sum(full.z_components_at(float(times[j])))
                 assert z_c == pytest.approx(z_f, rel=1e-12, abs=1e-12)
                 assert theta(z_c, level) == pytest.approx(theta(z_f, level), abs=1e-12)
-            assert z_process(window, 0.0) == z_process(head, head.t_end)
+            assert sum(window.z_components_at(0.0)) == sum(head.z_components_at(head.t_end))
 
 
 def test_detect_stopping_time_zero_solution():
     traj = Trajectory.from_states([0.0, 0.5, 1.0], [zero_field(GRID)] * 3, ZX)
-    assert detect_stopping_time(traj, 1e-6, 1.0, PARAMS) == 1.0
+    assert detect_stopping_time(traj, 1e-6, 1.0) == 1.0
 
 
 def test_detect_stopping_time_tiny_level():
     rng = np.random.default_rng(7)
     traj = random_trajectory(rng)
-    tau = detect_stopping_time(traj, 1e-12, traj.t_end, PARAMS)
+    tau = detect_stopping_time(traj, 1e-12, traj.t_end)
     assert tau == pytest.approx(traj.times[1])
 
 
@@ -92,29 +92,29 @@ def test_detect_stopping_time_monotone_in_level():
     rng = np.random.default_rng(8)
     for _ in range(100):
         traj = random_trajectory(rng, n_states=int(rng.integers(3, 8)))
-        z_end = z_process(traj, traj.t_end)
+        z_end = sum(traj.z_components_at(traj.t_end))
         levels = sorted(rng.uniform(0.05 * z_end, 1.5 * z_end, size=4))
-        taus = [detect_stopping_time(traj, lv, traj.t_end, PARAMS) for lv in levels]
+        taus = [detect_stopping_time(traj, lv, traj.t_end) for lv in levels]
         assert all(b >= a for a, b in zip(taus, taus[1:]))
 
 
 def test_detect_stopping_time_matches_pointwise_scan():
-    """The vectorised detector equals the scan of z_process over the
+    """The vectorised detector equals the scan of `z_components_at` over the
     recorded times, including T inside the record and T past its end."""
     rng = np.random.default_rng(10)
     for _ in range(100):
         traj = random_trajectory(rng, n_states=int(rng.integers(2, 9)))
-        z_end = z_process(traj, traj.t_end)
+        z_end = sum(traj.z_components_at(traj.t_end))
         level = float(rng.uniform(0.05, 1.5)) * max(z_end, 1e-3)
         T = float(rng.choice([traj.t_end, 0.5 * traj.t_end, 2.0 * traj.t_end]))
         expected = T
         for t in traj.times:
             if t > T + 1e-12:
                 break
-            if z_process(traj, float(t), PARAMS) >= level:
+            if sum(traj.z_components_at(float(t))) >= level:
                 expected = float(min(t, T))
                 break
-        assert detect_stopping_time(traj, level, T, PARAMS) == expected
+        assert detect_stopping_time(traj, level, T) == expected
 
 
 def test_stopping_time_T_implies_phi_one():
@@ -123,9 +123,9 @@ def test_stopping_time_T_implies_phi_one():
     hits = 0
     for _ in range(50):
         traj = random_trajectory(rng)
-        level = 1.2 * z_process(traj, traj.t_end)
+        level = 1.2 * sum(traj.z_components_at(traj.t_end))
         T = traj.t_end
-        if detect_stopping_time(traj, level, T, PARAMS) == T:
+        if detect_stopping_time(traj, level, T) == T:
             hits += 1
             c1, c2 = traj.z_columns()
             assert np.all(theta(c1 + c2, level) == 1.0)

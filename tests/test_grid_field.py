@@ -22,7 +22,6 @@ from snls.grid_field import (
     plane_wave_field,
     random_field,
     trajectory_csv_lines,
-    z_process,
     zero_field,
 )
 
@@ -151,12 +150,12 @@ def test_z_process_zero_at_origin_and_matches_bochner():
     states = [random_field(GRID, rng) for _ in range(6)]
     times = [0.0, 0.2, 0.5, 0.6, 1.1, 1.4]
     traj = Trajectory.from_states(times, states, ZX)
-    assert z_process(traj, 0.0, PARAMS) == 0.0
+    assert sum(traj.z_components_at(0.0)) == 0.0
     for t in (0.2, 0.6, 1.4):
         expected = bochner_norm(traj, float(ZX.q), float(ZX.p1), t) + bochner_norm(
             traj, float(ZX.q_tilde), float(ZX.p2), t
         )
-        assert z_process(traj, t, PARAMS) == pytest.approx(expected, rel=1e-12)
+        assert sum(traj.z_components_at(t)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_z_process_gamma_one_uses_running_sup():
@@ -168,7 +167,7 @@ def test_z_process_gamma_one_uses_running_sup():
     expected = bochner_norm(traj, float(zx1.q), float(zx1.p1), 1.5) + bochner_norm(
         traj, math.inf, 2.0, 1.5
     )
-    assert z_process(traj, 1.5, params1) == pytest.approx(expected, rel=1e-12)
+    assert sum(traj.z_components_at(1.5)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_z_process_monotone_and_continuous():
@@ -179,8 +178,20 @@ def test_z_process_monotone_and_continuous():
         times = np.cumsum(rng.uniform(0.05, 0.5, size=n_states))
         times -= times[0]
         traj = Trajectory.from_states(times, states, ZX)
-        zs = [z_process(traj, t) for t in np.linspace(0.0, times[-1], 23)]
+        zs = [sum(traj.z_components_at(t)) for t in np.linspace(0.0, times[-1], 23)]
         assert all(b >= a - 1e-12 for a, b in zip(zs, zs[1:]))
+
+
+def test_z_components_at_reads_only_inside_the_record():
+    """Z is read in [times[0], times[-1]] (1e-12 slack) and nowhere else:
+    no extrapolation past the last state, and NaN is out of range too."""
+    rng = np.random.default_rng(11)
+    traj = Trajectory.from_states([0.0, 0.25, 0.5], [random_field(GRID, rng) for _ in range(3)], ZX)
+    end = traj.z_components_at(traj.t_end)
+    assert traj.z_components_at(traj.t_end + 1e-13) == end
+    for t in (traj.t_end + 0.25, math.nan, -0.25):
+        with pytest.raises(OutOfRange):
+            traj.z_components_at(t)
 
 
 def test_discrete_interpolation_inequality():

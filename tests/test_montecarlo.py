@@ -2,6 +2,9 @@
 
 import math
 import os
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +17,7 @@ from snls.montecarlo import (
     chebyshev_consistency,
     path_chunks,
     run_ensemble,
-    solve_path,
+    solve_chunk,
     truncation_uniformity_study,
     worker_count,
 )
@@ -82,7 +85,7 @@ def test_ensemble_seed_changes_results():
 
 
 def test_solve_path_outcome_fields():
-    out = solve_path(config(), 3)
+    (out,) = solve_chunk(config(), [3])
     assert out.ok and out.path_index == 3
     assert out.z_final >= out.yt_norm > 0
     assert 0 < out.tau <= 0.5
@@ -159,6 +162,28 @@ def test_worker_count_env(monkeypatch):
             worker_count(4)
 
 
+def test_serial_ensemble_loads_no_process_pool():
+    """`import snls` and a serial ensemble leave `concurrent.futures` and
+    `multiprocessing` unloaded: the pool is imported only for workers > 1."""
+    script = (
+        "import sys, snls\n"
+        "from snls.exponents import ModelParams\n"
+        "from snls.grid_field import Grid\n"
+        "from snls.montecarlo import run_ensemble\n"
+        "from snls.solver import SimConfig\n"
+        "cfg = SimConfig(ModelParams(d=1, alpha=2, gamma=1, lam=1), Grid(d=1, n=16, L=8.0),\n"
+        "    {'coefficients': [{'kind': 'constant', 'value': 0.3}]}, {'kind': 'constant', 'value': 1.0},\n"
+        "    T=0.25, dt=0.0625)\n"
+        "assert run_ensemble(cfg, 3).n_failed == 0\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "SNLS_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(mc.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_parallel_matches_serial(monkeypatch):
     cfg = config()
     monkeypatch.delenv("SNLS_THREADS", raising=False)
@@ -173,14 +198,15 @@ def test_antithetic_increments_preserve_diffusion_statistics(monkeypatch):
     """Negating all increments leaves modulus statistics of diffusion-only
     runs unchanged (the exact flow is a pure phase rotation)."""
     import snls.montecarlo as mc
-    from snls.noise import negate_path, sample_brownian_path
+    from snls.noise import sample_brownian_path
 
     monkeypatch.delenv("SNLS_THREADS", raising=False)
     cfg = config(enable_laplacian=False, enable_nonlinearity=False)
     base = run_ensemble(cfg, 4)
 
     def negated(mesh, M, seed, path_index):
-        return negate_path(sample_brownian_path(mesh, M, seed, path_index))
+        path = sample_brownian_path(mesh, M, seed, path_index)
+        return replace(path, increments=-path.increments)
 
     monkeypatch.setattr(mc, "sample_brownian_path", negated)
     flipped = run_ensemble(cfg, 4)
@@ -238,7 +264,7 @@ def test_splitstep_overflow_is_recorded_per_path():
     assert s.failures[0][1] == f"BlowUp: {err}"
     assert 0.0 <= err.t < cfg.T and math.isfinite(err.z) and 0 < err.l2 <= BLOWUP_L2
     for i in (0, 1, 2, 4, 5):
-        solo = solve_path(cfg, i)
+        (solo,) = solve_chunk(cfg, [i])
         assert solo.ok
         assert (s.taus[i], s.yt_norms[i], s.z_finals[i], s.sup_masses[i]) == (
             solo.tau, solo.yt_norm, solo.z_final, solo.sup_mass

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snls.errors import BlowUp, ConfigError
+from snls.errors import BlowUp, ConfigError, LengthMismatch
 from snls.exponents import ModelParams
 from snls.grid_field import Grid, Trajectory, lp_norm
 from snls.noise import coarsen_path, diffusion_only_exact, sample_brownian_path
@@ -21,10 +21,8 @@ from snls.solver import (
     materialize,
     path_coincidence_check,
     path_for,
-    picard_solve,
     solve,
     solve_paths,
-    splitstep_solve,
 )
 
 PARAMS_31 = ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(1), lam=1)
@@ -61,7 +59,7 @@ def test_config_validation():
 def test_splitstep_pure_free_evolution():
     """Noise off, nonlinearity off: split-step is exactly the free group."""
     cfg = config(noise_spec=NO_NOISE, enable_nonlinearity=False, dt=1.0 / 32.0)
-    rep = splitstep_solve(cfg)
+    rep = solve(cfg)
     _, _, u0 = materialize(cfg)
     expected = free_evolve(u0, cfg.T)
     got = rep.trajectory.state_at_index(-1)
@@ -71,14 +69,14 @@ def test_splitstep_pure_free_evolution():
 def test_splitstep_conservative_mass():
     cfg = config(dt=1.0 / 512.0)
     for pi in range(3):
-        rep = splitstep_solve(cfg, path_index=pi)
+        rep = solve(cfg, path_index=pi)
         m = np.asarray(rep.trajectory.running_mass)
         assert np.max(np.abs(m - m[0])) / m[0] < 1e-12
 
 
 def test_splitstep_nonconservative_fallback_runs():
     cfg = config(noise_spec={"coefficients": [{"kind": "constant", "value": [0.0, 0.4]}]})
-    rep = splitstep_solve(cfg)
+    rep = solve(cfg)
     m = np.asarray(rep.trajectory.running_mass)
     # complex coefficients do not preserve mass; drift is reported, not asserted
     assert np.all(np.isfinite(m))
@@ -87,7 +85,7 @@ def test_splitstep_nonconservative_fallback_runs():
 def test_picard_linear_free_equation_one_iteration():
     """No forcing at all: the march is the free group, step by step."""
     cfg = config(scheme="picard", noise_spec=NO_NOISE, enable_nonlinearity=False)
-    rep = picard_solve(cfg)
+    rep = solve(cfg)
     _, _, u0 = materialize(cfg)
     got = rep.trajectory.state_at_index(-1)
     expected = free_evolve(u0, cfg.T)
@@ -114,7 +112,7 @@ def test_picard_matches_diffusion_only_oracle():
         per_path = []
         for pi in range(6):
             fine_path = sample_brownian_path(fine_mesh, model.total_modes, cfg.seed, pi)
-            rep = picard_solve(cfg, coarsen_path(fine_path, fine // steps))
+            rep = solve(cfg, coarsen_path(fine_path, fine // steps))
             exact = diffusion_only_exact(u0, model, float(cfg.params.gamma), fine_path, 1.0)
             got = rep.trajectory.state_at_index(-1)
             per_path.append(lp_norm(got - exact, 2))
@@ -131,8 +129,8 @@ def test_splitstep_matches_picard_at_first_order_deterministic():
     gaps = []
     steps_list = (32, 64, 128, 256)
     for steps in steps_list:
-        ss = splitstep_solve(config(dt=0.5 / steps, **base))
-        pic = picard_solve(config(scheme="picard", dt=0.5 / steps, **base))
+        ss = solve(config(dt=0.5 / steps, **base))
+        pic = solve(config(scheme="picard", dt=0.5 / steps, **base))
         a = ss.trajectory.state_at_index(-1)
         b = pic.trajectory.state_at_index(-1)
         gaps.append(lp_norm(a - b, 2))
@@ -144,8 +142,8 @@ def test_cross_scheme_consistency_on_one_path():
     cfg_ss = config(dt=1.0 / 256.0, noise_spec={"coefficients": [{"kind": "gaussian_bump", "amplitude": 0.2, "width": 3.0}]})
     cfg_pi = replace(cfg_ss, scheme="picard")
     path = path_for(cfg_ss, 2)
-    a = splitstep_solve(cfg_ss, path).trajectory.state_at_index(-1)
-    b = picard_solve(cfg_pi, path).trajectory.state_at_index(-1)
+    a = solve(cfg_ss, path).trajectory.state_at_index(-1)
+    b = solve(cfg_pi, path).trajectory.state_at_index(-1)
     assert lp_norm(a - b, 2) / lp_norm(a, 2) < 0.02
 
 
@@ -167,7 +165,7 @@ def test_picard_fixed_point_satisfies_mild_equation():
     )
     _, model, u0 = materialize(cfg)
     path = path_for(cfg, 0, model)
-    rep = picard_solve(cfg, path)
+    rep = solve(cfg, path)
     traj = rep.trajectory
     alpha = float(cfg.params.alpha)
     gamma = float(cfg.params.gamma)
@@ -199,8 +197,8 @@ def _mild_forcing(v, model, alpha, gamma, lam):
 
 def test_solver_determinism_bitwise():
     cfg = config(scheme="picard", dt=1.0 / 32.0)
-    r1 = picard_solve(cfg, path_for(cfg, 5))
-    r2 = picard_solve(cfg, path_for(cfg, 5))
+    r1 = solve(cfg, path_for(cfg, 5))
+    r2 = solve(cfg, path_for(cfg, 5))
     for j in range(len(r1.trajectory)):
         assert np.array_equal(
             r1.trajectory.state_at_index(j).values, r2.trajectory.state_at_index(j).values
@@ -215,8 +213,8 @@ def test_picard_is_causal():
         path = path_for(cfg, pi)
         inc = path.increments.copy()
         inc[:, 20:] *= -1.0
-        a = picard_solve(cfg, path).trajectory
-        b = picard_solve(cfg, replace(path, increments=inc)).trajectory
+        a = solve(cfg, path).trajectory
+        b = solve(cfg, replace(path, increments=inc)).trajectory
         for j in range(21):
             assert np.array_equal(a.state_at_index(j).values, b.state_at_index(j).values), (pi, j)
         assert not np.array_equal(a.state_at_index(-1).values, b.state_at_index(-1).values)
@@ -248,7 +246,7 @@ def test_picard_blowup_is_typed_and_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BlowUp) as info:
-            picard_solve(cfg)
+            solve(cfg)
     err = info.value
     assert 0.0 <= err.t < cfg.T
     assert err.t / cfg.dt == pytest.approx(round(err.t / cfg.dt))
@@ -260,7 +258,7 @@ def test_picard_truncation_freezes_dynamics():
     """A level far below the running norm freezes the nonlinear terms and
     the run reports the cutoff as active, with tau at the first mesh time."""
     cfg = config(scheme="picard", truncation_level=0.05)
-    rep = picard_solve(cfg)
+    rep = solve(cfg)
     assert rep.truncation_ever_active
     assert rep.tau == pytest.approx(cfg.dt)
 
@@ -277,7 +275,7 @@ def test_picard_mass_inequality_overshoot_shrinks():
         per_path = []
         for pi in range(4):
             path = coarsen_path(sample_brownian_path(fine_mesh, model.total_modes, 4, pi), fine // steps)
-            rep = picard_solve(cfg, path)
+            rep = solve(cfg, path)
             m = np.asarray(rep.trajectory.running_mass)
             per_path.append(max(0.0, float(m.max() / m[0]) - 1.0))
         overshoots.append(np.mean(per_path))
@@ -324,14 +322,14 @@ def test_critical_focusing_run_is_flagged():
     params = ModelParams(d=1, alpha=Fraction(5), gamma=Fraction(1), lam=-1)
     cfg = config(params=params, dt=1.0 / 128.0,
                  ic_spec={"kind": "gaussian_bump", "amplitude": 0.2, "width": 2.0})
-    rep = splitstep_solve(cfg)
+    rep = solve(cfg)
     assert any("critical" in n for n in rep.notes)
     assert any("focusing" in n for n in rep.notes)
 
 
 def test_keep_states_false_still_tracks_norms():
     cfg = config(scheme="picard", dt=1.0 / 32.0)
-    rep = picard_solve(cfg, keep_states=False)
+    rep = solve(cfg, keep_states=False)
     assert len(rep.trajectory.running_mass) == cfg.n_steps + 1
     c1, c2 = rep.trajectory.z_components_at(cfg.T)
     assert c1 > 0 and c2 > 0
@@ -420,5 +418,17 @@ def test_append_rebuild_matches_engine_columns(scheme):
     rebuilt = Trajectory.from_states(traj.times, [traj.state_at_index(j) for j in range(len(traj))], traj.zexp)
     for name in ("times", "running_mass", "acc1", "acc2"):
         assert np.array_equal(getattr(rebuilt, name), getattr(traj, name)), name
-    assert rebuilt.last_norms == traj.last_norms
-    assert rebuilt.z_end() == traj.z_end()
+
+
+@pytest.mark.parametrize("modes", [0, 2])
+def test_path_mode_count_must_match_model(modes):
+    """A path whose mode count differs from the model's raises
+    LengthMismatch instead of dropping modes or indexing past them."""
+    cfg = config()
+    _, model, u0 = materialize(cfg)
+    assert model.total_modes == 1
+    path = sample_brownian_path(cfg.mesh(), modes, cfg.seed, 0)
+    with pytest.raises(LengthMismatch, match="modes"):
+        solve_paths(cfg, [path], model, u0)
+    with pytest.raises(LengthMismatch):
+        solve(cfg, path)

@@ -37,7 +37,7 @@ from .exponents import (
     z_exponents,
 )
 from .grid_field import write_trajectory_csv
-from .montecarlo import run_ensemble, truncation_uniformity_study
+from .montecarlo import path_filename, run_ensemble, truncation_uniformity_study
 from .solver import SCHEMES, solve
 from .verify import SUITES, run_suites
 
@@ -278,7 +278,7 @@ def cmd_ensemble(args) -> int:
         files.append("levels.csv")
     if persist_dir is not None:
         rel = os.path.relpath(persist_dir, args.out)
-        files.extend(os.path.join(rel, name) for name in sorted(os.listdir(persist_dir)))
+        files.extend(os.path.join(rel, path_filename(i)) for i in range(args.paths))
     write_manifest(args.out, "ensemble", config, {"paths": args.paths}, files)
     print(json.dumps({"out": args.out, "paths": args.paths}))
     return EXIT_OK

@@ -15,11 +15,12 @@ and solver knobs have documented defaults:
 alpha and gamma accept integers, floats or exact "p/q" strings and are kept
 as exact rationals internally; d, lambda, grid.n and seed accept integers
 and integral floats (2.0, not 2.7); T, dt, grid.L and truncation_level
-accept integers and floats (`specs.as_real`), and the level also "inf"; the
-enable_* switches accept only JSON booleans.  A value that cannot be read
-as its type raises ConfigError.  `config_hash` is the SHA-256 of the
-canonical JSON serialization (sorted keys, compact separators), so equal
-configs hash equally regardless of input formatting.
+accept finite integers and floats (`specs.as_real`), and the level also
+the string "inf", its one infinite spelling; the enable_* switches accept
+only JSON booleans.  A value that cannot be read as its type raises
+ConfigError.  `config_hash` is the SHA-256 of the canonical JSON
+serialization (sorted keys, compact separators), so equal configs hash
+equally regardless of input formatting.
 """
 
 from __future__ import annotations

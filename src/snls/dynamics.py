@@ -34,10 +34,11 @@ def theta(x, level: float):
 
 
 def detect_stopping_time(traj: Trajectory, level: float, T: float) -> float:
-    """First mesh time with Z_t >= level, else T; resolved to mesh times.
+    """First recorded time with Z_t >= level, else T.
 
+    Z exists only at the recorded (mesh) times, so tau is resolved to them.
     One vectorised pass over the trajectory's Z columns, which are bitwise
-    the values `Trajectory.z_components_at` reads at the recorded times.
+    what `Trajectory.z_components_at` reads at each recorded time.
     """
     if level <= 0:
         raise OutOfRange(f"level must be positive, got {level}")

@@ -267,8 +267,8 @@ class Trajectory:
     ||u||_{p1}^{q} up to t_j; `acc2[j]` is the analogous integral for
     (qt, p2), or the max of ||u(t_l)||_{p2} over l < j when qt = inf.  Both
     start from their values at `times[0]`: zero for a whole run, a prefix's
-    last accumulators for a window that continues it.  Z is read only
-    inside the record, at times in [times[0], times[-1]].
+    last accumulators for a window that continues it.  Z is read only at
+    the recorded times, never between or beyond them.
 
     The solver builds trajectories from its columns, everything else
     through `from_states`.
@@ -325,30 +325,13 @@ class Trajectory:
             raise EmptyTrajectory("trajectory was recorded without states")
         return ComplexField(self.grid, self.states[j])
 
-    def _locate(self, t: float) -> int:
-        """Largest index j with times[j] <= t, for t in the record (1e-12 slack)."""
-        if not self.times[0] - 1e-12 <= t <= self.times[-1] + 1e-12:
-            raise OutOfRange(f"t={t} lies outside the record [{self.times[0]}, {self.times[-1]}]")
-        return max(int(np.searchsorted(self.times, t, side="right") - 1), 0)
-
     def z_components_at(self, t: float) -> tuple[float, float]:
-        """The two running-norm components at a time t in the record, from
-        the raw accumulators interpolated linearly between samples (a sup
-        takes the next sample's); a t outside the record, or NaN, raises
-        OutOfRange."""
-        j = self._locate(t)
-        times, acc1, acc2 = self.times, self.acc1, self.acc2
-        frac = t - float(times[j])
-        if frac <= 0.0 or j == len(times) - 1:
-            a1, a2 = float(acc1[j]), float(acc2[j])
-        else:  # t lies strictly between samples j and j+1: integrand is state j
-            span = float(times[j + 1] - times[j])
-            a1 = float(acc1[j]) + float(acc1[j + 1] - acc1[j]) / span * frac
-            if self.zexp.q_tilde_finite:
-                a2 = float(acc2[j]) + float(acc2[j + 1] - acc2[j]) / span * frac
-            else:
-                a2 = float(acc2[j + 1])
-        c1, c2 = z_components(a1, a2, self.zexp)
+        """The two running-norm components at the recorded time t (1e-12
+        slack); any other t, NaN included, raises OutOfRange."""
+        j = int(np.searchsorted(self.times, t - 1e-12))
+        if not (j < len(self.times) and abs(self.times[j] - t) <= 1e-12):
+            raise OutOfRange(f"t={t} is not a recorded time in [{self.times[0]}, {self.times[-1]}]")
+        c1, c2 = z_components(float(self.acc1[j]), float(self.acc2[j]), self.zexp)
         return float(c1), float(c2)
 
     def z_columns(self) -> tuple[np.ndarray, np.ndarray]:

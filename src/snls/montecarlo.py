@@ -95,7 +95,12 @@ def _persist(persist_dir: str | None, outcome: PathOutcome, report) -> None:
     if report is not None:
         doc["report"] = report.summary_dict()
     os.makedirs(persist_dir, exist_ok=True)
-    write_json(os.path.join(persist_dir, f"path_{outcome.path_index:05d}.json"), doc)
+    write_json(os.path.join(persist_dir, path_filename(outcome.path_index)), doc)
+
+
+def path_filename(path_index: int) -> str:
+    """Name of the per-path report file that `persist_dir` receives."""
+    return f"path_{path_index:05d}.json"
 
 
 @dataclass

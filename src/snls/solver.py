@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import detect_stopping_time, theta
-from .errors import BlowUp, ConfigError, MeshMismatch, SolverError
+from .errors import BlowUp, ConfigError, LengthMismatch, MeshMismatch, SolverError
 from .exponents import ModelParams, z_exponents
 from .grid_field import (
     ComplexField,
@@ -43,7 +43,7 @@ from .grid_field import (
     norms_and_leakage,
     z_components,
 )
-from .noise import BrownianPath, NoiseModel, _stack_increments, mode_sum, sample_brownian_path
+from .noise import BrownianPath, NoiseModel, mode_sum, sample_brownian_path
 from .propagator import get_plan
 from .specs import build_field, build_noise_model
 
@@ -77,6 +77,8 @@ class SimConfig:
     enable_nonlinearity: bool = True
 
     def __post_init__(self):
+        if self.grid.d != self.params.d:
+            raise ConfigError(f"grid dimension {self.grid.d} differs from the model's d = {self.params.d}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if not (self.T > 0 and math.isfinite(self.T)):
@@ -139,13 +141,6 @@ def path_for(config: SimConfig, path_index: int = 0, model: NoiseModel | None = 
     return sample_brownian_path(config.mesh(), model.total_modes, config.seed, path_index)
 
 
-def _check_mesh(mesh: np.ndarray, path: BrownianPath) -> None:
-    if path.mesh.size != mesh.size or not np.allclose(path.mesh, mesh, atol=1e-12):
-        raise MeshMismatch(
-            f"path mesh ({path.mesh.size} points) does not match config mesh ({mesh.size} points)"
-        )
-
-
 def solve(
     config: SimConfig,
     path: BrownianPath | None = None,
@@ -185,20 +180,25 @@ def solve_paths(
     dropped from the stack and the others march on.  Every row is computed
     with numpy ufuncs, row-wise FFTs and sums over the C-contiguous last
     axis, and mode sums in a fixed order, so a path's result is bitwise the
-    same in any batch, at any position.  Paths off the config mesh raise
-    MeshMismatch, paths without the model's mode count LengthMismatch.
+    same in any batch, at any position.  Each path is checked once, before
+    the stack: a mesh off the config mesh raises MeshMismatch, increments
+    not of shape (model.total_modes, K) LengthMismatch.
     """
     mesh = config.mesh()
-    for path in paths:
-        _check_mesh(mesh, path)
-    P, K = len(paths), config.n_steps
+    P, M, K = len(paths), model.total_modes, config.n_steps
+    for r, path in enumerate(paths):
+        if np.shape(path.mesh) != mesh.shape or not np.allclose(path.mesh, mesh, atol=1e-12):
+            raise MeshMismatch(f"path {r} mesh ({np.size(path.mesh)} points) is not the config mesh ({mesh.size})")
+        shape = np.shape(path.increments)
+        if shape != (M, K):
+            raise LengthMismatch(f"path {r} has (modes, steps) {shape}; the model has {M} modes, the mesh {K} steps")
     if not P:
         return []
     grid = config.grid
     zexp = z_exponents(config.params)
     p1, p2 = float(zexp.p1), float(zexp.p2)
     step = _picard_step(config, model, zexp) if config.scheme == "picard" else _splitstep_step(config, model)
-    _, increments = _stack_increments(mesh, np.stack([path.increments for path in paths]), model.total_modes)
+    increments = np.stack([path.increments for path in paths])
     steps = np.diff(mesh)
 
     mass = np.empty((P, K + 1))

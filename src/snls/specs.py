@@ -14,6 +14,8 @@ Noise specs:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError
@@ -35,9 +37,12 @@ def _as_complex(value) -> complex:
 
 
 def as_real(value) -> float:
-    """An int or a float as a float; a boolean or a string raises TypeError."""
+    """A finite int or float as a float; a boolean or a string raises
+    TypeError, a NaN or an infinity ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite real number, got {value!r}")
     return float(value)
 
 
@@ -81,7 +86,7 @@ def build_field(spec: dict, grid: Grid) -> ComplexField:
                     grid,
                     amplitude=_as_complex(spec.get("amplitude", 1.0)),
                     width=as_real(spec.get("width", 1.0)),
-                    center=spec.get("center"),
+                    center=None if spec.get("center") is None else [as_real(c) for c in spec["center"]],
                 )
             if kind == "plane_wave":
                 mode = spec.get("mode", [0] * grid.d)

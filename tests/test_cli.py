@@ -1,5 +1,6 @@
 """CLI surface: exit codes, run directories, manifests, reproducibility."""
 
+import hashlib
 import json
 import math
 import os
@@ -160,6 +161,11 @@ INTEGER_KEYS = ("d", "lambda", "seed")
 REAL_KEYS = ("T", "dt", "truncation_level", "L", "width", "amplitude", "value")
 
 
+def _not_real(value) -> bool:
+    """A boolean, a string or a non-finite float: never a real config value."""
+    return isinstance(value, (bool, str)) or (isinstance(value, float) and not math.isfinite(value))
+
+
 def _integral(value) -> bool:
     return (isinstance(value, int) and not isinstance(value, bool)) or (
         isinstance(value, float) and value.is_integer()
@@ -177,7 +183,9 @@ def test_config_boundary_raises_only_snls_errors(d, n, site, value):
     """Any JSON value anywhere in a config either parses and materializes or
     raises an SnlsError, never a bare ValueError or TypeError.  A value at
     an integer key that is not an integer or an integral float must raise,
-    and so must a boolean or a string at a real key ("inf" is a level)."""
+    and so must a boolean, a string or a non-finite float at a real key or
+    in a gaussian center ("inf" is a level).  A config that materializes
+    echoes as strict JSON."""
     doc = dict(
         VALID_DOC,
         d=d,
@@ -205,16 +213,20 @@ def test_config_boundary_raises_only_snls_errors(d, n, site, value):
     if (where is None and key in INTEGER_KEYS) or site == ("grid", "n"):
         must_raise = not _integral(value)
     elif key in REAL_KEYS:
-        must_raise = isinstance(value, (bool, str)) and not (key == "truncation_level" and value == "inf")
+        must_raise = _not_real(value) and not (key == "truncation_level" and value == "inf")
+    elif key == "center":
+        must_raise = isinstance(value, list) and any(map(_not_real, value))
     elif key == "mode":
         must_raise = not (_integral(value) or (isinstance(value, list) and all(map(_integral, value))))
     else:
         must_raise = False
     try:
-        materialize(parse_config_dict(doc))
+        cfg = parse_config_dict(doc)
+        materialize(cfg)
     except SnlsError:
         return
     assert not must_raise, f"{site} accepted {value!r}"
+    json.dumps(config_to_dict(cfg), allow_nan=False)
 
 
 def test_load_config_missing_file(tmp_path):
@@ -434,6 +446,13 @@ MALFORMED = {
     "ic-width-true": _ic(width=True),
     "ic-amplitude-true": _ic(amplitude=True),
     "constant-value-true": dict(VALID_DOC, noise={"coefficients": [{"kind": "constant", "value": True}]}),
+    # ... nor a non-finite float (JSON 1e400 parses to inf), which no report could echo;
+    # a gaussian center reads each component as a real
+    "ic-width-inf": _ic(width=math.inf),
+    "ic-center-inf": _ic(center=[math.inf]),
+    "ic-center-true": _ic(center=[True]),
+    "ic-center-string": _ic(center=["0.5"]),
+    "truncation-level-inf-float": dict(VALID_DOC, truncation_level=math.inf),
 }
 CLI_FAILURES.update({name: ({"c.json": doc}, SIMULATE, {}, 2, "ConfigError") for name, doc in MALFORMED.items()})
 
@@ -510,6 +529,23 @@ def test_cli_ensemble_keep_paths(tmp_path):
     assert doc["ok"] is True and "report" in doc
     # --keep-paths is a per-ensemble feature, rejected alongside --levels
     assert main(["ensemble", cfg_path, "--paths", "2", "--levels", "4,8", "--keep-paths", "--out", out]) == 2
+
+
+def test_cli_ensemble_keep_paths_lists_only_this_run(tmp_path):
+    """A second, smaller run into the same directory lists the files it
+    wrote, with their checksums, and not the older per-path reports."""
+    cfg_path = write_config(tmp_path, VALID_DOC)
+    out = tmp_path / "kept"
+    assert main(["ensemble", cfg_path, "--paths", "5", "--keep-paths", "--out", str(out)]) == 0
+    assert main(["ensemble", cfg_path, "--paths", "2", "--keep-paths", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    sub = f"paths-{manifest['config_hash'][:12]}"
+    assert sorted(manifest["outputs"]) == sorted(
+        ["summary.json", os.path.join(sub, "path_00000.json"), os.path.join(sub, "path_00001.json")]
+    )
+    for name, entry in manifest["outputs"].items():
+        assert entry["sha256"] == hashlib.sha256((out / name).read_bytes()).hexdigest()
+    assert len(os.listdir(out / sub)) == 5  # the older reports stay, unlisted
 
 
 def test_cli_ensemble_levels(tmp_path):

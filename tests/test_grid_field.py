@@ -178,18 +178,20 @@ def test_z_process_monotone_and_continuous():
         times = np.cumsum(rng.uniform(0.05, 0.5, size=n_states))
         times -= times[0]
         traj = Trajectory.from_states(times, states, ZX)
-        zs = [sum(traj.z_components_at(t)) for t in np.linspace(0.0, times[-1], 23)]
+        zs = [sum(traj.z_components_at(t)) for t in traj.times]  # Z exists at recorded times only
         assert all(b >= a - 1e-12 for a, b in zip(zs, zs[1:]))
 
 
 def test_z_components_at_reads_only_inside_the_record():
-    """Z is read in [times[0], times[-1]] (1e-12 slack) and nowhere else:
-    no extrapolation past the last state, and NaN is out of range too."""
+    """Z is read at the recorded times (1e-12 slack) and nowhere else: no
+    extrapolation past the last state, no interpolation between samples,
+    and NaN is out of range too."""
     rng = np.random.default_rng(11)
     traj = Trajectory.from_states([0.0, 0.25, 0.5], [random_field(GRID, rng) for _ in range(3)], ZX)
     end = traj.z_components_at(traj.t_end)
     assert traj.z_components_at(traj.t_end + 1e-13) == end
-    for t in (traj.t_end + 0.25, math.nan, -0.25):
+    assert traj.z_components_at(0.25 - 1e-13) == traj.z_components_at(0.25)
+    for t in (traj.t_end + 0.25, math.nan, -0.25, 0.125):
         with pytest.raises(OutOfRange):
             traj.z_components_at(t)
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snls.errors import BlowUp, ConfigError, LengthMismatch
+from snls.errors import BlowUp, ConfigError, LengthMismatch, MeshMismatch
 from snls.exponents import ModelParams
 from snls.grid_field import Grid, Trajectory, lp_norm
 from snls.noise import coarsen_path, diffusion_only_exact, sample_brownian_path
@@ -54,6 +54,8 @@ def test_config_validation():
         config(scheme="leapfrog")
     with pytest.raises(ConfigError):
         config(truncation_level=-1.0)
+    with pytest.raises(ConfigError, match="dimension"):
+        config(grid=Grid(d=2, n=16, L=8.0))  # d = 1 exponents on a 2-D grid
 
 
 def test_splitstep_pure_free_evolution():
@@ -432,3 +434,18 @@ def test_path_mode_count_must_match_model(modes):
         solve_paths(cfg, [path], model, u0)
     with pytest.raises(LengthMismatch):
         solve(cfg, path)
+
+
+def test_ragged_path_list_is_checked_before_the_stack():
+    """Paths are checked one by one before they are stacked: a 1-mode and a
+    2-mode path raise LengthMismatch naming both mode counts, in the engine
+    and in the coincidence check, and a path off the mesh MeshMismatch."""
+    cfg = config(scheme="picard")
+    _, model, u0 = materialize(cfg)
+    ragged = [sample_brownian_path(cfg.mesh(), modes, cfg.seed, 0) for modes in (1, 2)]
+    with pytest.raises(LengthMismatch, match="path 1 .*2, 64.* 1 modes"):
+        solve_paths(cfg, ragged, model, u0)
+    with pytest.raises(LengthMismatch):
+        path_coincidence_check(cfg, ragged, (2.0, 4.0))
+    with pytest.raises(MeshMismatch):
+        solve_paths(cfg, [path_for(cfg, 0), coarsen_path(path_for(cfg, 1), 2)], model, u0)

@@ -15,7 +15,6 @@ import math
 import numpy as np
 
 from .errors import OutOfRange
-from .grid_field import Trajectory
 
 
 def theta(x, level: float):
@@ -33,17 +32,15 @@ def theta(x, level: float):
     return np.clip(2.0 - np.asarray(x, dtype=float) / level, 0.0, 1.0)
 
 
-def detect_stopping_time(traj: Trajectory, level: float, T: float) -> float:
+def detect_stopping_time(times, z, level: float, T: float) -> float:
     """First recorded time with Z_t >= level, else T.
 
-    Z exists only at the recorded (mesh) times, so tau is resolved to them.
-    One vectorised pass over the trajectory's Z columns, which are bitwise
-    what `Trajectory.z_components_at` reads at each recorded time.
+    `z` is the running norm at `times`, the recorded (mesh) times: a
+    trajectory's `np.add(*traj.z_columns())`, or the solver's column of a
+    path.  Z exists only there, so tau is resolved to them.
     """
     if level <= 0:
         raise OutOfRange(f"level must be positive, got {level}")
-    c1, c2 = traj.z_columns()
-    times = traj.times
-    hit = (c1 + c2 >= level) & (times <= T + 1e-12)
+    hit = (z >= level) & (times <= T + 1e-12)
     j = int(np.argmax(hit))
     return float(min(times[j], T)) if hit[j] else float(T)

@@ -103,10 +103,6 @@ class ComplexField:
     def reshaped(self) -> np.ndarray:
         return self.values.reshape(self.grid.shape)
 
-    def __add__(self, other: "ComplexField") -> "ComplexField":
-        _check_same_grid(self, other)
-        return ComplexField(self.grid, self.values + other.values)
-
     def __sub__(self, other: "ComplexField") -> "ComplexField":
         _check_same_grid(self, other)
         return ComplexField(self.grid, self.values - other.values)
@@ -297,7 +293,7 @@ class Trajectory:
         times = np.array(times, dtype=float)
         if times.shape != (len(states),):
             raise LengthMismatch(f"{times.size} times for {len(states)} states")
-        if np.any(np.diff(times) <= 0.0):
+        if not np.all(np.diff(times) > 0.0):
             raise OutOfRange(f"times must increase, got {times}")
         grid = states[0].grid
         if any(s.grid != grid for s in states):
@@ -364,8 +360,6 @@ def bochner_norm(traj: Trajectory, q: float, p: float, t_end: float) -> float:
             break
         t_next = times[j + 1] if j + 1 < len(times) else t_end
         dt = min(t_next, t_end) - tj
-        if dt <= 0:
-            continue
         total += lp_norm(traj.state_at_index(j), p) ** q * dt
     return total ** (1.0 / q) if total > 0 else 0.0
 

@@ -18,10 +18,12 @@ Both schemes run in one engine, `solve_paths`, which marches P paths as a
 (P, grid.size) stack: a batched 1-D FFT per spatial axis and transform, one
 |v|^2 pass per step for the norms and the half-box monitor, kept with the
 accumulators as (P, K+1) columns, and the cutoff theta(Z) per row.  A path's
-result does not depend on the other rows of its stack, bitwise.  A row whose
-step gives non-finite values, an L^2 norm above BLOWUP_L2 or running-norm
-accumulators that overflow becomes a BlowUp and leaves the stack; the others
-march on.  `solve` is the P = 1 case, in the config's scheme.
+result does not depend on the other rows of its stack, bitwise.  Every row
+marches to the last step; the march only records.  Each path's verdicts are
+read from its columns afterwards: its stopping time, whether the cutoff ever
+acted, and, for a row whose L^2 norm leaves BLOWUP_L2 or whose running-norm
+accumulators stop being finite, the BlowUp at the first such step.  `solve`
+is the P = 1 case, in the config's scheme.
 """
 
 from __future__ import annotations
@@ -176,13 +178,16 @@ def solve_paths(
 
     Returns one result per path, in order: its SolveReport, or the BlowUp
     of a path whose step gave non-finite values, an L^2 norm above
-    BLOWUP_L2 or non-finite running-norm accumulators.  A failed row is
-    dropped from the stack and the others march on.  Every row is computed
-    with numpy ufuncs, row-wise FFTs and sums over the C-contiguous last
-    axis, and mode sums in a fixed order, so a path's result is bitwise the
-    same in any batch, at any position.  Each path is checked once, before
-    the stack: a mesh off the config mesh raises MeshMismatch, increments
-    not of shape (model.total_modes, K) LengthMismatch.
+    BLOWUP_L2 or non-finite running-norm accumulators.  Every row marches to
+    the last step, a failed one too; its BlowUp is read from its columns at
+    the first failing step, as are tau and the cutoff flag of the others
+    (truncation_ever_active: theta(Z_l) < 1 at some step l < K, Picard
+    only).  Every row is computed with numpy ufuncs, row-wise FFTs and sums
+    over the C-contiguous last axis, and mode sums in a fixed order, so a
+    path's result is bitwise the same in any batch, at any position.  Each
+    path is checked once, before the stack: a mesh off the config mesh
+    raises MeshMismatch, increments not of shape (model.total_modes, K)
+    LengthMismatch.
     """
     mesh = config.mesh()
     P, M, K = len(paths), model.total_modes, config.n_steps
@@ -205,57 +210,42 @@ def solve_paths(
     acc1 = np.zeros((P, K + 1))
     acc2 = np.zeros((P, K + 1))
     states = np.empty((P, K + 1, grid.size), dtype=np.complex128) if keep_states else None
-    ever_active = np.zeros(P, dtype=bool)
-    norm1 = np.empty(P)  # ||.||_p1 and ||.||_p2 of each row's current state
-    norm2 = np.empty(P)
-    failures = {}
-    rows = slice(None)  # rows still marching: a slice (views) until one fails, then their index
     v = np.repeat(u0.values[None, :], P, axis=0)
     if keep_states:
         states[:, 0] = v
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mass[:, 0], norm1[:], norm2[:], leak = norms_and_leakage(np.abs(v), grid, p1, p2)
+        mass[:, 0], n1, n2, leak = norms_and_leakage(np.abs(v), grid, p1, p2)
         for l in range(K):
-            c1, c2 = acc1[rows, l], acc2[rows, l]
-            v, active = step(v, c1, c2, increments[rows, :, l])
-            ever_active[rows] |= active
-            m, n1, n2, lk = norms_and_leakage(np.abs(v), grid, p1, p2)
-            a1, a2 = advance_accumulators(c1, c2, norm1[rows], norm2[rows], steps[l], zexp)
-            bad = ~((m <= BLOWUP_L2) & np.isfinite(a1 + a2))
-            if bad.any():
-                marching = np.arange(P)[rows]
-                z1, z2 = z_components(c1[bad], c2[bad], zexp)
-                for r, l2, zr in zip(marching[bad], m[bad], z1 + z2):
-                    last = float(mass[r, l])
-                    what = f"L^2 norm {l2:.3g}"
-                    if l2 <= BLOWUP_L2:
-                        what = f"running norm Z overflowed, {what}"
-                    failures[r] = BlowUp(
-                        f"step from t={mesh[l]:.6g} blew up: {what} (from {last:.6g}, Z={zr:.6g})",
-                        t=float(mesh[l]),
-                        z=float(zr),
-                        l2=last,
-                    )
-                rows = marching[~bad]
-                v, m, n1, n2, lk, a1, a2 = (x[~bad] for x in (v, m, n1, n2, lk, a1, a2))
-            acc1[rows, l + 1], acc2[rows, l + 1] = a1, a2
-            mass[rows, l + 1] = m
-            norm1[rows], norm2[rows] = n1, n2
-            leak[rows] = np.maximum(leak[rows], lk)
+            acc1[:, l + 1], acc2[:, l + 1] = advance_accumulators(acc1[:, l], acc2[:, l], n1, n2, steps[l], zexp)
+            v = step(v, acc1[:, l], acc2[:, l], increments[:, :, l])
+            mass[:, l + 1], n1, n2, lk = norms_and_leakage(np.abs(v), grid, p1, p2)
+            leak = np.maximum(leak, lk)
             if keep_states:
-                states[rows, l + 1] = v
+                states[:, l + 1] = v
+        # The verdicts, read from the columns: failed[r, l] when step l left
+        # a bound, and whether the cutoff that step l read from Z at t_l was
+        # ever below 1.
+        failed = ~((mass[:, 1:] <= BLOWUP_L2) & np.isfinite(acc1[:, 1:] + acc2[:, 1:]))
+        z = np.add(*z_components(acc1, acc2, zexp))
+        active = (config.scheme == "picard") & np.any(theta(z[:, :K], config.truncation_level) < 1.0, axis=1)
     notes = _config_notes(config)
     results = []
     for r, path in enumerate(paths):
-        if r in failures:
-            results.append(failures[r])
+        if failed[r].any():
+            l = int(np.argmax(failed[r]))
+            last, l2, zr = float(mass[r, l]), mass[r, l + 1], z[r, l]
+            what = f"L^2 norm {l2:.3g}"
+            if l2 <= BLOWUP_L2:
+                what = f"running norm Z overflowed, {what}"
+            msg = f"step from t={mesh[l]:.6g} blew up: {what} (from {last:.6g}, Z={zr:.6g})"
+            results.append(BlowUp(msg, t=float(mesh[l]), z=float(zr), l2=last))
             continue
         traj = Trajectory(grid, zexp, mesh, mass[r], acc1[r], acc2[r], states[r] if keep_states else None)
         results.append(
             SolveReport(
                 trajectory=traj,
-                tau=detect_stopping_time(traj, config.truncation_level, config.T),
-                truncation_ever_active=bool(ever_active[r]),
+                tau=detect_stopping_time(mesh, z[r], config.truncation_level, config.T),
+                truncation_ever_active=bool(active[r]),
                 scheme=config.scheme,
                 halfbox_leakage=float(leak[r]),
                 seed=path.seed,
@@ -300,7 +290,8 @@ def _ito_step(v, phi, dinc, dt, lam, alpha, gamma, model: NoiseModel) -> np.ndar
 
 
 def _splitstep_step(config: SimConfig, model: NoiseModel):
-    """One Strang step of a (R, size) stack; the cutoff is never applied.
+    """One Strang step of a (R, size) stack, returning the new stack; the
+    cutoff is never applied.
 
     Half linear step, nonlinear phase, noise step, half linear step.  The
     nonlinear and conservative-noise sub-steps are exact pointwise phase
@@ -336,14 +327,14 @@ def _splitstep_step(config: SimConfig, model: NoiseModel):
                 v = v * np.exp(-1j * phase)
             else:
                 v = _ito_step(v, np.ones((len(v), 1)), dinc, dt, 0, alpha, gamma, model)
-        v = plan.inverse(half_mult * plan.forward(v))
-        return v, False
+        return plan.inverse(half_mult * plan.forward(v))
 
     return step
 
 
 def _picard_step(config: SimConfig, model: NoiseModel, zexp):
-    """One exponential-Euler (Lawson) step of a (R, size) stack.
+    """One exponential-Euler (Lawson) step of a (R, size) stack, returning
+    the new stack.
 
     Step l reads phi_l = theta(Z_{t_l}, level) from the running-norm
     accumulators of the states up to t_l, then sets
@@ -368,7 +359,7 @@ def _picard_step(config: SimConfig, model: NoiseModel, zexp):
         z1, z2 = z_components(acc1, acc2, zexp)
         phi = theta(z1 + z2, level)
         w = _ito_step(v, phi[:, None], dinc, dt, lam, alpha, gamma, model)
-        return plan.inverse(mult_dt * plan.forward(w)), phi < 1.0
+        return plan.inverse(mult_dt * plan.forward(w))
 
     return step
 

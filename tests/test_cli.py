@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -112,6 +113,10 @@ def test_config_rational_strings():
     cfg = parse_config_dict(doc)
     assert str(cfg.params.alpha) == "7/2"
     assert str(cfg.params.gamma) == "3/2"
+    # a float exponent is read exactly
+    cfg = parse_config_dict(dict(VALID_DOC, alpha=3.0, gamma=1.5))
+    assert cfg.params.alpha == 3
+    assert cfg.params.gamma == Fraction("3/2")
 
 
 def test_config_roundtrip_is_identity():
@@ -453,6 +458,9 @@ MALFORMED = {
     "ic-center-true": _ic(center=[True]),
     "ic-center-string": _ic(center=["0.5"]),
     "truncation-level-inf-float": dict(VALID_DOC, truncation_level=math.inf),
+    # JSON NaN and Infinity load as floats, which are no exponent
+    "alpha-nan": dict(VALID_DOC, alpha=math.nan),
+    "gamma-inf": dict(VALID_DOC, gamma=math.inf),
 }
 CLI_FAILURES.update({name: ({"c.json": doc}, SIMULATE, {}, 2, "ConfigError") for name, doc in MALFORMED.items()})
 

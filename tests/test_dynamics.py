@@ -78,13 +78,13 @@ def test_window_chaining_matches_concatenation():
 
 def test_detect_stopping_time_zero_solution():
     traj = Trajectory.from_states([0.0, 0.5, 1.0], [zero_field(GRID)] * 3, ZX)
-    assert detect_stopping_time(traj, 1e-6, 1.0) == 1.0
+    assert detect_stopping_time(traj.times, np.add(*traj.z_columns()), 1e-6, 1.0) == 1.0
 
 
 def test_detect_stopping_time_tiny_level():
     rng = np.random.default_rng(7)
     traj = random_trajectory(rng)
-    tau = detect_stopping_time(traj, 1e-12, traj.t_end)
+    tau = detect_stopping_time(traj.times, np.add(*traj.z_columns()), 1e-12, traj.t_end)
     assert tau == pytest.approx(traj.times[1])
 
 
@@ -94,7 +94,7 @@ def test_detect_stopping_time_monotone_in_level():
         traj = random_trajectory(rng, n_states=int(rng.integers(3, 8)))
         z_end = sum(traj.z_components_at(traj.t_end))
         levels = sorted(rng.uniform(0.05 * z_end, 1.5 * z_end, size=4))
-        taus = [detect_stopping_time(traj, lv, traj.t_end) for lv in levels]
+        taus = [detect_stopping_time(traj.times, np.add(*traj.z_columns()), lv, traj.t_end) for lv in levels]
         assert all(b >= a for a, b in zip(taus, taus[1:]))
 
 
@@ -114,7 +114,7 @@ def test_detect_stopping_time_matches_pointwise_scan():
             if sum(traj.z_components_at(float(t))) >= level:
                 expected = float(min(t, T))
                 break
-        assert detect_stopping_time(traj, level, T) == expected
+        assert detect_stopping_time(traj.times, np.add(*traj.z_columns()), level, T) == expected
 
 
 def test_stopping_time_T_implies_phi_one():
@@ -125,7 +125,7 @@ def test_stopping_time_T_implies_phi_one():
         traj = random_trajectory(rng)
         level = 1.2 * sum(traj.z_components_at(traj.t_end))
         T = traj.t_end
-        if detect_stopping_time(traj, level, T) == T:
+        if detect_stopping_time(traj.times, np.add(*traj.z_columns()), level, T) == T:
             hits += 1
             c1, c2 = traj.z_columns()
             assert np.all(theta(c1 + c2, level) == 1.0)

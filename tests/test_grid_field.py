@@ -220,6 +220,8 @@ def test_trajectory_times_must_increase():
         Trajectory.from_states([0.0, 0.0], [f, f], ZX)
     with pytest.raises(OutOfRange):
         Trajectory.from_states([0.0, 1.0, 0.5], [f, f, f], ZX)
+    with pytest.raises(OutOfRange):
+        Trajectory.from_states([0.0, math.nan, 1.0], [f, f, f], ZX)
     with pytest.raises(GridMismatch):
         Trajectory.from_states([0.0, 1.0], [f, zero_field(Grid(d=1, n=32, L=8.0))], ZX)
 

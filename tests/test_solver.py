@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snls.dynamics import theta
 from snls.errors import BlowUp, ConfigError, LengthMismatch, MeshMismatch
 from snls.exponents import ModelParams
-from snls.grid_field import Grid, Trajectory, lp_norm
+from snls.grid_field import Grid, Trajectory, lp_norm, lp_norm_rows
 from snls.noise import coarsen_path, diffusion_only_exact, sample_brownian_path
 from snls.propagator import free_evolve
 from snls.solver import (
@@ -121,6 +122,67 @@ def test_picard_matches_diffusion_only_oracle():
         errs.append(np.mean(per_path))
     assert errs[1] < errs[0]
     assert errs[1] < 0.6 * errs[0]  # at least ~0.37 observed for order 1/2 over 4x refinement
+
+
+LINEAR_NOISE_GRID = Grid(d=1, n=64, L=16.0)
+
+
+def _linear_noise_setup():
+    """A single real linear coefficient b, no e_m, Laplacian and nonlinearity
+    off: u(T) = u0 exp(-i b beta(T)) exactly.  Returns a config factory, the
+    model, u0, 20 paths on the fine mesh (dt = 2^-8) and each path's closed
+    form at T = 1."""
+
+    def make(scheme, steps):
+        return config(
+            scheme=scheme,
+            grid=LINEAR_NOISE_GRID,
+            noise_spec={"linear_coefficients": [{"kind": "gaussian_bump", "amplitude": 0.6, "width": 3.0}]},
+            ic_spec={"kind": "gaussian_bump", "amplitude": 1.0, "width": 2.0},
+            dt=1.0 / steps,
+            seed=21,
+            enable_laplacian=False,
+            enable_nonlinearity=False,
+        )
+
+    _, model, u0 = materialize(make("splitstep", 256))
+    assert (model.n_modes, model.n_linear_modes) == (0, 1)
+    b = model.linear_coeffs[0].real
+    paths = [sample_brownian_path(np.linspace(0.0, 1.0, 257), 1, 21, i) for i in range(20)]
+    exact = np.stack([u0.values * np.exp(-1j * b * p.increments[0].sum()) for p in paths])
+    return make, model, u0, paths, exact
+
+
+def _relative_l2(got, exact):
+    return lp_norm_rows(got - exact, 2, LINEAR_NOISE_GRID) / lp_norm_rows(exact, 2, LINEAR_NOISE_GRID)
+
+
+def test_linear_noise_splitstep_is_the_exact_phase():
+    """The split-step phase sub-step with only the b_m term reproduces the
+    closed form to rounding and conserves mass."""
+    make, model, u0, paths, exact = _linear_noise_setup()
+    reps = solve_paths(make("splitstep", 256), paths, model, u0)
+    got = np.stack([rep.trajectory.state_at_index(-1).values for rep in reps])
+    assert np.max(_relative_l2(got, exact)) < 1e-12
+    for rep in reps:
+        mass = rep.trajectory.running_mass
+        assert np.max(np.abs(mass / mass[0] - 1.0)) < 1e-12
+
+
+def test_linear_noise_picard_converges_to_the_exact_phase():
+    """The Picard step's b_m kick and mu2 drift approach the closed form:
+    the mean error shrinks at every halving of dt = 2^-5..2^-8 on paths
+    coarsened from the fine mesh, at a fitted order of at least 0.4."""
+    make, model, u0, paths, exact = _linear_noise_setup()
+    dts, errs = [], []
+    for steps in (32, 64, 128, 256):
+        coarse = [coarsen_path(p, 256 // steps) for p in paths]
+        reps = solve_paths(make("picard", steps), coarse, model, u0)
+        got = np.stack([rep.trajectory.state_at_index(-1).values for rep in reps])
+        dts.append(1.0 / steps)
+        errs.append(float(np.mean(_relative_l2(got, exact))))
+    assert all(b < a for a, b in zip(errs, errs[1:])), errs
+    assert np.polyfit(np.log(dts), np.log(errs), 1)[0] >= 0.4, errs
 
 
 def test_splitstep_matches_picard_at_first_order_deterministic():
@@ -385,22 +447,30 @@ def test_batch_results_are_bitwise_independent_of_the_batch(scheme, level, order
             assert any(rep.truncation_ever_active for rep in batch)
 
 
-def test_rows_after_a_failure_equal_their_solo_solves():
-    """Once a row blows up mid-run the engine marches the other rows by
-    their index instead of by views.  Every surviving row still equals its
-    solo solve bitwise (columns, states, leakage, tau), and the failed row's
-    BlowUp is its solo solve's."""
-    cfg = config(
+def _overflow_config(amplitude, **kw):
+    """d = 1, alpha = gamma = 3, coefficient [amplitude, amplitude]: strong
+    enough noise that some paths blow up early."""
+    return config(
         params=ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(3), lam=1),
         grid=Grid(d=1, n=64, L=32.0),
-        noise_spec={"coefficients": [{"kind": "gaussian_bump", "amplitude": [5, 5], "width": 3.0}]},
+        noise_spec={"coefficients": [{"kind": "gaussian_bump", "amplitude": [amplitude, amplitude], "width": 3.0}]},
         seed=0,
+        **kw,
     )
+
+
+def test_rows_after_a_failure_equal_their_solo_solves():
+    """A row that blows up mid-run marches on with the others, and its
+    BlowUp is read from its columns afterwards.  Every other row still
+    equals its solo solve bitwise (columns, states, leakage, tau), and the
+    failed row's BlowUp is its solo solve's."""
+    cfg = _overflow_config(5)
     _, model, u0 = materialize(cfg)
     paths = [path_for(cfg, i, model) for i in range(6)]
     stack = solve_paths(cfg, paths, model, u0)
     assert [i for i, rep in enumerate(stack) if isinstance(rep, BlowUp)] == [3]
-    assert 0.0 < stack[3].t < cfg.T / 2
+    assert str(stack[3]) == "step from t=0.0625 blew up: L^2 norm 2.93e+48 (from 4.59153e+09, Z=105.579)"
+    assert stack[3].t == 0.0625
     for path, rep in zip(paths, stack):
         (solo,) = solve_paths(cfg, [path], model, u0)
         if isinstance(rep, BlowUp):
@@ -408,6 +478,39 @@ def test_rows_after_a_failure_equal_their_solo_solves():
             continue
         assert _fingerprint(rep) == _fingerprint(solo)
         assert rep.trajectory.states.tobytes() == solo.trajectory.states.tobytes()
+
+
+def test_path_coincidence_raises_a_failing_paths_blowup():
+    """A path that blows up at either level is raised, not compared."""
+    cfg = _overflow_config(3, scheme="picard", ic_spec={"kind": "gaussian_bump", "amplitude": 2.0, "width": 2.0})
+    with pytest.raises(BlowUp) as info:
+        path_coincidence_check(cfg, [path_for(cfg, 0)], (1e100, 1e101))
+    assert str(info.value) == "step from t=0.046875 blew up: L^2 norm 8.96e+20 (from 17693.3, Z=10.6774)"
+
+
+def test_solve_paths_of_no_paths_is_empty():
+    cfg = config()
+    _, model, u0 = materialize(cfg)
+    assert solve_paths(cfg, [], model, u0) == []
+
+
+def test_cutoff_flags_are_read_from_the_z_column():
+    """Picard's truncation_ever_active is theta(Z_l) < 1 at some step l < K
+    of the path's own Z column: pinned on the criterion-6 paths (seed 42,
+    paths 0-19) at three levels near where the cutoff starts to act.
+    Split-step never applies the cutoff, so its flag stays False."""
+    cfg = config(scheme="picard", ic_spec=CUTOFF_IC, seed=42)
+    _, model, u0 = materialize(cfg)
+    paths = [path_for(cfg, i, model) for i in range(20)]
+    expected = {3.75: "10101101101111101011", 3.8: "00000101000110001010", 3.85: "00000000000010000010"}
+    for level, flags in expected.items():
+        reps = solve_paths(replace(cfg, truncation_level=level), paths, model, u0, keep_states=False)
+        assert "".join(str(int(rep.truncation_ever_active)) for rep in reps) == flags, level
+        for rep in reps:
+            c1, c2 = rep.trajectory.z_columns()
+            assert rep.truncation_ever_active == bool(np.any(theta(c1[:-1] + c2[:-1], level) < 1.0))
+    reps = solve_paths(replace(cfg, scheme="splitstep", truncation_level=3.75), paths, model, u0, keep_states=False)
+    assert not any(rep.truncation_ever_active for rep in reps)
 
 
 @pytest.mark.parametrize("scheme", ["picard", "splitstep"])

@@ -180,8 +180,8 @@ def _row_lp(a: np.ndarray, p: float, cell: float, sq=None):
     if p == math.inf:
         return np.max(a, axis=-1)
     if p == 2.0:
-        return np.sqrt((np.sum(a * a, axis=-1) if sq is None else sq) * cell)
-    return np.power(np.sum(np.power(a, p), axis=-1) * cell, 1.0 / p)
+        return np.sqrt((np.add.reduce(a * a, axis=-1) if sq is None else sq) * cell)
+    return np.power(np.add.reduce(np.power(a, p), axis=-1) * cell, 1.0 / p)
 
 
 def norms_and_leakage(a: np.ndarray, grid: Grid, p1: float, p2: float):
@@ -195,11 +195,13 @@ def norms_and_leakage(a: np.ndarray, grid: Grid, p1: float, p2: float):
     C-contiguous last axis, so a row's results do not depend on the rows
     stacked with it.  The outside part is gathered with `np.take` into a
     C-contiguous block for that reason (a boolean column mask would gather
-    into an F-ordered copy whose row sums differ in rounding).
+    into an F-ordered copy whose row sums differ in rounding).  Row sums
+    call `np.add.reduce`, which `np.sum` dispatches to, without the
+    wrapper's per-call cost.
     """
     a2 = a * a
-    sq = np.asarray(np.sum(a2, axis=-1))
-    outside = np.sum(np.take(a2, _outside_halfbox_index(grid), axis=-1), axis=-1)
+    sq = np.asarray(np.add.reduce(a2, axis=-1))
+    outside = np.add.reduce(np.take(a2, _outside_halfbox_index(grid), axis=-1), axis=-1)
     leak = np.divide(outside, sq, out=np.zeros_like(sq), where=sq != 0.0)
     l2 = _row_lp(a, 2.0, grid.cell_volume, sq)
     return (l2, *(l2 if p == 2.0 else _row_lp(a, p, grid.cell_volume) for p in (p1, p2)), leak)

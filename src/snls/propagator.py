@@ -25,7 +25,8 @@ class SpectralPlan:
     """Cached wavenumbers and transforms for one grid.
 
     Each transform is one 1-D FFT per spatial axis, last axis first: the
-    arithmetic of `np.fft.fftn`, bitwise, without its per-call overhead.
+    arithmetic of `np.fft.fftn`, bitwise, without its per-call overhead.  At
+    d = 1 that is a single call on the (..., size) array, with no reshape.
 
     `laplacian_enabled=False` zeroes the wavenumbers, turning U(t) into the
     identity; used by diffusion-only oracle configurations.
@@ -49,6 +50,8 @@ class SpectralPlan:
         return self._per_axis(np.fft.ifft, values)
 
     def _per_axis(self, transform, values: np.ndarray) -> np.ndarray:
+        if len(self._shape) == 1:
+            return transform(values)
         out = values.reshape(values.shape[:-1] + self._shape)
         for axis in range(-1, -1 - len(self._shape), -1):
             out = transform(out, axis=axis)

@@ -12,18 +12,22 @@ only up to t_l.  Its fixed point is therefore the explicit exponential-Euler
 sampled Brownian increments held fixed, so each path is solved
 deterministically (`_picard_step`).  The split-step scheme
 (`_splitstep_step`) is the untruncated reference: Strang splitting whose
-sub-steps conserve discrete mass to rounding for conservative noise.
+sub-steps conserve discrete mass to rounding for conservative noise.  Its
+nonlinear and noise phases compose into one pointwise rotation, and the
+spectral array that ends a step starts the next, so a step costs three
+transforms: the engine transforms u0 once and carries v̂ with v.
 
 Both schemes run in one engine, `solve_paths`, which marches P paths as a
 (P, grid.size) stack: a batched 1-D FFT per spatial axis and transform, one
-|v|^2 pass per step for the norms and the half-box monitor, kept with the
+|v|^2 pass per step for the norms and the half-box leakage, kept with the
 accumulators as (P, K+1) columns, and the cutoff theta(Z) per row.  A path's
 result does not depend on the other rows of its stack, bitwise.  Every row
 marches to the last step; the march only records.  Each path's verdicts are
 read from its columns afterwards: its stopping time, whether the cutoff ever
-acted, and, for a row whose L^2 norm leaves BLOWUP_L2 or whose running-norm
-accumulators stop being finite, the BlowUp at the first such step.  `solve`
-is the P = 1 case, in the config's scheme.
+acted, its half-box leakage (the row max), and, for a row whose L^2 norm
+leaves BLOWUP_L2 or whose running-norm accumulators stop being finite, the
+BlowUp at the first such step.  `solve` is the P = 1 case, in the config's
+scheme.
 """
 
 from __future__ import annotations
@@ -180,9 +184,10 @@ def solve_paths(
     of a path whose step gave non-finite values, an L^2 norm above
     BLOWUP_L2 or non-finite running-norm accumulators.  Every row marches to
     the last step, a failed one too; its BlowUp is read from its columns at
-    the first failing step, as are tau and the cutoff flag of the others
+    the first failing step, as are tau, the cutoff flag
     (truncation_ever_active: theta(Z_l) < 1 at some step l < K, Picard
-    only).  Every row is computed with numpy ufuncs, row-wise FFTs and sums
+    only) and the half-box leakage (the max of its column) of the others.
+    Every row is computed with numpy ufuncs, row-wise FFTs and sums
     over the C-contiguous last axis, and mode sums in a fixed order, so a
     path's result is bitwise the same in any batch, at any position.  Each
     path is checked once, before the stack: a mesh off the config mesh
@@ -202,32 +207,36 @@ def solve_paths(
     grid = config.grid
     zexp = z_exponents(config.params)
     p1, p2 = float(zexp.p1), float(zexp.p2)
-    step = _picard_step(config, model, zexp) if config.scheme == "picard" else _splitstep_step(config, model)
     increments = np.stack([path.increments for path in paths])
     steps = np.diff(mesh)
 
     mass = np.empty((P, K + 1))
+    leak = np.empty((P, K + 1))
     acc1 = np.zeros((P, K + 1))
     acc2 = np.zeros((P, K + 1))
     states = np.empty((P, K + 1, grid.size), dtype=np.complex128) if keep_states else None
     v = np.repeat(u0.values[None, :], P, axis=0)
+    if config.scheme == "picard":
+        step, v_hat = _picard_step(config, model, zexp), None
+    else:
+        step, v_hat = _splitstep_step(config, model), get_plan(grid, config.enable_laplacian).forward(v)
     if keep_states:
         states[:, 0] = v
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mass[:, 0], n1, n2, leak = norms_and_leakage(np.abs(v), grid, p1, p2)
+        mass[:, 0], n1, n2, leak[:, 0] = norms_and_leakage(np.abs(v), grid, p1, p2)
         for l in range(K):
             acc1[:, l + 1], acc2[:, l + 1] = advance_accumulators(acc1[:, l], acc2[:, l], n1, n2, steps[l], zexp)
-            v = step(v, acc1[:, l], acc2[:, l], increments[:, :, l])
-            mass[:, l + 1], n1, n2, lk = norms_and_leakage(np.abs(v), grid, p1, p2)
-            leak = np.maximum(leak, lk)
+            v, v_hat = step(v, v_hat, acc1[:, l], acc2[:, l], increments[:, :, l])
+            mass[:, l + 1], n1, n2, leak[:, l + 1] = norms_and_leakage(np.abs(v), grid, p1, p2)
             if keep_states:
                 states[:, l + 1] = v
         # The verdicts, read from the columns: failed[r, l] when step l left
-        # a bound, and whether the cutoff that step l read from Z at t_l was
-        # ever below 1.
+        # a bound, whether the cutoff that step l read from Z at t_l was ever
+        # below 1, and the largest leakage.
         failed = ~((mass[:, 1:] <= BLOWUP_L2) & np.isfinite(acc1[:, 1:] + acc2[:, 1:]))
         z = np.add(*z_components(acc1, acc2, zexp))
         active = (config.scheme == "picard") & np.any(theta(z[:, :K], config.truncation_level) < 1.0, axis=1)
+        halfbox = np.max(leak, axis=1)
     notes = _config_notes(config)
     results = []
     for r, path in enumerate(paths):
@@ -247,7 +256,7 @@ def solve_paths(
                 tau=detect_stopping_time(mesh, z[r], config.truncation_level, config.T),
                 truncation_ever_active=bool(active[r]),
                 scheme=config.scheme,
-                halfbox_leakage=float(leak[r]),
+                halfbox_leakage=float(halfbox[r]),
                 seed=path.seed,
                 path_index=path.path_index,
                 notes=list(notes),
@@ -290,15 +299,26 @@ def _ito_step(v, phi, dinc, dt, lam, alpha, gamma, model: NoiseModel) -> np.ndar
 
 
 def _splitstep_step(config: SimConfig, model: NoiseModel):
-    """One Strang step of a (R, size) stack, returning the new stack; the
+    """One Strang step of a (R, size) stack, (v_l, v̂_l) -> (v_{l+1},
+    v̂_{l+1}) with v̂ the spectral array whose inverse transform is v; the
     cutoff is never applied.
 
-    Half linear step, nonlinear phase, noise step, half linear step.  The
-    nonlinear and conservative-noise sub-steps are exact pointwise phase
-    rotations (|u| invariant); with the unitary linear half-steps every
-    sub-step is an isometry on the grid, so discrete mass is conserved to
-    rounding.  Non-conservative noise falls back to one Euler–Maruyama step
-    with the Itô correction drift.
+    Half linear step, phase rotation, half linear step:
+
+        v_mid = inverse(half v̂_l),
+        v̂_{l+1} = half forward(v_mid exp(-i phase(|v_mid|))),
+        v_{l+1} = inverse(v̂_{l+1}),
+
+    with half = exp(-i |k|^2 dt/2) and phase = lam dt |v|^(alpha-1) +
+    (dbeta_l . e) |v|^(gamma-1) + dbeta'_l . b.  The nonlinear and the
+    conservative-noise sub-steps are pointwise rotations by phases that
+    depend only on |v|, which neither changes, so they compose exactly into
+    this one rotation.  v̂_{l+1} is carried into the next step, so a step
+    costs three transforms (the engine transforms u0 once).  With the
+    unitary linear half-steps every sub-step is an isometry on the grid, so
+    discrete mass is conserved to rounding.  Non-conservative noise falls
+    back to the nonlinear rotation followed by one Euler–Maruyama step with
+    the Itô correction drift.
     """
     plan = get_plan(config.grid, config.enable_laplacian)
     dt = config.dt
@@ -311,30 +331,32 @@ def _splitstep_step(config: SimConfig, model: NoiseModel):
     coeffs_real = model.coeffs.real
     linear_real = model.linear_coeffs.real
 
-    def step(v, acc1, acc2, dinc):
-        v = plan.inverse(half_mult * plan.forward(v))
-        if lam:
-            v = v * np.exp(-1j * lam * dt * np.abs(v) ** (alpha - 1.0))
-        if model.total_modes:
-            if exact_noise:
-                phase = 0.0
-                if n_e:
-                    phase = mode_sum(dinc[:, :n_e], coeffs_real)
-                    if gamma != 1.0:  # |v| ** 0 is exactly 1
-                        phase = phase * np.abs(v) ** (gamma - 1.0)
-                if model.n_linear_modes:
-                    phase = phase + mode_sum(dinc[:, n_e:], linear_real)
-                v = v * np.exp(-1j * phase)
-            else:
-                v = _ito_step(v, np.ones((len(v), 1)), dinc, dt, 0, alpha, gamma, model)
-        return plan.inverse(half_mult * plan.forward(v))
+    def step(v, v_hat, acc1, acc2, dinc):
+        v = plan.inverse(half_mult * v_hat)
+        if not exact_noise:
+            if lam:
+                v = v * np.exp(-1j * lam * dt * np.abs(v) ** (alpha - 1.0))
+            v = _ito_step(v, np.ones((len(v), 1)), dinc, dt, 0, alpha, gamma, model)
+        elif lam or model.total_modes:
+            absv = np.abs(v)
+            phase = (lam * dt) * absv ** (alpha - 1.0) if lam else 0.0
+            if n_e:
+                kick = mode_sum(dinc[:, :n_e], coeffs_real)
+                if gamma != 1.0:  # |v| ** 0 is exactly 1
+                    kick = kick * absv ** (gamma - 1.0)
+                phase = phase + kick
+            if model.n_linear_modes:
+                phase = phase + mode_sum(dinc[:, n_e:], linear_real)
+            v = v * np.exp(-1j * phase)
+        v_hat = half_mult * plan.forward(v)
+        return plan.inverse(v_hat), v_hat
 
     return step
 
 
 def _picard_step(config: SimConfig, model: NoiseModel, zexp):
     """One exponential-Euler (Lawson) step of a (R, size) stack, returning
-    the new stack.
+    the new stack and None (Picard carries no spectral array).
 
     Step l reads phi_l = theta(Z_{t_l}, level) from the running-norm
     accumulators of the states up to t_l, then sets
@@ -355,11 +377,11 @@ def _picard_step(config: SimConfig, model: NoiseModel, zexp):
     mult_dt = plan.multiplier(dt)
     level = config.truncation_level
 
-    def step(v, acc1, acc2, dinc):
+    def step(v, v_hat, acc1, acc2, dinc):
         z1, z2 = z_components(acc1, acc2, zexp)
         phi = theta(z1 + z2, level)
         w = _ito_step(v, phi[:, None], dinc, dt, lam, alpha, gamma, model)
-        return plan.inverse(mult_dt * plan.forward(w))
+        return plan.inverse(mult_dt * plan.forward(w)), None
 
     return step
 

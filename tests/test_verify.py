@@ -35,12 +35,12 @@ def test_oracle_and_mass_suites_pinned():
                     {
                         "name": "splitstep-mass-gamma-1",
                         "passed": True,
-                        "detail": "max relative drift 1.45e-13 over 1000 steps x 5 paths",
+                        "detail": "max relative drift 9.69e-14 over 1000 steps x 5 paths",
                     },
                     {
                         "name": "splitstep-mass-gamma-3/2",
                         "passed": True,
-                        "detail": "max relative drift 1.43e-13 over 1000 steps x 5 paths",
+                        "detail": "max relative drift 9.25e-14 over 1000 steps x 5 paths",
                     },
                 ],
             },

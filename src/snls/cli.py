@@ -260,12 +260,11 @@ def cmd_ensemble(args) -> int:
         raise ConfigError("--keep-paths is not supported together with --levels")
     persist_dir = os.path.join(args.out, f"paths-{config_hash(config)[:12]}") if args.keep_paths else None
     if levels:
-        study = truncation_uniformity_study(config, levels, args.paths, seed=config.seed)
-        summary_doc = study.to_dict()
+        summary = study = truncation_uniformity_study(config, levels, args.paths, seed=config.seed)
     else:
-        summary_doc = run_ensemble(config, args.paths, seed=config.seed, persist_dir=persist_dir).to_dict()
+        summary = run_ensemble(config, args.paths, seed=config.seed, persist_dir=persist_dir)
     os.makedirs(args.out, exist_ok=True)
-    write_json(os.path.join(args.out, "summary.json"), summary_doc)
+    write_json(os.path.join(args.out, "summary.json"), summary)
     files = ["summary.json"]
     if levels:
         with open(os.path.join(args.out, "levels.csv"), "w", newline="") as fh:

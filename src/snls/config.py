@@ -21,6 +21,11 @@ only JSON booleans.  A value that cannot be read as its type raises
 ConfigError.  `config_hash` is the SHA-256 of the canonical JSON
 serialization (sorted keys, compact separators), so equal configs hash
 equally regardless of input formatting.
+
+Every record a run writes (report, summary, per-path report, manifest,
+verify report) becomes JSON in one place, `write_json`, through
+`json_value`: a NaN or infinity is written as the string "nan", "inf" or
+"-inf", so the files stay strict JSON.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import fields, is_dataclass
+
+import numpy as np
 
 from .errors import ConfigError, OutOfRange
 from .exponents import ModelParams, as_fraction
@@ -115,11 +123,29 @@ def load_config(path) -> SimConfig:
     return parse_config_dict(doc)
 
 
+def json_value(obj):
+    """`obj` with what a record holds made JSON-ready: a dataclass becomes
+    the dict of its fields, a tuple or ndarray a list, and a non-finite
+    float (np.float64 too) the string "nan", "inf" or "-inf".  Dicts keep
+    their keys; other values pass through."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {k: json_value(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [json_value(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    return obj
+
+
 def write_json(path, doc) -> None:
-    """Write `doc` as strict JSON (indented, keys sorted, newline-terminated);
-    a NaN or infinity in it raises ValueError."""
+    """Write `json_value(doc)` as strict JSON (indented, keys sorted,
+    newline-terminated): a NaN or infinity is written as its string."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(json_value(doc), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -155,6 +181,7 @@ __all__ = [
     "canonical_json",
     "config_hash",
     "config_to_dict",
+    "json_value",
     "load_config",
     "parse_config_dict",
     "write_json",

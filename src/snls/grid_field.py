@@ -170,7 +170,7 @@ def lp_norm(f: ComplexField, p: float) -> float:
 def lp_norm_rows(values: np.ndarray, p: float, grid: Grid) -> np.ndarray:
     """`lp_norm` of each row of a (P, grid.size) stack of values, bitwise
     equal to the norm of that row alone."""
-    if p < 1:
+    if not p >= 1:
         raise OutOfRange(f"p must be >= 1 or inf, got {p}")
     return _row_lp(np.abs(values), p, grid.cell_volume)
 
@@ -201,8 +201,9 @@ def norms_and_leakage(a: np.ndarray, grid: Grid, p1: float, p2: float):
     """
     a2 = a * a
     sq = np.asarray(np.add.reduce(a2, axis=-1))
-    outside = np.add.reduce(np.take(a2, _outside_halfbox_index(grid), axis=-1), axis=-1)
-    leak = np.divide(outside, sq, out=np.zeros_like(sq), where=sq != 0.0)
+    outside = np.asarray(np.add.reduce(np.take(a2, _outside_halfbox_index(grid), axis=-1), axis=-1))
+    # divided in place: where sq == 0 every |v|^2 is 0, so the 0 left there is the leakage
+    leak = np.divide(outside, sq, out=outside, where=sq != 0.0)
     l2 = _row_lp(a, 2.0, grid.cell_volume, sq)
     return (l2, *(l2 if p == 2.0 else _row_lp(a, p, grid.cell_volume) for p in (p1, p2)), leak)
 
@@ -346,7 +347,7 @@ def bochner_norm(traj: Trajectory, q: float, p: float, t_end: float) -> float:
     """
     if len(traj) == 0:
         raise EmptyTrajectory("trajectory has no samples")
-    if t_end > traj.t_end + 1e-12:
+    if not t_end <= traj.t_end + 1e-12:
         raise OutOfRange(f"t_end={t_end} beyond trajectory end {traj.t_end}")
     times = np.asarray(traj.times)
     if q == math.inf:

@@ -7,8 +7,9 @@ it lands in, so identical inputs give bitwise-identical summaries under
 any chunking, execution order or worker count; aggregation is an ordered
 reduction by path index.  A chunk's (P, grid.size) complex stack is capped
 at CHUNK_STACK_BYTES.  Failed paths (any SolverError, such as a step that
-blew up) are first-class results: they are recorded with their reason and
-never silently dropped from denominators.
+blew up) are first-class results: recorded as `{"path_index", "error"}`
+records and never silently dropped from denominators.  `config.write_json`
+writes the summary, the level study and the per-path reports as they are.
 
 Worker count: the SNLS_THREADS environment variable caps process workers,
 which take whole chunks (0 = one per CPU); unset or 1 runs serially
@@ -91,7 +92,7 @@ def _outcome(config: SimConfig, path_index: int, result, persist_dir: str | None
 def _persist(persist_dir: str | None, outcome: PathOutcome, report) -> None:
     if persist_dir is None:
         return
-    doc = {k: _json_float(v) if isinstance(v, float) else v for k, v in asdict(outcome).items()}
+    doc = asdict(outcome)
     if report is not None:
         doc["report"] = report.summary_dict()
     os.makedirs(persist_dir, exist_ok=True)
@@ -126,31 +127,6 @@ class EnsembleSummary:
     z_finals: np.ndarray
     sup_masses: np.ndarray
     failures: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_paths": self.n_paths,
-            "n_failed": self.n_failed,
-            "seed": self.seed,
-            "scheme": self.scheme,
-            "truncation_level": _json_float(self.truncation_level),
-            "mean_yt_norm": _json_float(self.mean_yt_norm),
-            "stderr_yt_norm": _json_float(self.stderr_yt_norm),
-            "mean_sup_mass_p": {str(p): [_json_float(x) for x in ms] for p, ms in self.mean_sup_mass_p.items()},
-            "tau_equals_T_frequency": self.tau_equals_T_frequency,
-            "stderr_tau_frequency": self.stderr_tau_frequency,
-            "taus": [_json_float(x) for x in self.taus],
-            "yt_norms": [_json_float(x) for x in self.yt_norms],
-            "z_finals": [_json_float(x) for x in self.z_finals],
-            "sup_masses": [_json_float(x) for x in self.sup_masses],
-            "failures": [{"path_index": i, "error": e} for i, e in self.failures],
-        }
-
-
-def _json_float(x: float):
-    if isinstance(x, float) and (math.isnan(x) or math.isinf(x)):
-        return str(x)
-    return float(x)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -217,7 +193,7 @@ def run_ensemble(
     zf = np.array([o.z_final for o in outcomes])
     sm = np.array([o.sup_mass for o in outcomes])
     ok = np.array([o.ok for o in outcomes])
-    failures = [(o.path_index, o.error) for o in outcomes if not o.ok]
+    failures = [{"path_index": o.path_index, "error": o.error} for o in outcomes if not o.ok]
 
     mean_yt, se_yt = _mean_stderr(yt[ok])
     sup_mass_p = {p: _mean_stderr(sm[ok] ** p) for p in _SUP_MASS_POWERS}
@@ -250,13 +226,6 @@ class UniformityStudy:
     levels: list
     summaries: list
     max_over_min_ratio: float
-
-    def to_dict(self) -> dict:
-        return {
-            "levels": [_json_float(l) for l in self.levels],
-            "max_over_min_ratio": _json_float(self.max_over_min_ratio),
-            "summaries": [s.to_dict() for s in self.summaries],
-        }
 
 
 def truncation_uniformity_study(

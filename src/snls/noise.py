@@ -157,6 +157,13 @@ def _checked_mesh(mesh) -> np.ndarray:
     return mesh
 
 
+def _check_time(t: float) -> None:
+    """Reject a NaN time: every comparison with it is False, so the prefix
+    of mesh points before it would be empty and the result a silent zero."""
+    if np.isnan(t):
+        raise OutOfRange(f"t must be a number, got {t}")
+
+
 def sample_brownian_path(mesh, M: int, seed: int, path_index: int) -> BrownianPath:
     """Counter-addressed increments: mode m uses Philox at counter
 
@@ -282,6 +289,7 @@ def diffusion_only_exact_paths(
         raise NotConservative(
             "exact diffusion-only solution requires real e_m and no linear part"
         )
+    _check_time(t)
     mesh, increments = _stack_increments(mesh, increments, model.n_modes)
     g = float(gamma)
     with np.errstate(over="ignore", invalid="ignore"):

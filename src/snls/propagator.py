@@ -18,7 +18,7 @@ import numpy as np
 from .errors import EmptyTrajectory, GridMismatch, LengthMismatch, MeshMismatch
 from .exponents import StrichartzPair
 from .grid_field import ComplexField, Grid, lp_norm_rows, random_field
-from .noise import _checked_mesh, _stack_increments, mode_sum
+from .noise import _check_time, _checked_mesh, _stack_increments, mode_sum
 
 
 class SpectralPlan:
@@ -34,7 +34,6 @@ class SpectralPlan:
 
     def __init__(self, grid: Grid, laplacian_enabled: bool = True):
         self.grid = grid
-        self.laplacian_enabled = laplacian_enabled
         self._shape = grid.shape
         ksq = grid.wavenumbers_squared()
         if not laplacian_enabled:
@@ -94,6 +93,7 @@ def duhamel_convolution(plan: SpectralPlan, times, forcing, t: float) -> np.ndar
     the last sample running up to t.  `forcing` is a (len(times),
     grid.size) array of the samples f(t_l); the result is a flat array.
     """
+    _check_time(t)
     times = _checked_mesh(times)
     forcing = np.asarray(forcing, dtype=np.complex128)
     if not times.size:
@@ -119,6 +119,7 @@ def stochastic_convolution(plan: SpectralPlan, mesh, fields, increments, t: floa
     once, for all paths, and the modes are summed in Fourier space in mode
     order.
     """
+    _check_time(t)
     fields = np.asarray(fields, dtype=np.complex128)
     if fields.ndim != 3 or fields.shape[0] != np.size(mesh):
         raise MeshMismatch(f"fields shape {fields.shape} does not match a mesh of {np.size(mesh)} points")

@@ -33,7 +33,7 @@ scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -121,15 +121,8 @@ class SolveReport:
     notes: list = field(default_factory=list)
 
     def summary_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "tau": self.tau,
-            "truncation_ever_active": self.truncation_ever_active,
-            "halfbox_leakage": self.halfbox_leakage,
-            "seed": self.seed,
-            "path_index": self.path_index,
-            "notes": list(self.notes),
-        }
+        """Every field but the trajectory."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trajectory"}
 
 
 def materialize(config: SimConfig):

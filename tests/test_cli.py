@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +18,10 @@ from snls.cli import main, render_svg_plot
 from snls.config import (
     config_hash,
     config_to_dict,
+    json_value,
     load_config,
     parse_config_dict,
+    write_json,
 )
 from snls.errors import ConfigError, SnlsError
 from snls.grid_field import Grid
@@ -619,6 +622,32 @@ def test_cli_run_files_are_strict_json(tmp_path):
     docs = {str(p): _strict_json(p) for p in written}
     all_failed = docs[str(tmp_path / "all-failed" / "summary.json")]
     assert all_failed["n_failed"] == 3 and all_failed["mean_yt_norm"] == "nan"
+    assert all_failed["taus"] == ["nan"] * 3
+    assert [set(f) for f in all_failed["failures"]] == [{"path_index", "error"}] * 3
+    assert [f["path_index"] for f in all_failed["failures"]] == [0, 1, 2]
+    assert all(f["error"].startswith("BlowUp: ") for f in all_failed["failures"])
+
+
+def test_json_value_makes_records_strict_json(tmp_path):
+    """The one encoder of run records: dataclasses become objects, arrays
+    and tuples lists, non-finite floats strings; finite values and dict
+    keys are written as json writes them."""
+
+    @dataclass
+    class Record:
+        name: str
+        values: np.ndarray
+        pair: tuple
+
+    rec = Record("r", np.array([1.5, np.nan, -np.inf]), (np.float64(np.inf), 2))
+    assert json_value(rec) == {"name": "r", "values": [1.5, "nan", "-inf"], "pair": ["inf", 2]}
+    assert json_value([math.nan, math.inf, -math.inf]) == ["nan", "inf", "-inf"]
+    assert json_value([np.float64(math.nan), np.float64(-math.inf)]) == ["nan", "-inf"]
+    path = tmp_path / "doc.json"
+    write_json(path, {"x": np.float64(0.1) + np.float64(0.2), "by_p": {1.0: 3, 2.0: (math.nan, 0.5)}})
+    assert path.read_text() == json.dumps(
+        {"by_p": {"1.0": 3, "2.0": ["nan", 0.5]}, "x": 0.1 + 0.2}, indent=2
+    ) + "\n"
 
 
 # -- verify subcommand -------------------------------------------------------

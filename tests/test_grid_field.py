@@ -75,6 +75,9 @@ def test_lp_norm_constant_field():
         assert lp_norm(f, p) == pytest.approx(c * GRID.L ** (1.0 / p), rel=1e-13)
     assert lp_norm(f, math.inf) == pytest.approx(c, rel=1e-14)
     assert lp_norm(zero_field(GRID), 2.0) == 0.0
+    for p in (0.5, math.nan):
+        with pytest.raises(OutOfRange):
+            lp_norm(f, p)
 
 
 def test_lp_norm_matches_naive_summation():
@@ -121,6 +124,9 @@ def test_bochner_norm_single_step_constant():
     # constant state: ||u||_{L^q(0,t;L^p)} = ||u||_p * t^(1/q)
     got = bochner_norm(traj, 4.0, 2.0, 2.0)
     assert got == pytest.approx(lp_norm(f, 2) * 2.0 ** 0.25, rel=1e-13)
+    for t_end in (math.nan, 2.5):
+        with pytest.raises(OutOfRange):
+            bochner_norm(traj, 4.0, 2.0, t_end)
 
 
 def test_bochner_norm_piecewise_hand_quadrature():

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from snls.config import json_value
 from snls.exponents import ModelParams
 from snls.grid_field import Grid
 import snls.montecarlo as mc
@@ -74,7 +75,7 @@ def test_ensemble_reproducibility():
     b = run_ensemble(cfg, 6)
     assert np.array_equal(a.yt_norms, b.yt_norms)
     assert np.array_equal(a.taus, b.taus)
-    assert a.to_dict() == b.to_dict()
+    assert json_value(a) == json_value(b)
 
 
 def test_ensemble_seed_changes_results():
@@ -104,7 +105,7 @@ def test_failed_paths_are_recorded_not_dropped():
     s = run_ensemble(cfg, 3)
     assert s.n_failed == 3
     assert len(s.failures) == 3
-    assert all(err.startswith("BlowUp: ") for _, err in s.failures)
+    assert all(f["error"].startswith("BlowUp: ") for f in s.failures)
     assert all(math.isnan(t) for t in s.taus)
     # failed paths count against the stopping-time frequency
     assert s.tau_equals_T_frequency == 0.0
@@ -191,7 +192,7 @@ def test_parallel_matches_serial(monkeypatch):
     monkeypatch.setenv("SNLS_THREADS", "2")
     parallel = run_ensemble(cfg, 4)
     assert np.array_equal(serial.yt_norms, parallel.yt_norms)
-    assert serial.to_dict() == parallel.to_dict()
+    assert json_value(serial) == json_value(parallel)
 
 
 def test_antithetic_increments_preserve_diffusion_statistics(monkeypatch):
@@ -221,7 +222,7 @@ def _per_path_reports(cfg, n_paths, out_dir):
     sup_mass, halfbox_leakage, ...) of one ensemble run, as bytes."""
     summary = run_ensemble(cfg, n_paths, persist_dir=str(out_dir))
     files = {name: (out_dir / name).read_bytes() for name in sorted(os.listdir(out_dir))}
-    return summary.to_dict(), files
+    return json_value(summary), files
 
 
 @pytest.mark.parametrize(
@@ -257,11 +258,11 @@ def test_splitstep_overflow_is_recorded_per_path():
         seed=0,
     )
     s = run_ensemble(cfg, 6)
-    assert [i for i, _ in s.failures] == [3]
+    assert [f["path_index"] for f in s.failures] == [3]
     with pytest.raises(BlowUp) as info:
         solve(cfg, path_index=3)
     err = info.value
-    assert s.failures[0][1] == f"BlowUp: {err}"
+    assert s.failures[0]["error"] == f"BlowUp: {err}"
     assert 0.0 <= err.t < cfg.T and math.isfinite(err.z) and 0 < err.l2 <= BLOWUP_L2
     for i in (0, 1, 2, 4, 5):
         (solo,) = solve_chunk(cfg, [i])

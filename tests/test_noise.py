@@ -353,6 +353,9 @@ def test_stack_forms_reject_mismatched_blocks():
     # a mesh that does not increase would pick the wrong prefix of steps
     with pytest.raises(OutOfRange):
         diffusion_only_exact_paths(u0, conservative, 1.5, mesh[::-1], increments[:, :2], 1.0)
+    # NaN precedes no mesh point: it would give u0 itself
+    with pytest.raises(OutOfRange):
+        diffusion_only_exact_paths(u0, conservative, 1.5, mesh, increments[:, :2], math.nan)
     with pytest.raises(OutOfRange):
         euler_maruyama_paths(u0, model, 1.5, np.zeros_like(mesh), increments)
 

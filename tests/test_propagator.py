@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from snls.errors import EmptyTrajectory, GridMismatch, LengthMismatch, MeshMismatch
+from snls.errors import EmptyTrajectory, GridMismatch, LengthMismatch, MeshMismatch, OutOfRange
 from snls.exponents import strichartz_pair
 from snls.grid_field import (
     Grid,
@@ -152,6 +152,8 @@ def test_duhamel_rejects_malformed_forcing():
         duhamel_convolution(PLAN, [0.0, 0.5], np.zeros((3, GRID.size)), 1.0)
     with pytest.raises(EmptyTrajectory):
         duhamel_convolution(PLAN, [], np.zeros((0, GRID.size)), 1.0)
+    with pytest.raises(OutOfRange):  # NaN precedes no sample: not a zero sum
+        duhamel_convolution(PLAN, [0.0, 0.5], np.ones((2, GRID.size)), math.nan)
 
 
 def test_duhamel_semigroup_forcing():
@@ -243,6 +245,8 @@ def test_stochastic_convolution_mesh_mismatch():
         stochastic_convolution(PLAN, mesh, fields, increments, 1.0)
     with pytest.raises(MeshMismatch):
         stochastic_convolution(PLAN, np.linspace(0.0, 1.0, 17), fields, increments, 1.0)
+    with pytest.raises(OutOfRange):  # NaN precedes no mesh point: not a zero sum
+        stochastic_convolution(PLAN, np.linspace(0.0, 1.0, 17), fields[:1].repeat(17, axis=0), increments, math.nan)
 
 
 def test_stochastic_convolution_rows_are_their_solo_sums():

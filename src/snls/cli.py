@@ -255,14 +255,19 @@ def cmd_simulate(args) -> int:
 
 def cmd_ensemble(args) -> int:
     config = _load_config_for_cli(args)
-    levels = args.levels.split(",") if args.levels else None
+    # a --levels item is "inf" or JSON number text, read by the config's level rule
+    items = [item.strip() for item in args.levels.split(",")] if args.levels else []
+    try:
+        levels = [item if item == "inf" else json.loads(item) for item in items]
+    except ValueError as exc:
+        raise ConfigError(f'--levels items must be JSON number text or "inf", got {args.levels!r}') from exc
     if args.keep_paths and levels:
         raise ConfigError("--keep-paths is not supported together with --levels")
     persist_dir = os.path.join(args.out, f"paths-{config_hash(config)[:12]}") if args.keep_paths else None
     if levels:
-        summary = study = truncation_uniformity_study(config, levels, args.paths, seed=config.seed)
+        summary = study = truncation_uniformity_study(config, levels, args.paths)
     else:
-        summary = run_ensemble(config, args.paths, seed=config.seed, persist_dir=persist_dir)
+        summary = run_ensemble(config, args.paths, persist_dir=persist_dir)
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "summary.json"), summary)
     files = ["summary.json"]

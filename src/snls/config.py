@@ -16,11 +16,14 @@ alpha and gamma accept integers, floats or exact "p/q" strings and are kept
 as exact rationals internally; d, lambda, grid.n and seed accept integers
 and integral floats (2.0, not 2.7); T, dt, grid.L and truncation_level
 accept finite integers and floats (`specs.as_real`), and the level also
-the string "inf", its one infinite spelling; the enable_* switches accept
-only JSON booleans.  A value that cannot be read as its type raises
-ConfigError.  `config_hash` is the SHA-256 of the canonical JSON
-serialization (sorted keys, compact separators), so equal configs hash
-equally regardless of input formatting.
+the string "inf", its one infinite spelling (`specs.as_level`); the
+enable_* switches accept only JSON booleans.  A value that cannot be read
+as its type raises ConfigError.  Each key is named once, in one table of
+its reader and the SimConfig attribute that keeps it: `parse_config_dict`
+reads through it, and `config_to_dict` echoes each attribute through
+`json_value`.  `config_hash` is the SHA-256 of that echo's canonical JSON
+(sorted keys, compact separators), so equal configs hash equally
+regardless of input formatting.
 
 Every record a run writes (report, summary, per-path report, manifest,
 verify report) becomes JSON in one place, `write_json`, through
@@ -34,6 +37,8 @@ import hashlib
 import json
 import math
 from dataclasses import fields, is_dataclass
+from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 
@@ -41,7 +46,7 @@ from .errors import ConfigError, OutOfRange
 from .exponents import ModelParams, as_fraction
 from .grid_field import Grid
 from .solver import SimConfig
-from .specs import as_integer, as_real
+from .specs import as_integer, as_level, as_real
 
 _REQUIRED = ("d", "alpha", "gamma", "lambda", "T", "initial_condition", "noise")
 
@@ -52,24 +57,24 @@ def _flag(value) -> bool:
     return value
 
 
-# How each scalar config value is read; SimConfig holds the defaults of the
-# optional solver knobs.
-_READERS = {
-    "d": as_integer,
-    "alpha": as_fraction,
-    "gamma": as_fraction,
-    "lambda": as_integer,
-    "T": as_real,
-    "dt": as_real,
-    "grid.n": as_integer,
-    "grid.L": as_real,
-    "scheme": str,
-    "truncation_level": lambda v: math.inf if v == "inf" else as_real(v),  # "inf": the echoed form
-    "seed": as_integer,
-    "enable_laplacian": _flag,
-    "enable_nonlinearity": _flag,
+# Every scalar config key, once: its reader, and the attribute path where
+# SimConfig keeps it (SimConfig holds the optional solver knobs' defaults).
+_KEYS = {
+    "d": (as_integer, "params.d"),
+    "alpha": (as_fraction, "params.alpha"),
+    "gamma": (as_fraction, "params.gamma"),
+    "lambda": (as_integer, "params.lam"),
+    "T": (as_real, "T"),
+    "dt": (as_real, "dt"),
+    "grid.n": (as_integer, "grid.n"),
+    "grid.L": (as_real, "grid.L"),
+    "scheme": (str, "scheme"),
+    "truncation_level": (as_level, "truncation_level"),
+    "seed": (as_integer, "seed"),
+    "enable_laplacian": (_flag, "enable_laplacian"),
+    "enable_nonlinearity": (_flag, "enable_nonlinearity"),
 }
-_TOP_KEYS = {key.split(".")[0] for key in _READERS} | {"initial_condition", "noise"}
+_TOP_KEYS = {key.split(".")[0] for key in _KEYS} | {"initial_condition", "noise"}
 
 
 def parse_config_dict(doc: dict) -> SimConfig:
@@ -85,33 +90,23 @@ def parse_config_dict(doc: dict) -> SimConfig:
     if not isinstance(grid_doc, dict) or set(grid_doc) - {"n", "L"}:
         raise ConfigError(f"grid must be an object with keys n, L; got {grid_doc!r}")
     raw = dict(doc, **{f"grid.{k}": v for k, v in grid_doc.items()})
-    values = {}
-    for key, read in _READERS.items():
+    # the values read, by owner of their attribute path ("" for SimConfig)
+    parts = {"params": {}, "grid": {"n": 256, "L": 64.0}, "": {}}
+    for key, (read, attr) in _KEYS.items():
         if key in raw:
+            owner, _, name = attr.rpartition(".")
             try:
-                values[key] = read(raw[key])
+                parts[owner][name] = read(raw[key])
             except (TypeError, ValueError, ArithmeticError) as exc:
                 raise ConfigError(f"malformed value for config key {key!r}: {exc}") from exc
     try:
-        params = ModelParams(
-            d=values.pop("d"),
-            alpha=values.pop("alpha"),
-            gamma=values.pop("gamma"),
-            lam=values.pop("lambda"),
-        )
-        grid = Grid(d=params.d, n=values.pop("grid.n", 256), L=values.pop("grid.L", 64.0))
+        params = ModelParams(**parts["params"])
+        grid = Grid(d=params.d, **parts["grid"])
     except OutOfRange as exc:
         raise ConfigError(f"invalid model parameters or grid: {exc}") from exc
-    T = values.pop("T")
-    return SimConfig(
-        params=params,
-        grid=grid,
-        noise_spec=doc["noise"],
-        ic_spec=doc["initial_condition"],
-        T=T,
-        dt=values.pop("dt", T / 256.0),
-        **values,
-    )
+    knobs = parts[""]
+    knobs.setdefault("dt", knobs["T"] / 256.0)
+    return SimConfig(params=params, grid=grid, noise_spec=doc["noise"], ic_spec=doc["initial_condition"], **knobs)
 
 
 def load_config(path) -> SimConfig:
@@ -126,8 +121,9 @@ def load_config(path) -> SimConfig:
 def json_value(obj):
     """`obj` with what a record holds made JSON-ready: a dataclass becomes
     the dict of its fields, a tuple or ndarray a list, and a non-finite
-    float (np.float64 too) the string "nan", "inf" or "-inf".  Dicts keep
-    their keys; other values pass through."""
+    float (np.float64 too) the string "nan", "inf" or "-inf", and a
+    Fraction its "p/q" string.  Dicts keep their keys; other values pass
+    through."""
     if is_dataclass(obj) and not isinstance(obj, type):
         obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
     if isinstance(obj, dict):
@@ -136,7 +132,7 @@ def json_value(obj):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [json_value(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
+    if isinstance(obj, Fraction) or (isinstance(obj, float) and not math.isfinite(obj)):
         return str(obj)
     return obj
 
@@ -150,23 +146,14 @@ def write_json(path, doc) -> None:
 
 
 def config_to_dict(config: SimConfig) -> dict:
-    """Canonical, JSON-ready echo of a SimConfig (exact rationals as strings)."""
-    return {
-        "d": config.params.d,
-        "alpha": str(config.params.alpha),
-        "gamma": str(config.params.gamma),
-        "lambda": config.params.lam,
-        "T": config.T,
-        "dt": config.dt,
-        "grid": {"n": config.grid.n, "L": config.grid.L},
-        "scheme": config.scheme,
-        "truncation_level": "inf" if math.isinf(config.truncation_level) else config.truncation_level,
-        "seed": config.seed,
-        "enable_laplacian": config.enable_laplacian,
-        "enable_nonlinearity": config.enable_nonlinearity,
-        "initial_condition": config.ic_spec,
-        "noise": config.noise_spec,
-    }
+    """Canonical, JSON-ready echo of a SimConfig: each key of the table read
+    back from its attribute path through `json_value`, so exact rationals
+    become "p/q" strings and the infinite level "inf"."""
+    doc = {"initial_condition": config.ic_spec, "noise": config.noise_spec}
+    for key, (_, attr) in _KEYS.items():
+        owner, _, name = key.rpartition(".")
+        (doc.setdefault(owner, {}) if owner else doc)[name] = json_value(attrgetter(attr)(config))
+    return doc
 
 
 def canonical_json(doc: dict) -> str:

@@ -87,7 +87,9 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class StrichartzPair:
-    """Admissible exponent pair: 2/q + d/p = d/2 exactly, endpoints excluded."""
+    """Admissible exponent pair: 2/q + d/p = d/2 exactly.  A pair off that
+    identity raises NotAdmissible and a non-finite exponent ValueError, so
+    the endpoint (q, p, d) = (2, inf, 2) cannot be built."""
 
     p: Fraction
     q: Fraction
@@ -100,8 +102,6 @@ class StrichartzPair:
             raise NotAdmissible(
                 f"(q={self.q}, p={self.p}) violates 2/q + d/p = d/2 for d={self.d}"
             )
-        if self.q == 2 and self.d == 2:
-            raise NotAdmissible("the endpoint (q, p, d) = (2, inf, 2) is excluded")
 
     def scaling_residual(self) -> Fraction:
         """2/q + d/p - d/2; zero by construction, kept for invariant checks."""
@@ -110,7 +110,8 @@ class StrichartzPair:
 
 @dataclass(frozen=True)
 class BootstrapExponents:
-    """The four derived exponents used by the window/bootstrap machinery."""
+    """delta, delta_tilde and the two theta exponents with their flags, as
+    the exponent table (`snls exponents`) and criterion 9 read them."""
 
     delta: Fraction
     delta_tilde: Fraction

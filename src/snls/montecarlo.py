@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import write_json
 from .errors import ConfigError, SolverError
-from .solver import SimConfig, materialize, sample_brownian_path, solve_paths
+from .solver import SimConfig, materialize, path_for, read_levels, solve_paths
 
 _TAU_EQ_T_RTOL = 1e-9
 # Powers p of the per-path sup mass whose ensemble means are reported.
@@ -63,8 +63,7 @@ def solve_chunk(config: SimConfig, indices, persist_dir: str | None = None) -> l
     written there as `path_<index>.json`.
     """
     _, model, u0 = materialize(config)
-    mesh = config.mesh()
-    paths = [sample_brownian_path(mesh, model.total_modes, config.seed, i) for i in indices]
+    paths = [path_for(config, i, model) for i in indices]
     results = solve_paths(config, paths, model, u0, keep_states=False)
     return [_outcome(config, i, r, persist_dir) for i, r in zip(indices, results)]
 
@@ -237,10 +236,7 @@ def truncation_uniformity_study(
     same Brownian increments; the max/min ratio of the per-level means
     reports how uniform the estimates are across levels.
     """
-    try:
-        levels = [float(l) for l in levels]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"truncation levels must be numbers, got {levels}") from exc
+    levels = read_levels(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigError(f"levels must be strictly increasing, got {levels}")
     summaries = []

@@ -51,7 +51,7 @@ from .grid_field import (
 )
 from .noise import BrownianPath, NoiseModel, mode_sum, sample_brownian_path
 from .propagator import get_plan
-from .specs import build_field, build_noise_model
+from .specs import as_level, build_field, build_noise_model
 
 SCHEMES = ("picard", "splitstep")
 
@@ -379,6 +379,14 @@ def _picard_step(config: SimConfig, model: NoiseModel, zexp):
     return step
 
 
+def read_levels(levels) -> list:
+    """Cutoff levels read by the config's level rule (`specs.as_level`)."""
+    try:
+        return [as_level(n) for n in levels]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f'truncation levels {levels} are not all finite numbers or "inf": {exc}') from exc
+
+
 def path_coincidence_check(config: SimConfig, paths, levels) -> tuple[list, list]:
     """Picard solves of `paths` at two cutoff levels, each level one stack.
 
@@ -387,13 +395,12 @@ def path_coincidence_check(config: SimConfig, paths, levels) -> tuple[list, list
     that stopping time.  Raises the SolverError of the first path that
     failed at either level.
     """
-    n1, n2 = levels
+    n1, n2 = read_levels(levels)
     if not n1 < n2:
         raise ConfigError(f"levels must increase, got {levels}")
     _, model, u0 = materialize(config)
     low, high = (
-        solve_paths(replace(config, scheme="picard", truncation_level=float(n)), paths, model, u0)
-        for n in (n1, n2)
+        solve_paths(replace(config, scheme="picard", truncation_level=n), paths, model, u0) for n in (n1, n2)
     )
     gaps, taus = [], []
     for rep1, rep2 in zip(low, high):

@@ -46,6 +46,11 @@ def as_real(value) -> float:
     return float(value)
 
 
+def as_level(value) -> float:
+    """A truncation level: "inf", its one infinite spelling, or `as_real`."""
+    return math.inf if value == "inf" else as_real(value)
+
+
 def as_integer(value) -> int:
     """An integer, or a float with an integral value, as an int; anything
     else (a boolean, a string, a fractional float) raises TypeError or

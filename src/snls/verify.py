@@ -14,10 +14,10 @@ quadratures: `propagator.free_strichartz_norm` for the homogeneous ratios,
 `propagator.stochastic_convolution` on stacks of its Brownian paths for
 the moment ratio.  The checks are coded once, as helpers shared with
 the acceptance criteria, which run them with their own seeds, counts and
-ranges: `propagator_residuals` and `dispersive_decay` (criterion 2),
-`oracle_sde_orders` (criterion 3), `running_masses` and `mass_drift`
-(criterion 4), `cutoff_lipschitz_ok` and `window_chaining_gap`
-(criterion 8).
+ranges: `exponent_identities` (criterion 1), `propagator_residuals` and
+`dispersive_decay` (criterion 2), `oracle_sde_orders` (criterion 3),
+`running_masses` and `mass_drift` (criterion 4), `cutoff_lipschitz_ok` and
+`window_chaining_gap` (criterion 8).
 """
 
 from __future__ import annotations
@@ -62,26 +62,25 @@ def _check(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
+def exponent_identities() -> tuple[bool, bool, int]:
+    """(scaling_ok, critical_ok, points): with p = alpha + 1, the q of
+    `strichartz_pair` meets 2/q + d/p = d/2 exactly at every point of the
+    (d, alpha) grid alpha = 1 + k/8 <= 1 + 4/d, d = 1, 2, 3; and q = alpha + 1
+    at the critical power alpha = 1 + 4/d, on the grid and for d = 1..6."""
+    grid = [(d, 1 + Fraction(k, 8)) for d in (1, 2, 3) for k in range(1, 32 // d + 1)]
+    qs = [xp.strichartz_pair(alpha + 1, d).q for d, alpha in grid]
+    scaling_ok = all(2 / q + Fraction(d) / (alpha + 1) == Fraction(d, 2) for (d, alpha), q in zip(grid, qs))
+    critical_ok = all(q == alpha + 1 for (d, alpha), q in zip(grid, qs) if alpha == 1 + Fraction(4, d))
+    critical_ok &= all(xp.strichartz_q(2 + Fraction(4, d), d) == 2 + Fraction(4, d) for d in range(1, 7))
+    return scaling_ok, critical_ok, len(grid)
+
+
 def suite_exponents() -> list[dict]:
-    checks = []
-    residual_ok = True
-    critical_ok = True
-    for d in (1, 2, 3):
-        for k in range(1, 32 // d + 1):
-            alpha = 1 + Fraction(k, 8)
-            if alpha > 1 + Fraction(4, d):
-                continue
-            pair = xp.strichartz_pair(alpha + 1, d)
-            if pair.scaling_residual() != 0:
-                residual_ok = False
-            if alpha == 1 + Fraction(4, d) and pair.q != alpha + 1:
-                critical_ok = False
-    checks.append(_check("scaling-identity-exact", residual_ok, "2/q + d/p = d/2 on the (d, alpha) grid"))
-    for d in range(1, 7):
-        alpha = 1 + Fraction(4, d)
-        if xp.strichartz_q(alpha + 1, d) != alpha + 1:
-            critical_ok = False
-    checks.append(_check("critical-pair-coincides", critical_ok, "q = alpha + 1 at alpha = 1 + 4/d, d = 1..6"))
+    scaling_ok, critical_ok, _ = exponent_identities()
+    checks = [
+        _check("scaling-identity-exact", scaling_ok, "2/q + d/p = d/2 on the (d, alpha) grid"),
+        _check("critical-pair-coincides", critical_ok, "q = alpha + 1 at alpha = 1 + 4/d, d = 1..6"),
+    ]
 
     bound_ok = True
     rng = np.random.default_rng(7)

@@ -16,8 +16,6 @@ from snls.errors import SolverError
 from snls.exponents import (
     ModelParams,
     bootstrap_exponents,
-    strichartz_pair,
-    strichartz_q,
     z_exponents,
 )
 from snls.grid_field import Grid, Trajectory, bochner_norm, lp_norm, random_field
@@ -27,6 +25,7 @@ from snls.solver import SimConfig, materialize, path_coincidence_check, solve_pa
 from snls.verify import (
     cutoff_lipschitz_ok,
     dispersive_decay,
+    exponent_identities,
     mass_drift,
     oracle_sde_orders,
     propagator_residuals,
@@ -46,21 +45,9 @@ def test_criterion_1_exponent_algebra():
     """Scaling identity exact on the (d, alpha) grid; pairs coincide at the
     critical power."""
     t0 = time.monotonic()
-    ok = True
-    count = 0
-    for d in (1, 2, 3):
-        for k in range(1, 32 // d + 1):
-            alpha = 1 + Fraction(k, 8)
-            if alpha > 1 + Fraction(4, d):
-                continue
-            count += 1
-            pair = strichartz_pair(alpha + 1, d)
-            ok &= 2 / pair.q + Fraction(d) / (alpha + 1) - Fraction(d, 2) == 0
-            if alpha == 1 + Fraction(4, d):
-                ok &= pair.q == alpha + 1
-    for d in (1, 2, 3):
-        ok &= strichartz_q(1 + Fraction(4, d) + 1, d) == 1 + Fraction(4, d) + 1
-    _report("criterion-1-exponents", ok, f"exact rational identity on {count} grid points", time.monotonic() - t0, 1.0)
+    scaling_ok, critical_ok, points = exponent_identities()
+    ok = scaling_ok and critical_ok
+    _report("criterion-1-exponents", ok, f"exact rational identity on {points} grid points", time.monotonic() - t0, 1.0)
 
 
 def test_criterion_2_propagator():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from snls.cli import main, render_svg_plot
 from snls.config import (
+    canonical_json,
     config_hash,
     config_to_dict,
     json_value,
@@ -128,6 +129,33 @@ def test_config_roundtrip_is_identity():
     cfg2 = parse_config_dict(echo)
     assert cfg2 == cfg
     assert config_hash(cfg2) == config_hash(cfg)
+
+
+def test_config_echo_and_hash_are_pinned():
+    """The echo and its hash, pinned to literal values: a drift that still
+    round-trips would change every config_hash."""
+    pinned = [
+        (
+            dict(VALID_DOC, alpha="7/3", gamma=1.5, truncation_level="inf", seed=2**64 - 1),
+            '{"T":0.25,"alpha":"7/3","d":1,"dt":0.015625,"enable_laplacian":true,"enable_nonlinearity":true,'
+            '"gamma":"3/2","grid":{"L":32.0,"n":64},"initial_condition":{"amplitude":1.0,"kind":"gaussian_bump",'
+            '"width":2.0},"lambda":1,"noise":{"coefficients":[{"kind":"constant","value":0.3}]},"scheme":"splitstep",'
+            '"seed":18446744073709551615,"truncation_level":"inf"}',
+            "5dce22df54c4a17ffd6e25885a02fd6437aafa89d21cef2410cc376087cb1600",
+        ),
+        (
+            dict(VALID_DOC, truncation_level=2.5, enable_laplacian=False),
+            '{"T":0.25,"alpha":"3","d":1,"dt":0.015625,"enable_laplacian":false,"enable_nonlinearity":true,'
+            '"gamma":"1","grid":{"L":32.0,"n":64},"initial_condition":{"amplitude":1.0,"kind":"gaussian_bump",'
+            '"width":2.0},"lambda":1,"noise":{"coefficients":[{"kind":"constant","value":0.3}]},"scheme":"splitstep",'
+            '"seed":5,"truncation_level":2.5}',
+            "fea802f374e4f883bd27de4beb8cc94ec51049e72627af34aefdea7df5044b8d",
+        ),
+    ]
+    for doc, echo, digest in pinned:
+        cfg = parse_config_dict(doc)
+        assert canonical_json(config_to_dict(cfg)) == echo
+        assert config_hash(cfg) == digest
 
 
 def test_config_roundtrip_randomized():
@@ -381,6 +409,11 @@ CLI_FAILURES = {
         {"c.json": VALID_DOC}, ENSEMBLE + ["--paths", "2", "--levels", "4,8", "--keep-paths"], {}, 2, "ConfigError"
     ),
     "levels-not-numbers": ({"c.json": VALID_DOC}, ENSEMBLE + ["--paths", "2", "--levels", "4,x"], {}, 2, "ConfigError"),
+    # a level item follows the config's level rule: "inf" is its one infinite spelling
+    **{
+        f"levels-1,{item}": ({"c.json": VALID_DOC}, ENSEMBLE + ["--paths", "2", "--levels", f"1,{item}"], {}, 2, "ConfigError")
+        for item in ("Infinity", "1e400", "+inf", "nan", "true")
+    },
     "one-path": ({"c.json": VALID_DOC}, ENSEMBLE + ["--paths", "1"], {}, 2, "ConfigError"),
     "exponents-without-d": ({}, ["exponents", "--alpha", "3", "--gamma", "1"], {}, 2, "ConfigError"),
     "exponents-alpha-6": ({}, ["exponents", "--d", "1", "--alpha", "6", "--gamma", "1"], {}, 2, "ConfigError"),
@@ -643,6 +676,7 @@ def test_json_value_makes_records_strict_json(tmp_path):
     assert json_value(rec) == {"name": "r", "values": [1.5, "nan", "-inf"], "pair": ["inf", 2]}
     assert json_value([math.nan, math.inf, -math.inf]) == ["nan", "inf", "-inf"]
     assert json_value([np.float64(math.nan), np.float64(-math.inf)]) == ["nan", "-inf"]
+    assert json_value({"alpha": Fraction(7, 3), "gamma": Fraction(2)}) == {"alpha": "7/3", "gamma": "2"}
     path = tmp_path / "doc.json"
     write_json(path, {"x": np.float64(0.1) + np.float64(0.2), "by_p": {1.0: 3, 2.0: (math.nan, 0.5)}})
     assert path.read_text() == json.dumps(

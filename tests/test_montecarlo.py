@@ -127,6 +127,10 @@ def test_tau_frequency_monotone_across_levels():
 def test_uniformity_study_requires_increasing_levels():
     with pytest.raises(ConfigError):
         truncation_uniformity_study(config(), [4.0, 4.0], 2)
+    # a level follows the config's level rule: no boolean, no numeric string
+    for bad in (True, "4"):
+        with pytest.raises(ConfigError):
+            truncation_uniformity_study(config(), [0.5, bad], 2)
 
 
 def test_uniformity_study_trivial_for_linear_free_equation():
@@ -198,19 +202,23 @@ def test_parallel_matches_serial(monkeypatch):
 def test_antithetic_increments_preserve_diffusion_statistics(monkeypatch):
     """Negating all increments leaves modulus statistics of diffusion-only
     runs unchanged (the exact flow is a pure phase rotation)."""
-    import snls.montecarlo as mc
+    import snls.solver
     from snls.noise import sample_brownian_path
 
     monkeypatch.delenv("SNLS_THREADS", raising=False)
     cfg = config(enable_laplacian=False, enable_nonlinearity=False)
     base = run_ensemble(cfg, 4)
+    negated_paths = []
 
     def negated(mesh, M, seed, path_index):
         path = sample_brownian_path(mesh, M, seed, path_index)
+        negated_paths.append(path_index)
         return replace(path, increments=-path.increments)
 
-    monkeypatch.setattr(mc, "sample_brownian_path", negated)
+    # the ensemble samples each path through solver.path_for
+    monkeypatch.setattr(snls.solver, "sample_brownian_path", negated)
     flipped = run_ensemble(cfg, 4)
+    assert negated_paths == [0, 1, 2, 3]
     assert np.allclose(flipped.sup_masses, base.sup_masses, rtol=1e-12)
     assert np.allclose(
         [flipped.mean_sup_mass_p[2.0][0]], [base.mean_sup_mass_p[2.0][0]], rtol=1e-12

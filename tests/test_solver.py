@@ -369,6 +369,10 @@ def test_path_coincidence_rejects_bad_levels():
     cfg = config(scheme="picard")
     with pytest.raises(ConfigError):
         path_coincidence_check(cfg, [path_for(cfg, 0)], (4.0, 2.0))
+    # a level follows the config's level rule: no boolean, no numeric string
+    for bad in (True, "4"):
+        with pytest.raises(ConfigError):
+            path_coincidence_check(cfg, [path_for(cfg, 0)], (0.5, bad))
 
 
 def test_solve_dispatch_and_report_dict():

@@ -13,8 +13,10 @@ column in exports) and the raw accumulators behind the running norm
 
 stored as the power integrals int_0^t ||u(s)||_{p}^{q} ds (or a running sup
 when the second temporal exponent is infinite, which happens at gamma = 1).
-Storing raw powers lets a window continue a prefix by starting from the
-prefix's last accumulators.
+Raw powers are sums, so `fill_accumulators` extends them by a left fold
+from any starting value: the solver one block of steps at a time, and
+`Trajectory.from_states` from the `acc0` it is given.  The roots are taken
+only where Z is read (`z_components`).
 """
 
 from __future__ import annotations
@@ -233,16 +235,28 @@ def _outside_halfbox_index(grid: Grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def advance_accumulators(acc1, acc2, n1, n2, dt, zexp: ZExponents):
-    """Running-norm accumulators at t + dt from those at t and the norms
-    (n1, n2) = (||u(t)||_p1, ||u(t)||_p2): left-endpoint power integrals,
-    or a running sup for the second component when qt = inf.  Scalars or
-    arrays alike, with the same ufunc arithmetic."""
+def fill_accumulators(acc1, acc2, n1, n2, dt, zexp: ZExponents) -> None:
+    """Fill the running-norm accumulators at t_1 .. t_m, in place along the
+    first (time) axis, from those at t_0 in acc1[0] and acc2[0], the norms
+    (n1, n2) = (||u(t_j)||_p1, ||u(t_j)||_p2) at t_0 .. t_{m-1} and the step
+    lengths dt_j = t_{j+1} - t_j: left-endpoint power integrals, or a
+    running max for the second component when qt = inf.
+
+    The one accumulator arithmetic, for the solver's blocks of steps and
+    for `Trajectory.from_states`.  The terms ||u(t_j)||^q dt_j follow the
+    starting value and `np.add.accumulate` sums them (`np.maximum.accumulate`
+    maxes the norms): the same left fold as adding them one step at a time,
+    so the accumulators do not depend on how the steps are grouped.
+    """
     q, qt = zexp.powers
-    a1 = acc1 + np.power(n1, q) * dt
+    np.multiply(np.power(n1, q), dt, out=acc1[1:])
+    np.add.accumulate(acc1, axis=0, out=acc1)
     if zexp.q_tilde_finite:
-        return a1, acc2 + np.power(n2, qt) * dt
-    return a1, np.maximum(acc2, n2)
+        np.multiply(np.power(n2, qt), dt, out=acc2[1:])
+        np.add.accumulate(acc2, axis=0, out=acc2)
+    else:
+        acc2[1:] = n2
+        np.maximum.accumulate(acc2, axis=0, out=acc2)
 
 
 def z_components(acc1, acc2, zexp: ZExponents):
@@ -288,7 +302,7 @@ class Trajectory:
         increasing `times`, with accumulators `acc0` at times[0].
 
         Norms and accumulators come from `norms_and_leakage` on the stacked
-        states and `advance_accumulators` step by step, the solver's
+        states and `fill_accumulators` on its norm columns, the solver's
         arithmetic, so the columns equal the solver's bitwise.
         """
         if not len(states):
@@ -303,13 +317,8 @@ class Trajectory:
             raise GridMismatch("states lie on different grids")
         block = np.stack([s.values for s in states])
         mass, n1, n2, _ = norms_and_leakage(np.abs(block), grid, float(zexp.p1), float(zexp.p2))
-        acc1 = np.empty(len(times))
-        acc2 = np.empty(len(times))
-        acc1[0], acc2[0] = acc0
-        for j in range(1, len(times)):
-            acc1[j], acc2[j] = advance_accumulators(
-                acc1[j - 1], acc2[j - 1], n1[j - 1], n2[j - 1], times[j] - times[j - 1], zexp
-            )
+        acc1, acc2 = (np.full(len(times), a) for a in acc0)
+        fill_accumulators(acc1, acc2, n1[:-1], n2[:-1], np.diff(times), zexp)
         return cls(grid, zexp, times, mass, acc1, acc2, block)
 
     def __len__(self) -> int:

@@ -15,19 +15,19 @@ deterministically (`_picard_step`).  The split-step scheme
 sub-steps conserve discrete mass to rounding for conservative noise.  Its
 nonlinear and noise phases compose into one pointwise rotation, and the
 spectral array that ends a step starts the next, so a step costs three
-transforms: the engine transforms u0 once and carries v̂ with v.
+transforms: the engine transforms u0 once and carries v̂ alone.
 
 Both schemes run in one engine, `solve_paths`, which marches P paths as a
 (P, grid.size) stack: a batched 1-D FFT per spatial axis and transform, one
-|v|^2 pass per step for the norms and the half-box leakage, kept with the
-accumulators as (P, K+1) columns, and the cutoff theta(Z) per row.  A path's
-result does not depend on the other rows of its stack, bitwise.  Every row
-marches to the last step; the march only records.  Each path's verdicts are
-read from its columns afterwards: its stopping time, whether the cutoff ever
-acted, its half-box leakage (the row max), and, for a row whose L^2 norm
-leaves BLOWUP_L2 or whose running-norm accumulators stop being finite, the
-BlowUp at the first such step.  `solve` is the P = 1 case, in the config's
-scheme.
+|v|^2 pass per block of steps for the norms and the half-box leakage, kept
+with the accumulators as columns, and the cutoff theta(Z) per row.  A path's
+result does not depend on the block size or on the other rows of its stack,
+bitwise.  Every row marches to the last step; the march only records.  Each
+path's verdicts are read from its columns afterwards: its stopping time,
+whether the cutoff ever acted, its half-box leakage (the row max), and, for
+a row whose L^2 norm leaves BLOWUP_L2 or whose running-norm accumulators
+stop being finite, the BlowUp at the first such step.  `solve` is the P = 1
+case, in the config's scheme.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .grid_field import (
     ComplexField,
     Grid,
     Trajectory,
-    advance_accumulators,
+    fill_accumulators,
     lp_norm_rows,
     norms_and_leakage,
     z_components,
@@ -57,6 +57,13 @@ SCHEMES = ("picard", "splitstep")
 
 # L^2 norm beyond which a step counts as blown up (either scheme).
 BLOWUP_L2 = 1e12
+
+# Bytes of |v| that split-step keeps per block of steps before it records
+# the block's norms, leakage and accumulators at once (see `solve_paths`):
+# 32 rows of a single d = 1, n = 128 path, which removes almost all of the
+# per-call cost of per-step recording (larger blocks were no faster), and a
+# single row of a 20-path stack, whose peak memory a larger block would raise.
+RECORD_BLOCK_BYTES = 1 << 15
 
 
 @dataclass
@@ -180,9 +187,13 @@ def solve_paths(
     the first failing step, as are tau, the cutoff flag
     (truncation_ever_active: theta(Z_l) < 1 at some step l < K, Picard
     only) and the half-box leakage (the max of its column) of the others.
-    Every row is computed with numpy ufuncs, row-wise FFTs and sums
-    over the C-contiguous last axis, and mode sums in a fixed order, so a
-    path's result is bitwise the same in any batch, at any position.  Each
+    The states (or their moduli) are recorded per block of steps, B of them
+    at a time: B = 1 for Picard, whose step l reads Z at t_l, and for
+    split-step as many as RECORD_BLOCK_BYTES of |v| hold (at least one).
+    Every row is computed with numpy ufuncs, row-wise FFTs and sums over
+    the C-contiguous last axis, mode sums in a fixed order and accumulators
+    as left folds along time, so a path's result is bitwise the same in any
+    batch, at any position, for any B.  Each
     path is checked once, before the stack: a mesh off the config mesh
     raises MeshMismatch, increments not of shape (model.total_modes, K)
     LengthMismatch.
@@ -201,31 +212,53 @@ def solve_paths(
     zexp = z_exponents(config.params)
     p1, p2 = float(zexp.p1), float(zexp.p2)
     increments = np.stack([path.increments for path in paths])
-    steps = np.diff(mesh)
+    dts = np.diff(mesh)[:, None]
 
-    mass = np.empty((P, K + 1))
-    leak = np.empty((P, K + 1))
-    acc1 = np.zeros((P, K + 1))
-    acc2 = np.zeros((P, K + 1))
-    states = np.empty((P, K + 1, grid.size), dtype=np.complex128) if keep_states else None
+    # Time-major columns and block: a block of steps is one contiguous slab.
+    mass = np.empty((K + 1, P))
+    leak = np.empty((K + 1, P))
+    acc1 = np.zeros((K + 1, P))
+    acc2 = np.zeros((K + 1, P))
+    states = np.empty((K + 1, P, grid.size), dtype=np.complex128) if keep_states else None
     v = np.repeat(u0.values[None, :], P, axis=0)
     if config.scheme == "picard":
-        step, v_hat = _picard_step(config, model, zexp), None
+        step, carry, B = _picard_step(config, model, zexp), v, 1
     else:
-        step, v_hat = _splitstep_step(config, model), get_plan(grid, config.enable_laplacian).forward(v)
-    if keep_states:
-        states[:, 0] = v
+        step, carry = _splitstep_step(config, model), get_plan(grid, config.enable_laplacian).forward(v)
+        B = max(1, RECORD_BLOCK_BYTES // (8 * P * grid.size))
+    block = None if keep_states else np.empty((B, P, grid.size))
+    first = 0  # the block holds the states first .. l
+
+    def record(l, v, carry):
+        """Keep state l (or |v|) in the block; once the block is full, or
+        l = K, fill its columns and the accumulators up to min(l + 1, K).
+        Returns carry, so that a step's v is bound only while it is
+        recorded."""
+        nonlocal first
+        if keep_states:
+            states[l] = v
+        else:
+            np.abs(v, out=block[l - first])
+        if l - first + 1 < B and l < K:
+            return carry
+        a = np.abs(states[first : l + 1]) if keep_states else block[: l + 1 - first]
+        mass[first : l + 1], n1, n2, leak[first : l + 1] = norms_and_leakage(a, grid, p1, p2)
+        end = min(l + 1, K)
+        fill_accumulators(
+            acc1[first : end + 1], acc2[first : end + 1], n1[: end - first], n2[: end - first], dts[first:end], zexp
+        )
+        first = l + 1
+        return carry
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mass[:, 0], n1, n2, leak[:, 0] = norms_and_leakage(np.abs(v), grid, p1, p2)
+        carry = record(0, v, carry)
+        del v  # between steps only the carry stays alive (v̂ for split-step)
         for l in range(K):
-            acc1[:, l + 1], acc2[:, l + 1] = advance_accumulators(acc1[:, l], acc2[:, l], n1, n2, steps[l], zexp)
-            v, v_hat = step(v, v_hat, acc1[:, l], acc2[:, l], increments[:, :, l])
-            mass[:, l + 1], n1, n2, leak[:, l + 1] = norms_and_leakage(np.abs(v), grid, p1, p2)
-            if keep_states:
-                states[:, l + 1] = v
-        # The verdicts, read from the columns: failed[r, l] when step l left
-        # a bound, whether the cutoff that step l read from Z at t_l was ever
-        # below 1, and the largest leakage.
+            carry = record(l + 1, *step(carry, acc1[l], acc2[l], increments[:, :, l]))
+        # The verdicts, read from the columns (one row per path from here on):
+        # failed[r, l] when step l left a bound, whether the cutoff that step
+        # l read from Z at t_l was ever below 1, and the largest leakage.
+        mass, leak, acc1, acc2 = mass.T, leak.T, acc1.T, acc2.T
         failed = ~((mass[:, 1:] <= BLOWUP_L2) & np.isfinite(acc1[:, 1:] + acc2[:, 1:]))
         z = np.add(*z_components(acc1, acc2, zexp))
         active = (config.scheme == "picard") & np.any(theta(z[:, :K], config.truncation_level) < 1.0, axis=1)
@@ -242,7 +275,7 @@ def solve_paths(
             msg = f"step from t={mesh[l]:.6g} blew up: {what} (from {last:.6g}, Z={zr:.6g})"
             results.append(BlowUp(msg, t=float(mesh[l]), z=float(zr), l2=last))
             continue
-        traj = Trajectory(grid, zexp, mesh, mass[r], acc1[r], acc2[r], states[r] if keep_states else None)
+        traj = Trajectory(grid, zexp, mesh, mass[r], acc1[r], acc2[r], states[:, r] if keep_states else None)
         results.append(
             SolveReport(
                 trajectory=traj,
@@ -292,9 +325,9 @@ def _ito_step(v, phi, dinc, dt, lam, alpha, gamma, model: NoiseModel) -> np.ndar
 
 
 def _splitstep_step(config: SimConfig, model: NoiseModel):
-    """One Strang step of a (R, size) stack, (v_l, v̂_l) -> (v_{l+1},
-    v̂_{l+1}) with v̂ the spectral array whose inverse transform is v; the
-    cutoff is never applied.
+    """One Strang step of a (R, size) stack, v̂_l -> (v_{l+1}, v̂_{l+1})
+    with v̂ the spectral array whose inverse transform is v; the cutoff is
+    never applied.
 
     Half linear step, phase rotation, half linear step:
 
@@ -324,7 +357,7 @@ def _splitstep_step(config: SimConfig, model: NoiseModel):
     coeffs_real = model.coeffs.real
     linear_real = model.linear_coeffs.real
 
-    def step(v, v_hat, acc1, acc2, dinc):
+    def step(v_hat, acc1, acc2, dinc):
         v = plan.inverse(half_mult * v_hat)
         if not exact_noise:
             if lam:
@@ -348,8 +381,8 @@ def _splitstep_step(config: SimConfig, model: NoiseModel):
 
 
 def _picard_step(config: SimConfig, model: NoiseModel, zexp):
-    """One exponential-Euler (Lawson) step of a (R, size) stack, returning
-    the new stack and None (Picard carries no spectral array).
+    """One exponential-Euler (Lawson) step of a (R, size) stack, v_l ->
+    (v_{l+1}, v_{l+1}): the state to record and the next step's input.
 
     Step l reads phi_l = theta(Z_{t_l}, level) from the running-norm
     accumulators of the states up to t_l, then sets
@@ -370,11 +403,12 @@ def _picard_step(config: SimConfig, model: NoiseModel, zexp):
     mult_dt = plan.multiplier(dt)
     level = config.truncation_level
 
-    def step(v, v_hat, acc1, acc2, dinc):
+    def step(v, acc1, acc2, dinc):
         z1, z2 = z_components(acc1, acc2, zexp)
         phi = theta(z1 + z2, level)
         w = _ito_step(v, phi[:, None], dinc, dt, lam, alpha, gamma, model)
-        return plan.inverse(mult_dt * plan.forward(w)), None
+        v = plan.inverse(mult_dt * plan.forward(w))
+        return v, v
 
     return step
 

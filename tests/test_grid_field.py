@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snls.errors import GridMismatch, OutOfRange, SnlsError
 from snls.exponents import ModelParams, bootstrap_exponents, z_exponents
@@ -14,6 +16,7 @@ from snls.grid_field import (
     Trajectory,
     bochner_norm,
     constant_field,
+    fill_accumulators,
     field_from_bytes,
     field_to_bytes,
     gaussian_field,
@@ -286,3 +289,45 @@ def test_plane_wave_field_is_single_mode():
     assert np.argmax(mags) == 3
     mags[3] = 0.0
     assert np.max(mags) < 1e-10 * g.n
+
+
+_NORMS = st.one_of(
+    st.sampled_from([0.0, math.inf, math.nan]),
+    st.floats(min_value=0.0, max_value=100.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gamma=st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)]),
+    data=st.data(),
+    rows=st.integers(1, 3),
+    m=st.integers(0, 12),
+)
+def test_fill_accumulators_is_the_scalar_left_fold(gamma, data, rows, m):
+    """`fill_accumulators` on a (m + 1, rows) block equals, bitwise, adding
+    ||u(t_j)||^q dt_j (or taking the running max when qt = inf) one step at
+    a time from a nonzero start, as a window that continues a prefix does;
+    norms include 0, inf and NaN, and the step lengths are not uniform."""
+    zexp = z_exponents(ModelParams(d=1, alpha=Fraction(3), gamma=gamma, lam=1))
+    q, qt = zexp.powers
+
+    def draw(values, size):
+        return np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
+
+    n1, n2 = draw(_NORMS, m * rows).reshape(m, rows), draw(_NORMS, m * rows).reshape(m, rows)
+    dt = draw(st.floats(1e-6, 1.0), m)[:, None]
+    start = draw(st.floats(1e-3, 1e3), 2 * rows)
+    acc1, acc2 = np.empty((m + 1, rows)), np.empty((m + 1, rows))
+    acc1[0], acc2[0] = start[:rows], start[rows:]
+    fill_accumulators(acc1, acc2, n1, n2, dt, zexp)
+    for r in range(rows):
+        a1, a2 = np.float64(start[r]), np.float64(start[rows + r])
+        fold1, fold2 = [a1], [a2]
+        for j in range(m):
+            a1 = a1 + np.power(n1[j, r], q) * dt[j, 0]
+            a2 = a2 + np.power(n2[j, r], qt) * dt[j, 0] if zexp.q_tilde_finite else np.maximum(a2, n2[j, r])
+            fold1.append(a1)
+            fold2.append(a2)
+        assert acc1[:, r].tobytes() == np.array(fold1).tobytes()
+        assert acc2[:, r].tobytes() == np.array(fold2).tobytes()

@@ -16,6 +16,7 @@ from snls.exponents import ModelParams
 from snls.grid_field import Grid, Trajectory, lp_norm, lp_norm_rows
 from snls.noise import coarsen_path, diffusion_only_exact, noise_term, sample_brownian_path, stratonovich_drift
 from snls.propagator import free_evolve, get_plan
+import snls.solver
 from snls.solver import (
     BLOWUP_L2,
     SimConfig,
@@ -578,6 +579,49 @@ def test_splitstep_equals_the_textbook_strang_step(case):
         got = rep.trajectory.states
         gap = lp_norm_rows(got - expected, 2, cfg.grid) / lp_norm_rows(expected, 2, cfg.grid)
         assert np.max(gap) <= 1e-12, (case, path.path_index, float(np.max(gap)))
+
+
+def _block_case(case):
+    if case == "gamma1":  # the second accumulator is a running max; every row resolves
+        return config()
+    if case == "gamma3-blowup":  # power integrals; row 3 blows up at step 4, mid-block
+        return _overflow_config(5)
+    # gamma = 1, non-conservative noise: every row blows up at step 15 or 16
+    cfg = _overflow_config(20)
+    return replace(cfg, params=replace(cfg.params, gamma=Fraction(1)))
+
+
+def _verdicts(rep):
+    if isinstance(rep, BlowUp):
+        return (str(rep), rep.t, rep.z, rep.l2)
+    traj = rep.trajectory
+    columns = (traj.running_mass, traj.acc1, traj.acc2) + ((traj.states,) if traj.states is not None else ())
+    return (rep.tau, rep.halfbox_leakage, rep.truncation_ever_active) + tuple(c.tobytes() for c in columns)
+
+
+@pytest.mark.parametrize("keep_states", [True, False])
+@pytest.mark.parametrize("case", ["gamma1", "gamma1-blowup", "gamma3-blowup"])
+def test_block_recording_equals_step_by_step_recording(monkeypatch, case, keep_states):
+    """Split-step records per block of steps.  With a cap of three states per
+    block, K = 64 spans 21 full blocks and a partial block of two, and a
+    row solved alone gets blocks of 18 (three full, one partial).  Every
+    column, tau, leakage, cutoff flag and BlowUp equals, bitwise, a march
+    that records every step on its own."""
+    cfg = _block_case(case)
+    _, model, u0 = materialize(cfg)
+    paths = [path_for(cfg, i, model) for i in range(6)]
+
+    def march(cap, rows):
+        monkeypatch.setattr(snls.solver, "RECORD_BLOCK_BYTES", cap)
+        return [_verdicts(rep) for rep in solve_paths(cfg, rows, model, u0, keep_states)]
+
+    cap = 3 * 8 * len(paths) * cfg.grid.size
+    assert cfg.n_steps == 64
+    step_by_step = march(1, paths)
+    assert march(cap, paths) == step_by_step
+    assert [march(cap, [p])[0] for p in paths] == step_by_step
+    failed = [i for i, v in enumerate(step_by_step) if isinstance(v[0], str)]
+    assert failed == {"gamma1": [], "gamma1-blowup": list(range(6)), "gamma3-blowup": [3]}[case]
 
 
 @pytest.mark.parametrize("d", [1, 2])

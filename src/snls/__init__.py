@@ -41,25 +41,21 @@ from .grid_field import (
     ComplexField,
     Grid,
     Trajectory,
-    bochner_norm,
     constant_field,
     gaussian_field,
     lp_norm,
     mass_outside_central_halfbox,
     plane_wave_field,
     random_field,
-    zero_field,
 )
 from .noise import (
     BrownianPath,
     NoiseModel,
     coarsen_increments,
-    coarsen_path,
     diffusion_only_exact,
     diffusion_only_exact_paths,
     euler_maruyama_diffusion,
     euler_maruyama_paths,
-    heun_stratonovich_diffusion,
     make_noise_model,
     noise_term,
     sample_brownian_path,

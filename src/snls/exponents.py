@@ -103,10 +103,6 @@ class StrichartzPair:
                 f"(q={self.q}, p={self.p}) violates 2/q + d/p = d/2 for d={self.d}"
             )
 
-    def scaling_residual(self) -> Fraction:
-        """2/q + d/p - d/2; zero by construction, kept for invariant checks."""
-        return 2 / self.q + Fraction(self.d) / self.p - Fraction(self.d, 2)
-
 
 @dataclass(frozen=True)
 class BootstrapExponents:

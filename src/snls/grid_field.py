@@ -102,9 +102,6 @@ class ComplexField:
         self.grid = grid
         self.values = values
 
-    def reshaped(self) -> np.ndarray:
-        return self.values.reshape(self.grid.shape)
-
     def __sub__(self, other: "ComplexField") -> "ComplexField":
         _check_same_grid(self, other)
         return ComplexField(self.grid, self.values - other.values)
@@ -126,10 +123,6 @@ def _check_same_grid(a: ComplexField, b: ComplexField) -> None:
 
 def constant_field(grid: Grid, value: complex) -> ComplexField:
     return ComplexField(grid, np.full(grid.size, value, dtype=np.complex128))
-
-
-def zero_field(grid: Grid) -> ComplexField:
-    return ComplexField(grid, np.zeros(grid.size, dtype=np.complex128))
 
 
 def gaussian_field(
@@ -345,35 +338,6 @@ class Trajectory:
     def z_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """Both running-norm components at every recorded time, in O(len)."""
         return z_components(self.acc1, self.acc2, self.zexp)
-
-
-def bochner_norm(traj: Trajectory, q: float, p: float, t_end: float) -> float:
-    """(sum_j ||u(t_j)||_p^q dt_j)^(1/q) up to t_end, left-endpoint quadrature.
-
-    For q = inf, the running max of ||u(t_j)||_p over samples t_j < t_end.
-    Recomputed from the stored states, independently of the trajectory's
-    accumulators.
-    """
-    if len(traj) == 0:
-        raise EmptyTrajectory("trajectory has no samples")
-    if not t_end <= traj.t_end + 1e-12:
-        raise OutOfRange(f"t_end={t_end} beyond trajectory end {traj.t_end}")
-    times = np.asarray(traj.times)
-    if q == math.inf:
-        best = 0.0
-        for j, tj in enumerate(times):
-            if tj >= t_end:
-                break
-            best = max(best, lp_norm(traj.state_at_index(j), p))
-        return best
-    total = 0.0
-    for j, tj in enumerate(times):
-        if tj >= t_end:
-            break
-        t_next = times[j + 1] if j + 1 < len(times) else t_end
-        dt = min(t_next, t_end) - tj
-        total += lp_norm(traj.state_at_index(j), p) ** q * dt
-    return total ** (1.0 / q) if total > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------

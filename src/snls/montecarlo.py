@@ -256,15 +256,19 @@ def chebyshev_consistency(summary: EnsembleSummary, levels):
 
     Holds exactly for the empirical measure (1[z >= n] <= z/n pointwise);
     the slack term only absorbs the statistical uncertainty of quoting both
-    sides as estimates.  Returns one record per tested level.
+    sides as estimates.  Returns one record per tested level.  The levels
+    are read by the config's level rule (`solver.read_levels`), and a level
+    that is not positive raises ConfigError.
     """
+    levels = read_levels(levels)
+    if any(not n > 0 for n in levels):
+        raise ConfigError(f"levels must be positive, got {levels}")
     z = summary.z_finals[np.isfinite(summary.z_finals)]
     records = []
     if z.size == 0:
         return records
     mean_z, se_z = _mean_stderr(z)
     for n in levels:
-        n = float(n)
         freq, se_freq = _mean_stderr((z >= n).astype(float))
         bound = mean_z / n + _CHEBYSHEV_SLACK_STDERRS * (se_freq + se_z / n)
         records.append(

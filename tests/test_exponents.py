@@ -70,7 +70,7 @@ def test_pair_scaling_identity_is_exact():
                 pair = strichartz_pair(p, d)
             except NotAdmissible:
                 continue
-            assert pair.scaling_residual() == 0
+            assert 2 / pair.q + Fraction(d) / pair.p - Fraction(d, 2) == 0
 
 
 def test_pair_rejects_forbidden_endpoint():

@@ -153,6 +153,19 @@ def test_chebyshev_consistency_holds():
         assert np.mean(z >= n) <= np.mean(z) / n + 1e-12
 
 
+def test_chebyshev_consistency_reads_levels_by_the_level_rule():
+    s = run_ensemble(config(), 4)
+    (inf_record,) = chebyshev_consistency(s, ["inf"])
+    assert inf_record["level"] == math.inf and inf_record["ok"]
+    no_z = replace(s, z_finals=np.full(4, np.nan))
+    assert chebyshev_consistency(no_z, [4.0]) == []
+    # no boolean, no numeric string, no level <= 0; read before any early return
+    for bad in ([True], ["4"], [0], [-1.0], [4.0, math.nan]):
+        for summary in (s, no_z):
+            with pytest.raises(ConfigError):
+                chebyshev_consistency(summary, bad)
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.delenv("SNLS_THREADS", raising=False)
     assert worker_count(8) == 1

@@ -23,23 +23,22 @@ from snls.grid_field import (
     gaussian_field,
     lp_norm,
     random_field,
-    zero_field,
 )
 from snls.noise import (
     BrownianPath,
     coarsen_increments,
-    coarsen_path,
     diffusion_only_exact,
     diffusion_only_exact_paths,
     euler_maruyama_diffusion,
     euler_maruyama_paths,
-    heun_stratonovich_diffusion,
     make_noise_model,
     noise_term,
     sample_brownian_path,
     stratonovich_drift,
 )
 from snls.verify import em_strong_errors, strong_order
+
+from reference import coarsen_path, heun_stratonovich_diffusion, zero_field
 
 GRID = Grid(d=1, n=64, L=16.0)
 

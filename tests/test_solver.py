@@ -14,7 +14,7 @@ from snls.dynamics import theta
 from snls.errors import BlowUp, ConfigError, LengthMismatch, MeshMismatch
 from snls.exponents import ModelParams
 from snls.grid_field import Grid, Trajectory, lp_norm, lp_norm_rows
-from snls.noise import coarsen_path, diffusion_only_exact, noise_term, sample_brownian_path, stratonovich_drift
+from snls.noise import diffusion_only_exact, noise_term, sample_brownian_path, stratonovich_drift
 from snls.propagator import free_evolve, get_plan
 import snls.solver
 from snls.solver import (
@@ -26,6 +26,8 @@ from snls.solver import (
     solve,
     solve_paths,
 )
+
+from reference import coarsen_path
 
 PARAMS_31 = ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(1), lam=1)
 GRID = Grid(d=1, n=128, L=32.0)
@@ -374,6 +376,10 @@ def test_path_coincidence_rejects_bad_levels():
     for bad in (True, "4"):
         with pytest.raises(ConfigError):
             path_coincidence_check(cfg, [path_for(cfg, 0)], (0.5, bad))
+    # the check compares exactly two levels
+    for levels in ((1.0, 2.0, 3.0), (1.0,)):
+        with pytest.raises(ConfigError):
+            path_coincidence_check(cfg, [path_for(cfg, 0)], levels)
 
 
 def test_solve_dispatch_and_report_dict():
@@ -402,6 +408,19 @@ def test_keep_states_false_still_tracks_norms():
     assert len(rep.trajectory.running_mass) == cfg.n_steps + 1
     c1, c2 = rep.trajectory.z_components_at(cfg.T)
     assert c1 > 0 and c2 > 0
+    # states are only copied aside: in both schemes, with the cutoff acting,
+    # every column and verdict is bitwise the same with and without them
+    for scheme in ("picard", "splitstep"):
+        c = replace(cfg, scheme=scheme, ic_spec=CUTOFF_IC, truncation_level=3.5)
+        _, model, u0 = materialize(c)
+        paths = [path_for(c, i, model) for i in range(3)]
+        kept, unkept = (solve_paths(c, paths, model, u0, keep) for keep in (True, False))
+        assert any(rep.tau < c.T for rep in kept), scheme
+        for a, b in zip(kept, unkept):
+            assert a.trajectory.states is not None and b.trajectory.states is None
+            assert (a.tau, a.halfbox_leakage) == (b.tau, b.halfbox_leakage)
+            for name in ("running_mass", "acc1", "acc2"):
+                assert getattr(a.trajectory, name).tobytes() == getattr(b.trajectory, name).tobytes(), (scheme, name)
 
 
 # -- the path-batched engine -------------------------------------------------

@@ -34,7 +34,7 @@ class EmptyTrajectory(SnlsError):
 
 
 class UnboundedCoefficient(SnlsError):
-    """Noise coefficient contains NaN/Inf values."""
+    """Noise coefficients whose squared sup norms overflow a float."""
 
 
 class NotConservative(SnlsError):

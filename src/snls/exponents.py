@@ -282,9 +282,9 @@ def dichotomy_roots(alpha: RationalLike) -> tuple[float, float]:
     return c1, c2
 
 
-def _bisect(f, lo: float, hi: float, tol: float = 1e-12) -> float:
+def _bisect(f, lo: float, hi: float) -> float:
     flo = f(lo)
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid == 0.0:

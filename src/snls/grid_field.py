@@ -268,13 +268,13 @@ class Trajectory:
 
     Columnar: `times`, `running_mass`, `acc1`, `acc2` are float arrays with
     one entry per recorded time, and `states`, when kept, is one
-    (len, grid.size) complex block (else None); `state_at_index` reads one
-    row as a field.  `acc1[j]` is the left-endpoint power integral of
-    ||u||_{p1}^{q} up to t_j; `acc2[j]` is the analogous integral for
-    (qt, p2), or the max of ||u(t_l)||_{p2} over l < j when qt = inf.  Both
-    start from their values at `times[0]`: zero for a whole run, a prefix's
-    last accumulators for a window that continues it.  Z is read only at
-    the recorded times, never between or beyond them.
+    (len(times), grid.size) complex block (else None).  `acc1[j]` is the
+    left-endpoint power integral of ||u||_{p1}^{q} up to t_j; `acc2[j]` is
+    the analogous integral for (qt, p2), or the max of ||u(t_l)||_{p2} over
+    l < j when qt = inf.  Both start from their values at `times[0]`: zero
+    for a whole run, a prefix's last accumulators for a window that
+    continues it.  Z is read only at the recorded times, never between or
+    beyond them.
 
     The solver builds trajectories from its columns, everything else
     through `from_states`.
@@ -313,18 +313,6 @@ class Trajectory:
         acc1, acc2 = (np.full(len(times), a) for a in acc0)
         fill_accumulators(acc1, acc2, n1[:-1], n2[:-1], np.diff(times), zexp)
         return cls(grid, zexp, times, mass, acc1, acc2, block)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
-
-    def state_at_index(self, j: int) -> ComplexField:
-        if self.states is None:
-            raise EmptyTrajectory("trajectory was recorded without states")
-        return ComplexField(self.grid, self.states[j])
 
     def z_components_at(self, t: float) -> tuple[float, float]:
         """The two running-norm components at the recorded time t (1e-12

@@ -172,9 +172,10 @@ def run_ensemble(
     if n_paths < 2:
         raise ConfigError(f"an ensemble needs at least 2 paths, got {n_paths}")
     if seed is not None:
-        config = replace(config, seed=int(seed))
+        config = replace(config, seed=seed)
     workers = worker_count(n_paths)
     chunks = path_chunks(n_paths, config.grid.size, workers)
+    # the chunks are ascending ranges, kept in order by both branches: outcomes come in path order
     if workers == 1:
         outcomes = [o for chunk in chunks for o in solve_chunk(config, chunk, persist_dir)]
     else:
@@ -185,7 +186,6 @@ def run_ensemble(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = pool.map(solve_chunk, [config] * n, chunks, [persist_dir] * n)
             outcomes = [o for chunk in done for o in chunk]
-    outcomes.sort(key=lambda o: o.path_index)
 
     taus = np.array([o.tau for o in outcomes])
     yt = np.array([o.yt_norm for o in outcomes])

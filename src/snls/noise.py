@@ -8,7 +8,10 @@ acting linearly.  The Itô form of the dynamics carries the correction drift
 
 and the noise increment
 
-    -i (sum_m e_m dbeta_m) phi |u|^(gamma-1) u  -  i (sum_m b_m dbeta'_m) u.
+    -i (sum_m e_m dbeta_m) phi |u|^(gamma-1) u  -  i (sum_m b_m dbeta'_m) u,
+
+with phi = theta(Z) the cutoff.  The oracle below has none:
+`stratonovich_drift` and `noise_term` are these terms at phi = 1.
 
 For real coefficients ("conservative" noise) the combined flow with the
 Laplacian and the power nonlinearity switched off is solved exactly by a
@@ -49,9 +52,9 @@ class NoiseModel:
 
     `coeffs` has shape (M, grid.size), `linear_coeffs` (M', grid.size);
     either may be empty.  `conservative` is True iff every e_m is real
-    valued to 1e-14.  The discrete summability sums sum_m ||e_m||_inf^2 and
-    sum_m ||b_m||_inf^2 are precomputed, as are the correction-drift fields
-    mu1 = -1/2 sum |e_m|^2 and mu2 = -1/2 sum |b_m|^2.
+    valued to 1e-14, `linear_real` iff every b_m is.  The correction-drift
+    fields mu1 = -1/2 sum |e_m|^2 and mu2 = -1/2 sum |b_m|^2 are
+    precomputed.
     """
 
     grid: Grid
@@ -59,8 +62,6 @@ class NoiseModel:
     linear_coeffs: np.ndarray
     conservative: bool
     linear_real: bool
-    sum_sq_sup_e: float
-    sum_sq_sup_b: float
     mu1: np.ndarray
     mu2: np.ndarray
 
@@ -78,51 +79,27 @@ class NoiseModel:
 
 
 def make_noise_model(coeffs, linear_coeffs, grid: Grid) -> NoiseModel:
-    """Build a NoiseModel on `grid` from ComplexFields or flat arrays of coefficients."""
-    def to_rows(items) -> list[np.ndarray]:
-        rows = []
-        for c in items:
-            if isinstance(c, ComplexField):
-                if c.grid != grid:
-                    raise GridMismatch("coefficient grid differs from model grid")
-                rows.append(np.asarray(c.values, dtype=np.complex128))
-            else:
-                rows.append(np.ascontiguousarray(c, dtype=np.complex128).reshape(-1))
-        return rows
+    """Build a NoiseModel on `grid` from the ComplexFields e_m and b_m; a
+    field on another grid raises GridMismatch, and coefficients whose
+    squared sup norms overflow UnboundedCoefficient."""
+    def to_rows(fields: list[ComplexField]) -> np.ndarray:
+        if any(f.grid != grid for f in fields):
+            raise GridMismatch("coefficient grid differs from model grid")
+        return np.array([f.values for f in fields], dtype=np.complex128).reshape(len(fields), grid.size)
 
-    e_rows = to_rows(coeffs)
-    b_rows = to_rows(linear_coeffs)
-    for row in e_rows + b_rows:
-        if row.size != grid.size:
-            raise GridMismatch("coefficient length does not match grid")
-        if not np.all(np.isfinite(row.view(np.float64))):
-            raise UnboundedCoefficient("coefficient contains NaN or Inf")
-    e = np.array(e_rows, dtype=np.complex128).reshape(len(e_rows), grid.size)
-    b = np.array(b_rows, dtype=np.complex128).reshape(len(b_rows), grid.size)
-    e.setflags(write=False)
-    b.setflags(write=False)
-    conservative = bool(np.all(np.abs(e.imag) <= _REAL_TOL)) if e.size else True
-    linear_real = bool(np.all(np.abs(b.imag) <= _REAL_TOL)) if b.size else True
-    with np.errstate(over="ignore"):
-        sum_e = float(np.sum(np.max(np.abs(e), axis=1) ** 2)) if e.size else 0.0
-        sum_b = float(np.sum(np.max(np.abs(b), axis=1) ** 2)) if b.size else 0.0
-    if not np.isfinite(sum_e + sum_b):
+    e = to_rows(coeffs)
+    b = to_rows(linear_coeffs)
+    conservative = bool(np.all(np.abs(e.imag) <= _REAL_TOL))
+    linear_real = bool(np.all(np.abs(b.imag) <= _REAL_TOL))
+    with np.errstate(over="ignore"):  # no modes: an empty sum, 0.0
+        sup_sq = sum(float(np.sum(np.max(np.abs(c), axis=1) ** 2)) for c in (e, b))
+    if not np.isfinite(sup_sq):
         raise UnboundedCoefficient("coefficients too large: their squared sup norms overflow")
     mu1 = -0.5 * np.sum(np.abs(e) ** 2, axis=0) if e.size else np.zeros(grid.size)
     mu2 = -0.5 * np.sum(np.abs(b) ** 2, axis=0) if b.size else np.zeros(grid.size)
-    mu1.setflags(write=False)
-    mu2.setflags(write=False)
-    return NoiseModel(
-        grid=grid,
-        coeffs=e,
-        linear_coeffs=b,
-        conservative=conservative,
-        linear_real=linear_real,
-        sum_sq_sup_e=sum_e,
-        sum_sq_sup_b=sum_b,
-        mu1=mu1,
-        mu2=mu2,
-    )
+    for a in (e, b, mu1, mu2):
+        a.setflags(write=False)
+    return NoiseModel(grid, e, b, conservative, linear_real, mu1, mu2)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +146,9 @@ def sample_brownian_path(mesh, M: int, seed: int, path_index: int) -> BrownianPa
     full path is a pure function of (seed, path_index).
     """
     mesh = _checked_mesh(mesh)
-    if not (0 <= seed < 2**64 and 0 <= path_index < 2**64):  # Philox keys and counters are uint64
-        raise OutOfRange(f"seed and path_index must lie in [0, 2^64), got {seed} and {path_index}")
+    for k in (seed, path_index):  # Philox keys and counters are uint64, and the cast truncates
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < 2**64:
+            raise OutOfRange(f"seed and path_index must be integers in [0, 2^64), got {seed!r} and {path_index!r}")
     steps = max(mesh.size - 1, 0)
     increments = np.empty((M, steps))
     if steps and M:
@@ -223,9 +201,9 @@ def mode_sum(dinc: np.ndarray, fields: np.ndarray) -> np.ndarray:
     return out
 
 
-def stratonovich_drift(v: np.ndarray, model: NoiseModel, gamma, phi: float = 1.0) -> np.ndarray:
-    """Correction drift mu1 phi |v|^(2(gamma-1)) v + mu2 v, pointwise, for a
-    field's values or a (P, grid.size) stack of them."""
+def stratonovich_drift(v: np.ndarray, model: NoiseModel, gamma) -> np.ndarray:
+    """Correction drift mu1 |v|^(2(gamma-1)) v + mu2 v (phi = 1), pointwise,
+    for a field's values or a (P, grid.size) stack of them."""
     # With `noise_term`, the Euler–Maruyama oracle's step.  It is kept apart
     # from the solver's `_ito_step`, which computes the same terms in another
     # association order: the oracle checks the solver only while the two
@@ -233,19 +211,20 @@ def stratonovich_drift(v: np.ndarray, model: NoiseModel, gamma, phi: float = 1.0
     g = float(gamma)
     out = model.mu2 * v
     if model.n_modes:
-        out = out + model.mu1 * phi * np.abs(v) ** (2.0 * (g - 1.0)) * v
+        out = out + model.mu1 * np.abs(v) ** (2.0 * (g - 1.0)) * v
     return out
 
 
-def noise_term(v: np.ndarray, model: NoiseModel, gamma, phi: float, dinc: np.ndarray) -> np.ndarray:
-    """-i sum_m e_m phi |v|^(gamma-1) v dbeta_m - i sum_m b_m v dbeta'_m for
-    one step's increments: (M,) for a field's values, (P, M) for a stack."""
+def noise_term(v: np.ndarray, model: NoiseModel, gamma, dinc: np.ndarray) -> np.ndarray:
+    """-i sum_m e_m |v|^(gamma-1) v dbeta_m - i sum_m b_m v dbeta'_m (phi = 1)
+    for one step's increments: (M,) for a field's values, (P, M) for a
+    stack."""
     # Kept apart from `solver._ito_step` on purpose; see `stratonovich_drift`.
     g = float(gamma)
     n_e = model.n_modes
     out = np.zeros(v.shape, dtype=np.complex128)
     if n_e:
-        out += -1j * phi * mode_sum(dinc[..., :n_e], model.coeffs) * np.abs(v) ** (g - 1.0) * v
+        out += -1j * mode_sum(dinc[..., :n_e], model.coeffs) * np.abs(v) ** (g - 1.0) * v
     if model.n_linear_modes:
         out += -1j * mode_sum(dinc[..., n_e:], model.linear_coeffs) * v
     return out
@@ -320,7 +299,7 @@ def euler_maruyama_paths(u0: ComplexField, model: NoiseModel, gamma, mesh, incre
     with np.errstate(over="ignore", invalid="ignore"):
         for l in range(increments.shape[2]):
             dt = mesh[l + 1] - mesh[l]
-            v = v + dt * stratonovich_drift(v, model, g) + noise_term(v, model, g, 1.0, increments[:, :, l])
+            v = v + dt * stratonovich_drift(v, model, g) + noise_term(v, model, g, increments[:, :, l])
             require_finite(v)
     return v
 

@@ -153,16 +153,15 @@ def estimate_strichartz_constant(
     pair: StrichartzPair,
     T: float,
     seed: int,
-    steps: int = 64,
 ) -> float:
     """Empirical lower bound on the homogeneous Strichartz constant.
 
     Max over `samples` random unit-L^2 fields of `free_strichartz_norm` on
-    `steps` equal steps of [0, T].  Never asserted against a theoretical
-    value; reported as an estimate only.
+    64 equal steps of [0, T].  Never asserted against a theoretical value;
+    reported as an estimate only.
     """
     rng = np.random.default_rng(seed)
-    mesh = np.linspace(0.0, T, steps + 1)
+    mesh = np.linspace(0.0, T, 65)
     return max(
         (free_strichartz_norm(plan, random_field(plan.grid, rng, unit_l2=True).values, pair, mesh) for _ in range(samples)),
         default=0.0,

@@ -51,7 +51,7 @@ from .grid_field import (
 )
 from .noise import BrownianPath, NoiseModel, mode_sum, sample_brownian_path
 from .propagator import get_plan
-from .specs import as_level, build_field, build_noise_model
+from .specs import as_integer, as_level, build_field, build_noise_model
 
 SCHEMES = ("picard", "splitstep")
 
@@ -103,6 +103,10 @@ class SimConfig:
             raise ConfigError(f"dt={self.dt} does not divide T={self.T}")
         if not self.truncation_level > 0:
             raise ConfigError(f"truncation level must be positive, got {self.truncation_level}")
+        try:
+            self.seed = as_integer(self.seed)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}") from exc
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2^64), got {self.seed}")
 
@@ -196,15 +200,15 @@ def solve_paths(
     Every row is computed with numpy ufuncs, row-wise FFTs and sums over
     the C-contiguous last axis, mode sums in a fixed order and accumulators
     as left folds along time, so a path's result is bitwise the same in any
-    batch, at any position, for any B.  Each
-    path is checked once, before the stack: a mesh off the config mesh
+    batch, at any position, for any B.  Each path is checked once, before
+    the stack: a mesh more than 1e-12 off the config mesh at any point
     raises MeshMismatch, increments not of shape (model.total_modes, K)
     LengthMismatch.
     """
     mesh = config.mesh()
     P, M, K = len(paths), model.total_modes, config.n_steps
     for r, path in enumerate(paths):
-        if np.shape(path.mesh) != mesh.shape or not np.allclose(path.mesh, mesh, atol=1e-12):
+        if np.shape(path.mesh) != mesh.shape or not np.allclose(path.mesh, mesh, rtol=0.0, atol=1e-12):
             raise MeshMismatch(f"path {r} mesh ({np.size(path.mesh)} points) is not the config mesh ({mesh.size})")
         shape = np.shape(path.increments)
         if shape != (M, K):
@@ -390,8 +394,8 @@ def _picard_step(config: SimConfig, model: NoiseModel, zexp):
 
         v_{l+1} = U(dt) (v_l + dt F(v_l, phi_l) + K(v_l, phi_l, dbeta_l))
 
-    with the forcing and the noise kick (see `noise.stratonovich_drift` and
-    `noise.noise_term`)
+    with the forcing and the noise kick (`noise.stratonovich_drift` and
+    `noise.noise_term` are their noise terms at phi = 1)
 
         F = -i lam phi |v|^(alpha-1) v + phi mu1 |v|^(2(gamma-1)) v + mu2 v,
         K = -i phi (dbeta_l . e) |v|^(gamma-1) v - i (dbeta'_l . b) v.

@@ -1,6 +1,6 @@
-"""Reference helpers that only tests call: a zero field, the Bochner norm
-recomputed from stored states, a mesh-thinned Brownian path and the
-Stratonovich–Heun diffusion march.
+"""Reference helpers that only tests call: a zero field, a kept state of a
+trajectory as a field, the Bochner norm recomputed from stored states, a
+mesh-thinned Brownian path and the Stratonovich–Heun diffusion march.
 
 Each is written against the public `snls` names alone, so a test that
 compares the package with one of them checks the package from outside.
@@ -14,7 +14,6 @@ import numpy as np
 from snls import (
     BrownianPath,
     ComplexField,
-    EmptyTrajectory,
     Grid,
     GridMismatch,
     NoiseModel,
@@ -30,6 +29,11 @@ def zero_field(grid: Grid) -> ComplexField:
     return ComplexField(grid, np.zeros(grid.size, dtype=np.complex128))
 
 
+def state_at(traj: Trajectory, j: int) -> ComplexField:
+    """Kept state j of a trajectory (any index into `traj.states`) as a field."""
+    return ComplexField(traj.grid, traj.states[j])
+
+
 def bochner_norm(traj: Trajectory, q: float, p: float, t_end: float) -> float:
     """(sum_j ||u(t_j)||_p^q dt_j)^(1/q) up to t_end, left-endpoint quadrature.
 
@@ -37,17 +41,15 @@ def bochner_norm(traj: Trajectory, q: float, p: float, t_end: float) -> float:
     Recomputed from the stored states, independently of the trajectory's
     accumulators.
     """
-    if len(traj) == 0:
-        raise EmptyTrajectory("trajectory has no samples")
-    if not t_end <= traj.t_end + 1e-12:
-        raise OutOfRange(f"t_end={t_end} beyond trajectory end {traj.t_end}")
     times = np.asarray(traj.times)
+    if not t_end <= times[-1] + 1e-12:
+        raise OutOfRange(f"t_end={t_end} beyond trajectory end {times[-1]}")
     if q == math.inf:
         best = 0.0
         for j, tj in enumerate(times):
             if tj >= t_end:
                 break
-            best = max(best, lp_norm(traj.state_at_index(j), p))
+            best = max(best, lp_norm(state_at(traj, j), p))
         return best
     total = 0.0
     for j, tj in enumerate(times):
@@ -55,7 +57,7 @@ def bochner_norm(traj: Trajectory, q: float, p: float, t_end: float) -> float:
             break
         t_next = times[j + 1] if j + 1 < len(times) else t_end
         dt = min(t_next, t_end) - tj
-        total += lp_norm(traj.state_at_index(j), p) ** q * dt
+        total += lp_norm(state_at(traj, j), p) ** q * dt
     return total ** (1.0 / q) if total > 0 else 0.0
 
 
@@ -83,7 +85,7 @@ def heun_stratonovich_diffusion(
     v = u0.values.copy()
     for l in range(path.increments.shape[1]):
         inc = path.increments[:, l]
-        k1 = noise_term(v, model, g, 1.0, inc)
-        k2 = noise_term(v + k1, model, g, 1.0, inc)
+        k1 = noise_term(v, model, g, inc)
+        k2 = noise_term(v + k1, model, g, inc)
         v = v + 0.5 * (k1 + k2)
     return ComplexField(u0.grid, v)

@@ -33,7 +33,7 @@ from snls.verify import (
     window_chaining_gap,
 )
 
-from reference import bochner_norm, coarsen_path
+from reference import bochner_norm, coarsen_path, state_at
 
 
 def _report(name: str, ok: bool, detail: str, elapsed: float, budget: float):
@@ -167,8 +167,8 @@ def test_criterion_5_cross_validation():
             for rep in (rep_ss, rep_pic):
                 if isinstance(rep, SolverError):
                     raise rep
-            a = rep_ss.trajectory.state_at_index(-1)
-            b = rep_pic.trajectory.state_at_index(-1)
+            a = state_at(rep_ss.trajectory, -1)
+            b = state_at(rep_pic.trajectory, -1)
             gaps.append(lp_norm(a - b, 2) / lp_norm(a, 2))
         means.append(float(np.mean(gaps)))
     order = float(np.polyfit(np.log2([1.0 / s for s in steps_list]), np.log2(means), 1)[0])

@@ -47,7 +47,7 @@ def test_cutoff_nonincreasing_along_trajectory():
     rng = np.random.default_rng(5)
     for _ in range(20):
         traj = random_trajectory(rng)
-        level = 0.7 * sum(traj.z_components_at(traj.t_end))
+        level = 0.7 * sum(traj.z_components_at(traj.times[-1]))
         c1, c2 = traj.z_columns()
         phis = theta(c1 + c2, level)
         assert np.all(np.diff(phis) <= 1e-12)
@@ -75,7 +75,7 @@ def test_window_chaining_matches_concatenation():
                 z_f = sum(full.z_components_at(float(times[j])))
                 assert z_c == pytest.approx(z_f, rel=1e-12, abs=1e-12)
                 assert theta(z_c, level) == pytest.approx(theta(z_f, level), abs=1e-12)
-            assert sum(window.z_components_at(0.0)) == sum(head.z_components_at(head.t_end))
+            assert sum(window.z_components_at(0.0)) == sum(head.z_components_at(head.times[-1]))
 
 
 def test_detect_stopping_time_zero_solution():
@@ -86,7 +86,7 @@ def test_detect_stopping_time_zero_solution():
 def test_detect_stopping_time_tiny_level():
     rng = np.random.default_rng(7)
     traj = random_trajectory(rng)
-    tau = detect_stopping_time(traj.times, np.add(*traj.z_columns()), 1e-12, traj.t_end)
+    tau = detect_stopping_time(traj.times, np.add(*traj.z_columns()), 1e-12, traj.times[-1])
     assert tau == pytest.approx(traj.times[1])
 
 
@@ -94,9 +94,9 @@ def test_detect_stopping_time_monotone_in_level():
     rng = np.random.default_rng(8)
     for _ in range(100):
         traj = random_trajectory(rng, n_states=int(rng.integers(3, 8)))
-        z_end = sum(traj.z_components_at(traj.t_end))
+        z_end = sum(traj.z_components_at(traj.times[-1]))
         levels = sorted(rng.uniform(0.05 * z_end, 1.5 * z_end, size=4))
-        taus = [detect_stopping_time(traj.times, np.add(*traj.z_columns()), lv, traj.t_end) for lv in levels]
+        taus = [detect_stopping_time(traj.times, np.add(*traj.z_columns()), lv, traj.times[-1]) for lv in levels]
         assert all(b >= a for a, b in zip(taus, taus[1:]))
 
 
@@ -106,9 +106,10 @@ def test_detect_stopping_time_matches_pointwise_scan():
     rng = np.random.default_rng(10)
     for _ in range(100):
         traj = random_trajectory(rng, n_states=int(rng.integers(2, 9)))
-        z_end = sum(traj.z_components_at(traj.t_end))
+        z_end = sum(traj.z_components_at(traj.times[-1]))
         level = float(rng.uniform(0.05, 1.5)) * max(z_end, 1e-3)
-        T = float(rng.choice([traj.t_end, 0.5 * traj.t_end, 2.0 * traj.t_end]))
+        t_end = traj.times[-1]
+        T = float(rng.choice([t_end, 0.5 * t_end, 2.0 * t_end]))
         expected = T
         for t in traj.times:
             if t > T + 1e-12:
@@ -125,8 +126,8 @@ def test_stopping_time_T_implies_phi_one():
     hits = 0
     for _ in range(50):
         traj = random_trajectory(rng)
-        level = 1.2 * sum(traj.z_components_at(traj.t_end))
-        T = traj.t_end
+        level = 1.2 * sum(traj.z_components_at(traj.times[-1]))
+        T = traj.times[-1]
         if detect_stopping_time(traj.times, np.add(*traj.z_columns()), level, T) == T:
             hits += 1
             c1, c2 = traj.z_columns()

@@ -197,10 +197,10 @@ def test_z_components_at_reads_only_inside_the_record():
     and NaN is out of range too."""
     rng = np.random.default_rng(11)
     traj = Trajectory.from_states([0.0, 0.25, 0.5], [random_field(GRID, rng) for _ in range(3)], ZX)
-    end = traj.z_components_at(traj.t_end)
-    assert traj.z_components_at(traj.t_end + 1e-13) == end
+    end = traj.z_components_at(traj.times[-1])
+    assert traj.z_components_at(traj.times[-1] + 1e-13) == end
     assert traj.z_components_at(0.25 - 1e-13) == traj.z_components_at(0.25)
-    for t in (traj.t_end + 0.25, math.nan, -0.25, 0.125):
+    for t in (traj.times[-1] + 0.25, math.nan, -0.25, 0.125):
         with pytest.raises(OutOfRange):
             traj.z_components_at(t)
 
@@ -274,7 +274,7 @@ def test_trajectory_csv_columns_match_pointwise_lookups():
         states = [random_field(GRID, rng) for _ in range(7)]
         traj = Trajectory.from_states(np.cumsum(rng.uniform(0.05, 0.4, size=7)) - 0.05, states, zexp)
         lines = list(trajectory_csv_lines(traj))[1:]
-        assert len(lines) == len(traj)
+        assert len(lines) == len(traj.times)
         for j, line in enumerate(lines):
             t = float(traj.times[j])
             c1, c2 = traj.z_components_at(t)

@@ -85,6 +85,15 @@ def test_ensemble_seed_changes_results():
     assert not np.array_equal(a.yt_norms, c.yt_norms)
 
 
+def test_ensemble_seed_must_be_an_integer():
+    """run_ensemble passes its seed to the config unconverted: a fractional,
+    boolean or string seed raises ConfigError instead of running another
+    seed's paths."""
+    for bad in (2.7, True, "5"):
+        with pytest.raises(ConfigError, match="seed"):
+            run_ensemble(config(), 2, seed=bad)
+
+
 def test_solve_path_outcome_fields():
     (out,) = solve_chunk(config(), [3])
     assert out.ok and out.path_index == 3

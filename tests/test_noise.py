@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snls.errors import (
+    GridMismatch,
     LengthMismatch,
     MeshMismatch,
     NotConservative,
@@ -18,6 +19,7 @@ from snls.errors import (
     UnboundedCoefficient,
 )
 from snls.grid_field import (
+    ComplexField,
     Grid,
     constant_field,
     gaussian_field,
@@ -46,14 +48,12 @@ GRID = Grid(d=1, n=64, L=16.0)
 def test_make_noise_model_constant_real():
     m = make_noise_model([constant_field(GRID, 1.0)], [], GRID)
     assert m.conservative
-    assert m.sum_sq_sup_e == pytest.approx(1.0)
     assert m.n_modes == 1 and m.n_linear_modes == 0
 
 
 def test_make_noise_model_gaussian_real():
     m = make_noise_model([gaussian_field(GRID, 1.0, 2.0)], [], GRID)
     assert m.conservative
-    assert m.sum_sq_sup_e == pytest.approx(1.0)
 
 
 def test_make_noise_model_imaginary_not_conservative():
@@ -62,10 +62,13 @@ def test_make_noise_model_imaginary_not_conservative():
 
 
 def test_make_noise_model_rejects_nonfinite():
-    bad = np.ones(GRID.size, dtype=complex)
-    bad[0] = np.inf
-    with pytest.raises(UnboundedCoefficient):
-        make_noise_model([bad], [], GRID)
+    """Coefficients whose squared sup norms overflow, or that lie on another
+    grid, are refused; a non-finite one cannot be a ComplexField at all."""
+    for coeffs, linear in (([constant_field(GRID, 1e200)], []), ([], [constant_field(GRID, 2e154)])):
+        with pytest.raises(UnboundedCoefficient):
+            make_noise_model(coeffs, linear, GRID)
+    with pytest.raises(GridMismatch):
+        make_noise_model([constant_field(Grid(d=1, n=32, L=16.0), 1.0)], [], GRID)
 
 
 def test_summability_sums():
@@ -73,8 +76,6 @@ def test_summability_sums():
     e2 = gaussian_field(GRID, 3.0, 1.0)
     b1 = constant_field(GRID, 0.5)
     m = make_noise_model([e1, e2], [b1], GRID)
-    assert m.sum_sq_sup_e == pytest.approx(4.0 + 9.0)
-    assert m.sum_sq_sup_b == pytest.approx(0.25)
     assert np.allclose(m.mu1, -0.5 * (4.0 + np.abs(e2.values) ** 2))
     assert np.allclose(m.mu2, -0.125)
 
@@ -86,6 +87,19 @@ def test_brownian_path_deterministic():
     assert np.array_equal(a.increments, b.increments)
     c = sample_brownian_path(mesh, 3, seed=42, path_index=8)
     assert not np.array_equal(a.increments, c.increments)
+
+
+def test_brownian_address_must_be_integers():
+    """A seed or path index that is not an integer raises OutOfRange instead
+    of being truncated into another path's Philox key or counter; Python and
+    numpy integers are one address."""
+    mesh = np.linspace(0.0, 1.0, 9)
+    for seed, path_index in ((3.9, 0), (3, 2.5), (True, 0), (3, False), ("3", 0), (3, "2"), (3.0, 0)):
+        with pytest.raises(OutOfRange, match="integers"):
+            sample_brownian_path(mesh, 2, seed, path_index)
+    ref = sample_brownian_path(mesh, 2, 3, 2).increments
+    for seed, path_index in ((np.int64(3), 2), (3, np.uint64(2))):
+        assert np.array_equal(sample_brownian_path(mesh, 2, seed, path_index).increments, ref)
 
 
 def test_brownian_modes_do_not_depend_on_mode_count():
@@ -140,31 +154,31 @@ def test_stratonovich_drift_cases():
 
     # gamma = 1, e = 1: drift is -u/2
     u = random_field(GRID, np.random.default_rng(0))
-    d = stratonovich_drift(u.values, model, 1.0, 1.0)
+    d = stratonovich_drift(u.values, model, 1.0)
     assert np.max(np.abs(d + 0.5 * u.values)) < 1e-14
 
     # gamma = 2, e = 2, u = 1: -1/2 * 4 * 1 * 1 = -2 everywhere
     model2 = make_noise_model([constant_field(GRID, 2.0)], [], GRID)
-    d2 = stratonovich_drift(constant_field(GRID, 1.0).values, model2, 2.0, 1.0)
+    d2 = stratonovich_drift(constant_field(GRID, 1.0).values, model2, 2.0)
     assert np.max(np.abs(d2 + 2.0)) < 1e-14
 
 
 def test_stratonovich_drift_includes_linear_part():
     model = make_noise_model([], [constant_field(GRID, 3.0)], GRID)
     u = constant_field(GRID, 1.0 + 1.0j)
-    d = stratonovich_drift(u.values, model, 1.0, 0.0)  # phi multiplies only the e_m part
+    d = stratonovich_drift(u.values, model, 1.0)
     assert np.max(np.abs(d + 4.5 * u.values)) < 1e-14
 
 
 def test_noise_term_cases():
     model = make_noise_model([constant_field(GRID, 1.0)], [], GRID)
     u = random_field(GRID, np.random.default_rng(1))
-    assert np.max(np.abs(noise_term(u.values, model, 1.0, 1.0, np.array([0.0])))) == 0.0
+    assert np.max(np.abs(noise_term(u.values, model, 1.0, np.array([0.0])))) == 0.0
     h = 0.3
-    out = noise_term(u.values, model, 1.0, 1.0, np.array([h]))
+    out = noise_term(u.values, model, 1.0, np.array([h]))
     assert np.max(np.abs(out + 1j * h * u.values)) < 1e-14
     # homogeneity in the increments
-    out2 = noise_term(u.values, model, 1.0, 1.0, np.array([2 * h]))
+    out2 = noise_term(u.values, model, 1.0, np.array([2 * h]))
     assert np.max(np.abs(out2 - 2.0 * out)) < 1e-14
 
 
@@ -174,8 +188,8 @@ def test_noise_term_pointwise_local():
     u = random_field(GRID, rng).values
     u2 = u.copy()
     u2[17] += 1.0
-    a = noise_term(u, model, 2.0, 1.0, np.array([0.7]))
-    b = noise_term(u2, model, 2.0, 1.0, np.array([0.7]))
+    a = noise_term(u, model, 2.0, np.array([0.7]))
+    b = noise_term(u2, model, 2.0, np.array([0.7]))
     changed = np.nonzero(np.abs(a - b) > 1e-14)[0]
     assert np.array_equal(changed, [17])
     da = stratonovich_drift(u, model, 2.0)
@@ -191,7 +205,7 @@ def test_conservative_noise_orthogonality():
     for gamma in (1.0, 1.5, 2.0):
         for _ in range(25):
             u = random_field(GRID, rng)
-            kick = noise_term(u.values, model, gamma, 1.0, np.array([1.0]))
+            kick = noise_term(u.values, model, gamma, np.array([1.0]))
             inner = np.sum(np.conj(u.values) * kick) * GRID.cell_volume
             assert abs(inner.real) < 1e-12 * lp_norm(u, 2) ** 2
 
@@ -344,7 +358,7 @@ def test_stack_forms_reject_mismatched_blocks():
         euler_maruyama_paths(u0, model, 1.5, mesh, increments[:, :2])
     with pytest.raises(MeshMismatch):
         euler_maruyama_paths(u0, model, 1.5, mesh[:-1], increments)
-    conservative = make_noise_model(list(model.coeffs), [], GRID)
+    conservative = make_noise_model([ComplexField(GRID, c) for c in model.coeffs], [], GRID)
     with pytest.raises(LengthMismatch):
         diffusion_only_exact_paths(u0, conservative, 1.5, mesh, increments, 1.0)
     with pytest.raises(OutOfRange):

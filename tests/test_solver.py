@@ -27,7 +27,7 @@ from snls.solver import (
     solve_paths,
 )
 
-from reference import coarsen_path
+from reference import coarsen_path, state_at
 
 PARAMS_31 = ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(1), lam=1)
 GRID = Grid(d=1, n=128, L=32.0)
@@ -68,7 +68,7 @@ def test_splitstep_pure_free_evolution():
     rep = solve(cfg)
     _, _, u0 = materialize(cfg)
     expected = free_evolve(u0, cfg.T)
-    got = rep.trajectory.state_at_index(-1)
+    got = state_at(rep.trajectory, -1)
     assert lp_norm(got - expected, 2) / lp_norm(expected, 2) < 1e-12
 
 
@@ -93,7 +93,7 @@ def test_picard_linear_free_equation_one_iteration():
     cfg = config(scheme="picard", noise_spec=NO_NOISE, enable_nonlinearity=False)
     rep = solve(cfg)
     _, _, u0 = materialize(cfg)
-    got = rep.trajectory.state_at_index(-1)
+    got = state_at(rep.trajectory, -1)
     expected = free_evolve(u0, cfg.T)
     assert lp_norm(got - expected, 2) / lp_norm(expected, 2) < 1e-12
     assert not rep.truncation_ever_active
@@ -120,7 +120,7 @@ def test_picard_matches_diffusion_only_oracle():
             fine_path = sample_brownian_path(fine_mesh, model.total_modes, cfg.seed, pi)
             rep = solve(cfg, coarsen_path(fine_path, fine // steps))
             exact = diffusion_only_exact(u0, model, float(cfg.params.gamma), fine_path, 1.0)
-            got = rep.trajectory.state_at_index(-1)
+            got = state_at(rep.trajectory, -1)
             per_path.append(lp_norm(got - exact, 2))
         errs.append(np.mean(per_path))
     assert errs[1] < errs[0]
@@ -165,7 +165,7 @@ def test_linear_noise_splitstep_is_the_exact_phase():
     closed form to rounding and conserves mass."""
     make, model, u0, paths, exact = _linear_noise_setup()
     reps = solve_paths(make("splitstep", 256), paths, model, u0)
-    got = np.stack([rep.trajectory.state_at_index(-1).values for rep in reps])
+    got = np.stack([state_at(rep.trajectory, -1).values for rep in reps])
     assert np.max(_relative_l2(got, exact)) < 1e-12
     for rep in reps:
         mass = rep.trajectory.running_mass
@@ -181,7 +181,7 @@ def test_linear_noise_picard_converges_to_the_exact_phase():
     for steps in (32, 64, 128, 256):
         coarse = [coarsen_path(p, 256 // steps) for p in paths]
         reps = solve_paths(make("picard", steps), coarse, model, u0)
-        got = np.stack([rep.trajectory.state_at_index(-1).values for rep in reps])
+        got = np.stack([state_at(rep.trajectory, -1).values for rep in reps])
         dts.append(1.0 / steps)
         errs.append(float(np.mean(_relative_l2(got, exact))))
     assert all(b < a for a, b in zip(errs, errs[1:])), errs
@@ -198,8 +198,8 @@ def test_splitstep_matches_picard_at_first_order_deterministic():
     for steps in steps_list:
         ss = solve(config(dt=0.5 / steps, **base))
         pic = solve(config(scheme="picard", dt=0.5 / steps, **base))
-        a = ss.trajectory.state_at_index(-1)
-        b = pic.trajectory.state_at_index(-1)
+        a = state_at(ss.trajectory, -1)
+        b = state_at(pic.trajectory, -1)
         gaps.append(lp_norm(a - b, 2))
     order = np.polyfit(np.log2([0.5 / s for s in steps_list]), np.log2(gaps), 1)[0]
     assert 0.9 <= order <= 1.5, f"deterministic cross-scheme order {order} not ~1"
@@ -209,8 +209,8 @@ def test_cross_scheme_consistency_on_one_path():
     cfg_ss = config(dt=1.0 / 256.0, noise_spec={"coefficients": [{"kind": "gaussian_bump", "amplitude": 0.2, "width": 3.0}]})
     cfg_pi = replace(cfg_ss, scheme="picard")
     path = path_for(cfg_ss, 2)
-    a = solve(cfg_ss, path).trajectory.state_at_index(-1)
-    b = solve(cfg_pi, path).trajectory.state_at_index(-1)
+    a = state_at(solve(cfg_ss, path).trajectory, -1)
+    b = state_at(solve(cfg_pi, path).trajectory, -1)
     assert lp_norm(a - b, 2) / lp_norm(a, 2) < 0.02
 
 
@@ -237,10 +237,10 @@ def test_picard_fixed_point_satisfies_mild_equation():
     alpha = float(cfg.params.alpha)
     gamma = float(cfg.params.gamma)
 
-    forcing = np.empty((len(traj), grid.size), dtype=complex)
-    mode_fields = np.empty((len(traj), model.n_modes, grid.size), dtype=complex)
-    for j in range(len(traj)):
-        v = traj.state_at_index(j).values
+    forcing = np.empty((len(traj.times), grid.size), dtype=complex)
+    mode_fields = np.empty((len(traj.times), model.n_modes, grid.size), dtype=complex)
+    for j in range(len(traj.times)):
+        v = state_at(traj, j).values
         forcing[j] = _mild_forcing(v, model, alpha, gamma, cfg.params.lam)
         mode_fields[j] = -1j * model.coeffs * (np.abs(v) ** (gamma - 1.0) * v)[None, :]
 
@@ -249,7 +249,7 @@ def test_picard_fixed_point_satisfies_mild_equation():
     det = duhamel_convolution(plan, traj.times, forcing, T)
     (sto,) = stochastic_convolution(plan, path.mesh, mode_fields, path.increments[None], T)
     expected = fe(u0, T).values + det + sto
-    got = traj.state_at_index(-1).values
+    got = state_at(traj, -1).values
     resid = np.sqrt(np.sum(np.abs(got - expected) ** 2) * grid.cell_volume)
     assert resid < 1e-8, f"mild-equation residual {resid}"
 
@@ -266,9 +266,9 @@ def test_solver_determinism_bitwise():
     cfg = config(scheme="picard", dt=1.0 / 32.0)
     r1 = solve(cfg, path_for(cfg, 5))
     r2 = solve(cfg, path_for(cfg, 5))
-    for j in range(len(r1.trajectory)):
+    for j in range(len(r1.trajectory.times)):
         assert np.array_equal(
-            r1.trajectory.state_at_index(j).values, r2.trajectory.state_at_index(j).values
+            state_at(r1.trajectory, j).values, state_at(r2.trajectory, j).values
         )
 
 
@@ -283,8 +283,8 @@ def test_picard_is_causal():
         a = solve(cfg, path).trajectory
         b = solve(cfg, replace(path, increments=inc)).trajectory
         for j in range(21):
-            assert np.array_equal(a.state_at_index(j).values, b.state_at_index(j).values), (pi, j)
-        assert not np.array_equal(a.state_at_index(-1).values, b.state_at_index(-1).values)
+            assert np.array_equal(state_at(a, j).values, state_at(b, j).values), (pi, j)
+        assert not np.array_equal(state_at(a, -1).values, state_at(b, -1).values)
 
 
 @pytest.mark.parametrize("scheme", ["splitstep", "picard"])
@@ -431,7 +431,7 @@ CUTOFF_IC = {"kind": "gaussian_bump", "amplitude": 1.2, "width": 2.0}
 def _fingerprint(rep):
     """Everything a solved path reports, as bitwise-comparable values."""
     traj = rep.trajectory
-    c1, c2 = traj.z_components_at(traj.t_end)
+    c1, c2 = traj.z_components_at(traj.times[-1])
     return (
         rep.tau,
         c1,
@@ -442,7 +442,7 @@ def _fingerprint(rep):
         traj.running_mass.tobytes(),
         traj.acc1.tobytes(),
         traj.acc2.tobytes(),
-        traj.state_at_index(-1).values.tobytes(),
+        state_at(traj, -1).values.tobytes(),
     )
 
 
@@ -559,7 +559,7 @@ def _textbook_strang_states(cfg, model, u0, path):
             phase = (dinc[:n_e] @ model.coeffs.real) * np.abs(v) ** (gamma - 1.0) + dinc[n_e:] @ model.linear_coeffs.real
             v = v * np.exp(-1j * phase)
         else:
-            v = v + cfg.dt * stratonovich_drift(v, model, gamma) + noise_term(v, model, gamma, 1.0, dinc)
+            v = v + cfg.dt * stratonovich_drift(v, model, gamma) + noise_term(v, model, gamma, dinc)
         v = plan.inverse(half * plan.forward(v))
         states.append(v)
     return np.stack(states)
@@ -677,7 +677,7 @@ def test_append_rebuild_matches_engine_columns(scheme):
     states reproduces its columns bitwise."""
     cfg = config(scheme=scheme, ic_spec=CUTOFF_IC, truncation_level=3.5)
     traj = solve(cfg, path_index=1).trajectory
-    rebuilt = Trajectory.from_states(traj.times, [traj.state_at_index(j) for j in range(len(traj))], traj.zexp)
+    rebuilt = Trajectory.from_states(traj.times, [state_at(traj, j) for j in range(len(traj.times))], traj.zexp)
     for name in ("times", "running_mass", "acc1", "acc2"):
         assert np.array_equal(getattr(rebuilt, name), getattr(traj, name)), name
 
@@ -709,3 +709,26 @@ def test_ragged_path_list_is_checked_before_the_stack():
         path_coincidence_check(cfg, ragged, (2.0, 4.0))
     with pytest.raises(MeshMismatch):
         solve_paths(cfg, [path_for(cfg, 0), coarsen_path(path_for(cfg, 1), 2)], model, u0)
+
+
+def test_mesh_check_is_absolute():
+    """A path's mesh may differ from the config mesh by 1e-12 at most, with
+    no relative slack: a mesh that ends 5e-6 late is refused."""
+    cfg = config()
+    _, model, u0 = materialize(cfg)
+    for end in (1.0 + 5e-6, 1.0 + 5e-5):
+        late = sample_brownian_path(np.linspace(0.0, end, cfg.n_steps + 1), model.total_modes, cfg.seed, 0)
+        with pytest.raises(MeshMismatch):
+            solve_paths(cfg, [late], model, u0)
+    close = sample_brownian_path(cfg.mesh() + 5e-13, model.total_modes, cfg.seed, 0)
+    (report,) = solve_paths(cfg, [close], model, u0)
+    assert report.tau == cfg.T
+
+
+def test_seed_must_be_an_integer():
+    """A seed that is not an integer raises ConfigError instead of being
+    truncated to another seed's paths; an integral float reads as the int."""
+    for bad in (2.5, True, "5", math.nan):
+        with pytest.raises(ConfigError, match="seed"):
+            config(seed=bad)
+    assert config(seed=5.0).seed == 5 and type(config(seed=5.0).seed) is int

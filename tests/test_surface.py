@@ -2,11 +2,18 @@
 
 Every public function or class that an `snls` module defines, everything
 `snls` exports among them, is named in the program: in another `snls`
-module's code or in the benchmark's.  Names are read from the syntax tree
-(`ast.Name` and `ast.Attribute` nodes), so a mention in a docstring or
-comment does not count, and the benchmark is read, not imported.  A name
-that only tests call belongs in `tests/reference.py`, unless it is on the
-allowlist below with its reason.
+module's code or in the benchmark's.  So is every public method or
+property defined in a class body of the package, as an attribute
+(`obj.name`).  Names are read from the syntax tree (`ast.Name` and
+`ast.Attribute` nodes), so a mention in a docstring or comment does not
+count, and the benchmark is read, not imported.  A member counts as named
+when any attribute of that name appears, whatever object it is read from.
+A name that only tests call belongs in `tests/reference.py`, unless it is
+on an allowlist below with its reason.
+
+Dunder methods and dataclass fields are outside the member rule: the
+interpreter calls the former, and `config.json_value` writes a record's
+fields by reflection, without naming them.
 """
 
 import ast
@@ -27,6 +34,8 @@ KEPT = {
     "diffusion_only_exact": "the one-path exact diffusion-only oracle",
     "euler_maruyama_diffusion": "the one-path Euler-Maruyama oracle",
 }
+# Class members called only by tests, as "Class.member": none.
+KEPT_MEMBERS: dict = {}
 
 
 def _trees(paths):
@@ -38,15 +47,13 @@ def _program_trees():
     return _trees(modules), _trees(sorted((ROOT / "bench").glob("*.py")))
 
 
+def _attribute_names(trees) -> set:
+    return {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
 def _used_identifiers(trees) -> set:
-    used = set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return used
+    names = {node.id for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return names | _attribute_names(trees)
 
 
 def _defined_public(trees) -> set:
@@ -66,3 +73,18 @@ def test_every_public_name_is_used_by_the_program_or_kept():
     assert set(KEPT) <= public  # no stale allowlist entry
     used = _used_identifiers(package + bench)
     assert sorted(public - used - set(KEPT)) == []
+
+
+def test_every_public_member_is_used_by_the_program_or_kept():
+    package, bench = _program_trees()
+    members = {
+        f"{cls.name}.{node.name}": node.name
+        for tree in package
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    assert set(KEPT_MEMBERS) <= set(members)  # no stale allowlist entry
+    used = _attribute_names(package + bench)
+    assert sorted(m for m, name in members.items() if name not in used and m not in KEPT_MEMBERS) == []

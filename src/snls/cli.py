@@ -224,7 +224,7 @@ def _load_config_for_cli(args):
 
 def cmd_simulate(args) -> int:
     config = _load_config_for_cli(args)
-    report = solve(config, path_index=args.path_index, keep_states=False)
+    report = solve(config, path_index=args.path_index)
     os.makedirs(args.out, exist_ok=True)
     write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), report.trajectory)
     report_doc = report.summary_dict()

@@ -61,7 +61,11 @@ class ModelParams:
     lam: int
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 1:
+        for name in ("d", "lam"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise OutOfRange(f"{name} must be an integer, got {value!r}")
+        if self.d < 1:
             raise OutOfRange(f"dimension must be a positive integer, got {self.d!r}")
         object.__setattr__(self, "alpha", as_fraction(self.alpha))
         object.__setattr__(self, "gamma", as_fraction(self.gamma))

@@ -43,6 +43,14 @@ class Grid:
     L: float
 
     def __post_init__(self):
+        # checked inline (`specs` imports this module), and stricter than
+        # `specs.as_integer`, which reads 4.0 as 4
+        for name in ("d", "n"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise OutOfRange(f"grid {name} must be an integer, got {value!r}")
+        if isinstance(self.L, bool) or not isinstance(self.L, (int, float)):
+            raise OutOfRange(f"side length must be a real number, got {self.L!r}")
         if self.d not in (1, 2, 3):
             raise OutOfRange(f"grid dimension must be 1, 2 or 3, got {self.d}")
         if self.n < 2 or (self.n & (self.n - 1)) != 0:

@@ -27,7 +27,8 @@ import numpy as np
 
 from .config import write_json
 from .errors import ConfigError, SolverError
-from .solver import SimConfig, materialize, path_for, read_levels, solve_paths
+from .solver import SimConfig, path_for, read_levels, solve_paths
+from .specs import as_integer
 
 _TAU_EQ_T_RTOL = 1e-9
 # Powers p of the per-path sup mass whose ensemble means are reported.
@@ -62,9 +63,7 @@ def solve_chunk(config: SimConfig, indices, persist_dir: str | None = None) -> l
     report summary: tau, cutoff activity, half-box leakage, notes) is
     written there as `path_<index>.json`.
     """
-    _, model, u0 = materialize(config)
-    paths = [path_for(config, i, model) for i in indices]
-    results = solve_paths(config, paths, model, u0, keep_states=False)
+    results = solve_paths(config, [path_for(config, i) for i in indices])
     return [_outcome(config, i, r, persist_dir) for i, r in zip(indices, results)]
 
 
@@ -167,8 +166,14 @@ def run_ensemble(
     """Solve n_paths independent paths and aggregate the statistics.
 
     `persist_dir` keeps every per-path report on disk (one JSON file per
-    path index) in addition to the aggregated summary.
+    path index) in addition to the aggregated summary.  `n_paths` is read
+    by the config's integer rule (`specs.as_integer`), and a value it
+    refuses raises ConfigError.
     """
+    try:
+        n_paths = as_integer(n_paths)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"path count must be an integer, got {n_paths!r}") from exc
     if n_paths < 2:
         raise ConfigError(f"an ensemble needs at least 2 paths, got {n_paths}")
     if seed is not None:

@@ -146,6 +146,8 @@ def sample_brownian_path(mesh, M: int, seed: int, path_index: int) -> BrownianPa
     full path is a pure function of (seed, path_index).
     """
     mesh = _checked_mesh(mesh)
+    if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 0:
+        raise OutOfRange(f"mode count must be a nonnegative integer, got {M!r}")
     for k in (seed, path_index):  # Philox keys and counters are uint64, and the cast truncates
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < 2**64:
             raise OutOfRange(f"seed and path_index must be integers in [0, 2^64), got {seed!r} and {path_index!r}")

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -66,7 +67,7 @@ BLOWUP_L2 = 1e12
 RECORD_BLOCK_BYTES = 1 << 15
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Everything a single-path solve needs, JSON-representable.
 
@@ -75,6 +76,11 @@ class SimConfig:
     is the cutoff level of the Picard solver (inf disables the cutoff);
     split-step always solves the untruncated equation and only monitors the
     stopping time against this level.
+
+    The config is frozen, and builds its noise model (`model`) and initial
+    state (`u0`) from its specs on first use, once per object; a changed
+    config is a new object (`dataclasses.replace`), which builds its own.
+    The spec dicts are read only then, so they must not be edited in place.
     """
 
     params: ModelParams
@@ -104,7 +110,7 @@ class SimConfig:
         if not self.truncation_level > 0:
             raise ConfigError(f"truncation level must be positive, got {self.truncation_level}")
         try:
-            self.seed = as_integer(self.seed)
+            object.__setattr__(self, "seed", as_integer(self.seed))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"seed must be an integer, got {self.seed!r}") from exc
         if not 0 <= self.seed < 2**64:
@@ -115,7 +121,16 @@ class SimConfig:
         return int(round(self.T / self.dt))
 
     def mesh(self) -> np.ndarray:
+        """The K + 1 mesh times; the last is T exactly."""
         return np.linspace(0.0, self.T, self.n_steps + 1)
+
+    @cached_property
+    def model(self) -> NoiseModel:
+        return build_noise_model(self.noise_spec, self.grid)
+
+    @cached_property
+    def u0(self) -> ComplexField:
+        return build_field(self.ic_spec, self.grid)
 
 
 @dataclass
@@ -137,34 +152,30 @@ class SolveReport:
 
 
 def materialize(config: SimConfig):
-    """(grid, noise model, initial state) from the config's specs."""
-    grid = config.grid
-    model = build_noise_model(config.noise_spec, grid)
-    u0 = build_field(config.ic_spec, grid)
-    return grid, model, u0
+    """(grid, noise model, initial state) of the config: an accessor kept
+    for the benchmark's set-up, which calls it; the package reads
+    `config.model` and `config.u0`."""
+    return config.grid, config.model, config.u0
 
 
-def path_for(config: SimConfig, path_index: int = 0, model: NoiseModel | None = None) -> BrownianPath:
+def path_for(config: SimConfig, path_index: int = 0) -> BrownianPath:
     """Brownian path on the config mesh with the model's total mode count."""
-    if model is None:
-        _, model, _ = materialize(config)
-    return sample_brownian_path(config.mesh(), model.total_modes, config.seed, path_index)
+    return sample_brownian_path(config.mesh(), config.model.total_modes, config.seed, path_index)
 
 
 def solve(
     config: SimConfig,
     path: BrownianPath | None = None,
     path_index: int = 0,
-    keep_states: bool = True,
+    keep_states: bool = False,
 ) -> SolveReport:
     """Solve one path with config.scheme: the P = 1 case of `solve_paths`.
 
     Raises the path's BlowUp if it failed.
     """
-    _, model, u0 = materialize(config)
     if path is None:
-        path = path_for(config, path_index, model)
-    (result,) = solve_paths(config, [path], model, u0, keep_states)
+        path = path_for(config, path_index)
+    (result,) = solve_paths(config, [path], keep_states)
     if isinstance(result, SolverError):
         raise result
     return result
@@ -175,14 +186,9 @@ def solve(
 # ---------------------------------------------------------------------------
 
 
-def solve_paths(
-    config: SimConfig,
-    paths,
-    model: NoiseModel,
-    u0: ComplexField,
-    keep_states: bool = True,
-) -> list:
-    """March P paths of config.scheme as one (P, grid.size) stack.
+def solve_paths(config: SimConfig, paths, keep_states: bool = False) -> list:
+    """March P paths of config.scheme as one (P, grid.size) stack, from the
+    config's initial state with its noise model.
 
     Returns one result per path, in order: its SolveReport, or the BlowUp
     of a path whose step gave non-finite values, an L^2 norm above
@@ -202,10 +208,10 @@ def solve_paths(
     as left folds along time, so a path's result is bitwise the same in any
     batch, at any position, for any B.  Each path is checked once, before
     the stack: a mesh more than 1e-12 off the config mesh at any point
-    raises MeshMismatch, increments not of shape (model.total_modes, K)
+    raises MeshMismatch, increments not of shape (config.model.total_modes, K)
     LengthMismatch.
     """
-    mesh = config.mesh()
+    mesh, model = config.mesh(), config.model
     P, M, K = len(paths), model.total_modes, config.n_steps
     for r, path in enumerate(paths):
         if np.shape(path.mesh) != mesh.shape or not np.allclose(path.mesh, mesh, rtol=0.0, atol=1e-12):
@@ -227,7 +233,7 @@ def solve_paths(
     acc1 = np.zeros((K + 1, P))
     acc2 = np.zeros((K + 1, P))
     states = np.empty((K + 1, P, grid.size), dtype=np.complex128) if keep_states else None
-    v = np.repeat(u0.values[None, :], P, axis=0)
+    v = np.repeat(config.u0.values[None, :], P, axis=0)
     if config.scheme == "picard":
         step, carry, B = _picard_step(config, model, zexp), v, 1
     else:
@@ -284,7 +290,7 @@ def solve_paths(
         results.append(
             SolveReport(
                 trajectory=traj,
-                tau=detect_stopping_time(mesh, z[r], config.truncation_level, config.T),
+                tau=detect_stopping_time(mesh, z[r], config.truncation_level),
                 truncation_ever_active=bool(active[r]),
                 scheme=config.scheme,
                 halfbox_leakage=float(halfbox[r]),
@@ -438,10 +444,8 @@ def path_coincidence_check(config: SimConfig, paths, levels) -> tuple[list, list
     read = read_levels(levels)
     if len(read) != 2 or not read[0] < read[1]:
         raise ConfigError(f"path coincidence needs two increasing levels, got {levels}")
-    n1, n2 = read
-    _, model, u0 = materialize(config)
     low, high = (
-        solve_paths(replace(config, scheme="picard", truncation_level=n), paths, model, u0) for n in (n1, n2)
+        solve_paths(replace(config, scheme="picard", truncation_level=n), paths, keep_states=True) for n in read
     )
     gaps, taus = [], []
     for rep1, rep2 in zip(low, high):

@@ -55,7 +55,7 @@ from .propagator import (
     get_plan,
     stochastic_convolution,
 )
-from .solver import SimConfig, materialize, path_for, solve_paths
+from .solver import SimConfig, path_for, solve_paths
 
 
 def _check(name: str, passed: bool, detail: str) -> dict:
@@ -181,12 +181,12 @@ def _mass_config(gamma: Fraction) -> SimConfig:
     )
 
 
-def running_masses(cfg: SimConfig, model: NoiseModel, u0: ComplexField, paths) -> list[np.ndarray]:
+def running_masses(cfg: SimConfig, paths) -> list[np.ndarray]:
     """Running mass of each path, solved by cfg's scheme as one stack
     without keeping states.  Raises the SolverError of the first path that
     failed."""
     masses = []
-    for rep in solve_paths(cfg, paths, model, u0, keep_states=False):
+    for rep in solve_paths(cfg, paths):
         if isinstance(rep, SolverError):
             raise rep
         masses.append(rep.trajectory.running_mass)
@@ -196,9 +196,8 @@ def running_masses(cfg: SimConfig, model: NoiseModel, u0: ComplexField, paths) -
 def mass_drift(cfg: SimConfig, n_paths: int) -> float:
     """Largest relative drift of the running mass, max_t |m(t) - m(0)| /
     m(0), over paths 0..n_paths-1 of cfg."""
-    _, model, u0 = materialize(cfg)
-    paths = [path_for(cfg, i, model) for i in range(n_paths)]
-    return max(float(np.max(np.abs(m - m[0])) / m[0]) for m in running_masses(cfg, model, u0, paths))
+    paths = [path_for(cfg, i) for i in range(n_paths)]
+    return max(float(np.max(np.abs(m - m[0])) / m[0]) for m in running_masses(cfg, paths))
 
 
 def suite_mass() -> list[dict]:

@@ -21,7 +21,7 @@ from snls.exponents import (
 from snls.grid_field import Grid, Trajectory, lp_norm, random_field
 from snls.montecarlo import chebyshev_consistency, truncation_uniformity_study
 from snls.noise import sample_brownian_path
-from snls.solver import SimConfig, materialize, path_coincidence_check, solve_paths
+from snls.solver import SimConfig, path_coincidence_check, solve_paths
 from snls.verify import (
     cutoff_lipschitz_ok,
     dispersive_decay,
@@ -118,12 +118,11 @@ def test_criterion_4_mass_law():
             _mass_cfg(Fraction(1), 1.0 / steps, "picard"),
             noise_spec={"coefficients": [{"kind": "gaussian_bump", "amplitude": 0.1, "width": 3.0}]},
         )
-        _, model, u0 = materialize(cfg)
         paths = [
-            coarsen_path(sample_brownian_path(fine_mesh, model.total_modes, 5, pi), fine // steps)
+            coarsen_path(sample_brownian_path(fine_mesh, cfg.model.total_modes, 5, pi), fine // steps)
             for pi in range(16)
         ]
-        per_path = [max(0.0, float(m.max() / m[0]) - 1.0) for m in running_masses(cfg, model, u0, paths)]
+        per_path = [max(0.0, float(m.max() / m[0]) - 1.0) for m in running_masses(cfg, paths)]
         overshoots.append(float(np.mean(per_path)))
     if max(overshoots) < 1e-12:
         order = math.inf  # no overshoot at all: the inequality holds outright
@@ -161,9 +160,8 @@ def test_criterion_5_cross_validation():
     for steps in steps_list:
         paths = [coarsen_path(p, fine // steps) for p in fine_paths]
         ss, pic = (SimConfig(**base, dt=1.0 / steps, scheme=scheme) for scheme in ("splitstep", "picard"))
-        _, model, u0 = materialize(ss)
         gaps = []
-        for rep_ss, rep_pic in zip(solve_paths(ss, paths, model, u0), solve_paths(pic, paths, model, u0)):
+        for rep_ss, rep_pic in zip(*(solve_paths(c, paths, keep_states=True) for c in (ss, pic))):
             for rep in (rep_ss, rep_pic):
                 if isinstance(rep, SolverError):
                     raise rep
@@ -197,8 +195,7 @@ def test_criterion_6_localization():
         scheme="picard",
         seed=42,
     )
-    _, model, _ = materialize(cfg)
-    paths = [sample_brownian_path(cfg.mesh(), model.total_modes, cfg.seed, pi) for pi in range(20)]
+    paths = [sample_brownian_path(cfg.mesh(), cfg.model.total_modes, cfg.seed, pi) for pi in range(20)]
     gaps, taus = path_coincidence_check(cfg, paths, (3.5, 7.0))
     worst = max(gaps)
     interior_taus = sum(0.0 < tau < cfg.T for tau in taus)

@@ -26,7 +26,6 @@ from snls.config import (
 )
 from snls.errors import ConfigError, SnlsError
 from snls.grid_field import Grid
-from snls.solver import materialize
 from snls.specs import build_field
 
 VALID_DOC = {
@@ -216,12 +215,12 @@ def _integral(value) -> bool:
     value=JSON_VALUES,
 )
 def test_config_boundary_raises_only_snls_errors(d, n, site, value):
-    """Any JSON value anywhere in a config either parses and materializes or
+    """Any JSON value anywhere in a config either parses and builds or
     raises an SnlsError, never a bare ValueError or TypeError.  A value at
     an integer key that is not an integer or an integral float must raise,
     and so must a boolean, a string or a non-finite float at a real key or
-    in a gaussian center ("inf" is a level).  A config that materializes
-    echoes as strict JSON."""
+    in a gaussian center ("inf" is a level).  A config that builds its
+    model and initial state echoes as strict JSON."""
     doc = dict(
         VALID_DOC,
         d=d,
@@ -258,7 +257,7 @@ def test_config_boundary_raises_only_snls_errors(d, n, site, value):
         must_raise = False
     try:
         cfg = parse_config_dict(doc)
-        materialize(cfg)
+        _ = cfg.model, cfg.u0
     except SnlsError:
         return
     assert not must_raise, f"{site} accepted {value!r}"
@@ -607,7 +606,6 @@ def test_file_based_field_specs(tmp_path):
     """Initial conditions and noise coefficients can come from binary field
     files in the serialization layout."""
     import snls
-    from snls.solver import materialize
 
     grid = snls.Grid(d=1, n=64, L=32.0)
     ic = snls.gaussian_field(grid, 1.3, 2.0)
@@ -620,10 +618,9 @@ def test_file_based_field_specs(tmp_path):
     doc["initial_condition"] = {"kind": "file", "path": str(ic_path)}
     doc["noise"] = {"coefficients": [{"kind": "file", "path": str(coeff_path)}]}
     cfg = parse_config_dict(doc)
-    _, model, u0 = materialize(cfg)
-    assert np.array_equal(u0.values, ic.values)
-    assert np.array_equal(model.coeffs[0], coeff.values)
-    assert model.conservative
+    assert np.array_equal(cfg.u0.values, ic.values)
+    assert np.array_equal(cfg.model.coeffs[0], coeff.values)
+    assert cfg.model.conservative
 
 
 # -- strict JSON in run files ------------------------------------------------

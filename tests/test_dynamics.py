@@ -80,13 +80,13 @@ def test_window_chaining_matches_concatenation():
 
 def test_detect_stopping_time_zero_solution():
     traj = Trajectory.from_states([0.0, 0.5, 1.0], [zero_field(GRID)] * 3, ZX)
-    assert detect_stopping_time(traj.times, np.add(*traj.z_columns()), 1e-6, 1.0) == 1.0
+    assert detect_stopping_time(traj.times, np.add(*traj.z_columns()), 1e-6) == 1.0
 
 
 def test_detect_stopping_time_tiny_level():
     rng = np.random.default_rng(7)
     traj = random_trajectory(rng)
-    tau = detect_stopping_time(traj.times, np.add(*traj.z_columns()), 1e-12, traj.times[-1])
+    tau = detect_stopping_time(traj.times, np.add(*traj.z_columns()), 1e-12)
     assert tau == pytest.approx(traj.times[1])
 
 
@@ -96,28 +96,24 @@ def test_detect_stopping_time_monotone_in_level():
         traj = random_trajectory(rng, n_states=int(rng.integers(3, 8)))
         z_end = sum(traj.z_components_at(traj.times[-1]))
         levels = sorted(rng.uniform(0.05 * z_end, 1.5 * z_end, size=4))
-        taus = [detect_stopping_time(traj.times, np.add(*traj.z_columns()), lv, traj.times[-1]) for lv in levels]
+        taus = [detect_stopping_time(traj.times, np.add(*traj.z_columns()), lv) for lv in levels]
         assert all(b >= a for a, b in zip(taus, taus[1:]))
 
 
 def test_detect_stopping_time_matches_pointwise_scan():
     """The vectorised detector equals the scan of `z_components_at` over the
-    recorded times, including T inside the record and T past its end."""
+    recorded times: the first time with Z >= level, else the last time."""
     rng = np.random.default_rng(10)
     for _ in range(100):
         traj = random_trajectory(rng, n_states=int(rng.integers(2, 9)))
         z_end = sum(traj.z_components_at(traj.times[-1]))
         level = float(rng.uniform(0.05, 1.5)) * max(z_end, 1e-3)
-        t_end = traj.times[-1]
-        T = float(rng.choice([t_end, 0.5 * t_end, 2.0 * t_end]))
-        expected = T
+        expected = float(traj.times[-1])
         for t in traj.times:
-            if t > T + 1e-12:
-                break
             if sum(traj.z_components_at(float(t))) >= level:
-                expected = float(min(t, T))
+                expected = float(t)
                 break
-        assert detect_stopping_time(traj.times, np.add(*traj.z_columns()), level, T) == expected
+        assert detect_stopping_time(traj.times, np.add(*traj.z_columns()), level) == expected
 
 
 def test_stopping_time_T_implies_phi_one():
@@ -128,7 +124,7 @@ def test_stopping_time_T_implies_phi_one():
         traj = random_trajectory(rng)
         level = 1.2 * sum(traj.z_components_at(traj.times[-1]))
         T = traj.times[-1]
-        if detect_stopping_time(traj.times, np.add(*traj.z_columns()), level, T) == T:
+        if detect_stopping_time(traj.times, np.add(*traj.z_columns()), level) == T:
             hits += 1
             c1, c2 = traj.z_columns()
             assert np.all(theta(c1 + c2, level) == 1.0)

@@ -96,6 +96,11 @@ def test_model_params_validation():
         ModelParams(d=1, alpha=Fraction(1), gamma=Fraction(1), lam=1)
     with pytest.raises(OutOfRange):
         ModelParams(d=1, alpha=Fraction(2), gamma=Fraction(1), lam=0)
+    # d and lam are ints, not bools or floats: lam=True would echo as the
+    # JSON `true`, which the config reader refuses
+    for kw in (dict(lam=True), dict(lam=1.0), dict(d=True), dict(d=1.0)):
+        with pytest.raises(OutOfRange):
+            ModelParams(**dict(dict(d=1, alpha=Fraction(2), gamma=Fraction(1), lam=1), **kw))
 
 
 def test_bootstrap_exponents_examples():

@@ -42,6 +42,13 @@ def test_grid_validation():
         Grid(d=1, n=8, L=-1.0)
     g = Grid(d=2, n=16, L=4.0)
     assert g.size == 256 and g.h == 0.25 and g.cell_volume == 0.0625
+    # d and n are ints and L a real number, none of them a bool: no float
+    # size, and no bare TypeError
+    for kw in (dict(d=2.0), dict(d=True), dict(n=4.0), dict(n=np.int64(4)), dict(L="1"), dict(L=True)):
+        with pytest.raises(OutOfRange):
+            Grid(**dict(dict(d=2, n=4, L=1.0), **kw))
+    g = Grid(d=2, n=4, L=1)
+    assert g.L == 1.0 and type(g.L) is float and type(g.size) is int
 
 
 def test_wavenumbers_match_fft_convention():

@@ -63,10 +63,8 @@ def test_diffusion_only_sup_mass_is_deterministic():
     mean2, stderr2 = s.mean_sup_mass_p[2.0]
     assert stderr2 < 1e-12 * max(mean2, 1.0)
     from snls.grid_field import lp_norm
-    from snls.solver import materialize
 
-    _, _, u0 = materialize(cfg)
-    assert mean2 == pytest.approx(lp_norm(u0, 2) ** 2, rel=1e-11)
+    assert mean2 == pytest.approx(lp_norm(cfg.u0, 2) ** 2, rel=1e-11)
 
 
 def test_ensemble_reproducibility():
@@ -92,6 +90,33 @@ def test_ensemble_seed_must_be_an_integer():
     for bad in (2.7, True, "5"):
         with pytest.raises(ConfigError, match="seed"):
             run_ensemble(config(), 2, seed=bad)
+
+
+def test_path_count_must_be_an_integer():
+    """n_paths is read by the config's integer rule: a fractional, boolean
+    or string count raises ConfigError, in an ensemble and in a level
+    study, and an integral float is the int."""
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ConfigError, match="path count"):
+            run_ensemble(config(), bad)
+        with pytest.raises(ConfigError, match="path count"):
+            truncation_uniformity_study(config(), (2.0, 4.0), bad)
+    assert json_value(run_ensemble(config(), 3.0)) == json_value(run_ensemble(config(), 3))
+
+
+def test_serial_ensemble_builds_the_model_once(monkeypatch):
+    """The chunks of a serial ensemble share its config, which builds its
+    noise model on first use: one build for four chunks."""
+    import snls.solver
+
+    monkeypatch.delenv("SNLS_THREADS", raising=False)
+    monkeypatch.setattr(mc, "CHUNK_STACK_BYTES", 16 * GRID.size)
+    assert len(path_chunks(4, GRID.size)) == 4
+    builds = []
+    build = snls.solver.build_noise_model
+    monkeypatch.setattr(snls.solver, "build_noise_model", lambda *a: builds.append(a) or build(*a))
+    run_ensemble(config(), 4, seed=3)
+    assert len(builds) == 1
 
 
 def test_solve_path_outcome_fields():

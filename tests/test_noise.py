@@ -102,6 +102,18 @@ def test_brownian_address_must_be_integers():
         assert np.array_equal(sample_brownian_path(mesh, 2, seed, path_index).increments, ref)
 
 
+def test_brownian_mode_count_must_be_a_nonnegative_integer():
+    """A mode count that is a float, a bool, a string or negative raises
+    OutOfRange, not a bare TypeError or numpy's ValueError; a numpy integer
+    is the same count."""
+    mesh = np.linspace(0.0, 1.0, 9)
+    for M in (2.5, 2.0, True, -1, "2"):
+        with pytest.raises(OutOfRange, match="mode count"):
+            sample_brownian_path(mesh, M, 0, 0)
+    ref = sample_brownian_path(mesh, 2, 0, 0).increments
+    assert np.array_equal(sample_brownian_path(mesh, np.int64(2), 0, 0).increments, ref)
+
+
 def test_brownian_modes_do_not_depend_on_mode_count():
     """Mode m's stream is addressed by (seed, path, m): adding modes must
     not change existing ones."""

@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +20,6 @@ import snls.solver
 from snls.solver import (
     BLOWUP_L2,
     SimConfig,
-    materialize,
     path_coincidence_check,
     path_for,
     solve,
@@ -62,12 +61,42 @@ def test_config_validation():
         config(grid=Grid(d=2, n=16, L=8.0))  # d = 1 exponents on a 2-D grid
 
 
+def test_config_builds_its_model_and_initial_state_once():
+    """A config builds its noise model and initial state on first use and
+    keeps them; it is frozen, so they cannot go stale, and a replaced
+    config builds its own from its own specs."""
+    cfg = config()
+    assert cfg.model is cfg.model and cfg.u0 is cfg.u0
+    assert cfg.model.total_modes == 1
+    other = replace(cfg, noise_spec=NO_NOISE)
+    assert other.model.total_modes == 0 and cfg.model.total_modes == 1
+    with pytest.raises(FrozenInstanceError):
+        cfg.noise_spec = NO_NOISE
+
+
+def test_solve_builds_each_value_once(monkeypatch):
+    calls = []
+    for name in ("build_noise_model", "build_field"):
+        build = getattr(snls.solver, name)
+        monkeypatch.setattr(snls.solver, name, lambda *a, name=name, build=build: calls.append(name) or build(*a))
+    solve(config(dt=1.0 / 16.0))
+    assert sorted(calls) == ["build_field", "build_noise_model"]
+
+
+def test_states_are_kept_only_on_request():
+    """solve and solve_paths keep no states by default: a K = 8192, n = 128
+    path would keep 16.8 MB of them."""
+    cfg = config(dt=1.0 / 16.0)
+    assert solve(cfg).trajectory.states is None
+    assert solve_paths(cfg, [path_for(cfg)])[0].trajectory.states is None
+    assert solve(cfg, keep_states=True).trajectory.states.shape == (17, GRID.size)
+
+
 def test_splitstep_pure_free_evolution():
     """Noise off, nonlinearity off: split-step is exactly the free group."""
     cfg = config(noise_spec=NO_NOISE, enable_nonlinearity=False, dt=1.0 / 32.0)
-    rep = solve(cfg)
-    _, _, u0 = materialize(cfg)
-    expected = free_evolve(u0, cfg.T)
+    rep = solve(cfg, keep_states=True)
+    expected = free_evolve(cfg.u0, cfg.T)
     got = state_at(rep.trajectory, -1)
     assert lp_norm(got - expected, 2) / lp_norm(expected, 2) < 1e-12
 
@@ -91,10 +120,9 @@ def test_splitstep_nonconservative_fallback_runs():
 def test_picard_linear_free_equation_one_iteration():
     """No forcing at all: the march is the free group, step by step."""
     cfg = config(scheme="picard", noise_spec=NO_NOISE, enable_nonlinearity=False)
-    rep = solve(cfg)
-    _, _, u0 = materialize(cfg)
+    rep = solve(cfg, keep_states=True)
     got = state_at(rep.trajectory, -1)
-    expected = free_evolve(u0, cfg.T)
+    expected = free_evolve(cfg.u0, cfg.T)
     assert lp_norm(got - expected, 2) / lp_norm(expected, 2) < 1e-12
     assert not rep.truncation_ever_active
     assert rep.tau == cfg.T
@@ -114,12 +142,11 @@ def test_picard_matches_diffusion_only_oracle():
             dt=1.0 / steps,
             truncation_level=math.inf,
         )
-        _, model, u0 = materialize(cfg)
         per_path = []
         for pi in range(6):
-            fine_path = sample_brownian_path(fine_mesh, model.total_modes, cfg.seed, pi)
-            rep = solve(cfg, coarsen_path(fine_path, fine // steps))
-            exact = diffusion_only_exact(u0, model, float(cfg.params.gamma), fine_path, 1.0)
+            fine_path = sample_brownian_path(fine_mesh, cfg.model.total_modes, cfg.seed, pi)
+            rep = solve(cfg, coarsen_path(fine_path, fine // steps), keep_states=True)
+            exact = diffusion_only_exact(cfg.u0, cfg.model, float(cfg.params.gamma), fine_path, 1.0)
             got = state_at(rep.trajectory, -1)
             per_path.append(lp_norm(got - exact, 2))
         errs.append(np.mean(per_path))
@@ -132,9 +159,9 @@ LINEAR_NOISE_GRID = Grid(d=1, n=64, L=16.0)
 
 def _linear_noise_setup():
     """A single real linear coefficient b, no e_m, Laplacian and nonlinearity
-    off: u(T) = u0 exp(-i b beta(T)) exactly.  Returns a config factory, the
-    model, u0, 20 paths on the fine mesh (dt = 2^-8) and each path's closed
-    form at T = 1."""
+    off: u(T) = u0 exp(-i b beta(T)) exactly.  Returns a config factory,
+    20 paths on the fine mesh (dt = 2^-8) and each path's closed form at
+    T = 1."""
 
     def make(scheme, steps):
         return config(
@@ -148,12 +175,13 @@ def _linear_noise_setup():
             enable_nonlinearity=False,
         )
 
-    _, model, u0 = materialize(make("splitstep", 256))
+    cfg = make("splitstep", 256)
+    model, u0 = cfg.model, cfg.u0
     assert (model.n_modes, model.n_linear_modes) == (0, 1)
     b = model.linear_coeffs[0].real
     paths = [sample_brownian_path(np.linspace(0.0, 1.0, 257), 1, 21, i) for i in range(20)]
     exact = np.stack([u0.values * np.exp(-1j * b * p.increments[0].sum()) for p in paths])
-    return make, model, u0, paths, exact
+    return make, paths, exact
 
 
 def _relative_l2(got, exact):
@@ -163,8 +191,8 @@ def _relative_l2(got, exact):
 def test_linear_noise_splitstep_is_the_exact_phase():
     """The split-step phase sub-step with only the b_m term reproduces the
     closed form to rounding and conserves mass."""
-    make, model, u0, paths, exact = _linear_noise_setup()
-    reps = solve_paths(make("splitstep", 256), paths, model, u0)
+    make, paths, exact = _linear_noise_setup()
+    reps = solve_paths(make("splitstep", 256), paths, keep_states=True)
     got = np.stack([state_at(rep.trajectory, -1).values for rep in reps])
     assert np.max(_relative_l2(got, exact)) < 1e-12
     for rep in reps:
@@ -176,11 +204,11 @@ def test_linear_noise_picard_converges_to_the_exact_phase():
     """The Picard step's b_m kick and mu2 drift approach the closed form:
     the mean error shrinks at every halving of dt = 2^-5..2^-8 on paths
     coarsened from the fine mesh, at a fitted order of at least 0.4."""
-    make, model, u0, paths, exact = _linear_noise_setup()
+    make, paths, exact = _linear_noise_setup()
     dts, errs = [], []
     for steps in (32, 64, 128, 256):
         coarse = [coarsen_path(p, 256 // steps) for p in paths]
-        reps = solve_paths(make("picard", steps), coarse, model, u0)
+        reps = solve_paths(make("picard", steps), coarse, keep_states=True)
         got = np.stack([state_at(rep.trajectory, -1).values for rep in reps])
         dts.append(1.0 / steps)
         errs.append(float(np.mean(_relative_l2(got, exact))))
@@ -196,8 +224,8 @@ def test_splitstep_matches_picard_at_first_order_deterministic():
     gaps = []
     steps_list = (32, 64, 128, 256)
     for steps in steps_list:
-        ss = solve(config(dt=0.5 / steps, **base))
-        pic = solve(config(scheme="picard", dt=0.5 / steps, **base))
+        ss = solve(config(dt=0.5 / steps, **base), keep_states=True)
+        pic = solve(config(scheme="picard", dt=0.5 / steps, **base), keep_states=True)
         a = state_at(ss.trajectory, -1)
         b = state_at(pic.trajectory, -1)
         gaps.append(lp_norm(a - b, 2))
@@ -209,8 +237,8 @@ def test_cross_scheme_consistency_on_one_path():
     cfg_ss = config(dt=1.0 / 256.0, noise_spec={"coefficients": [{"kind": "gaussian_bump", "amplitude": 0.2, "width": 3.0}]})
     cfg_pi = replace(cfg_ss, scheme="picard")
     path = path_for(cfg_ss, 2)
-    a = state_at(solve(cfg_ss, path).trajectory, -1)
-    b = state_at(solve(cfg_pi, path).trajectory, -1)
+    a = state_at(solve(cfg_ss, path, keep_states=True).trajectory, -1)
+    b = state_at(solve(cfg_pi, path, keep_states=True).trajectory, -1)
     assert lp_norm(a - b, 2) / lp_norm(a, 2) < 0.02
 
 
@@ -230,9 +258,9 @@ def test_picard_fixed_point_satisfies_mild_equation():
         dt=1.0 / 64.0,
         truncation_level=_math.inf,
     )
-    _, model, u0 = materialize(cfg)
-    path = path_for(cfg, 0, model)
-    rep = solve(cfg, path)
+    model = cfg.model
+    path = path_for(cfg, 0)
+    rep = solve(cfg, path, keep_states=True)
     traj = rep.trajectory
     alpha = float(cfg.params.alpha)
     gamma = float(cfg.params.gamma)
@@ -248,7 +276,7 @@ def test_picard_fixed_point_satisfies_mild_equation():
     plan = get_plan(grid)
     det = duhamel_convolution(plan, traj.times, forcing, T)
     (sto,) = stochastic_convolution(plan, path.mesh, mode_fields, path.increments[None], T)
-    expected = fe(u0, T).values + det + sto
+    expected = fe(cfg.u0, T).values + det + sto
     got = state_at(traj, -1).values
     resid = np.sqrt(np.sum(np.abs(got - expected) ** 2) * grid.cell_volume)
     assert resid < 1e-8, f"mild-equation residual {resid}"
@@ -264,8 +292,8 @@ def _mild_forcing(v, model, alpha, gamma, lam):
 
 def test_solver_determinism_bitwise():
     cfg = config(scheme="picard", dt=1.0 / 32.0)
-    r1 = solve(cfg, path_for(cfg, 5))
-    r2 = solve(cfg, path_for(cfg, 5))
+    r1 = solve(cfg, path_for(cfg, 5), keep_states=True)
+    r2 = solve(cfg, path_for(cfg, 5), keep_states=True)
     for j in range(len(r1.trajectory.times)):
         assert np.array_equal(
             state_at(r1.trajectory, j).values, state_at(r2.trajectory, j).values
@@ -280,8 +308,8 @@ def test_picard_is_causal():
         path = path_for(cfg, pi)
         inc = path.increments.copy()
         inc[:, 20:] *= -1.0
-        a = solve(cfg, path).trajectory
-        b = solve(cfg, replace(path, increments=inc)).trajectory
+        a = solve(cfg, path, keep_states=True).trajectory
+        b = solve(cfg, replace(path, increments=inc), keep_states=True).trajectory
         for j in range(21):
             assert np.array_equal(state_at(a, j).values, state_at(b, j).values), (pi, j)
         assert not np.array_equal(state_at(a, -1).values, state_at(b, -1).values)
@@ -338,10 +366,9 @@ def test_picard_mass_inequality_overshoot_shrinks():
     fine_mesh = np.linspace(0.0, 1.0, fine + 1)
     for steps in (64, 256):
         cfg = config(scheme="picard", dt=1.0 / steps)
-        _, model, _ = materialize(cfg)
         per_path = []
         for pi in range(4):
-            path = coarsen_path(sample_brownian_path(fine_mesh, model.total_modes, 4, pi), fine // steps)
+            path = coarsen_path(sample_brownian_path(fine_mesh, cfg.model.total_modes, 4, pi), fine // steps)
             rep = solve(cfg, path)
             m = np.asarray(rep.trajectory.running_mass)
             per_path.append(max(0.0, float(m.max() / m[0]) - 1.0))
@@ -412,9 +439,8 @@ def test_keep_states_false_still_tracks_norms():
     # every column and verdict is bitwise the same with and without them
     for scheme in ("picard", "splitstep"):
         c = replace(cfg, scheme=scheme, ic_spec=CUTOFF_IC, truncation_level=3.5)
-        _, model, u0 = materialize(c)
-        paths = [path_for(c, i, model) for i in range(3)]
-        kept, unkept = (solve_paths(c, paths, model, u0, keep) for keep in (True, False))
+        paths = [path_for(c, i) for i in range(3)]
+        kept, unkept = (solve_paths(c, paths, keep) for keep in (True, False))
         assert any(rep.tau < c.T for rep in kept), scheme
         for a, b in zip(kept, unkept):
             assert a.trajectory.states is not None and b.trajectory.states is None
@@ -458,10 +484,9 @@ def test_batch_results_are_bitwise_independent_of_the_batch(scheme, level, order
     order, with and without an active cutoff (level 3.5 stops inside the
     run; for Picard it engages the cutoff)."""
     cfg = config(scheme=scheme, truncation_level=level, ic_spec=CUTOFF_IC, dt=1.0 / 32.0)
-    _, model, u0 = materialize(cfg)
-    paths = [path_for(cfg, i, model) for i in order[:size]]
-    alone = {p.path_index: _fingerprint(solve_paths(cfg, [p], model, u0)[0]) for p in paths}
-    batch = solve_paths(cfg, paths, model, u0)
+    paths = [path_for(cfg, i) for i in order[:size]]
+    alone = {p.path_index: _fingerprint(solve_paths(cfg, [p], keep_states=True)[0]) for p in paths}
+    batch = solve_paths(cfg, paths, keep_states=True)
     for p, rep in zip(paths, batch):
         assert rep.path_index == p.path_index
         assert _fingerprint(rep) == alone[p.path_index]
@@ -489,14 +514,13 @@ def test_rows_after_a_failure_equal_their_solo_solves():
     equals its solo solve bitwise (columns, states, leakage, tau), and the
     failed row's BlowUp is its solo solve's."""
     cfg = _overflow_config(5)
-    _, model, u0 = materialize(cfg)
-    paths = [path_for(cfg, i, model) for i in range(6)]
-    stack = solve_paths(cfg, paths, model, u0)
+    paths = [path_for(cfg, i) for i in range(6)]
+    stack = solve_paths(cfg, paths, keep_states=True)
     assert [i for i, rep in enumerate(stack) if isinstance(rep, BlowUp)] == [3]
     assert str(stack[3]) == "step from t=0.0625 blew up: L^2 norm 2.93e+48 (from 4.59153e+09, Z=105.579)"
     assert stack[3].t == 0.0625
     for path, rep in zip(paths, stack):
-        (solo,) = solve_paths(cfg, [path], model, u0)
+        (solo,) = solve_paths(cfg, [path], keep_states=True)
         if isinstance(rep, BlowUp):
             assert (str(rep), rep.t, rep.z, rep.l2) == (str(solo), solo.t, solo.z, solo.l2)
             continue
@@ -513,9 +537,7 @@ def test_path_coincidence_raises_a_failing_paths_blowup():
 
 
 def test_solve_paths_of_no_paths_is_empty():
-    cfg = config()
-    _, model, u0 = materialize(cfg)
-    assert solve_paths(cfg, [], model, u0) == []
+    assert solve_paths(config(), []) == []
 
 
 def test_cutoff_flags_are_read_from_the_z_column():
@@ -524,20 +546,19 @@ def test_cutoff_flags_are_read_from_the_z_column():
     paths 0-19) at three levels near where the cutoff starts to act.
     Split-step never applies the cutoff, so its flag stays False."""
     cfg = config(scheme="picard", ic_spec=CUTOFF_IC, seed=42)
-    _, model, u0 = materialize(cfg)
-    paths = [path_for(cfg, i, model) for i in range(20)]
+    paths = [path_for(cfg, i) for i in range(20)]
     expected = {3.75: "10101101101111101011", 3.8: "00000101000110001010", 3.85: "00000000000010000010"}
     for level, flags in expected.items():
-        reps = solve_paths(replace(cfg, truncation_level=level), paths, model, u0, keep_states=False)
+        reps = solve_paths(replace(cfg, truncation_level=level), paths)
         assert "".join(str(int(rep.truncation_ever_active)) for rep in reps) == flags, level
         for rep in reps:
             c1, c2 = rep.trajectory.z_columns()
             assert rep.truncation_ever_active == bool(np.any(theta(c1[:-1] + c2[:-1], level) < 1.0))
-    reps = solve_paths(replace(cfg, scheme="splitstep", truncation_level=3.75), paths, model, u0, keep_states=False)
+    reps = solve_paths(replace(cfg, scheme="splitstep", truncation_level=3.75), paths)
     assert not any(rep.truncation_ever_active for rep in reps)
 
 
-def _textbook_strang_states(cfg, model, u0, path):
+def _textbook_strang_states(cfg, path):
     """The Strang step as written down: transform, half linear step, inverse;
     the nonlinear rotation; the noise rotation (or, for non-conservative
     noise, one Euler–Maruyama step from the oracle's drift and kick);
@@ -547,8 +568,9 @@ def _textbook_strang_states(cfg, model, u0, path):
     half = plan.multiplier(0.5 * cfg.dt)
     alpha, gamma = float(cfg.params.alpha), float(cfg.params.gamma)
     lam = cfg.params.lam if cfg.enable_nonlinearity else 0
+    model = cfg.model
     n_e = model.n_modes
-    v = u0.values
+    v = cfg.u0.values
     states = [v]
     for l in range(cfg.n_steps):
         dinc = path.increments[:, l]
@@ -591,10 +613,9 @@ def test_splitstep_equals_the_textbook_strang_step(case):
     1e-12 relative L^2 of the reference march."""
     cfg = config(**TEXTBOOK_CASES[case])
     assert cfg.n_steps <= 256
-    _, model, u0 = materialize(cfg)
-    paths = [path_for(cfg, i, model) for i in range(2)]
-    for path, rep in zip(paths, solve_paths(cfg, paths, model, u0)):
-        expected = _textbook_strang_states(cfg, model, u0, path)
+    paths = [path_for(cfg, i) for i in range(2)]
+    for path, rep in zip(paths, solve_paths(cfg, paths, keep_states=True)):
+        expected = _textbook_strang_states(cfg, path)
         got = rep.trajectory.states
         gap = lp_norm_rows(got - expected, 2, cfg.grid) / lp_norm_rows(expected, 2, cfg.grid)
         assert np.max(gap) <= 1e-12, (case, path.path_index, float(np.max(gap)))
@@ -627,12 +648,11 @@ def test_block_recording_equals_step_by_step_recording(monkeypatch, case, keep_s
     column, tau, leakage, cutoff flag and BlowUp equals, bitwise, a march
     that records every step on its own."""
     cfg = _block_case(case)
-    _, model, u0 = materialize(cfg)
-    paths = [path_for(cfg, i, model) for i in range(6)]
+    paths = [path_for(cfg, i) for i in range(6)]
 
     def march(cap, rows):
         monkeypatch.setattr(snls.solver, "RECORD_BLOCK_BYTES", cap)
-        return [_verdicts(rep) for rep in solve_paths(cfg, rows, model, u0, keep_states)]
+        return [_verdicts(rep) for rep in solve_paths(cfg, rows, keep_states)]
 
     cap = 3 * 8 * len(paths) * cfg.grid.size
     assert cfg.n_steps == 64
@@ -649,8 +669,7 @@ def test_splitstep_runs_three_transforms_per_step(monkeypatch, d):
     forward transform of u0, then one forward and two inverse transforms per
     step."""
     cfg = config(dt=1.0 / 16.0) if d == 1 else config(**TEXTBOOK_CASES["d2-gamma1"], dt=1.0 / 16.0)
-    _, model, u0 = materialize(cfg)
-    paths = [path_for(cfg, i, model) for i in range(2)]
+    paths = [path_for(cfg, i) for i in range(2)]
     calls = []
 
     def counted(name):
@@ -664,7 +683,7 @@ def test_splitstep_runs_three_transforms_per_step(monkeypatch, d):
 
     for name in ("fft", "ifft"):
         monkeypatch.setattr(np.fft, name, counted(name))
-    solve_paths(cfg, paths, model, u0)
+    solve_paths(cfg, paths)
     K = cfg.n_steps
     assert (calls.count("fft"), calls.count("ifft")) == (d * (K + 1), d * 2 * K)
     assert len(calls) == d * (3 * K + 1)
@@ -676,7 +695,7 @@ def test_append_rebuild_matches_engine_columns(scheme):
     norms and the accumulators: rebuilding a kept-states solve from its
     states reproduces its columns bitwise."""
     cfg = config(scheme=scheme, ic_spec=CUTOFF_IC, truncation_level=3.5)
-    traj = solve(cfg, path_index=1).trajectory
+    traj = solve(cfg, path_index=1, keep_states=True).trajectory
     rebuilt = Trajectory.from_states(traj.times, [state_at(traj, j) for j in range(len(traj.times))], traj.zexp)
     for name in ("times", "running_mass", "acc1", "acc2"):
         assert np.array_equal(getattr(rebuilt, name), getattr(traj, name)), name
@@ -687,11 +706,10 @@ def test_path_mode_count_must_match_model(modes):
     """A path whose mode count differs from the model's raises
     LengthMismatch instead of dropping modes or indexing past them."""
     cfg = config()
-    _, model, u0 = materialize(cfg)
-    assert model.total_modes == 1
+    assert cfg.model.total_modes == 1
     path = sample_brownian_path(cfg.mesh(), modes, cfg.seed, 0)
     with pytest.raises(LengthMismatch, match="modes"):
-        solve_paths(cfg, [path], model, u0)
+        solve_paths(cfg, [path])
     with pytest.raises(LengthMismatch):
         solve(cfg, path)
 
@@ -701,27 +719,26 @@ def test_ragged_path_list_is_checked_before_the_stack():
     2-mode path raise LengthMismatch naming both mode counts, in the engine
     and in the coincidence check, and a path off the mesh MeshMismatch."""
     cfg = config(scheme="picard")
-    _, model, u0 = materialize(cfg)
     ragged = [sample_brownian_path(cfg.mesh(), modes, cfg.seed, 0) for modes in (1, 2)]
     with pytest.raises(LengthMismatch, match="path 1 .*2, 64.* 1 modes"):
-        solve_paths(cfg, ragged, model, u0)
+        solve_paths(cfg, ragged)
     with pytest.raises(LengthMismatch):
         path_coincidence_check(cfg, ragged, (2.0, 4.0))
     with pytest.raises(MeshMismatch):
-        solve_paths(cfg, [path_for(cfg, 0), coarsen_path(path_for(cfg, 1), 2)], model, u0)
+        solve_paths(cfg, [path_for(cfg, 0), coarsen_path(path_for(cfg, 1), 2)])
 
 
 def test_mesh_check_is_absolute():
     """A path's mesh may differ from the config mesh by 1e-12 at most, with
     no relative slack: a mesh that ends 5e-6 late is refused."""
     cfg = config()
-    _, model, u0 = materialize(cfg)
+    M = cfg.model.total_modes
     for end in (1.0 + 5e-6, 1.0 + 5e-5):
-        late = sample_brownian_path(np.linspace(0.0, end, cfg.n_steps + 1), model.total_modes, cfg.seed, 0)
+        late = sample_brownian_path(np.linspace(0.0, end, cfg.n_steps + 1), M, cfg.seed, 0)
         with pytest.raises(MeshMismatch):
-            solve_paths(cfg, [late], model, u0)
-    close = sample_brownian_path(cfg.mesh() + 5e-13, model.total_modes, cfg.seed, 0)
-    (report,) = solve_paths(cfg, [close], model, u0)
+            solve_paths(cfg, [late])
+    close = sample_brownian_path(cfg.mesh() + 5e-13, M, cfg.seed, 0)
+    (report,) = solve_paths(cfg, [close])
     assert report.tau == cfg.T
 
 

@@ -71,8 +71,8 @@ from .propagator import (
     stochastic_convolution,
 )
 from .dynamics import detect_stopping_time, theta
+from .config import SimConfig
 from .solver import (
-    SimConfig,
     SolveReport,
     materialize,
     path_coincidence_check,

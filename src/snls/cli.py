@@ -27,7 +27,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .config import config_hash, config_to_dict, load_config, write_json
+from .config import SCHEMES, config_hash, config_to_dict, load_config, write_json
 from .errors import ConfigError, OutOfRange, SnlsError, SolverError
 from .exponents import (
     ModelParams,
@@ -38,7 +38,7 @@ from .exponents import (
 )
 from .grid_field import write_trajectory_csv
 from .montecarlo import path_filename, run_ensemble, truncation_uniformity_study
-from .solver import SCHEMES, solve
+from .solver import solve
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0

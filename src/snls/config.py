@@ -1,4 +1,4 @@
-"""JSON configuration ingestion, canonical serialization and hashing.
+"""A run's input: reading, defaults, checks, spec builders, echo and hash.
 
 Physical parameters (d, alpha, gamma, lambda, T, the initial condition and
 the noise family) have no defaults and must be written out; discretization
@@ -14,9 +14,9 @@ and solver knobs have documented defaults:
 
 alpha and gamma accept integers, floats or exact "p/q" strings and are kept
 as exact rationals internally; d, lambda, grid.n and seed accept integers
-and integral floats (2.0, not 2.7); T, dt, grid.L and truncation_level
-accept finite integers and floats (`specs.as_real`), and the level also
-the string "inf", its one infinite spelling (`specs.as_level`); the
+and integral floats (2.0, not 2.7; `as_integer`); T, dt, grid.L and
+truncation_level accept finite integers and floats (`as_real`), and the
+level also the string "inf", its one infinite spelling (`as_level`); the
 enable_* switches accept only JSON booleans.  A value that cannot be read
 as its type raises ConfigError.  Each key is named once, in one table of
 its reader and the SimConfig attribute that keeps it: `parse_config_dict`
@@ -24,6 +24,21 @@ reads through it, and `config_to_dict` echoes each attribute through
 `json_value`.  `config_hash` is the SHA-256 of that echo's canonical JSON
 (sorted keys, compact separators), so equal configs hash equally
 regardless of input formatting.
+
+Field specs (initial conditions and noise coefficients alike), built by
+`build_field`:
+
+    {"kind": "constant",      "value": c}                 c real or [re, im]
+    {"kind": "gaussian_bump", "amplitude": a, "width": w, "center": [...]}
+    {"kind": "plane_wave",    "mode": [..], "amplitude": a}
+    {"kind": "file",          "path": "..."}              binary field layout
+
+Noise specs, built by `build_noise_model`:
+
+    {"coefficients": [field-spec, ...], "linear_coefficients": [field-spec, ...]}
+
+A SimConfig builds its noise model and initial state from these specs on
+first use.
 
 Every record a run writes (report, summary, per-path report, manifest,
 verify report) becomes JSON in one place, `write_json`, through
@@ -36,19 +51,58 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
 
 from .errors import ConfigError, OutOfRange
 from .exponents import ModelParams, as_fraction
-from .grid_field import Grid
-from .solver import SimConfig
-from .specs import as_integer, as_level, as_real
+from .grid_field import (
+    ComplexField,
+    Grid,
+    constant_field,
+    gaussian_field,
+    plane_wave_field,
+    read_field,
+)
+from .noise import NoiseModel, make_noise_model
 
-_REQUIRED = ("d", "alpha", "gamma", "lambda", "T", "initial_condition", "noise")
+SCHEMES = ("picard", "splitstep")
+
+
+def as_real(value) -> float:
+    """A finite int or float as a float; a boolean or a string raises
+    TypeError, a NaN or an infinity ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite real number, got {value!r}")
+    return float(value)
+
+
+def as_level(value) -> float:
+    """A truncation level: "inf", its one infinite spelling, or `as_real`."""
+    return math.inf if value == "inf" else as_real(value)
+
+
+def as_integer(value) -> int:
+    """An integer, or a float with an integral value, as an int; anything
+    else (a boolean, a string, a fractional float) raises TypeError or
+    ValueError instead of being truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _as_complex(value) -> complex:
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(as_real(value[0]), as_real(value[1]))
+    return complex(as_real(value))
 
 
 def _flag(value) -> bool:
@@ -56,6 +110,145 @@ def _flag(value) -> bool:
         raise TypeError(f"expected a JSON boolean, got {value!r}")
     return value
 
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Everything a single-path solve needs, JSON-representable.
+
+    Physical data (params, grid, noise, initial condition, horizon) have no
+    defaults; discretization and solver choices do.  `truncation_level`
+    is the cutoff level of the Picard solver (inf disables the cutoff);
+    split-step always solves the untruncated equation and only monitors the
+    stopping time against this level.
+
+    The config is frozen, and builds its noise model (`model`) and initial
+    state (`u0`) from its specs on first use, once per object; a changed
+    config is a new object (`dataclasses.replace`), which builds its own.
+    The spec dicts are read only then, so they must not be edited in place.
+    """
+
+    params: ModelParams
+    grid: Grid
+    noise_spec: dict
+    ic_spec: dict
+    T: float
+    dt: float
+    scheme: str = "splitstep"
+    truncation_level: float = math.inf
+    seed: int = 0
+    enable_laplacian: bool = True
+    enable_nonlinearity: bool = True
+
+    def __post_init__(self):
+        if self.grid.d != self.params.d:
+            raise ConfigError(f"grid dimension {self.grid.d} differs from the model's d = {self.params.d}")
+        if self.scheme not in SCHEMES:
+            raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        if not (self.T > 0 and math.isfinite(self.T)):
+            raise ConfigError(f"horizon T must be positive and finite, got {self.T}")
+        if not (self.dt > 0 and self.dt <= self.T):
+            raise ConfigError(f"dt must lie in (0, T], got {self.dt}")
+        steps = self.T / self.dt
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
+            raise ConfigError(f"dt={self.dt} does not divide T={self.T}")
+        if not self.truncation_level > 0:
+            raise ConfigError(f"truncation level must be positive, got {self.truncation_level}")
+        try:
+            object.__setattr__(self, "seed", as_integer(self.seed))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}") from exc
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2^64), got {self.seed}")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.T / self.dt))
+
+    def mesh(self) -> np.ndarray:
+        """The K + 1 mesh times; the last is T exactly."""
+        return np.linspace(0.0, self.T, self.n_steps + 1)
+
+    @cached_property
+    def model(self) -> NoiseModel:
+        return build_noise_model(self.noise_spec, self.grid)
+
+    @cached_property
+    def u0(self) -> ComplexField:
+        return build_field(self.ic_spec, self.grid)
+
+
+def read_levels(levels) -> list:
+    """Cutoff levels read by the config's level rule (`as_level`)."""
+    try:
+        return [as_level(n) for n in levels]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f'truncation levels {levels} are not all finite numbers or "inf": {exc}') from exc
+
+
+# The keys each field kind reads, besides "kind".
+_FIELD_KEYS = {
+    "constant": {"value"},
+    "gaussian_bump": {"amplitude", "width", "center"},
+    "plane_wave": {"mode", "amplitude"},
+    "file": {"path"},
+}
+
+
+def build_field(spec: dict, grid: Grid) -> ComplexField:
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ConfigError(f"field spec must be an object with a 'kind', got {spec!r}")
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _FIELD_KEYS:
+        raise ConfigError(f"unknown field kind {kind!r}")
+    unknown = set(spec) - _FIELD_KEYS[kind] - {"kind"}
+    if unknown:
+        raise ConfigError(f"unknown keys for field kind {kind!r}: {sorted(unknown)}")
+    try:
+        # a value that overflows gives a non-finite field, which ComplexField
+        # rejects, instead of a numpy warning
+        with np.errstate(all="ignore"):
+            if kind == "constant":
+                return constant_field(grid, _as_complex(spec["value"]))
+            if kind == "gaussian_bump":
+                return gaussian_field(
+                    grid,
+                    amplitude=_as_complex(spec.get("amplitude", 1.0)),
+                    width=as_real(spec.get("width", 1.0)),
+                    center=None if spec.get("center") is None else [as_real(c) for c in spec["center"]],
+                )
+            if kind == "plane_wave":
+                mode = spec.get("mode", [0] * grid.d)
+                return plane_wave_field(
+                    grid,
+                    mode=[as_integer(m) for m in (mode if isinstance(mode, list) else [mode])],
+                    amplitude=_as_complex(spec.get("amplitude", 1.0)),
+                )
+            if not isinstance(spec["path"], str):
+                raise ConfigError(f"field file path must be a string, got {spec['path']!r}")
+            f = read_field(spec["path"])
+            if f.grid != grid:
+                raise ConfigError(f"field file {spec['path']!r} carries grid {f.grid}, expected {grid}")
+            return f
+    except KeyError as exc:
+        raise ConfigError(f"field spec {spec!r} is missing key {exc}") from exc
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"field spec {spec!r} has a malformed value: {exc}") from exc
+
+
+def build_noise_model(spec: dict, grid: Grid) -> NoiseModel:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"noise spec must be an object, got {spec!r}")
+    unknown = set(spec) - {"coefficients", "linear_coefficients"}
+    if unknown:
+        raise ConfigError(f"unknown noise spec keys: {sorted(unknown)}")
+    lists = [spec.get(key, []) for key in ("coefficients", "linear_coefficients")]
+    if not all(isinstance(specs, list) for specs in lists):
+        raise ConfigError(f"noise coefficients must be lists of field specs, got {spec!r}")
+    coeffs, linear = ([build_field(s, grid) for s in specs] for specs in lists)
+    return make_noise_model(coeffs, linear, grid)
+
+
+_REQUIRED = ("d", "alpha", "gamma", "lambda", "T", "initial_condition", "noise")
 
 # Every scalar config key, once: its reader, and the attribute path where
 # SimConfig keeps it (SimConfig holds the optional solver knobs' defaults).
@@ -162,14 +355,3 @@ def canonical_json(doc: dict) -> str:
 
 def config_hash(config: SimConfig) -> str:
     return hashlib.sha256(canonical_json(config_to_dict(config)).encode("utf-8")).hexdigest()
-
-
-__all__ = [
-    "canonical_json",
-    "config_hash",
-    "config_to_dict",
-    "json_value",
-    "load_config",
-    "parse_config_dict",
-    "write_json",
-]

@@ -154,7 +154,7 @@ def strichartz_q(p: RationalLike, d: int) -> Fraction:
     p = inf in d = 2 (the forbidden endpoint) and in d >= 3 (q < 2); and any
     p whose scaling partner lands at or below q = 2.
     """
-    if not isinstance(d, int) or d < 1:
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise OutOfRange(f"dimension must be a positive integer, got {d!r}")
     if p == INF:
         if d == 1:
@@ -223,7 +223,7 @@ def gamma_global_bound(d: int, alpha: RationalLike) -> Fraction:
     Requires strictly subcritical alpha; at alpha = 1 + 4/d the bound
     degenerates (the first factor's partner vanishes with delta).
     """
-    if not isinstance(d, int) or d < 1:
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise OutOfRange(f"dimension must be a positive integer, got {d!r}")
     alpha = as_fraction(alpha)
     if not 1 < alpha < 1 + Fraction(4, d):

@@ -43,8 +43,8 @@ class Grid:
     L: float
 
     def __post_init__(self):
-        # checked inline (`specs` imports this module), and stricter than
-        # `specs.as_integer`, which reads 4.0 as 4
+        # checked inline (`config` imports this module), and stricter than
+        # `config.as_integer`, which reads 4.0 as 4
         for name in ("d", "n"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -260,6 +260,15 @@ def fill_accumulators(acc1, acc2, n1, n2, dt, zexp: ZExponents) -> None:
         np.maximum.accumulate(acc2, axis=0, out=acc2)
 
 
+def time_index(times, t: float) -> int:
+    """The index j of increasing `times` with |times[j] - t| <= 1e-12; any
+    other t, NaN included, raises OutOfRange."""
+    j = int(np.searchsorted(times, t - 1e-12))
+    if not (j < len(times) and abs(times[j] - t) <= 1e-12):
+        raise OutOfRange(f"t={t} is not one of the {len(times)} recorded times")
+    return j
+
+
 def z_components(acc1, acc2, zexp: ZExponents):
     """The two running-norm components (roots of the raw accumulators),
     elementwise over scalars or arrays with numpy ufuncs, so a single
@@ -325,9 +334,7 @@ class Trajectory:
     def z_components_at(self, t: float) -> tuple[float, float]:
         """The two running-norm components at the recorded time t (1e-12
         slack); any other t, NaN included, raises OutOfRange."""
-        j = int(np.searchsorted(self.times, t - 1e-12))
-        if not (j < len(self.times) and abs(self.times[j] - t) <= 1e-12):
-            raise OutOfRange(f"t={t} is not a recorded time in [{self.times[0]}, {self.times[-1]}]")
+        j = time_index(self.times, t)
         c1, c2 = z_components(float(self.acc1[j]), float(self.acc2[j]), self.zexp)
         return float(c1), float(c2)
 

@@ -25,12 +25,10 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .config import write_json
+from .config import SimConfig, as_integer, read_levels, write_json
 from .errors import ConfigError, SolverError
-from .solver import SimConfig, path_for, read_levels, solve_paths
-from .specs import as_integer
+from .solver import path_for, solve_paths
 
-_TAU_EQ_T_RTOL = 1e-9
 # Powers p of the per-path sup mass whose ensemble means are reported.
 _SUP_MASS_POWERS = (1.0, 2.0)
 # Slack of `chebyshev_consistency`, in standard errors.
@@ -167,7 +165,7 @@ def run_ensemble(
 
     `persist_dir` keeps every per-path report on disk (one JSON file per
     path index) in addition to the aggregated summary.  `n_paths` is read
-    by the config's integer rule (`specs.as_integer`), and a value it
+    by the config's integer rule (`config.as_integer`), and a value it
     refuses raises ConfigError.
     """
     try:
@@ -201,7 +199,8 @@ def run_ensemble(
 
     mean_yt, se_yt = _mean_stderr(yt[ok])
     sup_mass_p = {p: _mean_stderr(sm[ok] ** p) for p in _SUP_MASS_POWERS}
-    hits = ok & (taus >= config.T * (1.0 - _TAU_EQ_T_RTOL))
+    # tau is a mesh time, and the config mesh ends at T exactly
+    hits = ok & (taus == config.T)
     freq, se_freq = _mean_stderr(hits.astype(float))
 
     return EnsembleSummary(
@@ -262,7 +261,7 @@ def chebyshev_consistency(summary: EnsembleSummary, levels):
     Holds exactly for the empirical measure (1[z >= n] <= z/n pointwise);
     the slack term only absorbs the statistical uncertainty of quoting both
     sides as estimates.  Returns one record per tested level.  The levels
-    are read by the config's level rule (`solver.read_levels`), and a level
+    are read by the config's level rule (`config.read_levels`), and a level
     that is not positive raises ConfigError.
     """
     levels = read_levels(levels)

@@ -41,7 +41,7 @@ from .errors import (
     OutOfRange,
     UnboundedCoefficient,
 )
-from .grid_field import ComplexField, Grid, require_finite
+from .grid_field import ComplexField, Grid, require_finite, time_index
 
 _REAL_TOL = 1e-14
 
@@ -249,20 +249,21 @@ def _stack_increments(mesh, increments, n_modes: int):
 def diffusion_only_exact_paths(
     u0: ComplexField, model: NoiseModel, gamma, mesh, increments, t: float
 ) -> np.ndarray:
-    """`diffusion_only_exact` at time t for a (P, M, K) block of increments
-    on one mesh, as a (P, grid.size) array; row p is bitwise the P = 1
-    result of path p."""
+    """`diffusion_only_exact` at the mesh time t for a (P, M, K) block of
+    increments on one mesh, as a (P, grid.size) array; row p is bitwise the
+    P = 1 result of path p.  beta(t) is known only at the mesh times, so a t
+    more than 1e-12 from every one of them, NaN included, raises OutOfRange."""
     _check_model_grid(u0, model)
     if not model.conservative or model.n_linear_modes:
         raise NotConservative(
             "exact diffusion-only solution requires real e_m and no linear part"
         )
-    _check_time(t)
     mesh, increments = _stack_increments(mesh, increments, model.n_modes)
+    j = time_index(mesh, t)
     g = float(gamma)
     with np.errstate(over="ignore", invalid="ignore"):
-        # the mesh increases, so the steps that start before t are a prefix
-        beta_t = increments[..., : np.count_nonzero(mesh[:-1] < t)].sum(axis=-1)
+        # the mesh increases, so beta(t_j) sums the first j increments
+        beta_t = increments[..., :j].sum(axis=-1)
         phase = mode_sum(beta_t, model.coeffs.real) * np.abs(u0.values) ** (g - 1.0)
         v = u0.values * np.exp(-1j * phase)
     require_finite(v)
@@ -277,8 +278,8 @@ def diffusion_only_exact(
         u(t, x) = u0(x) exp(-i sum_m e_m(x) |u0(x)|^(gamma-1) beta_m(t)).
 
     Valid for conservative noise without a linear part, where the flow is a
-    pure pointwise phase rotation and |u(t, x)| = |u0(x)| exactly.  The
-    P = 1 case of `diffusion_only_exact_paths`.
+    pure pointwise phase rotation and |u(t, x)| = |u0(x)| exactly; t must be
+    a time of the path's mesh.  The P = 1 case of `diffusion_only_exact_paths`.
     """
     (row,) = diffusion_only_exact_paths(u0, model, gamma, path.mesh, path.increments[None], t)
     return ComplexField(u0.grid, row)

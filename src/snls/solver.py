@@ -32,29 +32,17 @@ case, in the config's scheme.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
 
 import numpy as np
 
+from .config import SimConfig, read_levels
 from .dynamics import detect_stopping_time, theta
 from .errors import BlowUp, ConfigError, LengthMismatch, MeshMismatch, SolverError
-from .exponents import ModelParams, z_exponents
-from .grid_field import (
-    ComplexField,
-    Grid,
-    Trajectory,
-    fill_accumulators,
-    lp_norm_rows,
-    norms_and_leakage,
-    z_components,
-)
+from .exponents import z_exponents
+from .grid_field import Trajectory, fill_accumulators, lp_norm_rows, norms_and_leakage, z_components
 from .noise import BrownianPath, NoiseModel, mode_sum, sample_brownian_path
 from .propagator import get_plan
-from .specs import as_integer, as_level, build_field, build_noise_model
-
-SCHEMES = ("picard", "splitstep")
 
 # L^2 norm beyond which a step counts as blown up (either scheme).
 BLOWUP_L2 = 1e12
@@ -65,72 +53,6 @@ BLOWUP_L2 = 1e12
 # per-call cost of per-step recording (larger blocks were no faster), and a
 # single row of a 20-path stack, whose peak memory a larger block would raise.
 RECORD_BLOCK_BYTES = 1 << 15
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Everything a single-path solve needs, JSON-representable.
-
-    Physical data (params, grid, noise, initial condition, horizon) have no
-    defaults; discretization and solver choices do.  `truncation_level`
-    is the cutoff level of the Picard solver (inf disables the cutoff);
-    split-step always solves the untruncated equation and only monitors the
-    stopping time against this level.
-
-    The config is frozen, and builds its noise model (`model`) and initial
-    state (`u0`) from its specs on first use, once per object; a changed
-    config is a new object (`dataclasses.replace`), which builds its own.
-    The spec dicts are read only then, so they must not be edited in place.
-    """
-
-    params: ModelParams
-    grid: Grid
-    noise_spec: dict
-    ic_spec: dict
-    T: float
-    dt: float
-    scheme: str = "splitstep"
-    truncation_level: float = math.inf
-    seed: int = 0
-    enable_laplacian: bool = True
-    enable_nonlinearity: bool = True
-
-    def __post_init__(self):
-        if self.grid.d != self.params.d:
-            raise ConfigError(f"grid dimension {self.grid.d} differs from the model's d = {self.params.d}")
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if not (self.T > 0 and math.isfinite(self.T)):
-            raise ConfigError(f"horizon T must be positive and finite, got {self.T}")
-        if not (self.dt > 0 and self.dt <= self.T):
-            raise ConfigError(f"dt must lie in (0, T], got {self.dt}")
-        steps = self.T / self.dt
-        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
-            raise ConfigError(f"dt={self.dt} does not divide T={self.T}")
-        if not self.truncation_level > 0:
-            raise ConfigError(f"truncation level must be positive, got {self.truncation_level}")
-        try:
-            object.__setattr__(self, "seed", as_integer(self.seed))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}") from exc
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must lie in [0, 2^64), got {self.seed}")
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.T / self.dt))
-
-    def mesh(self) -> np.ndarray:
-        """The K + 1 mesh times; the last is T exactly."""
-        return np.linspace(0.0, self.T, self.n_steps + 1)
-
-    @cached_property
-    def model(self) -> NoiseModel:
-        return build_noise_model(self.noise_spec, self.grid)
-
-    @cached_property
-    def u0(self) -> ComplexField:
-        return build_field(self.ic_spec, self.grid)
 
 
 @dataclass
@@ -422,14 +344,6 @@ def _picard_step(config: SimConfig, model: NoiseModel, zexp):
         return v, v
 
     return step
-
-
-def read_levels(levels) -> list:
-    """Cutoff levels read by the config's level rule (`specs.as_level`)."""
-    try:
-        return [as_level(n) for n in levels]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f'truncation levels {levels} are not all finite numbers or "inf": {exc}') from exc
 
 
 def path_coincidence_check(config: SimConfig, paths, levels) -> tuple[list, list]:

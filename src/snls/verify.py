@@ -28,6 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exponents as xp
+from .config import SimConfig
 from .dynamics import theta
 from .errors import ConfigError, SolverError
 from .grid_field import (
@@ -55,7 +56,7 @@ from .propagator import (
     get_plan,
     stochastic_convolution,
 )
-from .solver import SimConfig, path_for, solve_paths
+from .solver import path_for, solve_paths
 
 
 def _check(name: str, passed: bool, detail: str) -> dict:

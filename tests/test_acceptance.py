@@ -21,7 +21,8 @@ from snls.exponents import (
 from snls.grid_field import Grid, Trajectory, lp_norm, random_field
 from snls.montecarlo import chebyshev_consistency, truncation_uniformity_study
 from snls.noise import sample_brownian_path
-from snls.solver import SimConfig, path_coincidence_check, solve_paths
+from snls.config import SimConfig
+from snls.solver import path_coincidence_check, solve_paths
 from snls.verify import (
     cutoff_lipschitz_ok,
     dispersive_decay,

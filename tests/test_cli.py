@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from snls.cli import main, render_svg_plot
 from snls.config import (
+    build_field,
     canonical_json,
     config_hash,
     config_to_dict,
@@ -26,7 +27,6 @@ from snls.config import (
 )
 from snls.errors import ConfigError, SnlsError
 from snls.grid_field import Grid
-from snls.specs import build_field
 
 VALID_DOC = {
     "d": 1,

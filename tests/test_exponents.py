@@ -60,6 +60,8 @@ def test_strichartz_q_rejections():
     with pytest.raises(NotAdmissible):
         strichartz_q(100, 3)  # q below 2 in d = 3
     assert strichartz_q(math.inf, 1) == 4
+    with pytest.raises(OutOfRange):
+        strichartz_q(4, True)  # a bool is no dimension
 
 
 def test_pair_scaling_identity_is_exact():
@@ -153,6 +155,8 @@ def test_gamma_global_bound_examples():
         gamma_global_bound(1, 5)  # critical
     with pytest.raises(OutOfRange):
         gamma_global_bound(2, 4)  # supercritical
+    with pytest.raises(OutOfRange):
+        gamma_global_bound(True, 2)  # a bool is no dimension
 
 
 def test_gamma_global_bound_inside_local_range():

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from snls.config import json_value
+from snls.config import SimConfig, json_value
 from snls.exponents import ModelParams
 from snls.grid_field import Grid
 import snls.montecarlo as mc
@@ -23,7 +23,7 @@ from snls.montecarlo import (
     worker_count,
 )
 from snls.errors import BlowUp, ConfigError
-from snls.solver import BLOWUP_L2, SimConfig, solve
+from snls.solver import BLOWUP_L2, solve
 
 PARAMS = ModelParams(d=1, alpha=Fraction(2), gamma=Fraction(1), lam=1)
 GRID = Grid(d=1, n=64, L=32.0)
@@ -107,14 +107,14 @@ def test_path_count_must_be_an_integer():
 def test_serial_ensemble_builds_the_model_once(monkeypatch):
     """The chunks of a serial ensemble share its config, which builds its
     noise model on first use: one build for four chunks."""
-    import snls.solver
+    import snls.config
 
     monkeypatch.delenv("SNLS_THREADS", raising=False)
     monkeypatch.setattr(mc, "CHUNK_STACK_BYTES", 16 * GRID.size)
     assert len(path_chunks(4, GRID.size)) == 4
     builds = []
-    build = snls.solver.build_noise_model
-    monkeypatch.setattr(snls.solver, "build_noise_model", lambda *a: builds.append(a) or build(*a))
+    build = snls.config.build_noise_model
+    monkeypatch.setattr(snls.config, "build_noise_model", lambda *a: builds.append(a) or build(*a))
     run_ensemble(config(), 4, seed=3)
     assert len(builds) == 1
 
@@ -222,7 +222,7 @@ def test_serial_ensemble_loads_no_process_pool():
         "from snls.exponents import ModelParams\n"
         "from snls.grid_field import Grid\n"
         "from snls.montecarlo import run_ensemble\n"
-        "from snls.solver import SimConfig\n"
+        "from snls.config import SimConfig\n"
         "cfg = SimConfig(ModelParams(d=1, alpha=2, gamma=1, lam=1), Grid(d=1, n=16, L=8.0),\n"
         "    {'coefficients': [{'kind': 'constant', 'value': 0.3}]}, {'kind': 'constant', 'value': 1.0},\n"
         "    T=0.25, dt=0.0625)\n"

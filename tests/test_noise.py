@@ -243,6 +243,21 @@ def test_diffusion_only_exact_cases():
     assert np.max(np.abs(out2.values - 2.0 * np.exp(-2j * beta))) < 1e-13
 
 
+def test_diffusion_only_exact_takes_only_mesh_times():
+    """beta(t) is known only at the mesh times: a t between them or past the
+    mesh end raises OutOfRange, and a t within 1e-12 of a mesh time gives
+    that time's state."""
+    model = make_noise_model([constant_field(GRID, 0.8)], [], GRID)
+    path = sample_brownian_path(np.linspace(0.0, 1.0, 5), 1, 21, 0)
+    u0 = random_field(GRID, np.random.default_rng(4))
+    for t in (0.26, 7.0, -0.5):
+        with pytest.raises(OutOfRange):
+            diffusion_only_exact(u0, model, 1.5, path, t)
+    half = diffusion_only_exact(u0, model, 1.5, path, 0.5).values
+    assert np.array_equal(diffusion_only_exact(u0, model, 1.5, path, 0.5 + 1e-13).values, half)
+    assert not np.array_equal(diffusion_only_exact(u0, model, 1.5, path, 1.0).values, half)
+
+
 def test_diffusion_only_requires_conservative():
     model = make_noise_model([constant_field(GRID, 1j)], [], GRID)
     with pytest.raises(NotConservative):
@@ -323,7 +338,7 @@ def test_stack_forms_are_bitwise_independent_of_the_batch(P, gamma, n_modes, n_l
     order = data.draw(st.permutations(range(P)))
     model, u0, mesh, increments = _stack_problem(n_modes, n_linear, P, seed)
     conservative, _, _, _ = _stack_problem(n_modes, 0, P, seed)
-    t = data.draw(st.sampled_from([0.3, 1.0]))
+    t = data.draw(st.sampled_from([0.3125, 1.0]))
     factor = data.draw(st.sampled_from([1, 2, 8]))
     forms = {
         "em": (lambda inc: euler_maruyama_paths(u0, model, gamma, mesh, inc), increments),
@@ -378,7 +393,7 @@ def test_stack_forms_reject_mismatched_blocks():
     # a mesh that does not increase would pick the wrong prefix of steps
     with pytest.raises(OutOfRange):
         diffusion_only_exact_paths(u0, conservative, 1.5, mesh[::-1], increments[:, :2], 1.0)
-    # NaN precedes no mesh point: it would give u0 itself
+    # NaN is no mesh time
     with pytest.raises(OutOfRange):
         diffusion_only_exact_paths(u0, conservative, 1.5, mesh, increments[:, :2], math.nan)
     with pytest.raises(OutOfRange):

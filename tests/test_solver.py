@@ -16,10 +16,11 @@ from snls.exponents import ModelParams
 from snls.grid_field import Grid, Trajectory, lp_norm, lp_norm_rows
 from snls.noise import diffusion_only_exact, noise_term, sample_brownian_path, stratonovich_drift
 from snls.propagator import free_evolve, get_plan
+import snls.config
 import snls.solver
+from snls.config import SimConfig
 from snls.solver import (
     BLOWUP_L2,
-    SimConfig,
     path_coincidence_check,
     path_for,
     solve,
@@ -77,10 +78,11 @@ def test_config_builds_its_model_and_initial_state_once():
 def test_solve_builds_each_value_once(monkeypatch):
     calls = []
     for name in ("build_noise_model", "build_field"):
-        build = getattr(snls.solver, name)
-        monkeypatch.setattr(snls.solver, name, lambda *a, name=name, build=build: calls.append(name) or build(*a))
+        build = getattr(snls.config, name)
+        monkeypatch.setattr(snls.config, name, lambda *a, name=name, build=build: calls.append(name) or build(*a))
     solve(config(dt=1.0 / 16.0))
-    assert sorted(calls) == ["build_field", "build_noise_model"]
+    # u0, and the noise model with its one coefficient field
+    assert sorted(calls) == ["build_field", "build_field", "build_noise_model"]
 
 
 def test_states_are_kept_only_on_request():

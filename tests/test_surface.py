@@ -14,9 +14,13 @@ on an allowlist below with its reason.
 Dunder methods and dataclass fields are outside the member rule: the
 interpreter calls the former, and `config.json_value` writes a record's
 fields by reflection, without naming them.
+
+`config` owns a run's input and the engine reads it, never the other way
+round: `config` imports no module that solves, drives or reports a run.
 """
 
 import ast
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -36,6 +40,8 @@ KEPT = {
 }
 # Class members called only by tests, as "Class.member": none.
 KEPT_MEMBERS: dict = {}
+# The modules that consume a run's input, which `config` must not import.
+CONSUMERS = {"solver", "montecarlo", "verify", "cli", "propagator", "dynamics"}
 
 
 def _trees(paths):
@@ -88,3 +94,21 @@ def test_every_public_member_is_used_by_the_program_or_kept():
     assert set(KEPT_MEMBERS) <= set(members)  # no stale allowlist entry
     used = _attribute_names(package + bench)
     assert sorted(m for m, name in members.items() if name not in used and m not in KEPT_MEMBERS) == []
+
+
+def _package_imports(path) -> set:
+    """The `snls` modules that the module at `path` imports, by their name
+    in the package, whether imported relatively or absolutely."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = (("snls." if node.level else "") + (node.module or "")).rstrip(".")
+            names |= {base} | {f"{base}.{alias.name}" for alias in node.names}
+    return {name.removeprefix("snls.").split(".")[0] for name in names if name.startswith("snls.")}
+
+
+def test_config_imports_no_consumer_of_the_input():
+    assert sorted(_package_imports(PACKAGE / "config.py") & CONSUMERS) == []
+    assert importlib.util.find_spec("snls.specs") is None

@@ -215,11 +215,9 @@ def write_manifest(out_dir, command: str, config, extra: dict, filenames) -> dic
 
 def _load_config_for_cli(args):
     config = load_config(args.config)
-    if args.scheme:
-        config = replace(config, scheme=args.scheme)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    return config
+    # one replace for both flags, since each config builds its model when it is made
+    overrides = {name: value for name, value in (("scheme", args.scheme), ("seed", args.seed)) if value is not None}
+    return replace(config, **overrides) if overrides else config
 
 
 def cmd_simulate(args) -> int:
@@ -263,6 +261,8 @@ def cmd_ensemble(args) -> int:
         raise ConfigError(f'--levels items must be JSON number text or "inf", got {args.levels!r}') from exc
     if args.keep_paths and levels:
         raise ConfigError("--keep-paths is not supported together with --levels")
+    if args.scheme == "splitstep" and levels:
+        raise ConfigError("--levels runs a Picard study; --scheme splitstep is not supported together with it")
     persist_dir = os.path.join(args.out, f"paths-{config_hash(config)[:12]}") if args.keep_paths else None
     if levels:
         summary = study = truncation_uniformity_study(config, levels, args.paths)
@@ -283,7 +283,8 @@ def cmd_ensemble(args) -> int:
     if persist_dir is not None:
         rel = os.path.relpath(persist_dir, args.out)
         files.extend(os.path.join(rel, path_filename(i)) for i in range(args.paths))
-    write_manifest(args.out, "ensemble", config, {"paths": args.paths}, files)
+    extra = {"paths": args.paths, "levels": study.levels} if levels else {"paths": args.paths}
+    write_manifest(args.out, "ensemble", config, extra, files)
     print(json.dumps({"out": args.out, "paths": args.paths}))
     return EXIT_OK
 
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens = sub.add_parser("ensemble", help="Monte Carlo ensemble (optionally per truncation level)")
     p_ens.add_argument("config")
     p_ens.add_argument("--paths", type=int, required=True)
-    p_ens.add_argument("--levels", help="comma-separated truncation levels for a level study")
+    p_ens.add_argument("--levels", help="comma-separated truncation levels for a Picard level study, whatever the config's scheme")
     p_ens.add_argument("--scheme", choices=SCHEMES)
     p_ens.add_argument("--seed", type=int)
     p_ens.add_argument("--out", default="run")

@@ -37,8 +37,10 @@ Noise specs, built by `build_noise_model`:
 
     {"coefficients": [field-spec, ...], "linear_coefficients": [field-spec, ...]}
 
-A SimConfig builds its noise model and initial state from these specs on
-first use.
+A SimConfig is a value: it reads and checks its input, and builds its
+noise model and initial state from these specs, when it is made, and then
+keeps a read-only copy of each spec (nested objects become read-only dicts
+and lists tuples), so what it echoes is what it solves.
 
 Every record a run writes (report, summary, per-path report, manifest,
 verify report) becomes JSON in one place, `write_json`, through
@@ -51,9 +53,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
@@ -122,9 +123,12 @@ class SimConfig:
     stopping time against this level.
 
     The config is frozen, and builds its noise model (`model`) and initial
-    state (`u0`) from its specs on first use, once per object; a changed
-    config is a new object (`dataclasses.replace`), which builds its own.
-    The spec dicts are read only then, so they must not be edited in place.
+    state (`u0`) from its specs when it is made, after checking its other
+    values, so a malformed spec raises ConfigError there (an unreadable
+    field file its OSError or SnlsError).  It then
+    keeps read-only copies of the specs: editing one in place raises
+    TypeError.  A changed config is a new object (`dataclasses.replace`),
+    which builds its own.
     """
 
     params: ModelParams
@@ -138,6 +142,8 @@ class SimConfig:
     seed: int = 0
     enable_laplacian: bool = True
     enable_nonlinearity: bool = True
+    model: NoiseModel = field(init=False, repr=False, compare=False)
+    u0: ComplexField = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.grid.d != self.params.d:
@@ -159,6 +165,13 @@ class SimConfig:
             raise ConfigError(f"seed must be an integer, got {self.seed!r}") from exc
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2^64), got {self.seed}")
+        # built from the specs as given, so an error quotes them as written
+        model = build_noise_model(self.noise_spec, self.grid)
+        u0 = build_field(self.ic_spec, self.grid)
+        object.__setattr__(self, "noise_spec", _read_only(self.noise_spec))
+        object.__setattr__(self, "ic_spec", _read_only(self.ic_spec))
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "u0", u0)
 
     @property
     def n_steps(self) -> int:
@@ -168,13 +181,26 @@ class SimConfig:
         """The K + 1 mesh times; the last is T exactly."""
         return np.linspace(0.0, self.T, self.n_steps + 1)
 
-    @cached_property
-    def model(self) -> NoiseModel:
-        return build_noise_model(self.noise_spec, self.grid)
 
-    @cached_property
-    def u0(self) -> ComplexField:
-        return build_field(self.ic_spec, self.grid)
+class _ReadOnlySpec(dict):
+    """A spec object that refuses edits, and pickles as a copy of itself."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a config's specs are read-only; make a changed config with dataclasses.replace")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
+def _read_only(spec):
+    """A read-only deep copy of a spec: objects become _ReadOnlySpec, lists tuples."""
+    if isinstance(spec, dict):
+        return _ReadOnlySpec({k: _read_only(v) for k, v in spec.items()})
+    if isinstance(spec, (list, tuple)):
+        return tuple(_read_only(v) for v in spec)
+    return spec
 
 
 def read_levels(levels) -> list:
@@ -220,7 +246,7 @@ def build_field(spec: dict, grid: Grid) -> ComplexField:
                 mode = spec.get("mode", [0] * grid.d)
                 return plane_wave_field(
                     grid,
-                    mode=[as_integer(m) for m in (mode if isinstance(mode, list) else [mode])],
+                    mode=[as_integer(m) for m in (mode if isinstance(mode, (list, tuple)) else [mode])],
                     amplitude=_as_complex(spec.get("amplitude", 1.0)),
                 )
             if not isinstance(spec["path"], str):
@@ -242,7 +268,7 @@ def build_noise_model(spec: dict, grid: Grid) -> NoiseModel:
     if unknown:
         raise ConfigError(f"unknown noise spec keys: {sorted(unknown)}")
     lists = [spec.get(key, []) for key in ("coefficients", "linear_coefficients")]
-    if not all(isinstance(specs, list) for specs in lists):
+    if not all(isinstance(specs, (list, tuple)) for specs in lists):
         raise ConfigError(f"noise coefficients must be lists of field specs, got {spec!r}")
     coeffs, linear = ([build_field(s, grid) for s in specs] for specs in lists)
     return make_noise_model(coeffs, linear, grid)
@@ -342,7 +368,7 @@ def config_to_dict(config: SimConfig) -> dict:
     """Canonical, JSON-ready echo of a SimConfig: each key of the table read
     back from its attribute path through `json_value`, so exact rationals
     become "p/q" strings and the infinite level "inf"."""
-    doc = {"initial_condition": config.ic_spec, "noise": config.noise_spec}
+    doc = {"initial_condition": json_value(config.ic_spec), "noise": json_value(config.noise_spec)}
     for key, (_, attr) in _KEYS.items():
         owner, _, name = key.rpartition(".")
         (doc.setdefault(owner, {}) if owner else doc)[name] = json_value(attrgetter(attr)(config))

@@ -243,10 +243,12 @@ def truncation_uniformity_study(
     levels = read_levels(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigError(f"levels must be strictly increasing, got {levels}")
+    # one replace per level, seed included, since each config builds its model when it is made
+    seed = config.seed if seed is None else seed
     summaries = []
     for level in levels:
-        cfg = replace(config, scheme="picard", truncation_level=level)
-        summaries.append(run_ensemble(cfg, n_paths, seed=seed))
+        cfg = replace(config, scheme="picard", truncation_level=level, seed=seed)
+        summaries.append(run_ensemble(cfg, n_paths))
     means = [s.mean_yt_norm for s in summaries if not math.isnan(s.mean_yt_norm)]
     if means and min(means) > 0:
         ratio = max(means) / min(means)

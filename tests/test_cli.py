@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -23,10 +24,11 @@ from snls.config import (
     json_value,
     load_config,
     parse_config_dict,
+    SimConfig,
     write_json,
 )
 from snls.errors import ConfigError, SnlsError
-from snls.grid_field import Grid
+from snls.grid_field import Grid, constant_field, field_to_bytes
 
 VALID_DOC = {
     "d": 1,
@@ -176,6 +178,44 @@ def test_config_roundtrip_randomized():
         assert parse_config_dict(config_to_dict(cfg)) == cfg
 
 
+def test_config_is_a_value_fixed_when_it_is_made():
+    """A config reads, checks and builds its input when it is made and keeps
+    read-only copies of its specs: editing the caller's doc afterwards
+    changes nothing, and neither can an edit of the config's own specs."""
+    doc = json.loads(json.dumps(VALID_DOC))
+    first = parse_config_dict(doc)
+    doc["initial_condition"]["amplitude"] = 2.0
+    second = parse_config_dict(doc)
+    assert first != second and config_hash(first) != config_hash(second)
+    assert first.ic_spec["amplitude"] == 1.0
+    assert np.array_equal(first.u0.values, build_field(VALID_DOC["initial_condition"], first.grid).values)
+    assert np.array_equal(second.u0.values, build_field(doc["initial_condition"], second.grid).values)
+
+    cfg = parse_config_dict(VALID_DOC)
+    digest = config_hash(cfg)
+    with pytest.raises((TypeError, AttributeError)):
+        cfg.noise_spec["coefficients"].append({"kind": "constant", "value": 0.1})
+    with pytest.raises(TypeError):
+        cfg.ic_spec["amplitude"] = 2.0
+    assert config_hash(cfg) == digest and cfg.model.total_modes == 1
+    echo = config_to_dict(cfg)
+    assert type(echo["initial_condition"]) is dict and type(echo["noise"]["coefficients"]) is list
+
+    # a spec it cannot build is refused when the config is made
+    bad_ic = dict(VALID_DOC["initial_condition"], amplitude="x")
+    with pytest.raises(ConfigError):
+        parse_config_dict(dict(VALID_DOC, initial_condition=bad_ic))
+    with pytest.raises(ConfigError):
+        SimConfig(params=cfg.params, grid=cfg.grid, noise_spec=cfg.noise_spec, ic_spec=bad_ic, T=cfg.T, dt=cfg.dt)
+
+    loaded = pickle.loads(pickle.dumps(cfg))
+    assert loaded == cfg and config_hash(loaded) == digest
+    assert loaded.model.coeffs.tobytes() == cfg.model.coeffs.tobytes()
+    assert loaded.u0.values.tobytes() == cfg.u0.values.tobytes()
+    with pytest.raises(TypeError):
+        loaded.ic_spec["amplitude"] = 2.0
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
@@ -216,11 +256,14 @@ def _integral(value) -> bool:
 )
 def test_config_boundary_raises_only_snls_errors(d, n, site, value):
     """Any JSON value anywhere in a config either parses and builds or
-    raises an SnlsError, never a bare ValueError or TypeError.  A value at
-    an integer key that is not an integer or an integral float must raise,
-    and so must a boolean, a string or a non-finite float at a real key or
-    in a gaussian center ("inf" is a level).  A config that builds its
-    model and initial state echoes as strict JSON."""
+    raises an SnlsError, never a bare ValueError or TypeError, and it
+    raises in `parse_config_dict` itself.  A value at an integer key that
+    is not an integer or an integral float must raise, and so must a
+    boolean, a string or a non-finite float at a real key or in a gaussian
+    center ("inf" is a level).  A config that parses echoes as strict JSON,
+    parses back from its echo to an equal config with an equal hash, loads
+    back from a pickle with a bitwise-equal model and initial state, and
+    refuses an edit of its specs."""
     doc = dict(
         VALID_DOC,
         d=d,
@@ -257,11 +300,21 @@ def test_config_boundary_raises_only_snls_errors(d, n, site, value):
         must_raise = False
     try:
         cfg = parse_config_dict(doc)
-        _ = cfg.model, cfg.u0
     except SnlsError:
         return
     assert not must_raise, f"{site} accepted {value!r}"
-    json.dumps(config_to_dict(cfg), allow_nan=False)
+    echo = config_to_dict(cfg)
+    json.dumps(echo, allow_nan=False)
+    again = parse_config_dict(echo)
+    assert again == cfg and config_hash(again) == config_hash(cfg)
+    loaded = pickle.loads(pickle.dumps(cfg))
+    assert loaded == cfg
+    assert loaded.model.coeffs.tobytes() == cfg.model.coeffs.tobytes()
+    assert loaded.model.linear_coeffs.tobytes() == cfg.model.linear_coeffs.tobytes()
+    assert loaded.u0.values.tobytes() == cfg.u0.values.tobytes()
+    for spec in (cfg.noise_spec, cfg.ic_spec, *cfg.noise_spec.get("coefficients", ())):
+        with pytest.raises(TypeError):
+            spec["kind"] = "constant"
 
 
 def test_load_config_missing_file(tmp_path):
@@ -389,7 +442,9 @@ def test_cli_simulate_splitstep_overflow_exit_3(tmp_path, capsys, ic_amplitude, 
 
 # -- failure contract --------------------------------------------------------
 # Every failure path of the CLI, as (files to write, argv, environment,
-# exit code, stderr error kind).  "{tmp}" in argv is the test's directory.
+# exit code, stderr error kind).  "{tmp}" in argv is the test's directory,
+# which is also the working directory, so a relative path in a field spec
+# names a file written there.
 
 BLOWUP_DOC = dict(
     VALID_DOC,
@@ -399,6 +454,9 @@ BLOWUP_DOC = dict(
 )
 SIMULATE = ["simulate", "{tmp}/c.json", "--out", "{tmp}/out"]
 ENSEMBLE = ["ensemble", "{tmp}/c.json", "--out", "{tmp}/out"]
+# a field file in the layout of `write_field`, on the grid of VALID_DOC
+FIELD_64 = field_to_bytes(constant_field(Grid(d=1, n=64, L=32.0), 0.5))
+FILE_IC = dict(VALID_DOC, initial_condition={"kind": "file", "path": "ic.field"})
 
 CLI_FAILURES = {
     "missing-config": ({}, SIMULATE, {}, 4, "IOError"),
@@ -406,6 +464,10 @@ CLI_FAILURES = {
     "picard-blowup": ({"c.json": BLOWUP_DOC}, SIMULATE, {}, 3, "BlowUp"),
     "keep-paths-with-levels": (
         {"c.json": VALID_DOC}, ENSEMBLE + ["--paths", "2", "--levels", "4,8", "--keep-paths"], {}, 2, "ConfigError"
+    ),
+    # a level study is a Picard study
+    "levels-with-scheme-splitstep": (
+        {"c.json": VALID_DOC}, ENSEMBLE + ["--paths", "2", "--levels", "4,8", "--scheme", "splitstep"], {}, 2, "ConfigError"
     ),
     "levels-not-numbers": ({"c.json": VALID_DOC}, ENSEMBLE + ["--paths", "2", "--levels", "4,x"], {}, 2, "ConfigError"),
     # a level item follows the config's level rule: "inf" is its one infinite spelling
@@ -423,6 +485,18 @@ CLI_FAILURES = {
     "table-row-alpha-not-rational": (
         {"t.csv": "d,alpha,gamma\n1,x,1\n"}, ["exponents", "--table-file", "{tmp}/t.csv"], {}, 2, "ConfigError"
     ),
+    "table-row-two-columns": (
+        {"t.csv": "d,alpha,gamma\n1,2\n"}, ["exponents", "--table-file", "{tmp}/t.csv"], {}, 2, "ConfigError"
+    ),
+    "config-not-json": ({"c.json": "{not json"}, SIMULATE, {}, 2, "ConfigError"),
+    "config-not-an-object": ({"c.json": [VALID_DOC]}, SIMULATE, {}, 2, "ConfigError"),
+    # a field file on another grid, cut short of its header, or holding fewer values than its header promises
+    "field-file-other-grid": (
+        {"c.json": FILE_IC, "ic.field": field_to_bytes(constant_field(Grid(d=1, n=32, L=32.0), 0.5))},
+        SIMULATE, {}, 2, "ConfigError",
+    ),
+    "field-file-truncated-header": ({"c.json": FILE_IC, "ic.field": FIELD_64[:10]}, SIMULATE, {}, 2, "SnlsError"),
+    "field-file-size-mismatch": ({"c.json": FILE_IC, "ic.field": FIELD_64[:-16]}, SIMULATE, {}, 2, "SnlsError"),
     "verify-json-into-directory": ({}, ["verify", "--suite", "exponents", "--json", "{tmp}"], {}, 4, "IOError"),
     "out-names-a-file": (
         {"c.json": VALID_DOC, "f": "x"}, ["simulate", "{tmp}/c.json", "--out", "{tmp}/f"], {}, 4, "IOError"
@@ -458,6 +532,9 @@ MALFORMED = {
     "ic-center-x": _ic(center=["x"]),
     "plane-wave-mode-x": dict(VALID_DOC, initial_condition={"kind": "plane_wave", "mode": ["x"]}),
     "noise-coefficients-3": dict(VALID_DOC, noise={"coefficients": 3}),
+    "noise-unknown-key": dict(VALID_DOC, noise=dict(VALID_DOC["noise"], coefficient=[])),
+    "constant-value-missing": dict(VALID_DOC, noise={"coefficients": [{"kind": "constant"}]}),
+    "T-0": dict(VALID_DOC, T=0),
     # an integer path would be opened as a file descriptor
     "file-path-int": dict(VALID_DOC, initial_condition={"kind": "file", "path": 987}),
     # integer keys take integers or integral floats; they never truncate
@@ -501,9 +578,15 @@ CLI_FAILURES.update({name: ({"c.json": doc}, SIMULATE, {}, 2, "ConfigError") for
 
 
 def run_cli_case(tmp_path, capsys, monkeypatch, files, argv, env):
-    """Run one CLI case; return its exit code and its stderr lines."""
+    """Run one CLI case in `tmp_path`; return its exit code and its stderr
+    lines.  A file's content is written as given if bytes or a string, and
+    as JSON otherwise."""
+    monkeypatch.chdir(tmp_path)
     for name, content in files.items():
-        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     code = main([arg.format(tmp=tmp_path) for arg in argv])
@@ -600,6 +683,13 @@ def test_cli_ensemble_levels(tmp_path):
     assert len(lines) == 3
     manifest = json.loads((tmp_path / "lev" / "manifest.json").read_text())
     assert sorted(manifest["outputs"]) == ["levels.csv", "summary.json"]
+    assert manifest["levels"] == [4.0, 8.0]
+    # the config's own split-step scheme still runs a Picard study; the manifest names the levels as read
+    assert main(["ensemble", cfg_path, "--paths", "2", "--levels", "8,inf", "--out", out]) == 0
+    manifest = json.loads((tmp_path / "lev" / "manifest.json").read_text())
+    assert manifest["levels"] == [8.0, "inf"] and manifest["config"]["scheme"] == "splitstep"
+    summary = json.loads((tmp_path / "lev" / "summary.json").read_text())
+    assert [s["scheme"] for s in summary["summaries"]] == ["picard", "picard"]
 
 
 def test_file_based_field_specs(tmp_path):

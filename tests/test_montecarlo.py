@@ -104,19 +104,35 @@ def test_path_count_must_be_an_integer():
     assert json_value(run_ensemble(config(), 3.0)) == json_value(run_ensemble(config(), 3))
 
 
-def test_serial_ensemble_builds_the_model_once(monkeypatch):
-    """The chunks of a serial ensemble share its config, which builds its
-    noise model on first use: one build for four chunks."""
+def _count_model_builds(monkeypatch) -> list:
+    """Patch the noise model builder to record its calls; return the record."""
     import snls.config
 
-    monkeypatch.delenv("SNLS_THREADS", raising=False)
-    monkeypatch.setattr(mc, "CHUNK_STACK_BYTES", 16 * GRID.size)
-    assert len(path_chunks(4, GRID.size)) == 4
     builds = []
     build = snls.config.build_noise_model
     monkeypatch.setattr(snls.config, "build_noise_model", lambda *a: builds.append(a) or build(*a))
-    run_ensemble(config(), 4, seed=3)
+    return builds
+
+
+def test_serial_ensemble_builds_the_model_once(monkeypatch):
+    """The chunks of a serial ensemble share its seeded config, which built
+    its noise model when it was made: one build for four chunks."""
+    monkeypatch.delenv("SNLS_THREADS", raising=False)
+    monkeypatch.setattr(mc, "CHUNK_STACK_BYTES", 16 * GRID.size)
+    assert len(path_chunks(4, GRID.size)) == 4
+    cfg = config()
+    builds = _count_model_builds(monkeypatch)
+    run_ensemble(cfg, 4, seed=3)
     assert len(builds) == 1
+
+
+def test_level_study_builds_the_model_once_per_level(monkeypatch):
+    """Each level's config, seed included, is made in one step."""
+    monkeypatch.delenv("SNLS_THREADS", raising=False)
+    cfg = config()
+    builds = _count_model_builds(monkeypatch)
+    truncation_uniformity_study(cfg, (2.0, 4.0, "inf"), 2, seed=3)
+    assert len(builds) == 3
 
 
 def test_solve_path_outcome_fields():

@@ -63,8 +63,8 @@ def test_config_validation():
 
 
 def test_config_builds_its_model_and_initial_state_once():
-    """A config builds its noise model and initial state on first use and
-    keeps them; it is frozen, so they cannot go stale, and a replaced
+    """A config builds its noise model and initial state when it is made
+    and keeps them; it is frozen, so they cannot go stale, and a replaced
     config builds its own from its own specs."""
     cfg = config()
     assert cfg.model is cfg.model and cfg.u0 is cfg.u0

@@ -204,11 +204,16 @@ def _read_only(spec):
 
 
 def read_levels(levels) -> list:
-    """Cutoff levels read by the config's level rule (`as_level`)."""
+    """Cutoff levels read by the config's level rule (`as_level`), each
+    positive, as a config's own level is."""
     try:
-        return [as_level(n) for n in levels]
+        read = [as_level(n) for n in levels]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f'truncation levels {levels} are not all finite numbers or "inf": {exc}') from exc
+    for n in read:
+        if not n > 0:
+            raise ConfigError(f"truncation level must be positive, got {n}")
+    return read
 
 
 # The keys each field kind reads, besides "kind".

@@ -17,12 +17,22 @@ import numpy as np
 from .errors import OutOfRange
 
 
-def theta(x, level: float):
+def theta(x, level):
     """Cutoff: 1 on [0, level], 2 - x/level on [level, 2 level], 0 beyond.
 
-    Accepts scalars or arrays; level = inf gives the constant 1 (cutoff
-    disabled).  Lipschitz with constant 1/level.
+    Accepts scalars or arrays, and a level array that broadcasts against x
+    (say one level per row), whose every element is the value of the
+    scalar-level call, bitwise.  An infinite level gives the constant 1
+    (cutoff disabled), whatever x.  Lipschitz with constant 1/level.
     """
+    if not isinstance(level, (int, float)) and np.ndim(level):
+        level = np.asarray(level, dtype=float)
+        if (level <= 0).any():
+            raise OutOfRange(f"levels must be positive, got {level}")
+        off = np.isinf(level)
+        # x / 1 where the level is infinite: no inf / inf, and 1.0 replaces it
+        cut = np.minimum(np.maximum(2.0 - np.asarray(x, dtype=float) / np.where(off, 1.0, level), 0.0), 1.0)
+        return np.where(off, 1.0, cut)
     if level <= 0:
         raise OutOfRange(f"level must be positive, got {level}")
     if not np.ndim(x):

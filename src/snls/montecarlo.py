@@ -2,13 +2,17 @@
 
 Paths are keyed by (seed, path_index) alone and solved in chunks of
 consecutive indices, each chunk marched as one stack by
-`solver.solve_paths`.  A path's result is bitwise the same whatever chunk
-it lands in, so identical inputs give bitwise-identical summaries under
-any chunking, execution order or worker count; aggregation is an ordered
-reduction by path index.  A chunk's (P, grid.size) complex stack is capped
-at CHUNK_STACK_BYTES.  Failed paths (any SolverError, such as a step that
-blew up) are first-class results: recorded as `{"path_index", "error"}`
-records and never silently dropped from denominators.  `config.write_json`
+`solver.solve_paths`.  A level study samples each path once and marches it
+at every level in one stack, level-major, since the cutoff level is
+per-row data of the engine; an ensemble is its one-level case.  A path's
+result is bitwise the same whatever chunk or level it shares a stack
+with, so identical inputs give bitwise-identical summaries under any
+chunking, execution order or worker count; aggregation is an ordered
+reduction by path index, per level.  A chunk's stack, each path once per
+level, is capped at CHUNK_STACK_BYTES of complex128 rows.  Failed paths
+(any SolverError, such as a step that blew up) are first-class results:
+recorded as `{"path_index", "error"}` records and never silently dropped
+from denominators.  `config.write_json`
 writes the summary, the level study and the per-path reports as they are.
 
 Worker count: the SNLS_THREADS environment variable caps process workers,
@@ -53,16 +57,20 @@ class PathOutcome:
     error: str = ""
 
 
-def solve_chunk(config: SimConfig, indices, persist_dir: str | None = None) -> list:
-    """Solve the paths `indices`, marched as one stack, and reduce each to
-    its PathOutcome for the ensemble statistics.
+def solve_chunk(config: SimConfig, indices, persist_dir: str | None = None, levels=None) -> list:
+    """Solve the paths `indices` at each cutoff level of `levels` (by
+    default the config's own), sampled once and marched as one level-major
+    stack, and reduce each row to its PathOutcome for the ensemble
+    statistics: the first level's outcomes in path order, then the next's.
 
     With `persist_dir` set, each per-path report (outcome plus the solver's
     report summary: tau, cutoff activity, half-box leakage, notes) is
-    written there as `path_<index>.json`.
+    written there as `path_<index>.json`, so it takes one level.
     """
-    results = solve_paths(config, [path_for(config, i) for i in indices])
-    return [_outcome(config, i, r, persist_dir) for i, r in zip(indices, results)]
+    levels = [config.truncation_level] if levels is None else levels
+    paths = [path_for(config, i) for i in indices]
+    results = solve_paths(config, paths * len(levels), levels=np.repeat(levels, len(paths)))
+    return [_outcome(config, i, r, persist_dir) for i, r in zip(list(indices) * len(levels), results)]
 
 
 def _outcome(config: SimConfig, path_index: int, result, persist_dir: str | None) -> PathOutcome:
@@ -147,12 +155,81 @@ def worker_count(n_paths: int) -> int:
     return max(1, min(w, n_paths))
 
 
-def path_chunks(n_paths: int, grid_size: int, workers: int = 1) -> list:
-    """Consecutive index ranges: at most CHUNK_STACK_BYTES of stack each,
-    and at least `workers` of them when there are that many paths."""
-    rows = max(1, CHUNK_STACK_BYTES // (16 * grid_size))
+def path_chunks(n_paths: int, grid_size: int, workers: int = 1, levels: int = 1) -> list:
+    """Consecutive index ranges whose stack, each path at `levels` levels,
+    holds at most CHUNK_STACK_BYTES (one path at least), and at least
+    `workers` of them when there are that many paths."""
+    rows = max(1, CHUNK_STACK_BYTES // (16 * grid_size * levels))
     rows = min(rows, -(-n_paths // workers))
     return [range(s, min(s + rows, n_paths)) for s in range(0, n_paths, rows)]
+
+
+def _path_count(n_paths) -> int:
+    """`n_paths` by the config's integer rule (`config.as_integer`), at least 2."""
+    try:
+        n_paths = as_integer(n_paths)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"path count must be an integer, got {n_paths!r}") from exc
+    if n_paths < 2:
+        raise ConfigError(f"an ensemble needs at least 2 paths, got {n_paths}")
+    return n_paths
+
+
+def _outcomes_per_level(config: SimConfig, n_paths: int, levels, persist_dir: str | None = None) -> list:
+    """The PathOutcomes of paths 0 .. n_paths - 1, one list per level in
+    path order: `path_chunks` of paths x levels rows, each solved by
+    `solve_chunk`, in process or by SNLS_THREADS worker processes."""
+    workers = worker_count(n_paths)
+    chunks = path_chunks(n_paths, config.grid.size, workers, len(levels))
+    # the chunks are ascending ranges, kept in order by both branches: outcomes come in path order
+    if workers == 1:
+        done = [solve_chunk(config, chunk, persist_dir, levels) for chunk in chunks]
+    else:
+        # imported here, so that serial runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        n = len(chunks)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(solve_chunk, [config] * n, chunks, [persist_dir] * n, [levels] * n))
+    # a chunk's outcomes are level-major: level k holds its k-th run of len(chunk)
+    return [
+        [o for chunk, outs in zip(chunks, done) for o in outs[k * len(chunk) : (k + 1) * len(chunk)]]
+        for k in range(len(levels))
+    ]
+
+
+def _summarize(config: SimConfig, outcomes: list, level: float) -> EnsembleSummary:
+    """The ensemble statistics of one level's outcomes, in path order."""
+    taus = np.array([o.tau for o in outcomes])
+    yt = np.array([o.yt_norm for o in outcomes])
+    zf = np.array([o.z_final for o in outcomes])
+    sm = np.array([o.sup_mass for o in outcomes])
+    ok = np.array([o.ok for o in outcomes])
+    failures = [{"path_index": o.path_index, "error": o.error} for o in outcomes if not o.ok]
+
+    mean_yt, se_yt = _mean_stderr(yt[ok])
+    sup_mass_p = {p: _mean_stderr(sm[ok] ** p) for p in _SUP_MASS_POWERS}
+    # tau is a mesh time, and the config mesh ends at T exactly
+    hits = ok & (taus == config.T)
+    freq, se_freq = _mean_stderr(hits.astype(float))
+
+    return EnsembleSummary(
+        n_paths=len(outcomes),
+        n_failed=int(np.sum(~ok)),
+        seed=config.seed,
+        scheme=config.scheme,
+        truncation_level=level,
+        mean_yt_norm=mean_yt,
+        stderr_yt_norm=se_yt,
+        mean_sup_mass_p=sup_mass_p,
+        tau_equals_T_frequency=freq,
+        stderr_tau_frequency=se_freq,
+        taus=taus,
+        yt_norms=yt,
+        z_finals=zf,
+        sup_masses=sm,
+        failures=failures,
+    )
 
 
 def run_ensemble(
@@ -168,58 +245,11 @@ def run_ensemble(
     by the config's integer rule (`config.as_integer`), and a value it
     refuses raises ConfigError.
     """
-    try:
-        n_paths = as_integer(n_paths)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"path count must be an integer, got {n_paths!r}") from exc
-    if n_paths < 2:
-        raise ConfigError(f"an ensemble needs at least 2 paths, got {n_paths}")
+    n_paths = _path_count(n_paths)
     if seed is not None:
         config = replace(config, seed=seed)
-    workers = worker_count(n_paths)
-    chunks = path_chunks(n_paths, config.grid.size, workers)
-    # the chunks are ascending ranges, kept in order by both branches: outcomes come in path order
-    if workers == 1:
-        outcomes = [o for chunk in chunks for o in solve_chunk(config, chunk, persist_dir)]
-    else:
-        # imported here, so that serial runs never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        n = len(chunks)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = pool.map(solve_chunk, [config] * n, chunks, [persist_dir] * n)
-            outcomes = [o for chunk in done for o in chunk]
-
-    taus = np.array([o.tau for o in outcomes])
-    yt = np.array([o.yt_norm for o in outcomes])
-    zf = np.array([o.z_final for o in outcomes])
-    sm = np.array([o.sup_mass for o in outcomes])
-    ok = np.array([o.ok for o in outcomes])
-    failures = [{"path_index": o.path_index, "error": o.error} for o in outcomes if not o.ok]
-
-    mean_yt, se_yt = _mean_stderr(yt[ok])
-    sup_mass_p = {p: _mean_stderr(sm[ok] ** p) for p in _SUP_MASS_POWERS}
-    # tau is a mesh time, and the config mesh ends at T exactly
-    hits = ok & (taus == config.T)
-    freq, se_freq = _mean_stderr(hits.astype(float))
-
-    return EnsembleSummary(
-        n_paths=n_paths,
-        n_failed=int(np.sum(~ok)),
-        seed=config.seed,
-        scheme=config.scheme,
-        truncation_level=config.truncation_level,
-        mean_yt_norm=mean_yt,
-        stderr_yt_norm=se_yt,
-        mean_sup_mass_p=sup_mass_p,
-        tau_equals_T_frequency=freq,
-        stderr_tau_frequency=se_freq,
-        taus=taus,
-        yt_norms=yt,
-        z_finals=zf,
-        sup_masses=sm,
-        failures=failures,
-    )
+    (outcomes,) = _outcomes_per_level(config, n_paths, [config.truncation_level], persist_dir)
+    return _summarize(config, outcomes, config.truncation_level)
 
 
 @dataclass
@@ -236,19 +266,22 @@ def truncation_uniformity_study(
 ) -> UniformityStudy:
     """Estimate the mean Y-norm per cutoff level with shared paths.
 
-    Paths are keyed by (seed, path_index) only, so every level sees the
-    same Brownian increments; the max/min ratio of the per-level means
-    reports how uniform the estimates are across levels.
+    Paths are keyed by (seed, path_index) only; each is sampled once and
+    marched at every level in one stack, so every level sees the same
+    Brownian increments, and each level's summary is bitwise the one-level
+    `run_ensemble` of its config.  The max/min ratio of the per-level means
+    reports how uniform the estimates are across levels.  `n_paths` follows
+    `run_ensemble`'s rule, and the levels must be positive and strictly
+    increasing (ConfigError).
     """
     levels = read_levels(levels)
-    if any(b <= a for a, b in zip(levels, levels[1:])):
+    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigError(f"levels must be strictly increasing, got {levels}")
-    # one replace per level, seed included, since each config builds its model when it is made
-    seed = config.seed if seed is None else seed
-    summaries = []
-    for level in levels:
-        cfg = replace(config, scheme="picard", truncation_level=level, seed=seed)
-        summaries.append(run_ensemble(cfg, n_paths))
+    n_paths = _path_count(n_paths)
+    # one Picard config for every level, seed included: its model is built once
+    config = replace(config, scheme="picard", seed=config.seed if seed is None else seed)
+    per_level = _outcomes_per_level(config, n_paths, levels)
+    summaries = [_summarize(config, outcomes, level) for outcomes, level in zip(per_level, levels)]
     means = [s.mean_yt_norm for s in summaries if not math.isnan(s.mean_yt_norm)]
     if means and min(means) > 0:
         ratio = max(means) / min(means)
@@ -267,8 +300,6 @@ def chebyshev_consistency(summary: EnsembleSummary, levels):
     that is not positive raises ConfigError.
     """
     levels = read_levels(levels)
-    if any(not n > 0 for n in levels):
-        raise ConfigError(f"levels must be positive, got {levels}")
     z = summary.z_finals[np.isfinite(summary.z_finals)]
     records = []
     if z.size == 0:

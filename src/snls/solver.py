@@ -20,14 +20,14 @@ transforms: the engine transforms u0 once and carries v̂ alone.
 Both schemes run in one engine, `solve_paths`, which marches P paths as a
 (P, grid.size) stack: a batched 1-D FFT per spatial axis and transform, one
 |v|^2 pass per block of steps for the norms and the half-box leakage, kept
-with the accumulators as columns, and the cutoff theta(Z) per row.  A path's
-result does not depend on the block size or on the other rows of its stack,
-bitwise.  Every row marches to the last step; the march only records.  Each
-path's verdicts are read from its columns afterwards: its stopping time,
-whether the cutoff ever acted, its half-box leakage (the row max), and, for
-a row whose L^2 norm leaves BLOWUP_L2 or whose running-norm accumulators
-stop being finite, the BlowUp at the first such step.  `solve` is the P = 1
-case, in the config's scheme.
+with the accumulators as columns, and the cutoff theta(Z) per row, at the
+row's level.  A path's result does not depend on the block size or on the
+other rows of its stack, bitwise.  Every row marches to the last step; the
+march only records.  Each path's verdicts are read from its columns
+afterwards: its stopping time, whether the cutoff ever acted, its half-box
+leakage (the row max), and, for a row whose L^2 norm leaves BLOWUP_L2 or
+whose running-norm accumulators stop being finite, the BlowUp at the first
+such step.  `solve` is the P = 1 case, in the config's scheme.
 """
 
 from __future__ import annotations
@@ -108,9 +108,11 @@ def solve(
 # ---------------------------------------------------------------------------
 
 
-def solve_paths(config: SimConfig, paths, keep_states: bool = False) -> list:
+def solve_paths(config: SimConfig, paths, keep_states: bool = False, levels=None) -> list:
     """March P paths of config.scheme as one (P, grid.size) stack, from the
-    config's initial state with its noise model.
+    config's initial state with its noise model.  Row r's cutoff level is
+    levels[r], by default config.truncation_level for every row; a path
+    given twice with two levels is solved at each.
 
     Returns one result per path, in order: its SolveReport, or the BlowUp
     of a path whose step gave non-finite values, an L^2 norm above
@@ -128,15 +130,18 @@ def solve_paths(config: SimConfig, paths, keep_states: bool = False) -> list:
     Every row is computed with numpy ufuncs, row-wise FFTs and sums over
     the C-contiguous last axis, mode sums in a fixed order and accumulators
     as left folds along time, so a path's result is bitwise the same in any
-    batch, at any position, for any B.  Each path is checked once, before
-    the stack: a mesh more than 1e-12 off the config mesh at any point
+    batch, at any position, for any B.  Each row's path is checked once,
+    before the stack: a mesh more than 1e-12 off the config mesh at any point
     raises MeshMismatch, increments not of shape (config.model.total_modes, K)
-    LengthMismatch.
+    LengthMismatch, and `levels` not of length P LengthMismatch.
     """
     mesh, model = config.mesh(), config.model
     P, M, K = len(paths), model.total_modes, config.n_steps
+    levels = np.full(P, config.truncation_level) if levels is None else np.asarray(levels, dtype=float)
+    if levels.shape != (P,):
+        raise LengthMismatch(f"{np.size(levels)} cutoff levels for {P} paths")
     for r, path in enumerate(paths):
-        if np.shape(path.mesh) != mesh.shape or not np.allclose(path.mesh, mesh, rtol=0.0, atol=1e-12):
+        if np.shape(path.mesh) != mesh.shape or not (np.abs(path.mesh - mesh) <= 1e-12).all():
             raise MeshMismatch(f"path {r} mesh ({np.size(path.mesh)} points) is not the config mesh ({mesh.size})")
         shape = np.shape(path.increments)
         if shape != (M, K):
@@ -157,7 +162,7 @@ def solve_paths(config: SimConfig, paths, keep_states: bool = False) -> list:
     states = np.empty((K + 1, P, grid.size), dtype=np.complex128) if keep_states else None
     v = np.repeat(config.u0.values[None, :], P, axis=0)
     if config.scheme == "picard":
-        step, carry, B = _picard_step(config, model, zexp), v, 1
+        step, carry, B = _picard_step(config, model, zexp, levels), v, 1
     else:
         step, carry = _splitstep_step(config, model), get_plan(grid, config.enable_laplacian).forward(v)
         B = max(1, RECORD_BLOCK_BYTES // (8 * P * grid.size))
@@ -194,7 +199,7 @@ def solve_paths(config: SimConfig, paths, keep_states: bool = False) -> list:
         mass, leak, acc1, acc2 = mass.T, leak.T, acc1.T, acc2.T
         failed = ~((mass[:, 1:] <= BLOWUP_L2) & np.isfinite(acc1[:, 1:] + acc2[:, 1:]))
         z = np.add(*z_components(acc1, acc2, zexp))
-        active = (config.scheme == "picard") & np.any(theta(z[:, :K], config.truncation_level) < 1.0, axis=1)
+        active = (config.scheme == "picard") & np.any(theta(z[:, :K], levels[:, None]) < 1.0, axis=1)
         halfbox = np.max(leak, axis=1)
     notes = _config_notes(config)
     results = []
@@ -212,7 +217,7 @@ def solve_paths(config: SimConfig, paths, keep_states: bool = False) -> list:
         results.append(
             SolveReport(
                 trajectory=traj,
-                tau=detect_stopping_time(mesh, z[r], config.truncation_level),
+                tau=detect_stopping_time(mesh, z[r], float(levels[r])),
                 truncation_ever_active=bool(active[r]),
                 scheme=config.scheme,
                 halfbox_leakage=float(halfbox[r]),
@@ -313,12 +318,13 @@ def _splitstep_step(config: SimConfig, model: NoiseModel):
     return step
 
 
-def _picard_step(config: SimConfig, model: NoiseModel, zexp):
+def _picard_step(config: SimConfig, model: NoiseModel, zexp, levels):
     """One exponential-Euler (Lawson) step of a (R, size) stack, v_l ->
     (v_{l+1}, v_{l+1}): the state to record and the next step's input.
 
-    Step l reads phi_l = theta(Z_{t_l}, level) from the running-norm
-    accumulators of the states up to t_l, then sets
+    Step l reads phi_l = theta(Z_{t_l}, level) per row, at the row's entry
+    of `levels`, from the running-norm accumulators of the states up to
+    t_l, then sets
 
         v_{l+1} = U(dt) (v_l + dt F(v_l, phi_l) + K(v_l, phi_l, dbeta_l))
 
@@ -334,11 +340,10 @@ def _picard_step(config: SimConfig, model: NoiseModel, zexp):
     gamma = float(config.params.gamma)
     lam = config.params.lam if config.enable_nonlinearity else 0
     mult_dt = plan.multiplier(dt)
-    level = config.truncation_level
 
     def step(v, acc1, acc2, dinc):
         z1, z2 = z_components(acc1, acc2, zexp)
-        phi = theta(z1 + z2, level)
+        phi = theta(z1 + z2, levels)
         w = _ito_step(v, phi[:, None], dinc, dt, lam, alpha, gamma, model)
         v = plan.inverse(mult_dt * plan.forward(w))
         return v, v
@@ -347,7 +352,8 @@ def _picard_step(config: SimConfig, model: NoiseModel, zexp):
 
 
 def path_coincidence_check(config: SimConfig, paths, levels) -> tuple[list, list]:
-    """Picard solves of `paths` at two cutoff levels, each level one stack.
+    """Picard solves of `paths` at two cutoff levels, marched as one
+    level-major stack.
 
     Returns (gaps, taus): per path, the max relative L^2 gap between the
     two runs over the mesh times up to the lower level's stopping time, and
@@ -358,11 +364,11 @@ def path_coincidence_check(config: SimConfig, paths, levels) -> tuple[list, list
     read = read_levels(levels)
     if len(read) != 2 or not read[0] < read[1]:
         raise ConfigError(f"path coincidence needs two increasing levels, got {levels}")
-    low, high = (
-        solve_paths(replace(config, scheme="picard", truncation_level=n), paths, keep_states=True) for n in read
-    )
+    paths = list(paths)
+    levels = np.repeat(read, len(paths))
+    results = solve_paths(replace(config, scheme="picard"), paths * 2, keep_states=True, levels=levels)
     gaps, taus = [], []
-    for rep1, rep2 in zip(low, high):
+    for rep1, rep2 in zip(results[: len(paths)], results[len(paths) :]):
         for rep in (rep1, rep2):
             if isinstance(rep, SolverError):
                 raise rep

@@ -1,6 +1,7 @@
 """Reference helpers that only tests call: a zero field, a kept state of a
 trajectory as a field, the Bochner norm recomputed from stored states, a
-mesh-thinned Brownian path and the Stratonovich–Heun diffusion march.
+mesh-thinned Brownian path, the Stratonovich–Heun diffusion march and a
+record of the noise-model builds.
 
 Each is written against the public `snls` names alone, so a test that
 compares the package with one of them checks the package from outside.
@@ -89,3 +90,13 @@ def heun_stratonovich_diffusion(
         k2 = noise_term(v + k1, model, g, inc)
         v = v + 0.5 * (k1 + k2)
     return ComplexField(u0.grid, v)
+
+
+def count_model_builds(monkeypatch) -> list:
+    """Patch the noise model builder to record its calls; return the record."""
+    import snls.config
+
+    builds = []
+    build = snls.config.build_noise_model
+    monkeypatch.setattr(snls.config, "build_noise_model", lambda *a: builds.append(a) or build(*a))
+    return builds

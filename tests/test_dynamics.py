@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from snls.dynamics import detect_stopping_time, theta
+from snls.errors import OutOfRange
 from snls.exponents import ModelParams, z_exponents
 from snls.grid_field import Grid, Trajectory, random_field
 
@@ -41,6 +42,29 @@ def test_theta_lipschitz_randomized():
         assert abs(theta(x, level) - theta(y, level)) <= abs(x - y) / level + 1e-15
         # scalar and array inputs take different code paths with the same arithmetic
         assert theta(x, level) == theta(np.array([x]), level)[0]
+
+
+def test_theta_takes_a_level_per_row():
+    """A level array that broadcasts against x gives, element by element,
+    bitwise the scalar-level call; an infinite level gives exactly 1.0 even
+    at Z = inf or NaN, as the scalar call does; any level <= 0 raises."""
+    rng = np.random.default_rng(11)
+    levels = np.array([0.05, 0.7, 2.0, 13.0, math.inf])
+    x = rng.uniform(0.0, 30.0, size=(5, 40))
+    x[:, :3] = [0.0, math.inf, math.nan]
+    x[:, 3:5] = levels[:, None] * [1.0, 2.0]
+    got = theta(x, levels[:, None])
+    assert got.shape == x.shape
+    for r, level in enumerate(levels):
+        row = theta(x[r], level)
+        assert got[r].tobytes() == row.tobytes()
+        assert all(np.array_equal(theta(v, level), got[r, j], equal_nan=True) for j, v in enumerate(x[r]))
+    assert np.all(got[-1] == 1.0) and theta(math.inf, math.inf) == theta(math.nan, math.inf) == 1.0
+    # a level per column broadcasts the other way
+    assert theta(x[:4].T, levels[:4]).tobytes() == got[:4].T.copy().tobytes()
+    for bad in ([1.0, 0.0], [-1.0, math.inf], [[2.0], [-0.5]]):
+        with pytest.raises(OutOfRange):
+            theta(np.ones(2), np.array(bad))
 
 
 def test_cutoff_nonincreasing_along_trajectory():

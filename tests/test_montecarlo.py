@@ -25,6 +25,8 @@ from snls.montecarlo import (
 from snls.errors import BlowUp, ConfigError
 from snls.solver import BLOWUP_L2, solve
 
+from reference import count_model_builds
+
 PARAMS = ModelParams(d=1, alpha=Fraction(2), gamma=Fraction(1), lam=1)
 GRID = Grid(d=1, n=64, L=32.0)
 
@@ -101,17 +103,12 @@ def test_path_count_must_be_an_integer():
             run_ensemble(config(), bad)
         with pytest.raises(ConfigError, match="path count"):
             truncation_uniformity_study(config(), (2.0, 4.0), bad)
+    # an ensemble needs two paths, in a level study too
+    with pytest.raises(ConfigError, match="at least 2 paths"):
+        run_ensemble(config(), 1)
+    with pytest.raises(ConfigError, match="at least 2 paths"):
+        truncation_uniformity_study(config(), (2.0, 4.0), 1)
     assert json_value(run_ensemble(config(), 3.0)) == json_value(run_ensemble(config(), 3))
-
-
-def _count_model_builds(monkeypatch) -> list:
-    """Patch the noise model builder to record its calls; return the record."""
-    import snls.config
-
-    builds = []
-    build = snls.config.build_noise_model
-    monkeypatch.setattr(snls.config, "build_noise_model", lambda *a: builds.append(a) or build(*a))
-    return builds
 
 
 def test_serial_ensemble_builds_the_model_once(monkeypatch):
@@ -121,18 +118,63 @@ def test_serial_ensemble_builds_the_model_once(monkeypatch):
     monkeypatch.setattr(mc, "CHUNK_STACK_BYTES", 16 * GRID.size)
     assert len(path_chunks(4, GRID.size)) == 4
     cfg = config()
-    builds = _count_model_builds(monkeypatch)
+    builds = count_model_builds(monkeypatch)
     run_ensemble(cfg, 4, seed=3)
     assert len(builds) == 1
 
 
-def test_level_study_builds_the_model_once_per_level(monkeypatch):
-    """Each level's config, seed included, is made in one step."""
+def test_level_study_builds_one_config_for_all_levels(monkeypatch):
+    """The study makes one Picard config, seed included, in one step, and
+    marches every level on it: one model build for three levels."""
     monkeypatch.delenv("SNLS_THREADS", raising=False)
     cfg = config()
-    builds = _count_model_builds(monkeypatch)
+    builds = count_model_builds(monkeypatch)
     truncation_uniformity_study(cfg, (2.0, 4.0, "inf"), 2, seed=3)
-    assert len(builds) == 3
+    assert len(builds) == 1
+
+
+def _study_matches_per_level_ensembles(cfg, levels, n_paths, seed):
+    """Assert that a level study's summaries equal, field by field and with
+    bitwise-equal arrays, the one-level ensembles of each level on the same
+    seed; return the study."""
+    study = truncation_uniformity_study(cfg, levels, n_paths, seed=seed)
+    for level, summary in zip(study.levels, study.summaries):
+        alone = run_ensemble(replace(cfg, scheme="picard", truncation_level=level), n_paths, seed=seed)
+        for name, value in vars(alone).items():
+            got = getattr(summary, name)
+            if isinstance(value, np.ndarray):
+                assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), (level, name)
+            else:
+                assert json_value(got) == json_value(value), (level, name)
+    return study
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_level_study_is_bitwise_the_per_level_ensembles(monkeypatch, threads):
+    """Every level marched in one stack on paths sampled once gives the
+    summaries of separate ensembles, bitwise, serially and with two
+    workers; rows cross levels 2 and 4 in mid-run."""
+    if threads is None:
+        monkeypatch.delenv("SNLS_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SNLS_THREADS", threads)
+    cfg = config(ic_spec={"kind": "gaussian_bump", "amplitude": 1.2, "width": 2.0}, T=1.0)
+    study = _study_matches_per_level_ensembles(cfg, (2, 4, "inf"), 6, 5)
+    low, mid, top = (s.taus for s in study.summaries)
+    assert np.all(low < cfg.T) and np.any((cfg.dt < mid) & (mid < cfg.T)) and np.all(top == cfg.T)
+
+
+def test_level_study_chunks_paths_times_levels(monkeypatch):
+    """On a grid of 4096 points a chunk holds 4 paths at one level but 1 at
+    three, so the study's 4 paths march in 4 stacks of 3 rows, and still
+    equal the one-chunk ensembles of each level bitwise."""
+    monkeypatch.delenv("SNLS_THREADS", raising=False)
+    grid = Grid(d=1, n=4096, L=32.0)
+    assert len(path_chunks(4, grid.size)) == 1
+    assert [list(c) for c in path_chunks(4, grid.size, levels=3)] == [[0], [1], [2], [3]]
+    cfg = config(grid=grid, T=0.25, ic_spec={"kind": "gaussian_bump", "amplitude": 1.2, "width": 2.0})
+    study = _study_matches_per_level_ensembles(cfg, (0.5, 1, "inf"), 4, 8)
+    assert any(0 < t < cfg.T for t in study.summaries[0].taus)
 
 
 def test_solve_path_outcome_fields():
@@ -177,6 +219,10 @@ def test_tau_frequency_monotone_across_levels():
 def test_uniformity_study_requires_increasing_levels():
     with pytest.raises(ConfigError):
         truncation_uniformity_study(config(), [4.0, 4.0], 2)
+    # at least one level, each positive
+    for bad in ([], [0, 4.0], [-1.0, 4.0]):
+        with pytest.raises(ConfigError):
+            truncation_uniformity_study(config(), bad, 2)
     # a level follows the config's level rule: no boolean, no numeric string
     for bad in (True, "4"):
         with pytest.raises(ConfigError):

@@ -27,7 +27,7 @@ from snls.solver import (
     solve_paths,
 )
 
-from reference import coarsen_path, state_at
+from reference import coarsen_path, count_model_builds, state_at
 
 PARAMS_31 = ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(1), lam=1)
 GRID = Grid(d=1, n=128, L=32.0)
@@ -395,6 +395,43 @@ def test_path_coincidence_is_exact_before_tau():
     cfg = config(scheme="picard", ic_spec={"kind": "gaussian_bump", "amplitude": 1.2, "width": 2.0})
     gaps, _ = path_coincidence_check(cfg, [path_for(cfg, pi) for pi in range(3)], (3.5, 7.0))
     assert gaps == [0.0, 0.0, 0.0]
+
+
+def test_path_coincidence_marches_one_stack_on_one_config(monkeypatch):
+    """Both levels march as one level-major stack of one Picard config: one
+    model build, and each level's rows bitwise those of its own solve."""
+    cfg = config(ic_spec={"kind": "gaussian_bump", "amplitude": 1.2, "width": 2.0})
+    paths = [path_for(cfg, pi) for pi in range(3)]
+    builds = count_model_builds(monkeypatch)
+    gaps, taus = path_coincidence_check(cfg, paths, (2.0, 4.0))
+    assert len(builds) == 1
+    monkeypatch.undo()
+    low, high = (
+        solve_paths(replace(cfg, scheme="picard", truncation_level=n), paths, keep_states=True) for n in (2.0, 4.0)
+    )
+    assert taus == [rep.tau for rep in low] and any(t < cfg.T for t in taus)
+    for rep1, rep2, gap in zip(low, high, gaps):
+        upto = int(np.searchsorted(rep1.trajectory.times, rep1.tau + 1e-12, side="right"))
+        a, b = rep1.trajectory.states[:upto], rep2.trajectory.states[:upto]
+        rel = lp_norm_rows(a - b, 2, cfg.grid) / np.maximum(lp_norm_rows(a, 2, cfg.grid), 1e-300)
+        assert gap == float(np.max(rel, initial=0.0))
+
+
+def test_solve_paths_takes_one_level_per_row():
+    """A row's level is per-row data: a stack of one path at three levels
+    gives, row by row, bitwise the solve of a config at that level, and a
+    level list of another length raises LengthMismatch."""
+    cfg = config(scheme="picard", ic_spec={"kind": "gaussian_bump", "amplitude": 1.2, "width": 2.0})
+    path = path_for(cfg, 1)
+    levels = (2.0, 3.5, math.inf)
+    stacked = solve_paths(cfg, [path] * 3, keep_states=True, levels=levels)
+    for level, rep in zip(levels, stacked):
+        (solo,) = solve_paths(replace(cfg, truncation_level=level), [path], keep_states=True)
+        assert _fingerprint(rep) == _fingerprint(solo)
+        assert rep.trajectory.states.tobytes() == solo.trajectory.states.tobytes()
+    assert stacked[0].tau < cfg.T and stacked[0].truncation_ever_active
+    with pytest.raises(LengthMismatch):
+        solve_paths(cfg, [path] * 3, levels=levels[:2])
 
 
 def test_path_coincidence_rejects_bad_levels():

@@ -1,5 +1,6 @@
 """The `verify` invariant suites that tier-1 does not reach through the CLI."""
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,11 +8,42 @@ from snls import verify
 from snls.exponents import ModelParams
 from snls.verify import run_suites
 
+# A rounding-level residual in a pinned detail: "{<= bound}".
+_BOUNDED = re.compile(r"\{<= ([^}]+)\}")
+
+
+def assert_records_match(result, pinned):
+    """`result` equals `pinned`, except that a detail string may hold
+    "{<= bound}" where the suite writes a rounding-level residual: there
+    the text must hold a number at most that bound.  Such residuals move
+    with numpy's SIMD dispatch target (about 2 % on the mass drift between
+    AVX-512 and AVX2 kernels), so each is bounded at about twice the value
+    read on an AVX-512 host; names, pass flags and all other text are pinned
+    exactly."""
+    if isinstance(pinned, dict):
+        assert isinstance(result, dict) and result.keys() == pinned.keys()
+        for key in pinned:
+            assert_records_match(result[key], pinned[key])
+    elif isinstance(pinned, list):
+        assert isinstance(result, list) and len(result) == len(pinned)
+        for got, want in zip(result, pinned):
+            assert_records_match(got, want)
+    elif isinstance(pinned, str) and _BOUNDED.search(pinned):
+        literal = _BOUNDED.split(pinned)[::2]
+        pattern = "([-+.e0-9]+)".join(re.escape(part) for part in literal)
+        match = re.fullmatch(pattern, result)
+        assert match, (result, pinned)
+        for value, bound in zip(match.groups(), _BOUNDED.findall(pinned)):
+            assert float(value) <= float(bound), (result, pinned)
+    else:
+        assert result == pinned
+
 
 def test_oracle_and_mass_suites_pinned():
     """Every check record of the oracle and mass suites, as the per-path
-    loops gave them before the suites marched their paths as stacks."""
-    assert run_suites(["oracle-sde", "mass"]) == {
+    loops gave them before the suites marched their paths as stacks (drifts
+    9.69e-14 and 9.25e-14 on an AVX-512 host)."""
+    assert_records_match(run_suites(["oracle-sde", "mass"]), {
         "passed": True,
         "suites": {
             "oracle-sde": {
@@ -35,17 +67,17 @@ def test_oracle_and_mass_suites_pinned():
                     {
                         "name": "splitstep-mass-gamma-1",
                         "passed": True,
-                        "detail": "max relative drift 9.69e-14 over 1000 steps x 5 paths",
+                        "detail": "max relative drift {<= 2e-13} over 1000 steps x 5 paths",
                     },
                     {
                         "name": "splitstep-mass-gamma-3/2",
                         "passed": True,
-                        "detail": "max relative drift 9.25e-14 over 1000 steps x 5 paths",
+                        "detail": "max relative drift {<= 2e-13} over 1000 steps x 5 paths",
                     },
                 ],
             },
         },
-    }
+    })
 
 
 def test_mass_suite_fails_a_path_that_blows_up(monkeypatch):
@@ -72,15 +104,12 @@ def test_mass_suite_fails_a_path_that_blows_up(monkeypatch):
 def test_exponent_unitarity_strichartz_truncation_suites_pinned():
     """Every check record of these four suites, as their own loops gave
     them before the unitarity and truncation checks became helpers shared
-    with acceptance criteria 2 and 8.  The chaining gap is pinned only
-    below 1e-12: its value moves at rounding level with the arithmetic
-    that chains the windows."""
+    with acceptance criteria 2 and 8 (unitarity drift 3.13e-16, group-law
+    residual 1.54e-13 and time-reversal residual 5.13e-16 on an AVX-512
+    host).  The chaining gap is pinned only below 1e-12: its value moves at
+    rounding level with the arithmetic that chains the windows."""
     result = run_suites(["exponents", "unitarity", "strichartz", "truncation"])
-    chaining = result["suites"]["truncation"]["checks"].pop()
-    assert chaining["name"] == "window-chaining-identity" and chaining["passed"]
-    gap = float(chaining["detail"].removeprefix("max relative gap ").removesuffix(" on 50 two-window cases"))
-    assert gap < 1e-12
-    assert result == {
+    assert_records_match(result, {
         "passed": True,
         "suites": {
             "exponents": {
@@ -104,9 +133,9 @@ def test_exponent_unitarity_strichartz_truncation_suites_pinned():
             "unitarity": {
                 "passed": True,
                 "checks": [
-                    {"name": "unitarity", "passed": True, "detail": "max relative L2 drift 3.13e-16"},
-                    {"name": "group-law", "passed": True, "detail": "max residual 1.54e-13"},
-                    {"name": "time-reversal", "passed": True, "detail": "max residual 5.13e-16"},
+                    {"name": "unitarity", "passed": True, "detail": "max relative L2 drift {<= 7e-16}"},
+                    {"name": "group-law", "passed": True, "detail": "max residual {<= 3e-13}"},
+                    {"name": "time-reversal", "passed": True, "detail": "max residual {<= 1e-15}"},
                     {"name": "dispersive-decay", "passed": True, "detail": "log-log slope -0.4920"},
                 ],
             },
@@ -116,7 +145,7 @@ def test_exponent_unitarity_strichartz_truncation_suites_pinned():
                     {
                         "name": "homogeneous-constant-stable",
                         "passed": True,
-                        "detail": "ratios ['0.7006', '0.7006', '0.7006'] across n=256,512,1024 (spread 0.00e+00)",
+                        "detail": "ratios ['0.7006', '0.7006', '0.7006'] across n=256,512,1024 (spread {<= 1e-15})",
                     },
                     {
                         "name": "homogeneous-constant-bounded",
@@ -135,7 +164,12 @@ def test_exponent_unitarity_strichartz_truncation_suites_pinned():
                 "checks": [
                     {"name": "cutoff-lipschitz", "passed": True, "detail": "|theta(x)-theta(y)| <= |x-y|/level on 1e4 pairs"},
                     {"name": "cutoff-breakpoints", "passed": True, "detail": "exact piecewise values at 0, n, 1.5n, 2n, 3n"},
+                    {
+                        "name": "window-chaining-identity",
+                        "passed": True,
+                        "detail": "max relative gap {<= 1e-12} on 50 two-window cases",
+                    },
                 ],
             },
         },
-    }
+    })

@@ -25,22 +25,30 @@ def theta(x, level):
     scalar-level call, bitwise.  An infinite level gives the constant 1
     (cutoff disabled), whatever x.  Lipschitz with constant 1/level.
     """
-    if not isinstance(level, (int, float)) and np.ndim(level):
-        level = np.asarray(level, dtype=float)
-        if (level <= 0).any():
-            raise OutOfRange(f"levels must be positive, got {level}")
-        off = np.isinf(level)
-        # x / 1 where the level is infinite: no inf / inf, and 1.0 replaces it
-        cut = np.minimum(np.maximum(2.0 - np.asarray(x, dtype=float) / np.where(off, 1.0, level), 0.0), 1.0)
-        return np.where(off, 1.0, cut)
-    if level <= 0:
-        raise OutOfRange(f"level must be positive, got {level}")
-    if not np.ndim(x):
+    if not np.ndim(x) and (isinstance(level, (int, float)) or not np.ndim(level)):
+        if level <= 0:
+            raise OutOfRange(f"level must be positive, got {level}")
         return 1.0 if math.isinf(level) else min(max(2.0 - float(x) / level, 0.0), 1.0)
-    if math.isinf(level):
-        return np.ones_like(np.asarray(x, dtype=float))
-    # the two ufuncs np.clip computes, without its per-call wrapper cost
-    return np.minimum(np.maximum(2.0 - np.asarray(x, dtype=float) / level, 0.0), 1.0)
+    return cutoff(level)(x)
+
+
+def cutoff(level):
+    """x -> theta(x, level) for an array x, with `level` (a scalar, or an
+    array that broadcasts against x) checked and its infinite entries found
+    once: a march that reads the cutoff at the same levels every step pays
+    only for the ufuncs of the formula."""
+    level = np.asarray(level, dtype=float)
+    if (level <= 0).any():
+        raise OutOfRange(f"level must be positive, got {level}")
+    off = np.isinf(level)
+    if off.all():
+        return lambda x: np.where(off, 1.0, np.asarray(x, dtype=float))
+    if not off.any():
+        # the two ufuncs np.clip computes, without its per-call wrapper cost
+        return lambda x: np.minimum(np.maximum(2.0 - np.asarray(x, dtype=float) / level, 0.0), 1.0)
+    # x / 1 where the level is infinite: no inf / inf, and 1.0 replaces it
+    finite = np.where(off, 1.0, level)
+    return lambda x: np.where(off, 1.0, np.minimum(np.maximum(2.0 - np.asarray(x, dtype=float) / finite, 0.0), 1.0))
 
 
 def detect_stopping_time(times, z, level: float) -> float:

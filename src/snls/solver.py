@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .config import SimConfig, read_levels
-from .dynamics import detect_stopping_time, theta
+from .dynamics import cutoff, detect_stopping_time, theta
 from .errors import BlowUp, ConfigError, LengthMismatch, MeshMismatch, SolverError
 from .exponents import z_exponents
 from .grid_field import Trajectory, fill_accumulators, lp_norm_rows, norms_and_leakage, z_components
@@ -133,13 +133,16 @@ def solve_paths(config: SimConfig, paths, keep_states: bool = False, levels=None
     batch, at any position, for any B.  Each row's path is checked once,
     before the stack: a mesh more than 1e-12 off the config mesh at any point
     raises MeshMismatch, increments not of shape (config.model.total_modes, K)
-    LengthMismatch, and `levels` not of length P LengthMismatch.
+    LengthMismatch, `levels` not of length P LengthMismatch, and a level
+    that is not positive (NaN included) ConfigError, as in SimConfig.
     """
     mesh, model = config.mesh(), config.model
     P, M, K = len(paths), model.total_modes, config.n_steps
     levels = np.full(P, config.truncation_level) if levels is None else np.asarray(levels, dtype=float)
     if levels.shape != (P,):
         raise LengthMismatch(f"{np.size(levels)} cutoff levels for {P} paths")
+    if not (levels > 0).all():
+        raise ConfigError(f"truncation level must be positive, got {levels[~(levels > 0)][0]}")
     for r, path in enumerate(paths):
         if np.shape(path.mesh) != mesh.shape or not (np.abs(path.mesh - mesh) <= 1e-12).all():
             raise MeshMismatch(f"path {r} mesh ({np.size(path.mesh)} points) is not the config mesh ({mesh.size})")
@@ -323,8 +326,8 @@ def _picard_step(config: SimConfig, model: NoiseModel, zexp, levels):
     (v_{l+1}, v_{l+1}): the state to record and the next step's input.
 
     Step l reads phi_l = theta(Z_{t_l}, level) per row, at the row's entry
-    of `levels`, from the running-norm accumulators of the states up to
-    t_l, then sets
+    of `levels` (one `cutoff` for the march), from the running-norm
+    accumulators of the states up to t_l, then sets
 
         v_{l+1} = U(dt) (v_l + dt F(v_l, phi_l) + K(v_l, phi_l, dbeta_l))
 
@@ -340,10 +343,11 @@ def _picard_step(config: SimConfig, model: NoiseModel, zexp, levels):
     gamma = float(config.params.gamma)
     lam = config.params.lam if config.enable_nonlinearity else 0
     mult_dt = plan.multiplier(dt)
+    phi_of = cutoff(levels)
 
     def step(v, acc1, acc2, dinc):
         z1, z2 = z_components(acc1, acc2, zexp)
-        phi = theta(z1 + z2, levels)
+        phi = phi_of(z1 + z2)
         w = _ito_step(v, phi[:, None], dinc, dt, lam, alpha, gamma, model)
         v = plan.inverse(mult_dt * plan.forward(w))
         return v, v

@@ -60,6 +60,7 @@ def test_theta_takes_a_level_per_row():
         assert got[r].tobytes() == row.tobytes()
         assert all(np.array_equal(theta(v, level), got[r, j], equal_nan=True) for j, v in enumerate(x[r]))
     assert np.all(got[-1] == 1.0) and theta(math.inf, math.inf) == theta(math.nan, math.inf) == 1.0
+    assert np.all(theta(x[-1], math.inf) == 1.0) and np.all(theta(x[-1], np.float64(math.inf)) == 1.0)
     # a level per column broadcasts the other way
     assert theta(x[:4].T, levels[:4]).tobytes() == got[:4].T.copy().tobytes()
     for bad in ([1.0, 0.0], [-1.0, math.inf], [[2.0], [-0.5]]):

@@ -419,8 +419,9 @@ def test_path_coincidence_marches_one_stack_on_one_config(monkeypatch):
 
 def test_solve_paths_takes_one_level_per_row():
     """A row's level is per-row data: a stack of one path at three levels
-    gives, row by row, bitwise the solve of a config at that level, and a
-    level list of another length raises LengthMismatch."""
+    gives, row by row, bitwise the solve of a config at that level; a
+    level list of another length raises LengthMismatch, and a level that
+    is not positive (NaN included) ConfigError, before the march."""
     cfg = config(scheme="picard", ic_spec={"kind": "gaussian_bump", "amplitude": 1.2, "width": 2.0})
     path = path_for(cfg, 1)
     levels = (2.0, 3.5, math.inf)
@@ -432,6 +433,9 @@ def test_solve_paths_takes_one_level_per_row():
     assert stacked[0].tau < cfg.T and stacked[0].truncation_ever_active
     with pytest.raises(LengthMismatch):
         solve_paths(cfg, [path] * 3, levels=levels[:2])
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ConfigError, match="truncation level must be positive"):
+            solve_paths(cfg, [path] * 3, levels=(2.0, bad, math.inf))
 
 
 def test_path_coincidence_rejects_bad_levels():

@@ -65,7 +65,6 @@ from .propagator import (
     SpectralPlan,
     duhamel_convolution,
     estimate_strichartz_constant,
-    free_evolve,
     free_strichartz_norm,
     get_plan,
     stochastic_convolution,

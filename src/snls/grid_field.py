@@ -33,6 +33,15 @@ from .exponents import ZExponents
 
 _HEADER = struct.Struct("<qqd")  # d, n as int64, L as float64, little-endian
 
+# Cap on the bytes of one (R, size) complex128 stack that is marched or
+# transformed at once: an ensemble's chunk of paths (`montecarlo` re-exports
+# it) and the stacks of `verify`'s sampling helpers (`stack_slices`).  Set
+# from paths/s measured at caps of 16 KiB to 16 MiB (2 CPUs, d = 1 and d = 2
+# ensembles): smaller caps were slower (about 0.55x at 16 KiB for d = 1,
+# n = 128), larger ones gave no resolved gain, and peak RSS grows with the
+# stack (+25 MB at 4 MiB for d = 2, n = 128).
+CHUNK_STACK_BYTES = 1 << 18
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -176,6 +185,13 @@ def lp_norm_rows(values: np.ndarray, p: float, grid: Grid) -> np.ndarray:
     if not p >= 1:
         raise OutOfRange(f"p must be >= 1 or inf, got {p}")
     return _row_lp(np.abs(values), p, grid.cell_volume)
+
+
+def stack_slices(n_rows: int, row_size: int) -> list:
+    """Consecutive slices of `n_rows` rows of `row_size` complex128 values
+    each, whose stacks hold at most CHUNK_STACK_BYTES (one row at least)."""
+    rows = max(1, CHUNK_STACK_BYTES // (16 * row_size))
+    return [slice(s, min(s + rows, n_rows)) for s in range(0, n_rows, rows)]
 
 
 def _row_lp(a: np.ndarray, p: float, cell: float, sq=None):

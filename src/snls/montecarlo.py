@@ -31,19 +31,13 @@ import numpy as np
 
 from .config import SimConfig, as_integer, read_levels, write_json
 from .errors import ConfigError, SolverError
+from .grid_field import CHUNK_STACK_BYTES  # the cap on a chunk's stack, read by `path_chunks`
 from .solver import path_for, solve_paths
 
 # Powers p of the per-path sup mass whose ensemble means are reported.
 _SUP_MASS_POWERS = (1.0, 2.0)
 # Slack of `chebyshev_consistency`, in standard errors.
 _CHEBYSHEV_SLACK_STDERRS = 3.0
-
-# Cap on the bytes of one chunk's (P, grid.size) complex128 stack.  Set from
-# paths/s measured at caps of 16 KiB to 16 MiB (2 CPUs, d = 1 and d = 2
-# ensembles): smaller caps were slower (about 0.55x at 16 KiB for d = 1,
-# n = 128), larger ones gave no resolved gain, and peak RSS grows with the
-# stack (+25 MB at 4 MiB for d = 2, n = 128).
-CHUNK_STACK_BYTES = 1 << 18
 
 
 @dataclass

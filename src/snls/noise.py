@@ -20,7 +20,10 @@ strongest oracle, and `euler_maruyama_diffusion` the Itô march checked
 against it.  Both have a stack form, `diffusion_only_exact_paths` and
 `euler_maruyama_paths`, that takes a (P, M, K) block of increments on one
 mesh and returns a (P, grid.size) array; the one-path functions are its
-P = 1 case, and a row is bitwise the same in any stack.
+P = 1 case, and a row is bitwise the same in any stack.  The march takes
+|v| once per step for both terms, marches its paths in stacks capped at
+`grid_field.CHUNK_STACK_BYTES` and checks finiteness once, at the end;
+its records are bitwise those of the step-by-step loop it replaced.
 
 Brownian increments are generated with the counter-based Philox generator,
 keyed by (seed, path index, mode), so every increment is a pure function of
@@ -41,7 +44,7 @@ from .errors import (
     OutOfRange,
     UnboundedCoefficient,
 )
-from .grid_field import ComplexField, Grid, require_finite, time_index
+from .grid_field import ComplexField, Grid, require_finite, stack_slices, time_index
 
 _REAL_TOL = 1e-14
 
@@ -203,9 +206,15 @@ def mode_sum(dinc: np.ndarray, fields: np.ndarray) -> np.ndarray:
     return out
 
 
-def stratonovich_drift(v: np.ndarray, model: NoiseModel, gamma) -> np.ndarray:
+def _power(v: np.ndarray, modulus, exponent: float) -> np.ndarray:
+    """|v|^exponent, from `modulus` = |v| when the caller has it."""
+    return (np.abs(v) if modulus is None else modulus) ** exponent
+
+
+def stratonovich_drift(v: np.ndarray, model: NoiseModel, gamma, modulus=None) -> np.ndarray:
     """Correction drift mu1 |v|^(2(gamma-1)) v + mu2 v (phi = 1), pointwise,
-    for a field's values or a (P, grid.size) stack of them."""
+    for a field's values or a (P, grid.size) stack of them; `modulus` may
+    carry |v|."""
     # With `noise_term`, the Euler–Maruyama oracle's step.  It is kept apart
     # from the solver's `_ito_step`, which computes the same terms in another
     # association order: the oracle checks the solver only while the two
@@ -213,20 +222,20 @@ def stratonovich_drift(v: np.ndarray, model: NoiseModel, gamma) -> np.ndarray:
     g = float(gamma)
     out = model.mu2 * v
     if model.n_modes:
-        out = out + model.mu1 * np.abs(v) ** (2.0 * (g - 1.0)) * v
+        out = out + model.mu1 * _power(v, modulus, 2.0 * (g - 1.0)) * v
     return out
 
 
-def noise_term(v: np.ndarray, model: NoiseModel, gamma, dinc: np.ndarray) -> np.ndarray:
+def noise_term(v: np.ndarray, model: NoiseModel, gamma, dinc: np.ndarray, modulus=None) -> np.ndarray:
     """-i sum_m e_m |v|^(gamma-1) v dbeta_m - i sum_m b_m v dbeta'_m (phi = 1)
     for one step's increments: (M,) for a field's values, (P, M) for a
-    stack."""
+    stack; `modulus` may carry |v|."""
     # Kept apart from `solver._ito_step` on purpose; see `stratonovich_drift`.
     g = float(gamma)
     n_e = model.n_modes
     out = np.zeros(v.shape, dtype=np.complex128)
     if n_e:
-        out += -1j * mode_sum(dinc[..., :n_e], model.coeffs) * np.abs(v) ** (g - 1.0) * v
+        out += -1j * mode_sum(dinc[..., :n_e], model.coeffs) * _power(v, modulus, g - 1.0) * v
     if model.n_linear_modes:
         out += -1j * mode_sum(dinc[..., n_e:], model.linear_coeffs) * v
     return out
@@ -290,21 +299,29 @@ def euler_maruyama_paths(u0: ComplexField, model: NoiseModel, gamma, mesh, incre
     for a (P, M, K) block of increments on one mesh, as a (P, grid.size)
     array.
 
-    One step: v += stratonovich_drift(v) dt + noise_term(v, dbeta).  Both
-    act elementwise and sum modes in mode order, so row p is bitwise the
-    P = 1 result of path p.  A step that gives a non-finite value in any row
-    raises SnlsError, as a ComplexField would, and no RuntimeWarning.
+    One step: v += stratonovich_drift(v) dt + noise_term(v, dbeta), with |v|
+    taken once for both.  Both act elementwise and sum modes in mode order,
+    so row p is bitwise the P = 1 result of path p; the paths are marched
+    in stacks capped at CHUNK_STACK_BYTES.  A march that gives a non-finite
+    value in any row raises SnlsError, as a ComplexField would, and no
+    RuntimeWarning.  It is checked once, at the end: each step adds to v,
+    so a non-finite entry stays non-finite.
     """
     _check_model_grid(u0, model)
     mesh, increments = _stack_increments(mesh, increments, model.total_modes)
     g = float(gamma)
-    v = np.repeat(u0.values[None, :], increments.shape[0], axis=0)
+    out = np.repeat(u0.values[None, :], increments.shape[0], axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        for l in range(increments.shape[2]):
-            dt = mesh[l + 1] - mesh[l]
-            v = v + dt * stratonovich_drift(v, model, g) + noise_term(v, model, g, increments[:, :, l])
-            require_finite(v)
-    return v
+        for rows in stack_slices(out.shape[0], u0.grid.size):
+            v = out[rows]  # a view: each stack is marched in place
+            for l, dt in enumerate(np.diff(mesh)):
+                a = np.abs(v) if model.n_modes else None
+                noise = noise_term(v, model, g, increments[rows, :, l], a)
+                v += dt * stratonovich_drift(v, model, g, a)
+                v += noise
+                del a, noise  # not held while the next step forms its terms
+    require_finite(out)
+    return out
 
 
 def euler_maruyama_diffusion(

@@ -7,6 +7,11 @@ U(t - s) applied to sampled forcings, matching the Itô convention used
 everywhere in the package; both are one sum in Fourier space followed by
 one inverse FFT.  `free_strichartz_norm` is the discrete L^q(0,T;L^p) norm
 of U(.)x behind the empirical Strichartz constant.
+
+The convolutions and `free_strichartz_norm` form their multipliers and
+evolutions as stacks of rows (`SpectralPlan.evolve_values` takes a time
+per row), each capped at `grid_field.CHUNK_STACK_BYTES`; a row is bitwise
+what the one-row call gives.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .errors import EmptyTrajectory, GridMismatch, LengthMismatch, MeshMismatch
 from .exponents import StrichartzPair
-from .grid_field import ComplexField, Grid, lp_norm_rows, random_field
+from .grid_field import Grid, lp_norm_rows, random_field, stack_slices
 from .noise import _check_time, _checked_mesh, _stack_increments, mode_sum
 
 
@@ -56,14 +61,29 @@ class SpectralPlan:
             out = transform(out, axis=axis)
         return out.reshape(values.shape)
 
-    def multiplier(self, t: float) -> np.ndarray:
-        """exp(-i |k|^2 t), flat; unit modulus for every mode and t."""
-        return np.exp(-1j * self.wavenumber_squares.reshape(-1) * t)
+    def multiplier(self, t) -> np.ndarray:
+        """exp(-i |k|^2 t), flat; unit modulus for every mode and t.  A column
+        of R times, shape (R, 1), gives one row per time, each bitwise the
+        one-time multiplier."""
+        phase = -1j * self.wavenumber_squares.reshape(-1) * t
+        return np.exp(phase, out=phase)
 
-    def evolve_values(self, values: np.ndarray, t: float) -> np.ndarray:
-        if t == 0.0:
-            return values.copy()
-        return self.inverse(self.multiplier(t) * self.forward(values))
+    def evolve_values(self, values: np.ndarray, t) -> np.ndarray:
+        """U(t) on flat values, bitwise the one-field, one-time result in
+        every row.  `t` is one time, or R times, one per row: of a (R, size)
+        stack, or of the R rows that one flat field is evolved to.  A row
+        whose time is 0 (or -0.0) is an exact copy of its field.  The
+        product with the multiplier is formed in place, so a stack needs
+        two more stacks of memory, not three."""
+        t = np.asarray(t, dtype=float)
+        phase = self.multiplier(t[..., None])  # before the transform: its ufunc buffers come and go first
+        spectrum = self.forward(values)
+        # the product lands in whichever factor has its shape; the factor order is kept
+        spectrum = np.multiply(phase, spectrum, out=phase if phase.ndim > spectrum.ndim else spectrum)
+        del phase
+        out = self.inverse(spectrum)
+        np.copyto(out, values, where=(t == 0.0)[..., None])
+        return out
 
 
 @lru_cache(maxsize=16)
@@ -71,17 +91,15 @@ def get_plan(grid: Grid, laplacian_enabled: bool = True) -> SpectralPlan:
     return SpectralPlan(grid, laplacian_enabled)
 
 
-def free_evolve(f: ComplexField, t: float) -> ComplexField:
-    """U(t) f through a cached plan for f's grid."""
-    return ComplexField(f.grid, get_plan(f.grid).evolve_values(f.values, t))
-
-
 def _left_endpoint_sum(plan: SpectralPlan, starts, t: float, terms, shape) -> np.ndarray:
     """Inverse FFT of sum_l multiplier(t - starts[l]) * terms[l], summed in
-    Fourier space in the order of l; each term is an array of `shape`."""
+    Fourier space in the order of l; each term is an array of `shape`.  The
+    multipliers are formed as stacks of rows, one row per l."""
     acc = np.zeros(shape, dtype=np.complex128)
-    for tl, term in zip(starts, terms):
-        acc += plan.multiplier(t - tl) * term
+    terms = iter(terms)
+    for rows in stack_slices(len(starts), plan.grid.size):
+        for phase in plan.multiplier((t - starts[rows])[:, None]):
+            acc += phase * next(terms)
     return plan.inverse(acc)
 
 
@@ -138,12 +156,20 @@ def free_strichartz_norm(plan: SpectralPlan, values: np.ndarray, pair: Strichart
 
         (sum_l ||U(t_l) x||_p^q (t_{l+1} - t_l))^(1/q),
 
-    accumulated in time order; U(0) x is x itself."""
-    mesh = np.asarray(mesh, dtype=float)
+    accumulated in time order; U(0) x is x itself.  The mesh times are
+    evolved as stacks of rows.  A mesh that is not one-dimensional and
+    strictly increasing (a NaN point included) raises OutOfRange, and a
+    field that is not one flat field of the plan's grid GridMismatch."""
+    mesh = _checked_mesh(mesh)
+    if np.shape(values) != (plan.grid.size,):
+        raise GridMismatch(f"field has shape {np.shape(values)}, the plan's grid expects ({plan.grid.size},)")
     q, p = float(pair.q), float(pair.p)
+    starts, steps = mesh[:-1], np.diff(mesh)
     total = 0.0
-    for tl, dt in zip(mesh[:-1], np.diff(mesh)):
-        total += float(lp_norm_rows(plan.evolve_values(values, tl), p, plan.grid)) ** q * dt
+    for rows in stack_slices(starts.size, plan.grid.size):
+        norms = lp_norm_rows(plan.evolve_values(values, starts[rows]), p, plan.grid)
+        for norm, dt in zip(norms, steps[rows]):
+            total += float(norm) ** q * dt
     return total ** (1.0 / q)
 
 

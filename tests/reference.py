@@ -1,7 +1,12 @@
 """Reference helpers that only tests call: a zero field, a kept state of a
 trajectory as a field, the Bochner norm recomputed from stored states, a
-mesh-thinned Brownian path, the Stratonovich–Heun diffusion march and a
-record of the noise-model builds.
+mesh-thinned Brownian path, the Stratonovich–Heun diffusion march, a
+record of the noise-model builds, and one-sample-at-a-time forms of the
+stacked sampling helpers: the free group on one field (`free_evolve`), the
+propagator residuals, the dispersive decay, the cutoff's Lipschitz check,
+the free Strichartz norm and constant, and the Euler–Maruyama march.  The
+one-sample forms are the loops that the package's stacked helpers replaced,
+kept to pin that every number stays bitwise the same.
 
 Each is written against the public `snls` names alone, so a test that
 compares the package with one of them checks the package from outside.
@@ -21,8 +26,15 @@ from snls import (
     OutOfRange,
     Trajectory,
     coarsen_increments,
+    SnlsError,
+    gaussian_field,
+    get_plan,
     lp_norm,
+    mass_outside_central_halfbox,
     noise_term,
+    random_field,
+    stratonovich_drift,
+    theta,
 )
 
 
@@ -100,3 +112,81 @@ def count_model_builds(monkeypatch) -> list:
     build = snls.config.build_noise_model
     monkeypatch.setattr(snls.config, "build_noise_model", lambda *a: builds.append(a) or build(*a))
     return builds
+
+
+def free_evolve(f: ComplexField, t: float) -> ComplexField:
+    """U(t) f through a cached plan for f's grid."""
+    return ComplexField(f.grid, get_plan(f.grid).evolve_values(f.values, t))
+
+
+def propagator_residuals(n_fields: int, seed: int, t_max: float) -> tuple:
+    """`verify.propagator_residuals`, one field and one time per call."""
+    grid = Grid(d=1, n=512, L=64.0)
+    rng = np.random.default_rng(seed)
+    worst_unit = worst_group = worst_rev = 0.0
+    for _ in range(n_fields):
+        f = random_field(grid, rng)
+        t = float(rng.uniform(-t_max, t_max))
+        s = float(rng.uniform(-t_max, t_max))
+        n0 = lp_norm(f, 2)
+        worst_unit = max(worst_unit, abs(lp_norm(free_evolve(f, t), 2) - n0) / n0)
+        ab = free_evolve(free_evolve(f, s), t)
+        worst_group = max(worst_group, lp_norm(ab - free_evolve(f, s + t), 2) / n0)
+        worst_rev = max(worst_rev, lp_norm(free_evolve(free_evolve(f, t), -t) - f, 2) / n0)
+    return worst_unit, worst_group, worst_rev
+
+
+def dispersive_decay() -> tuple:
+    """`verify.dispersive_decay`, one time per call."""
+    wide = Grid(d=1, n=2048, L=512.0)
+    u0 = gaussian_field(wide, 1.0, 1.0)
+    ts = np.linspace(2.0, 10.0, 9)
+    evolved = [free_evolve(u0, float(t)) for t in ts]
+    sups = [lp_norm(ut, math.inf) for ut in evolved]
+    slope = float(np.polyfit(np.log(ts), np.log(sups), 1)[0])
+    return slope, max(mass_outside_central_halfbox(ut) for ut in evolved)
+
+
+def cutoff_lipschitz_ok(seed: int, level_lo: float, span: float) -> bool:
+    """`verify.cutoff_lipschitz_ok`, one draw and one scalar cutoff per call."""
+    rng = np.random.default_rng(seed)
+    ok = True
+    for _ in range(10**4):
+        level = float(rng.uniform(level_lo, 10.0))
+        x, y = rng.uniform(0.0, span * level, size=2)
+        ok &= abs(theta(x, level) - theta(y, level)) <= abs(x - y) / level + 1e-15
+    return bool(ok)
+
+
+def free_strichartz_norm(plan, values: np.ndarray, pair, mesh) -> float:
+    """`propagator.free_strichartz_norm`, one mesh time per call."""
+    mesh = np.asarray(mesh, dtype=float)
+    q, p = float(pair.q), float(pair.p)
+    total = 0.0
+    for tl, dt in zip(mesh[:-1], np.diff(mesh)):
+        total += lp_norm(ComplexField(plan.grid, plan.evolve_values(values, tl)), p) ** q * dt
+    return total ** (1.0 / q)
+
+
+def estimate_strichartz_constant(plan, samples: int, pair, T: float, seed: int) -> float:
+    """`propagator.estimate_strichartz_constant` through the reference norm."""
+    rng = np.random.default_rng(seed)
+    mesh = np.linspace(0.0, T, 65)
+    return max(
+        (free_strichartz_norm(plan, random_field(plan.grid, rng, unit_l2=True).values, pair, mesh) for _ in range(samples)),
+        default=0.0,
+    )
+
+
+def euler_maruyama_paths(u0: ComplexField, model: NoiseModel, gamma, mesh, increments) -> np.ndarray:
+    """`noise.euler_maruyama_paths` as one stack, |v| taken by each term and
+    finiteness checked after every step."""
+    g = float(gamma)
+    v = np.repeat(u0.values[None, :], increments.shape[0], axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(increments.shape[2]):
+            dt = mesh[l + 1] - mesh[l]
+            v = v + dt * stratonovich_drift(v, model, g) + noise_term(v, model, g, increments[:, :, l])
+            if not np.all(np.isfinite(v)):
+                raise SnlsError("field contains non-finite values")
+    return v

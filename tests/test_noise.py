@@ -40,6 +40,7 @@ from snls.noise import (
 )
 from snls.verify import em_strong_errors, strong_order
 
+import reference
 from reference import coarsen_path, heun_stratonovich_diffusion, zero_field
 
 GRID = Grid(d=1, n=64, L=16.0)
@@ -408,3 +409,19 @@ def test_antithetic_modulus_invariance():
     a = diffusion_only_exact(u0, model, 1.5, path, 1.0)
     b = diffusion_only_exact(u0, model, 1.5, replace(path, increments=-path.increments), 1.0)
     assert np.max(np.abs(np.abs(a.values) - np.abs(b.values))) < 1e-14
+
+
+@pytest.mark.parametrize("n_modes, n_linear", [(1, 0), (2, 1), (0, 2)])
+def test_euler_maruyama_paths_are_bitwise_the_per_step_loop(stack_cap, n_modes, n_linear):
+    """Stacks under any cap, |v| taken once per step and one finiteness
+    check at the end give the per-step loop's bits; a row that overflows
+    raises in both."""
+    for seed in (0, 5, 11):
+        model, u0, mesh, increments = _stack_problem(n_modes, n_linear, 7, seed)
+        for gamma in (1.0, 1.5, 2.0):
+            got = euler_maruyama_paths(u0, model, gamma, mesh, increments)
+            assert got.tobytes() == reference.euler_maruyama_paths(u0, model, gamma, mesh, increments).tobytes()
+    increments[3] = 1e308
+    for march in (euler_maruyama_paths, reference.euler_maruyama_paths):
+        with pytest.raises(SnlsError, match="non-finite"):
+            march(u0, model, 2.0, mesh, increments)

@@ -21,11 +21,13 @@ from snls.propagator import (
     SpectralPlan,
     duhamel_convolution,
     estimate_strichartz_constant,
-    free_evolve,
     free_strichartz_norm,
     get_plan,
     stochastic_convolution,
 )
+
+import reference
+from reference import free_evolve
 
 GRID = Grid(d=1, n=256, L=32.0)
 PLAN = get_plan(GRID)
@@ -279,3 +281,87 @@ def test_estimate_strichartz_monotone_in_samples():
     vals = [estimate_strichartz_constant(plan, s, pair, 1.0, seed=42) for s in (1, 3, 10)]
     assert vals[0] <= vals[1] <= vals[2]
     assert vals[2] < 10.0
+
+
+def test_evolve_values_rows_are_the_one_field_one_time_calls():
+    """Row r of a stack evolved at a time per row, and row r of one field
+    evolved at R times, are bitwise the one-field call at t_r, which is the
+    multiplier product for t != 0 and an exact copy at t = 0 and -0.0."""
+    ts = np.array([0.7, 0.0, -0.0, -2.3, 1e-3, 41.5])
+    for grid in (GRID, Grid(d=2, n=16, L=4.0)):
+        plan = get_plan(grid)
+        rng = np.random.default_rng(grid.d)
+        x = np.stack([random_field(grid, rng).values for _ in ts])
+        stack = plan.evolve_values(x, ts)
+        fanned = plan.evolve_values(x[0], ts)
+        phases = plan.multiplier(ts[:, None])
+        for r, t in enumerate(ts.tolist()):
+            solo = plan.evolve_values(x[r], t)
+            expected = x[r] if t == 0.0 else plan.inverse(plan.multiplier(t) * plan.forward(x[r]))
+            assert solo.tobytes() == expected.tobytes()
+            assert stack[r].tobytes() == solo.tobytes()
+            assert fanned[r].tobytes() == plan.evolve_values(x[0], t).tobytes()
+            assert phases[r].tobytes() == plan.multiplier(t).tobytes()
+        assert fanned[1].tobytes() == fanned[2].tobytes() == x[0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "mesh, n_values, error",
+    [
+        ([0.0, 1.0, 0.2], 64, OutOfRange),
+        ([0.0, 0.5, math.nan], 64, OutOfRange),
+        ([[0.0, 0.5], [0.5, 1.0]], 64, OutOfRange),
+        ([0.0, 0.5], 10, GridMismatch),
+    ],
+    ids=["decreasing-mesh", "nan-mesh", "2d-mesh", "short-field"],
+)
+def test_free_strichartz_norm_rejects_a_bad_mesh_or_field(mesh, n_values, error):
+    """A mesh that is not strictly increasing would weight a term by a
+    negative step, a NaN point would make the norm NaN, and a field off the
+    plan's grid would be evolved on the wrong wavenumbers."""
+    grid = Grid(d=1, n=64, L=16.0)
+    values = gaussian_field(grid, 1.0, 1.5).values[:n_values]
+    with pytest.raises(error):
+        free_strichartz_norm(get_plan(grid), values, strichartz_pair(4, 1), mesh)
+
+
+def test_free_strichartz_norm_is_bitwise_the_one_time_loop(stack_cap):
+    """The mesh starts at t = 0, the copy row; every grid takes one or more
+    stacks of mesh times."""
+    pair = strichartz_pair(4, 1)
+    mesh = np.linspace(0.0, 1.0, 65)
+    for n, seed in ((64, 0), (256, 1), (1024, 2)):
+        plan = get_plan(Grid(d=1, n=n, L=64.0))
+        x = random_field(plan.grid, np.random.default_rng(seed), unit_l2=True).values
+        assert free_strichartz_norm(plan, x, pair, mesh) == reference.free_strichartz_norm(plan, x, pair, mesh)
+
+
+def test_estimate_strichartz_constant_is_bitwise_the_one_time_loop(stack_cap):
+    pair = strichartz_pair(4, 1)
+    plan = get_plan(Grid(d=1, n=128, L=32.0))
+    for seed in (3, 4, 5):
+        got = estimate_strichartz_constant(plan, 4, pair, 1.5, seed)
+        assert got == reference.estimate_strichartz_constant(plan, 4, pair, 1.5, seed)
+
+
+def test_convolutions_do_not_depend_on_the_stack_cap(monkeypatch):
+    """Both left-endpoint sums form their multipliers a stack of mesh times
+    at a time; one time per stack gives the same bits."""
+    import snls.grid_field
+
+    rng = np.random.default_rng(9)
+    mesh = np.linspace(0.0, 1.0, 41)
+    forcing = np.stack([random_field(GRID, rng).values for _ in mesh])
+    fields = np.stack([np.stack([random_field(GRID, rng).values for _ in range(2)]) for _ in mesh])
+    increments = np.stack([sample_brownian_path(mesh, 2, 23, pi).increments for pi in range(3)])
+    results = []
+    for cap in (None, 1):
+        if cap is not None:
+            monkeypatch.setattr(snls.grid_field, "CHUNK_STACK_BYTES", cap)
+        results.append(
+            (
+                duhamel_convolution(PLAN, mesh, forcing, 0.83).tobytes(),
+                stochastic_convolution(PLAN, mesh, fields, increments, 0.83).tobytes(),
+            )
+        )
+    assert results[0] == results[1]

@@ -15,7 +15,7 @@ from snls.errors import BlowUp, ConfigError, LengthMismatch, MeshMismatch
 from snls.exponents import ModelParams
 from snls.grid_field import Grid, Trajectory, lp_norm, lp_norm_rows
 from snls.noise import diffusion_only_exact, noise_term, sample_brownian_path, stratonovich_drift
-from snls.propagator import free_evolve, get_plan
+from snls.propagator import get_plan
 import snls.config
 import snls.solver
 from snls.config import SimConfig
@@ -27,7 +27,7 @@ from snls.solver import (
     solve_paths,
 )
 
-from reference import coarsen_path, count_model_builds, state_at
+from reference import coarsen_path, count_model_builds, free_evolve, state_at
 
 PARAMS_31 = ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(1), lam=1)
 GRID = Grid(d=1, n=128, L=32.0)
@@ -250,7 +250,9 @@ def test_picard_fixed_point_satisfies_mild_equation():
     convolutions (direct sums, not the solver's recursive sweep)."""
     import math as _math
 
-    from snls.propagator import duhamel_convolution, free_evolve as fe, get_plan, stochastic_convolution
+    from snls.propagator import duhamel_convolution, get_plan, stochastic_convolution
+
+    from reference import free_evolve as fe
 
     grid = Grid(d=1, n=64, L=32.0)
     cfg = config(

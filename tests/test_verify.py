@@ -1,10 +1,16 @@
 """The `verify` invariant suites that tier-1 does not reach through the CLI."""
 
+import functools
 import re
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
+import reference
 from snls import verify
+from snls.errors import OutOfRange
 from snls.exponents import ModelParams
 from snls.verify import run_suites
 
@@ -173,3 +179,46 @@ def test_exponent_unitarity_strichartz_truncation_suites_pinned():
             },
         },
     })
+
+
+# The one-field loops give the same numbers at any cap: computed once.
+_reference_residuals = functools.cache(reference.propagator_residuals)
+
+
+@pytest.mark.parametrize("n_fields", [1, 31, 33, 100])
+def test_propagator_residuals_are_bitwise_the_per_field_loop(stack_cap, n_fields):
+    """Counts on both sides of the default stack of 32 fields and of the
+    five-row stack."""
+    for seed, t_max in ((11, 3.0), (2024, 2.0), (5, 0.5)):
+        assert verify.propagator_residuals(n_fields, seed, t_max) == _reference_residuals(n_fields, seed, t_max)
+
+
+def test_dispersive_decay_is_bitwise_the_per_time_loop(stack_cap):
+    assert verify.dispersive_decay() == reference.dispersive_decay()
+
+
+def test_cutoff_lipschitz_draws_and_verdict_are_the_per_pair_loop(monkeypatch):
+    """The one draw gives every pair's level, x and y bitwise as the per-pair
+    `Generator.uniform` calls did, and the verdict is the same.  A level
+    range that reaches below 0 raises the cutoff's OutOfRange (the loop
+    raised numpy's bare ValueError there, from a negative x range)."""
+    cutoff, theta = verify.cutoff, reference.theta
+    for seed, level_lo, span in ((23, 0.1, 4.0), (88, 0.05, 3.5), (7, 2.0, 1.5)):
+        stacked, looped = [], []  # the level array and the x, y arrays; each scalar call's (x, level)
+
+        def recording_cutoff(level):
+            stacked.append(level)
+            cut = cutoff(level)
+            return lambda x: stacked.append(x) or cut(x)
+
+        monkeypatch.setattr(verify, "cutoff", recording_cutoff)
+        monkeypatch.setattr(reference, "theta", lambda x, level: looped.append((x, level)) or theta(x, level))
+        assert verify.cutoff_lipschitz_ok(seed, level_lo, span) is reference.cutoff_lipschitz_ok(seed, level_lo, span) is True
+        monkeypatch.undo()
+        level, x, y = stacked
+        pairs = np.array(looped).reshape(-1, 2, 2)  # per pair: (x, level), (y, level)
+        assert level.tobytes() == pairs[:, 0, 1].tobytes() == pairs[:, 1, 1].tobytes()
+        assert x.tobytes() == pairs[:, 0, 0].tobytes()
+        assert y.tobytes() == pairs[:, 1, 0].tobytes()
+    with pytest.raises(OutOfRange):
+        verify.cutoff_lipschitz_ok(1, -1.0, 2.0)

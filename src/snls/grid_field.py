@@ -34,12 +34,13 @@ from .exponents import ZExponents
 _HEADER = struct.Struct("<qqd")  # d, n as int64, L as float64, little-endian
 
 # Cap on the bytes of one (R, size) complex128 stack that is marched or
-# transformed at once: an ensemble's chunk of paths (`montecarlo` re-exports
-# it) and the stacks of `verify`'s sampling helpers (`stack_slices`).  Set
-# from paths/s measured at caps of 16 KiB to 16 MiB (2 CPUs, d = 1 and d = 2
+# transformed at once; `stack_slices` is the one rule that turns it into
+# rows, for an ensemble's chunks and every other stacked march.  Set from
+# paths/s measured at caps of 16 KiB to 16 MiB (2 CPUs, d = 1 and d = 2
 # ensembles): smaller caps were slower (about 0.55x at 16 KiB for d = 1,
 # n = 128), larger ones gave no resolved gain, and peak RSS grows with the
-# stack (+25 MB at 4 MiB for d = 2, n = 128).
+# stack (+25 MB at 4 MiB for d = 2, n = 128).  `solver.RECORD_BLOCK_BYTES`
+# is apart: it caps the float |v| blocks a march records, measured on its own.
 CHUNK_STACK_BYTES = 1 << 18
 
 

@@ -9,7 +9,7 @@ result is bitwise the same whatever chunk or level it shares a stack
 with, so identical inputs give bitwise-identical summaries under any
 chunking, execution order or worker count; aggregation is an ordered
 reduction by path index, per level.  A chunk's stack, each path once per
-level, is capped at CHUNK_STACK_BYTES of complex128 rows.  Failed paths
+level, takes its rows from `grid_field.stack_slices`.  Failed paths
 (any SolverError, such as a step that blew up) are first-class results:
 recorded as `{"path_index", "error"}` records and never silently dropped
 from denominators.  `config.write_json`
@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import SimConfig, as_integer, read_levels, write_json
 from .errors import ConfigError, SolverError
-from .grid_field import CHUNK_STACK_BYTES  # the cap on a chunk's stack, read by `path_chunks`
+from .grid_field import stack_slices
 from .solver import path_for, solve_paths
 
 # Powers p of the per-path sup mass whose ensemble means are reported.
@@ -150,11 +150,10 @@ def worker_count(n_paths: int) -> int:
 
 
 def path_chunks(n_paths: int, grid_size: int, workers: int = 1, levels: int = 1) -> list:
-    """Consecutive index ranges whose stack, each path at `levels` levels,
-    holds at most CHUNK_STACK_BYTES (one path at least), and at least
-    `workers` of them when there are that many paths."""
-    rows = max(1, CHUNK_STACK_BYTES // (16 * grid_size * levels))
-    rows = min(rows, -(-n_paths // workers))
+    """Consecutive index ranges of paths of `levels` rows each: at most as
+    many paths as `stack_slices` puts in a stack (one at least), and at
+    least `workers` ranges when there are that many paths (n_paths >= 1)."""
+    rows = min(stack_slices(n_paths, grid_size * levels)[0].stop, max(1, n_paths // workers))
     return [range(s, min(s + rows, n_paths)) for s in range(0, n_paths, rows)]
 
 

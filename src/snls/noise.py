@@ -195,11 +195,12 @@ def _check_model_grid(u: ComplexField, model: NoiseModel) -> None:
 def mode_sum(dinc: np.ndarray, fields: np.ndarray) -> np.ndarray:
     """sum_m dinc[..., m] fields[m], accumulated in mode order.
 
-    `dinc` is (M,) for one field or (R, M) for a stack of R rows.  No
-    matrix product: BLAS may block a product differently for different row
-    counts, which would make a row depend on the size of its stack.
+    `dinc` is (M,) for one field or (R, M) for a stack of R rows, cast to
+    the product's type once rather than by numpy's buffers in every product.
+    No matrix product: BLAS may block a product differently for different
+    row counts, which would make a row depend on the size of its stack.
     """
-    d = dinc[..., None]
+    d = dinc.astype(np.result_type(dinc, fields), copy=False)[..., None]
     out = d[..., 0, :] * fields[0]
     for m in range(1, fields.shape[0]):
         out = out + d[..., m, :] * fields[m]

@@ -19,10 +19,11 @@ ranges: `exponent_identities` (criterion 1), `propagator_residuals` and
 `running_masses` and `mass_drift` (criterion 4), `cutoff_lipschitz_ok` and
 `window_chaining_gap` (criterion 8).
 
-The sampling helpers march their samples as stacks of rows, each capped
-at `grid_field.CHUNK_STACK_BYTES`, and draw in the one-sample order; a
-row-wise FFT is bitwise the FFT of the row alone and the rest is
-elementwise, so every record is bitwise what one-sample loops give.
+The sampling helpers and the moment check march their samples as stacks
+whose rows come from `grid_field.stack_slices`, the one rule on the cap,
+and draw in the one-sample order; a row-wise FFT is bitwise the FFT of the
+row alone and the rest is elementwise, so every record is bitwise what
+one-sample loops give, under any cap.
 """
 
 from __future__ import annotations
@@ -324,10 +325,8 @@ def suite_strichartz() -> list[dict]:
     g = gaussian_field(grid, 1.0, 1.5)
     increments = np.stack([sample_brownian_path(mesh, 1, 17, pi).increments for pi in range(200)])
     fields = np.broadcast_to(g.values, (mesh.size, 1, grid.size))
-    # eight stacks of 25 paths keep the peak memory of this check small
-    jT = np.concatenate(
-        [lp_norm_rows(stochastic_convolution(plan, mesh, fields, block, 1.0), 2, grid) for block in np.split(increments, 8)]
-    )
+    stacks = [increments[rows] for rows in stack_slices(200, grid.size)]
+    jT = np.concatenate([lp_norm_rows(stochastic_convolution(plan, mesh, fields, block, 1.0), 2, grid) for block in stacks])
     lhs = float(np.mean(jT**2))
     rhs = 1.0 * lp_norm(g, 2) ** 2  # E ||Phi||^2_{L2(0,T;L2)} = T ||g||^2
     checks.append(

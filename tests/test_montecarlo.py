@@ -13,6 +13,7 @@ import pytest
 from snls.config import SimConfig, json_value
 from snls.exponents import ModelParams
 from snls.grid_field import Grid
+import snls.grid_field
 import snls.montecarlo as mc
 from snls.montecarlo import (
     chebyshev_consistency,
@@ -115,7 +116,7 @@ def test_serial_ensemble_builds_the_model_once(monkeypatch):
     """The chunks of a serial ensemble share its seeded config, which built
     its noise model when it was made: one build for four chunks."""
     monkeypatch.delenv("SNLS_THREADS", raising=False)
-    monkeypatch.setattr(mc, "CHUNK_STACK_BYTES", 16 * GRID.size)
+    monkeypatch.setattr(snls.grid_field, "CHUNK_STACK_BYTES", 16 * GRID.size)
     assert len(path_chunks(4, GRID.size)) == 4
     cfg = config()
     builds = count_model_builds(monkeypatch)
@@ -175,6 +176,19 @@ def test_level_study_chunks_paths_times_levels(monkeypatch):
     cfg = config(grid=grid, T=0.25, ic_spec={"kind": "gaussian_bump", "amplitude": 1.2, "width": 2.0})
     study = _study_matches_per_level_ensembles(cfg, (0.5, 1, "inf"), 4, 8)
     assert any(0 < t < cfg.T for t in study.summaries[0].taus)
+
+
+def test_path_chunks_follow_the_one_stack_rule(stack_cap):
+    """Under any cap on `grid_field`'s binding, the chunks cover the paths
+    in order, each holds at most the paths of `levels` rows that fit under
+    the cap (one path at least), and there are at least min(workers, n)."""
+    for n_paths in (1, 2, 5, 20, 200):
+        for grid_size, workers, levels in ((64, 1, 1), (128, 2, 3), (512, 4, 1), (4096, 3, 2), (1, 1, 1)):
+            chunks = path_chunks(n_paths, grid_size, workers, levels)
+            rows = max(1, snls.grid_field.CHUNK_STACK_BYTES // (16 * grid_size * levels))
+            assert [i for c in chunks for i in c] == list(range(n_paths))
+            assert all(1 <= len(c) <= rows for c in chunks)
+            assert len(chunks) >= min(workers, n_paths)
 
 
 def test_solve_path_outcome_fields():
@@ -353,7 +367,7 @@ def test_ensemble_is_bitwise_independent_of_chunks_and_workers(monkeypatch, tmp_
     monkeypatch.delenv("SNLS_THREADS", raising=False)
     assert len(path_chunks(5, cfg.grid.size)) == 1
     whole = _per_path_reports(cfg, 5, tmp_path / "whole")
-    monkeypatch.setattr(mc, "CHUNK_STACK_BYTES", 2 * 16 * cfg.grid.size)
+    monkeypatch.setattr(snls.grid_field, "CHUNK_STACK_BYTES", 2 * 16 * cfg.grid.size)
     assert [list(c) for c in path_chunks(5, cfg.grid.size)] == [[0, 1], [2, 3], [4]]
     assert _per_path_reports(cfg, 5, tmp_path / "pairs") == whole
     monkeypatch.undo()

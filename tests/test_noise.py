@@ -323,6 +323,58 @@ def _stack_problem(n_modes: int, n_linear: int, P: int, seed: int):
     return model, u0, mesh, increments
 
 
+def _solo_or_raised(form, row):
+    """Row 0 of `form` on a one-row block, or None if that raises SnlsError."""
+    try:
+        return form(row)[0]
+    except SnlsError:
+        return None
+
+
+def _check_batch_claim(P, gamma, n_modes, n_linear, seed, order, t, factor):
+    """Row p of a stack is the solo result of path p, bitwise, for a batch
+    of P, a batch of one and shuffled order; the one-path functions agree.
+    A stack raises exactly when one of its rows raises alone (the
+    Euler–Maruyama march overflows on about one path in 1000 at gamma = 2
+    with two power modes), and so does the one-path function of that row.
+    The exact flow admits no linear modes and takes the model without."""
+    model, u0, mesh, increments = _stack_problem(n_modes, n_linear, P, seed)
+    conservative, _, _, _ = _stack_problem(n_modes, 0, P, seed)
+    forms = {
+        "em": (lambda inc: euler_maruyama_paths(u0, model, gamma, mesh, inc), increments),
+        "exact": (lambda inc: diffusion_only_exact_paths(u0, conservative, gamma, mesh, inc, t), increments[:, :n_modes]),
+        "coarsen": (lambda inc: coarsen_increments(inc, factor), increments),
+    }
+    solos = {}
+    for name, (form, block) in forms.items():
+        solo = solos[name] = [_solo_or_raised(form, block[p : p + 1]) for p in range(P)]
+        if any(row is None for row in solo):
+            for stack in (block, block[order]):
+                with pytest.raises(SnlsError, match="non-finite"):
+                    form(stack)
+            continue
+        batch, shuffled = form(block), form(block[order])
+        for i, p in enumerate(order):
+            assert np.array_equal(solo[p], batch[p])
+            assert np.array_equal(shuffled[i], batch[p])
+    one_path = {
+        "em": lambda path: euler_maruyama_diffusion(u0, model, gamma, path).values,
+        "exact": lambda path: diffusion_only_exact(
+            u0, conservative, gamma, replace(path, increments=path.increments[:n_modes]), t
+        ).values,
+        "coarsen": lambda path: coarsen_path(path, factor).increments,
+    }
+    for p in range(P):
+        path = BrownianPath(mesh, increments[p], seed, p)
+        for name, solve in one_path.items():
+            if solos[name][p] is None:
+                with pytest.raises(SnlsError, match="non-finite"):
+                    solve(path)
+            else:
+                assert np.array_equal(solve(path), solos[name][p])
+    return solos
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     P=st.integers(1, 6),
@@ -333,32 +385,22 @@ def _stack_problem(n_modes: int, n_linear: int, P: int, seed: int):
     data=st.data(),
 )
 def test_stack_forms_are_bitwise_independent_of_the_batch(P, gamma, n_modes, n_linear, seed, data):
-    """Row p of a stack is the solo result of path p, bitwise, for a batch
-    of P, a batch of one and shuffled order; the one-path functions agree.
-    The exact flow admits no linear modes and takes the model without."""
+    """The batch claim, failure included, on drawn problems and orders."""
     order = data.draw(st.permutations(range(P)))
-    model, u0, mesh, increments = _stack_problem(n_modes, n_linear, P, seed)
-    conservative, _, _, _ = _stack_problem(n_modes, 0, P, seed)
     t = data.draw(st.sampled_from([0.3125, 1.0]))
     factor = data.draw(st.sampled_from([1, 2, 8]))
-    forms = {
-        "em": (lambda inc: euler_maruyama_paths(u0, model, gamma, mesh, inc), increments),
-        "exact": (lambda inc: diffusion_only_exact_paths(u0, conservative, gamma, mesh, inc, t), increments[:, :n_modes]),
-        "coarsen": (lambda inc: coarsen_increments(inc, factor), increments),
-    }
-    batches = {}
-    for name, (form, block) in forms.items():
-        batch = batches[name] = form(block)
-        shuffled = form(block[order])
-        for i, p in enumerate(order):
-            assert np.array_equal(form(block[p : p + 1])[0], batch[p])
-            assert np.array_equal(shuffled[i], batch[p])
-    for p in range(P):
-        path = BrownianPath(mesh, increments[p], seed, p)
-        assert np.array_equal(euler_maruyama_diffusion(u0, model, gamma, path).values, batches["em"][p])
-        assert np.array_equal(coarsen_path(path, factor).increments, batches["coarsen"][p])
-        exact = diffusion_only_exact(u0, conservative, gamma, replace(path, increments=increments[p, :n_modes]), t)
-        assert np.array_equal(exact.values, batches["exact"][p])
+    _check_batch_claim(P, gamma, n_modes, n_linear, seed, order, t, factor)
+
+
+@pytest.mark.parametrize("n_linear", [0, 1, 2])
+@pytest.mark.parametrize("P", [1, 3])
+def test_a_row_that_overflows_alone_makes_its_stack_raise(P, n_linear):
+    """Seed 456, path 0 at gamma = 2 with two power modes: its
+    Euler–Maruyama march overflows alone, so every stack holding it raises,
+    while the exact flow and the other rows march."""
+    solos = _check_batch_claim(P, 2.0, 2, n_linear, 456, list(range(P))[::-1], 1.0, 2)
+    assert [row is None for row in solos["em"]] == [True] + [False] * (P - 1)
+    assert all(row is not None for row in solos["exact"])
 
 
 @settings(max_examples=10, deadline=None)

@@ -17,6 +17,10 @@ fields by reflection, without naming them.
 
 `config` owns a run's input and the engine reads it, never the other way
 round: `config` imports no module that solves, drives or reports a run.
+
+`grid_field` alone turns the stack cap `CHUNK_STACK_BYTES` into rows
+(`stack_slices`): no other module names it in code, so one binding of the
+cap moves every stacked march.
 """
 
 import ast
@@ -112,3 +116,13 @@ def _package_imports(path) -> set:
 def test_config_imports_no_consumer_of_the_input():
     assert sorted(_package_imports(PACKAGE / "config.py") & CONSUMERS) == []
     assert importlib.util.find_spec("snls.specs") is None
+
+
+def test_only_grid_field_names_the_stack_cap():
+    named = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        trees = _trees([path])
+        imported = {alias.name for node in ast.walk(trees[0]) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        if "CHUNK_STACK_BYTES" in _used_identifiers(trees) | imported:
+            named.append(path.stem)
+    assert named == ["grid_field"]

@@ -1,6 +1,7 @@
 """The `verify` invariant suites that tier-1 does not reach through the CLI."""
 
 import functools
+import json
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 import reference
+import snls.grid_field
 from snls import verify
+from snls.grid_field import stack_slices
 from snls.errors import OutOfRange
 from snls.exponents import ModelParams
 from snls.verify import run_suites
@@ -191,6 +194,29 @@ def test_propagator_residuals_are_bitwise_the_per_field_loop(stack_cap, n_fields
     five-row stack."""
     for seed, t_max in ((11, 3.0), (2024, 2.0), (5, 0.5)):
         assert verify.propagator_residuals(n_fields, seed, t_max) == _reference_residuals(n_fields, seed, t_max)
+
+
+_DEFAULT_CAP = snls.grid_field.CHUNK_STACK_BYTES
+
+
+def _strichartz_records(monkeypatch) -> tuple:
+    """The strichartz suite's records, the 200 values of |J(T)| its moment
+    check averages, and the sizes of the stacks they came in."""
+    norms, lp_norm_rows = [], verify.lp_norm_rows
+    monkeypatch.setattr(verify, "lp_norm_rows", lambda *a: norms.append(lp_norm_rows(*a)) or norms[-1])
+    records = json.dumps(verify.suite_strichartz())
+    monkeypatch.setattr(verify, "lp_norm_rows", lp_norm_rows)
+    return records, np.concatenate(norms).tobytes(), [n.size for n in norms]
+
+
+def test_strichartz_suite_is_bitwise_independent_of_the_cap(stack_cap, monkeypatch):
+    """The moment check convolves its 200 paths in the stacks that
+    `stack_slices` gives under the cap; its values and the suite's records
+    are bitwise those at the default cap (stacks of 64, 64, 64 and 8)."""
+    records, norms, sizes = _strichartz_records(monkeypatch)
+    assert sizes == [s.stop - s.start for s in stack_slices(200, 256)]
+    monkeypatch.setattr(snls.grid_field, "CHUNK_STACK_BYTES", _DEFAULT_CAP)
+    assert _strichartz_records(monkeypatch) == (records, norms, [64, 64, 64, 8])
 
 
 def test_dispersive_decay_is_bitwise_the_per_time_loop(stack_cap):

@@ -26,7 +26,7 @@ def theta(x, level):
     (cutoff disabled), whatever x.  Lipschitz with constant 1/level.
     """
     if not np.ndim(x) and (isinstance(level, (int, float)) or not np.ndim(level)):
-        if level <= 0:
+        if not level > 0:
             raise OutOfRange(f"level must be positive, got {level}")
         return 1.0 if math.isinf(level) else min(max(2.0 - float(x) / level, 0.0), 1.0)
     return cutoff(level)(x)
@@ -38,7 +38,7 @@ def cutoff(level):
     once: a march that reads the cutoff at the same levels every step pays
     only for the ufuncs of the formula."""
     level = np.asarray(level, dtype=float)
-    if (level <= 0).any():
+    if not (level > 0).all():
         raise OutOfRange(f"level must be positive, got {level}")
     off = np.isinf(level)
     if off.all():
@@ -59,7 +59,7 @@ def detect_stopping_time(times, z, level: float) -> float:
     path.  Z exists only there, so tau is resolved to them; the last mesh
     time is the horizon T.
     """
-    if level <= 0:
+    if not level > 0:
         raise OutOfRange(f"level must be positive, got {level}")
     hit = z >= level
     j = int(np.argmax(hit))

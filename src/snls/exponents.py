@@ -247,11 +247,11 @@ def picard_window_length(
         raise CriticalDelta("delta = 0: no contraction window length exists")
     if delta < 0:
         raise OutOfRange(f"delta = {delta} < 0 (supercritical)")
-    if C1 <= 0:
+    if not C1 > 0:
         raise OutOfRange(f"C1 must be positive, got {C1}")
-    if T <= 0:
+    if not T > 0:
         raise OutOfRange(f"T must be positive, got {T}")
-    if K < 0:
+    if not K >= 0:
         raise OutOfRange(f"K must be nonnegative, got {K}")
     if K == 0:
         return T
@@ -321,7 +321,7 @@ def calculus_dichotomy_check(x: float, alpha: RationalLike) -> DichotomyResult:
     [0, c1] or [c2, inf) where c1 <= 2 < c2 are the roots from
     `dichotomy_roots`.
     """
-    if x < 0:
+    if not x >= 0:
         raise OutOfRange(f"x must be nonnegative, got {x}")
     a = float(as_fraction(alpha))
     if a <= 1:

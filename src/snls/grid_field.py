@@ -35,12 +35,12 @@ _HEADER = struct.Struct("<qqd")  # d, n as int64, L as float64, little-endian
 
 # Cap on the bytes of one (R, size) complex128 stack that is marched or
 # transformed at once; `stack_slices` is the one rule that turns it into
-# rows, for an ensemble's chunks and every other stacked march.  Set from
-# paths/s measured at caps of 16 KiB to 16 MiB (2 CPUs, d = 1 and d = 2
-# ensembles): smaller caps were slower (about 0.55x at 16 KiB for d = 1,
-# n = 128), larger ones gave no resolved gain, and peak RSS grows with the
-# stack (+25 MB at 4 MiB for d = 2, n = 128).  `solver.RECORD_BLOCK_BYTES`
-# is apart: it caps the float |v| blocks a march records, measured on its own.
+# rows, for an ensemble's chunks, every other stacked march and the blocks
+# of steps a split-step march records.  Set from paths/s measured at caps
+# of 16 KiB to 16 MiB (2 CPUs, d = 1 and d = 2 ensembles): smaller caps
+# were slower (about 0.55x at 16 KiB for d = 1, n = 128), larger ones gave
+# no resolved gain, and peak RSS grows with the stack (+25 MB at 4 MiB for
+# d = 2, n = 128).
 CHUNK_STACK_BYTES = 1 << 18
 
 
@@ -147,7 +147,7 @@ def gaussian_field(
     grid: Grid, amplitude: complex = 1.0, width: float = 1.0, center=None
 ) -> ComplexField:
     """amplitude * exp(-|x - center|^2 / (2 width^2))."""
-    if width <= 0:
+    if not width > 0:
         raise OutOfRange(f"width must be positive, got {width}")
     center = np.zeros(grid.d) if center is None else np.asarray(center, dtype=float)
     if center.shape != (grid.d,):
@@ -190,7 +190,11 @@ def lp_norm_rows(values: np.ndarray, p: float, grid: Grid) -> np.ndarray:
 
 def stack_slices(n_rows: int, row_size: int) -> list:
     """Consecutive slices of `n_rows` rows of `row_size` complex128 values
-    each, whose stacks hold at most CHUNK_STACK_BYTES (one row at least)."""
+    each, whose stacks hold at most CHUNK_STACK_BYTES (one row at least).
+
+    The rows are paths, fields or times of a stacked march, or the states
+    0 .. K of a split-step march, each a row of P * size values, which the
+    solver records block by block."""
     rows = max(1, CHUNK_STACK_BYTES // (16 * row_size))
     return [slice(s, min(s + rows, n_rows)) for s in range(0, n_rows, rows)]
 

@@ -21,13 +21,15 @@ Both schemes run in one engine, `solve_paths`, which marches P paths as a
 (P, grid.size) stack: a batched 1-D FFT per spatial axis and transform, one
 |v|^2 pass per block of steps for the norms and the half-box leakage, kept
 with the accumulators as columns, and the cutoff theta(Z) per row, at the
-row's level.  A path's result does not depend on the block size or on the
-other rows of its stack, bitwise.  Every row marches to the last step; the
-march only records.  Each path's verdicts are read from its columns
-afterwards: its stopping time, whether the cutoff ever acted, its half-box
-leakage (the row max), and, for a row whose L^2 norm leaves BLOWUP_L2 or
-whose running-norm accumulators stop being finite, the BlowUp at the first
-such step.  `solve` is the P = 1 case, in the config's scheme.
+row's level.  A split-step block holds the states that `stack_slices` puts
+in one stack; a Picard block is one step.  A path's result does not depend
+on the blocks or on the other rows of its stack, bitwise.  Every row
+marches to the last step; the march only records.  Each path's verdicts
+are read from its columns afterwards: its stopping time, whether the
+cutoff ever acted, its half-box leakage (the row max), and, for a row
+whose L^2 norm leaves BLOWUP_L2 or whose running-norm accumulators stop
+being finite, the BlowUp at the first such step.  `solve` is the P = 1
+case, in the config's scheme.
 """
 
 from __future__ import annotations
@@ -40,19 +42,12 @@ from .config import SimConfig, read_levels
 from .dynamics import cutoff, detect_stopping_time, theta
 from .errors import BlowUp, ConfigError, LengthMismatch, MeshMismatch, SolverError
 from .exponents import z_exponents
-from .grid_field import Trajectory, fill_accumulators, lp_norm_rows, norms_and_leakage, z_components
+from .grid_field import Trajectory, fill_accumulators, lp_norm_rows, norms_and_leakage, stack_slices, z_components
 from .noise import BrownianPath, NoiseModel, mode_sum, sample_brownian_path
 from .propagator import get_plan
 
 # L^2 norm beyond which a step counts as blown up (either scheme).
 BLOWUP_L2 = 1e12
-
-# Bytes of |v| that split-step keeps per block of steps before it records
-# the block's norms, leakage and accumulators at once (see `solve_paths`):
-# 32 rows of a single d = 1, n = 128 path, which removes almost all of the
-# per-call cost of per-step recording (larger blocks were no faster), and a
-# single row of a 20-path stack, whose peak memory a larger block would raise.
-RECORD_BLOCK_BYTES = 1 << 15
 
 
 @dataclass
@@ -121,20 +116,23 @@ def solve_paths(config: SimConfig, paths, keep_states: bool = False, levels=None
     the first failing step, as are tau, the cutoff flag
     (truncation_ever_active: theta(Z_l) < 1 at some step l < K, Picard
     only) and the half-box leakage (the max of its column) of the others.
-    Each step's |v| goes into a block of B steps, whose norms, leakage and
-    accumulators are recorded at once when it is full: B = 1 for Picard,
-    whose step l reads Z at t_l, and for split-step as many as
-    RECORD_BLOCK_BYTES of |v| hold (at least one).  With keep_states each
+    The march goes block by block over the states 0 .. K: each state's |v|
+    goes into the block, then one pass records the block's norms, leakage
+    and accumulators.  Split-step takes its blocks from
+    `stack_slices(K + 1, P * grid.size)`, as many states as a stack of
+    complex rows of P * grid.size values holds; Picard takes one step per
+    block, because its step l reads Z at t_l.  With keep_states each
     step's v is also copied into the kept states, which the recording never
     reads, so the columns are the same with and without them.
     Every row is computed with numpy ufuncs, row-wise FFTs and sums over
     the C-contiguous last axis, mode sums in a fixed order and accumulators
     as left folds along time, so a path's result is bitwise the same in any
-    batch, at any position, for any B.  Each row's path is checked once,
-    before the stack: a mesh more than 1e-12 off the config mesh at any point
-    raises MeshMismatch, increments not of shape (config.model.total_modes, K)
-    LengthMismatch, `levels` not of length P LengthMismatch, and a level
-    that is not positive (NaN included) ConfigError, as in SimConfig.
+    batch, at any position, for any blocks.  Each row's path is checked
+    once, before the stack: a mesh more than 1e-12 off the config mesh at
+    any point raises MeshMismatch, increments not of shape
+    (config.model.total_modes, K) LengthMismatch, `levels` not of length P
+    LengthMismatch, and a level that is not positive (NaN included)
+    ConfigError, as in SimConfig.
     """
     mesh, model = config.mesh(), config.model
     P, M, K = len(paths), model.total_modes, config.n_steps
@@ -165,37 +163,26 @@ def solve_paths(config: SimConfig, paths, keep_states: bool = False, levels=None
     states = np.empty((K + 1, P, grid.size), dtype=np.complex128) if keep_states else None
     v = np.repeat(config.u0.values[None, :], P, axis=0)
     if config.scheme == "picard":
-        step, carry, B = _picard_step(config, model, zexp, levels), v, 1
+        step, carry = _picard_step(config, model, zexp, levels), v
+        blocks = [slice(l, l + 1) for l in range(K + 1)]
     else:
         step, carry = _splitstep_step(config, model), get_plan(grid, config.enable_laplacian).forward(v)
-        B = max(1, RECORD_BLOCK_BYTES // (8 * P * grid.size))
-    block = np.empty((B, P, grid.size))
-    first = 0  # the block holds |v| of the states first .. l
-
-    def record(l, v, carry):
-        """Keep |v| of state l in the block (and v in `states`, when kept);
-        once the block is full, or l = K, fill its columns and the
-        accumulators up to min(l + 1, K).  Returns carry, so that a step's
-        v is bound only while it is recorded."""
-        nonlocal first
-        np.abs(v, out=block[l - first])
-        if keep_states:
-            states[l] = v
-        if l - first + 1 < B and l < K:
-            return carry
-        mass[first : l + 1], n1, n2, leak[first : l + 1] = norms_and_leakage(block[: l + 1 - first], grid, p1, p2)
-        end = min(l + 1, K)
-        fill_accumulators(
-            acc1[first : end + 1], acc2[first : end + 1], n1[: end - first], n2[: end - first], dts[first:end], zexp
-        )
-        first = l + 1
-        return carry
+        blocks = stack_slices(K + 1, P * grid.size)
+    block = np.empty((blocks[0].stop, P, grid.size))
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        carry = record(0, v, carry)
-        del v  # between steps only the carry stays alive (v̂ for split-step)
-        for l in range(K):
-            carry = record(l + 1, *step(carry, acc1[l], acc2[l], increments[:, :, l]))
+        for b in blocks:
+            for l in range(b.start, b.stop):
+                if l:
+                    v, carry = step(carry, acc1[l - 1], acc2[l - 1], increments[:, :, l - 1])
+                np.abs(v, out=block[l - b.start])
+                if keep_states:
+                    states[l] = v
+                del v  # between steps only the carry stays alive (v̂ for split-step)
+            # the block's columns, then the accumulators up to min(b.stop, K)
+            mass[b], n1, n2, leak[b] = norms_and_leakage(block[: b.stop - b.start], grid, p1, p2)
+            s, end = b.start, min(b.stop, K)
+            fill_accumulators(acc1[s : end + 1], acc2[s : end + 1], n1[: end - s], n2[: end - s], dts[s:end], zexp)
         # The verdicts, read from the columns (one row per path from here on):
         # failed[r, l] when step l left a bound, whether the cutoff that step
         # l read from Z at t_l was ever below 1, and the largest leakage.

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from snls.dynamics import detect_stopping_time, theta
+from snls.dynamics import cutoff, detect_stopping_time, theta
 from snls.errors import OutOfRange
 from snls.exponents import ModelParams, z_exponents
 from snls.grid_field import Grid, Trajectory, random_field
@@ -154,3 +154,18 @@ def test_stopping_time_T_implies_phi_one():
             c1, c2 = traj.z_columns()
             assert np.all(theta(c1 + c2, level) == 1.0)
     assert hits > 0
+
+
+def test_theta_refuses_a_nan_level():
+    with pytest.raises(OutOfRange):
+        theta(1.0, math.nan)
+
+
+def test_cutoff_refuses_a_nan_level():
+    with pytest.raises(OutOfRange):
+        cutoff([2.0, math.nan])
+
+
+def test_stopping_time_refuses_a_nan_level():
+    with pytest.raises(OutOfRange):
+        detect_stopping_time(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 2.0]), math.nan)

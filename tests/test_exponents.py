@@ -238,3 +238,15 @@ def test_z_exponents_gamma_one_is_trivial_endpoint():
     zx = z_exponents(ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(1), lam=1))
     assert zx.q == 8 and zx.p1 == 4 and zx.p2 == 2
     assert not zx.q_tilde_finite
+
+
+@pytest.mark.parametrize("arg", ["K", "C1", "T"])
+def test_picard_window_length_refuses_nan(arg):
+    kw = dict(K=1.0, C1=1.0, delta=Fraction(1, 2), alpha=Fraction(3), T=10.0)
+    with pytest.raises(OutOfRange):
+        picard_window_length(**dict(kw, **{arg: math.nan}))
+
+
+def test_calculus_dichotomy_check_refuses_nan():
+    with pytest.raises(OutOfRange):
+        calculus_dichotomy_check(math.nan, 3)

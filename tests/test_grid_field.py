@@ -338,3 +338,8 @@ def test_fill_accumulators_is_the_scalar_left_fold(gamma, data, rows, m):
             fold2.append(a2)
         assert acc1[:, r].tobytes() == np.array(fold1).tobytes()
         assert acc2[:, r].tobytes() == np.array(fold2).tobytes()
+
+
+def test_gaussian_field_refuses_a_nan_width():
+    with pytest.raises(OutOfRange, match="width"):
+        gaussian_field(GRID, 1.0, math.nan)

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from snls.dynamics import theta
 from snls.errors import BlowUp, ConfigError, LengthMismatch, MeshMismatch
 from snls.exponents import ModelParams
-from snls.grid_field import Grid, Trajectory, lp_norm, lp_norm_rows
+from snls.grid_field import Grid, Trajectory, lp_norm, lp_norm_rows, stack_slices
 from snls.noise import diffusion_only_exact, noise_term, sample_brownian_path, stratonovich_drift
 from snls.propagator import get_plan
 import snls.config
+import snls.grid_field
 import snls.solver
 from snls.config import SimConfig
 from snls.solver import (
@@ -667,13 +668,16 @@ def test_splitstep_equals_the_textbook_strang_step(case):
 
 
 def _block_case(case):
+    """(config, number of paths) of a block-recording case."""
     if case == "gamma1":  # the second accumulator is a running max; every row resolves
-        return config()
+        return config(), 6
     if case == "gamma3-blowup":  # power integrals; row 3 blows up at step 4, mid-block
-        return _overflow_config(5)
+        return _overflow_config(5), 6
+    if case == "d2":  # one path at d = 2, n = 64: four steps per block at the default cap
+        return config(params=TEXTBOOK_CASES["d2-gamma1"]["params"], grid=Grid(d=2, n=64, L=16.0)), 1
     # gamma = 1, non-conservative noise: every row blows up at step 15 or 16
     cfg = _overflow_config(20)
-    return replace(cfg, params=replace(cfg.params, gamma=Fraction(1)))
+    return replace(cfg, params=replace(cfg.params, gamma=Fraction(1))), 6
 
 
 def _verdicts(rep):
@@ -685,27 +689,55 @@ def _verdicts(rep):
 
 
 @pytest.mark.parametrize("keep_states", [True, False])
-@pytest.mark.parametrize("case", ["gamma1", "gamma1-blowup", "gamma3-blowup"])
+@pytest.mark.parametrize("case", ["gamma1", "gamma1-blowup", "gamma3-blowup", "d2"])
 def test_block_recording_equals_step_by_step_recording(monkeypatch, case, keep_states):
-    """Split-step records per block of steps.  With a cap of three states per
+    """Split-step records per block of steps, a block holding the states
+    that `stack_slices` puts in one stack.  With a cap of three states per
     block, K = 64 spans 21 full blocks and a partial block of two, and a
-    row solved alone gets blocks of 18 (three full, one partial).  Every
-    column, tau, leakage, cutoff flag and BlowUp equals, bitwise, a march
-    that records every step on its own."""
-    cfg = _block_case(case)
-    paths = [path_for(cfg, i) for i in range(6)]
+    row of a six-path stack solved alone gets blocks of 18 (three full, one
+    partial); at the default cap, the d = 2, n = 64 path gets blocks of 4.
+    Every column, tau, leakage, cutoff flag and BlowUp equals, bitwise, a
+    march that records every step on its own."""
+    cfg, n_paths = _block_case(case)
+    paths = [path_for(cfg, i) for i in range(n_paths)]
+    default = snls.grid_field.CHUNK_STACK_BYTES
 
     def march(cap, rows):
-        monkeypatch.setattr(snls.solver, "RECORD_BLOCK_BYTES", cap)
+        monkeypatch.setattr(snls.grid_field, "CHUNK_STACK_BYTES", cap)
         return [_verdicts(rep) for rep in solve_paths(cfg, rows, keep_states)]
 
-    cap = 3 * 8 * len(paths) * cfg.grid.size
+    cap = 3 * 16 * len(paths) * cfg.grid.size
     assert cfg.n_steps == 64
     step_by_step = march(1, paths)
     assert march(cap, paths) == step_by_step
     assert [march(cap, [p])[0] for p in paths] == step_by_step
+    assert [march(default, [p])[0] for p in paths] == step_by_step
     failed = [i for i, v in enumerate(step_by_step) if isinstance(v[0], str)]
-    assert failed == {"gamma1": [], "gamma1-blowup": list(range(6)), "gamma3-blowup": [3]}[case]
+    assert failed == {"gamma1": [], "gamma1-blowup": list(range(6)), "gamma3-blowup": [3], "d2": []}[case]
+
+
+def test_recording_blocks_follow_the_one_stack_rule(monkeypatch, stack_cap):
+    """A split-step march records its states in the blocks that
+    `stack_slices` makes of K + 1 rows of P * size values, one
+    `norms_and_leakage` call each: 2, 7 and 65 calls for two paths and
+    K = 64 at the three caps.  Picard records each of its K + 1 states
+    alone, because its step l reads Z at t_l."""
+    calls = []
+    record = snls.solver.norms_and_leakage
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return record(*args)
+
+    monkeypatch.setattr(snls.solver, "norms_and_leakage", counted)
+    splitstep_blocks = stack_slices(65, 2 * GRID.size)
+    assert len(splitstep_blocks) == {None: 2, 5 * 16 * 512: 7, 1: 65}[stack_cap]
+    for scheme, blocks in (("splitstep", splitstep_blocks), ("picard", [slice(l, l + 1) for l in range(65)])):
+        cfg = config(scheme=scheme)
+        assert cfg.n_steps == 64
+        calls.clear()
+        solve_paths(cfg, [path_for(cfg, i) for i in range(2)])
+        assert calls == [b.stop - b.start for b in blocks]
 
 
 @pytest.mark.parametrize("d", [1, 2])

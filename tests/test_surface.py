@@ -20,7 +20,9 @@ round: `config` imports no module that solves, drives or reports a run.
 
 `grid_field` alone turns the stack cap `CHUNK_STACK_BYTES` into rows
 (`stack_slices`): no other module names it in code, so one binding of the
-cap moves every stacked march.
+cap moves every stacked march, a march's blocks of recorded steps among
+them.  Nor does any other module bind a module-level name ending in
+`_BYTES`: a second cap on how much an array holds would be a second rule.
 """
 
 import ast
@@ -126,3 +128,23 @@ def test_only_grid_field_names_the_stack_cap():
         if "CHUNK_STACK_BYTES" in _used_identifiers(trees) | imported:
             named.append(path.stem)
     assert named == ["grid_field"]
+
+
+def _module_bindings(path) -> set:
+    """The names that the top-level statements of the module at `path`
+    bind by assignment."""
+    names = set()
+    for node in _trees([path])[0].body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        names |= {n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_only_grid_field_binds_a_byte_cap():
+    bound = [path.stem for path in sorted(PACKAGE.glob("*.py")) if any(n.endswith("_BYTES") for n in _module_bindings(path))]
+    assert bound == ["grid_field"]

@@ -22,8 +22,7 @@ against it.  Both have a stack form, `diffusion_only_exact_paths` and
 mesh and returns a (P, grid.size) array; the one-path functions are its
 P = 1 case, and a row is bitwise the same in any stack.  The march takes
 |v| once per step for both terms, marches its paths in stacks capped at
-`grid_field.CHUNK_STACK_BYTES` and checks finiteness once, at the end;
-its records are bitwise those of the step-by-step loop it replaced.
+`grid_field.CHUNK_STACK_BYTES` and checks finiteness once, at the end.
 
 Brownian increments are generated with the counter-based Philox generator,
 keyed by (seed, path index, mode), so every increment is a pure function of

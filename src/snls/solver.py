@@ -13,9 +13,9 @@ sampled Brownian increments held fixed, so each path is solved
 deterministically (`_picard_step`).  The split-step scheme
 (`_splitstep_step`) is the untruncated reference: Strang splitting whose
 sub-steps conserve discrete mass to rounding for conservative noise.  Its
-nonlinear and noise phases compose into one pointwise rotation, and the
-spectral array that ends a step starts the next, so a step costs three
-transforms: the engine transforms u0 once and carries v̂ alone.
+nonlinear and noise phases compose into one pointwise rotation, applied in
+place, and the spectral array that ends a step starts the next, so a step
+costs three transforms: the engine transforms u0 once and carries v̂ alone.
 
 Both schemes run in one engine, `solve_paths`, which marches P paths as a
 (P, grid.size) stack: a batched 1-D FFT per spatial axis and transform, one
@@ -42,7 +42,7 @@ from .config import SimConfig, read_levels
 from .dynamics import cutoff, detect_stopping_time, theta
 from .errors import BlowUp, ConfigError, LengthMismatch, MeshMismatch, SolverError
 from .exponents import z_exponents
-from .grid_field import Trajectory, fill_accumulators, lp_norm_rows, norms_and_leakage, stack_slices, z_components
+from .grid_field import Trajectory, fill_accumulators, lp_norm_rows, norms_and_leakage, stack_slices, time_index, z_components
 from .noise import BrownianPath, NoiseModel, mode_sum, sample_brownian_path
 from .propagator import get_plan
 
@@ -127,12 +127,14 @@ def solve_paths(config: SimConfig, paths, keep_states: bool = False, levels=None
     Every row is computed with numpy ufuncs, row-wise FFTs and sums over
     the C-contiguous last axis, mode sums in a fixed order and accumulators
     as left folds along time, so a path's result is bitwise the same in any
-    batch, at any position, for any blocks.  Each row's path is checked
-    once, before the stack: a mesh more than 1e-12 off the config mesh at
-    any point raises MeshMismatch, increments not of shape
-    (config.model.total_modes, K) LengthMismatch, `levels` not of length P
-    LengthMismatch, and a level that is not positive (NaN included)
-    ConfigError, as in SimConfig.
+    batch, at any position, for any blocks.  Split-step rotates v in place:
+    numpy computes v * exp(-i phase) of 256 KiB or more (a stack at the cap)
+    as exp(-i phase) * v, which its SIMD kernels do not round alike.  Each
+    row's path is checked once, before the stack: a mesh more than 1e-12
+    off the config mesh at any point raises MeshMismatch, increments not of
+    shape (config.model.total_modes, K) LengthMismatch, `levels` not of
+    length P LengthMismatch, and a level that is not positive (NaN
+    included) ConfigError, as in SimConfig.
     """
     mesh, model = config.mesh(), config.model
     P, M, K = len(paths), model.total_modes, config.n_steps
@@ -267,12 +269,12 @@ def _splitstep_step(config: SimConfig, model: NoiseModel):
     (dbeta_l . e) |v|^(gamma-1) + dbeta'_l . b.  The nonlinear and the
     conservative-noise sub-steps are pointwise rotations by phases that
     depend only on |v|, which neither changes, so they compose exactly into
-    this one rotation.  v̂_{l+1} is carried into the next step, so a step
-    costs three transforms (the engine transforms u0 once).  With the
-    unitary linear half-steps every sub-step is an isometry on the grid, so
-    discrete mass is conserved to rounding.  Non-conservative noise falls
-    back to the nonlinear rotation followed by one Euler–Maruyama step with
-    the Itô correction drift.
+    this one rotation, applied in place (see `solve_paths`).  v̂_{l+1} is
+    carried into the next step, so a step costs three transforms (the
+    engine transforms u0 once).  With the unitary linear half-steps every
+    sub-step is an isometry on the grid, so discrete mass is conserved to
+    rounding.  Non-conservative noise rotates by the nonlinear phase alone,
+    then takes one Euler–Maruyama step with the Itô correction drift.
     """
     plan = get_plan(config.grid, config.enable_laplacian)
     dt = config.dt
@@ -280,18 +282,14 @@ def _splitstep_step(config: SimConfig, model: NoiseModel):
     gamma = float(config.params.gamma)
     lam = config.params.lam if config.enable_nonlinearity else 0
     half_mult = plan.multiplier(0.5 * dt)
-    n_e = model.n_modes
     exact_noise = model.conservative and model.linear_real
+    n_e, n_b = (model.n_modes, model.n_linear_modes) if exact_noise else (0, 0)
     coeffs_real = model.coeffs.real
     linear_real = model.linear_coeffs.real
 
     def step(v_hat, acc1, acc2, dinc):
         v = plan.inverse(half_mult * v_hat)
-        if not exact_noise:
-            if lam:
-                v = v * np.exp(-1j * lam * dt * np.abs(v) ** (alpha - 1.0))
-            v = _ito_step(v, np.ones((len(v), 1)), dinc, dt, 0, alpha, gamma, model)
-        elif lam or model.total_modes:
+        if lam or n_e or n_b:  # the noise phase joins only for exact_noise
             absv = np.abs(v)
             phase = (lam * dt) * absv ** (alpha - 1.0) if lam else 0.0
             if n_e:
@@ -299,9 +297,11 @@ def _splitstep_step(config: SimConfig, model: NoiseModel):
                 if gamma != 1.0:  # |v| ** 0 is exactly 1
                     kick = kick * absv ** (gamma - 1.0)
                 phase = phase + kick
-            if model.n_linear_modes:
+            if n_b:
                 phase = phase + mode_sum(dinc[:, n_e:], linear_real)
-            v = v * np.exp(-1j * phase)
+            v *= np.exp(-1j * phase)
+        if not exact_noise:
+            v = _ito_step(v, np.ones((len(v), 1)), dinc, dt, 0, alpha, gamma, model)
         v_hat = half_mult * plan.forward(v)
         return plan.inverse(v_hat), v_hat
 
@@ -364,7 +364,7 @@ def path_coincidence_check(config: SimConfig, paths, levels) -> tuple[list, list
             if isinstance(rep, SolverError):
                 raise rep
         t1, t2 = rep1.trajectory, rep2.trajectory
-        upto = int(np.searchsorted(t1.times, rep1.tau + 1e-12, side="right"))
+        upto = time_index(t1.times, rep1.tau) + 1
         a, b = t1.states[:upto], t2.states[:upto]
         rel = lp_norm_rows(a - b, 2, config.grid) / np.maximum(lp_norm_rows(a, 2, config.grid), 1e-300)
         gaps.append(float(np.max(rel, initial=0.0)))

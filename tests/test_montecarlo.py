@@ -357,22 +357,24 @@ def _per_path_reports(cfg, n_paths, out_dir):
 
 
 @pytest.mark.parametrize(
-    "scheme, level",
-    [("splitstep", math.inf), ("picard", math.inf), ("picard", 3.0), ("splitstep", 3.0)],
+    "scheme, level, n_paths",
+    [("splitstep", math.inf, 5), ("picard", math.inf, 5), ("picard", 3.0, 5), ("splitstep", 3.0, 5), ("splitstep", math.inf, 256)],
+    ids=["splitstep-inf", "picard-inf", "picard-3.0", "splitstep-3.0", "splitstep-inf-256-paths"],
 )
-def test_ensemble_is_bitwise_independent_of_chunks_and_workers(monkeypatch, tmp_path, scheme, level):
+def test_ensemble_is_bitwise_independent_of_chunks_and_workers(monkeypatch, tmp_path, scheme, level, n_paths):
     """One chunk, chunks of 2 (paths split across chunk boundaries) and two
-    worker processes give byte-identical summaries and per-path reports."""
+    worker processes give byte-identical summaries and per-path reports.
+    256 paths at n = 64 fill one chunk at the cap, 256 KiB."""
     cfg = config(scheme=scheme, truncation_level=level, ic_spec={"kind": "gaussian_bump", "amplitude": 1.2, "width": 2.0})
     monkeypatch.delenv("SNLS_THREADS", raising=False)
-    assert len(path_chunks(5, cfg.grid.size)) == 1
-    whole = _per_path_reports(cfg, 5, tmp_path / "whole")
+    assert len(path_chunks(n_paths, cfg.grid.size)) == 1
+    whole = _per_path_reports(cfg, n_paths, tmp_path / "whole")
     monkeypatch.setattr(snls.grid_field, "CHUNK_STACK_BYTES", 2 * 16 * cfg.grid.size)
-    assert [list(c) for c in path_chunks(5, cfg.grid.size)] == [[0, 1], [2, 3], [4]]
-    assert _per_path_reports(cfg, 5, tmp_path / "pairs") == whole
+    assert [list(c) for c in path_chunks(n_paths, cfg.grid.size)] == [list(range(i, min(i + 2, n_paths))) for i in range(0, n_paths, 2)]
+    assert _per_path_reports(cfg, n_paths, tmp_path / "pairs") == whole
     monkeypatch.undo()
     monkeypatch.setenv("SNLS_THREADS", "2")
-    assert _per_path_reports(cfg, 5, tmp_path / "workers") == whole
+    assert _per_path_reports(cfg, n_paths, tmp_path / "workers") == whole
     if level == 3.0:
         assert any(t < cfg.T for t in whole[0]["taus"])
 

@@ -1,6 +1,10 @@
 """Both integrators: exactness cases, oracles, cross-validation."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
@@ -540,6 +544,80 @@ def test_batch_results_are_bitwise_independent_of_the_batch(scheme, level, order
         assert any(rep.tau < cfg.T for rep in batch)
         if scheme == "picard":
             assert any(rep.truncation_ever_active for rep in batch)
+
+
+def _cap_stack(case, scheme):
+    """(config, rows) of a stack of the cap's size, 256 KiB, as the program
+    forms it: an ensemble chunk of 128 rows at d = 1, n = 128, the same with
+    non-conservative noise, and 4 rows at d = 2, n = 64.  Sixteen steps."""
+    kw = {
+        "d1-chunk": {},
+        "d1-nonconservative": TEXTBOOK_CASES["d1-nonconservative"],
+        "d2": dict(params=TEXTBOOK_CASES["d2-gamma1"]["params"], grid=Grid(d=2, n=64, L=16.0)),
+    }[case]
+    cfg = config(scheme=scheme, dt=1.0 / 16.0, **kw)
+    rows = snls.grid_field.CHUNK_STACK_BYTES // (16 * cfg.grid.size)
+    assert rows == (4 if case == "d2" else 128)
+    return cfg, rows
+
+
+@pytest.mark.parametrize("scheme", ["picard", "splitstep"])
+@pytest.mark.parametrize("case", ["d1-chunk", "d1-nonconservative", "d2"])
+def test_rows_of_a_stack_at_the_cap_equal_their_solo_solves(case, scheme):
+    """At the cap's size numpy may compute an elementwise product into the
+    place of a temporary operand, with the operands swapped; a row still
+    takes the arithmetic of its solo solve, bitwise (every column, kept
+    state, tau, leakage and cutoff flag)."""
+    cfg, rows = _cap_stack(case, scheme)
+    paths = [path_for(cfg, i) for i in range(rows)]
+    for path, rep in zip(paths, solve_paths(cfg, paths, keep_states=True)):
+        (solo,) = solve_paths(cfg, [path], keep_states=True)
+        assert _fingerprint(rep) == _fingerprint(solo), path.path_index
+        assert rep.trajectory.states.tobytes() == solo.trajectory.states.tobytes(), path.path_index
+
+
+def test_rows_of_a_stack_at_the_cap_equal_their_solo_solves_on_another_dispatch_target(tmp_path):
+    """The 128-row split-step stack (four steps) in a process whose numpy
+    kernels run one SIMD target lower, "AVX512_SPR" and "X86_V4" disabled
+    where numpy dispatches on them here (so the process starts on any
+    host): every row equals its solo solve there bitwise, and the stack's
+    states agree with this process's to 1e-14 of their largest modulus."""
+    introspect = pytest.importorskip("numpy.lib.introspect")
+
+    def targets(info):
+        return {t for sigs in info.values() for d in sigs.values() for t in d["current"].split()}
+
+    disabled = [f for f in ("AVX512_SPR", "X86_V4") if f in targets(introspect.opt_func_info())]
+    cfg, rows = _cap_stack("d1-chunk", "splitstep")
+    cfg = replace(cfg, T=0.25)
+    script = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from numpy.lib.introspect import opt_func_info\n"
+        "from snls.config import parse_config_dict\n"
+        "from snls.solver import path_for, solve_paths\n"
+        "cfg = parse_config_dict(json.loads(sys.argv[1]))\n"
+        "paths = [path_for(cfg, i) for i in range(int(sys.argv[2]))]\n"
+        "def columns(rep):\n"
+        "    t = rep.trajectory\n"
+        "    return [a.tobytes() for a in (t.states, t.running_mass, t.acc1, t.acc2)]\n"
+        "stack = solve_paths(cfg, paths, keep_states=True)\n"
+        "equal = sum(columns(rep) == columns(solve_paths(cfg, [p], keep_states=True)[0]) for p, rep in zip(paths, stack))\n"
+        "np.save(sys.argv[3], np.stack([rep.trajectory.states for rep in stack]))\n"
+        "targets = {t for sigs in opt_func_info().values() for d in sigs.values() for t in d['current'].split()}\n"
+        "print(json.dumps([equal, sorted(targets)]))\n"
+    )
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(snls.solver.__file__))
+    argv = [json.dumps(snls.config.config_to_dict(cfg)), str(rows), str(tmp_path / "states.npy")]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    equal, running = json.loads(proc.stdout)
+    assert not set(disabled) & set(running)
+    assert equal == rows
+    here = np.stack([rep.trajectory.states for rep in solve_paths(cfg, [path_for(cfg, i) for i in range(rows)], keep_states=True)])
+    there = np.load(tmp_path / "states.npy")
+    assert np.max(np.abs(there - here)) <= 1e-14 * np.max(np.abs(here))
 
 
 def _overflow_config(amplitude, **kw):

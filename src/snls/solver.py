@@ -11,25 +11,25 @@ only up to t_l.  Its fixed point is therefore the explicit exponential-Euler
 (Lawson) recurrence, which the solver marches one step at a time with the
 sampled Brownian increments held fixed, so each path is solved
 deterministically (`_picard_step`).  The split-step scheme
-(`_splitstep_step`) is the untruncated reference: Strang splitting whose
-sub-steps conserve discrete mass to rounding for conservative noise.  Its
-nonlinear and noise phases compose into one pointwise rotation, applied in
-place, and the spectral array that ends a step starts the next, so a step
-costs three transforms: the engine transforms u0 once and carries v̂ alone.
+(`_splitstep_step`) is the untruncated reference: Strang splitting in its
+phase-linear-phase order, whose sub-steps conserve discrete mass to
+rounding for conservative noise; it carries the state before its trailing
+half rotation, whose modulus is the state's.
 
-Both schemes run in one engine, `solve_paths`, which marches P paths as a
-(P, grid.size) stack: a batched 1-D FFT per spatial axis and transform, one
-|v|^2 pass per block of steps for the norms and the half-box leakage, kept
-with the accumulators as columns, and the cutoff theta(Z) per row, at the
-row's level.  A split-step block holds the states that `stack_slices` puts
-in one stack; a Picard block is one step.  A path's result does not depend
-on the blocks or on the other rows of its stack, bitwise.  Every row
-marches to the last step; the march only records.  Each path's verdicts
-are read from its columns afterwards: its stopping time, whether the
-cutoff ever acted, its half-box leakage (the row max), and, for a row
-whose L^2 norm leaves BLOWUP_L2 or whose running-norm accumulators stop
-being finite, the BlowUp at the first such step.  `solve` is the P = 1
-case, in the config's scheme.
+Both schemes are a pointwise map, then the free group's step U(dt), and
+both run in one engine, `solve_paths`, which applies U(dt) at one site, two
+transforms per step, to P paths marched as a (P, grid.size) stack: a
+batched 1-D FFT per spatial axis and transform, one |v|^2 pass per block of
+steps for the norms and the half-box leakage, kept with the accumulators as
+columns, and the cutoff theta(Z) per row, at the row's level.  A
+split-step block holds the states that `stack_slices` puts in one stack; a
+Picard block is one step.  A path's result does not depend on the blocks
+or on the other rows of its stack, bitwise.  Every row marches to the last
+step; the march only records.  Each path's verdicts are read from its
+columns afterwards: its stopping time, whether the cutoff ever acted, its
+half-box leakage (the row max), and, for a row whose L^2 norm leaves
+BLOWUP_L2 or whose running-norm accumulators stop being finite, the BlowUp
+at the first such step.  `solve` is the P = 1 case, in the config's scheme.
 """
 
 from __future__ import annotations
@@ -121,9 +121,13 @@ def solve_paths(config: SimConfig, paths, keep_states: bool = False, levels=None
     and accumulators.  Split-step takes its blocks from
     `stack_slices(K + 1, P * grid.size)`, as many states as a stack of
     complex rows of P * grid.size values holds; Picard takes one step per
-    block, because its step l reads Z at t_l.  With keep_states each
-    step's v is also copied into the kept states, which the recording never
-    reads, so the columns are the same with and without them.
+    block, because its step l reads Z at t_l.  Each step is
+    v_{l+1} = U(dt) map_l(v_l): the scheme gives the pointwise map, and the
+    march applies U(dt) for both, in two transforms.  The columns read |v|,
+    which for split-step is |z_l| = |u_l|.  With keep_states each state is
+    also copied into the kept states (split-step's rotated there by its
+    pending half, so kept state l is u_l), which the recording never reads,
+    so the columns are the same with and without them.
     Every row is computed with numpy ufuncs, row-wise FFTs and sums over
     the C-contiguous last axis, mode sums in a fixed order and accumulators
     as left folds along time, so a path's result is bitwise the same in any
@@ -165,22 +169,25 @@ def solve_paths(config: SimConfig, paths, keep_states: bool = False, levels=None
     states = np.empty((K + 1, P, grid.size), dtype=np.complex128) if keep_states else None
     v = np.repeat(config.u0.values[None, :], P, axis=0)
     if config.scheme == "picard":
-        step, carry = _picard_step(config, model, zexp, levels), v
+        pointwise, pending = _picard_step(config, model, zexp, levels, increments), None
         blocks = [slice(l, l + 1) for l in range(K + 1)]
     else:
-        step, carry = _splitstep_step(config, model), get_plan(grid, config.enable_laplacian).forward(v)
+        pointwise, pending = _splitstep_step(config, model, increments)
         blocks = stack_slices(K + 1, P * grid.size)
     block = np.empty((blocks[0].stop, P, grid.size))
+    plan = get_plan(grid, config.enable_laplacian)
+    mult = plan.multiplier(config.dt)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for b in blocks:
             for l in range(b.start, b.stop):
                 if l:
-                    v, carry = step(carry, acc1[l - 1], acc2[l - 1], increments[:, :, l - 1])
+                    v = plan.inverse(mult * plan.forward(pointwise(v, acc1[l - 1], acc2[l - 1], l - 1)))
                 np.abs(v, out=block[l - b.start])
                 if keep_states:
                     states[l] = v
-                del v  # between steps only the carry stays alive (v̂ for split-step)
+                    if pending and l:
+                        pending(states[l], l - 1)
             # the block's columns, then the accumulators up to min(b.stop, K)
             mass[b], n1, n2, leak[b] = norms_and_leakage(block[: b.stop - b.start], grid, p1, p2)
             s, end = b.start, min(b.stop, K)
@@ -234,7 +241,7 @@ def _config_notes(config: SimConfig) -> list:
 
 
 def _ito_step(v, phi, dinc, dt, lam, alpha, gamma, model: NoiseModel) -> np.ndarray:
-    """v + dt F(v, phi) + K(v, phi, dbeta) row by row, phi of shape (R, 1)."""
+    """v + dt F(v, phi) + K(v, phi, dbeta) row by row, phi of shape (R, 1) or 1.0."""
     # The Euler–Maruyama oracle (`noise.stratonovich_drift` + `noise_term`)
     # computes the same terms in another association order, on purpose: the
     # oracle checks this step only while it shares no arithmetic with it.
@@ -254,90 +261,82 @@ def _ito_step(v, phi, dinc, dt, lam, alpha, gamma, model: NoiseModel) -> np.ndar
     return w
 
 
-def _splitstep_step(config: SimConfig, model: NoiseModel):
-    """One Strang step of a (R, size) stack, v̂_l -> (v_{l+1}, v̂_{l+1})
-    with v̂ the spectral array whose inverse transform is v; the cutoff is
-    never applied.
+def _splitstep_step(config: SimConfig, model: NoiseModel, increments):
+    """Split-step's pointwise map of a (R, size) stack and the pending half
+    rotation of a kept state, both in place; the cutoff is never applied.
 
-    Half linear step, phase rotation, half linear step:
-
-        v_mid = inverse(half v̂_l),
-        v̂_{l+1} = half forward(v_mid exp(-i phase(|v_mid|))),
-        v_{l+1} = inverse(v̂_{l+1}),
-
-    with half = exp(-i |k|^2 dt/2) and phase = lam dt |v|^(alpha-1) +
-    (dbeta_l . e) |v|^(gamma-1) + dbeta'_l . b.  The nonlinear and the
-    conservative-noise sub-steps are pointwise rotations by phases that
-    depend only on |v|, which neither changes, so they compose exactly into
-    this one rotation, applied in place (see `solve_paths`).  v̂_{l+1} is
-    carried into the next step, so a step costs three transforms (the
-    engine transforms u0 once).  With the unitary linear half-steps every
-    sub-step is an isometry on the grid, so discrete mass is conserved to
-    rounding.  Non-conservative noise rotates by the nonlinear phase alone,
-    then takes one Euler–Maruyama step with the Itô correction drift.
+    The Strang step u_{l+1} = R_l U(dt) R_l u_l rotates by R_l, half of
+    phase_l(|u|) = lam dt |u|^(alpha-1) + (dbeta_l . e) |u|^(gamma-1) +
+    dbeta'_l . b, before and after the unitary linear step, so every
+    sub-step is an isometry on the grid and discrete mass is conserved to
+    rounding.  No rotation changes |u|, so R_l and R_{l+1} compose exactly
+    into one rotation: the scheme carries z_l, u_l before its trailing half
+    (z_0 = u0, u_l = R_{l-1} z_l), and step l rotates z_l by
+    w_l lam dt |z|^(alpha-1) + (c_l . e) |z|^(gamma-1) + c'_l . b, with
+    c_l = (dbeta_{l-1} + dbeta_l) / 2, dbeta_{-1} = 0, w_0 = 1/2 and w_l = 1
+    after; the engine then applies U(dt).  Non-conservative noise rotates
+    by the nonlinear phase alone, then takes one Euler-Maruyama step with
+    the Ito correction drift and dbeta_l; its pending half is the
+    nonlinear one.
     """
-    plan = get_plan(config.grid, config.enable_laplacian)
     dt = config.dt
-    alpha = float(config.params.alpha)
-    gamma = float(config.params.gamma)
-    lam = config.params.lam if config.enable_nonlinearity else 0
-    half_mult = plan.multiplier(0.5 * dt)
+    alpha, gamma = float(config.params.alpha), float(config.params.gamma)
+    lam_dt = dt * config.params.lam if config.enable_nonlinearity else 0.0
     exact_noise = model.conservative and model.linear_real
     n_e, n_b = (model.n_modes, model.n_linear_modes) if exact_noise else (0, 0)
-    coeffs_real = model.coeffs.real
-    linear_real = model.linear_coeffs.real
+    coeffs_real, linear_real = model.coeffs.real, model.linear_coeffs.real
+    halves = 0.5 * increments
+    merged = halves.copy()  # c_l, elementwise, so a row does not depend on its stack
+    merged[:, :, 1:] += halves[:, :, :-1]
 
-    def step(v_hat, acc1, acc2, dinc):
-        v = plan.inverse(half_mult * v_hat)
-        if lam or n_e or n_b:  # the noise phase joins only for exact_noise
-            absv = np.abs(v)
-            phase = (lam * dt) * absv ** (alpha - 1.0) if lam else 0.0
+    def rotate(z, lam_w, c):
+        if lam_w or n_e or n_b:  # the noise phase joins only for exact_noise
+            absz = np.abs(z)
+            phase = lam_w * absz ** (alpha - 1.0) if lam_w else 0.0
             if n_e:
-                kick = mode_sum(dinc[:, :n_e], coeffs_real)
-                if gamma != 1.0:  # |v| ** 0 is exactly 1
-                    kick = kick * absv ** (gamma - 1.0)
+                kick = mode_sum(c[:, :n_e], coeffs_real)
+                if gamma != 1.0:  # |z| ** 0 is exactly 1
+                    kick = kick * absz ** (gamma - 1.0)
                 phase = phase + kick
             if n_b:
-                phase = phase + mode_sum(dinc[:, n_e:], linear_real)
-            v *= np.exp(-1j * phase)
-        if not exact_noise:
-            v = _ito_step(v, np.ones((len(v), 1)), dinc, dt, 0, alpha, gamma, model)
-        v_hat = half_mult * plan.forward(v)
-        return plan.inverse(v_hat), v_hat
+                phase = phase + mode_sum(c[:, n_e:], linear_real)
+            z *= np.exp(-1j * phase)
+        return z
 
-    return step
+    def step(z, acc1, acc2, l):
+        z = rotate(z, 0.5 * lam_dt if l == 0 else lam_dt, merged[:, :, l])
+        return z if exact_noise else _ito_step(z, 1.0, increments[:, :, l], dt, 0, alpha, gamma, model)
+
+    def pending(z, l):
+        rotate(z, 0.5 * lam_dt, halves[:, :, l])
+
+    return step, pending
 
 
-def _picard_step(config: SimConfig, model: NoiseModel, zexp, levels):
-    """One exponential-Euler (Lawson) step of a (R, size) stack, v_l ->
-    (v_{l+1}, v_{l+1}): the state to record and the next step's input.
+def _picard_step(config: SimConfig, model: NoiseModel, zexp, levels, increments):
+    """Picard's pointwise map of a (R, size) stack, v_l -> the step's input
+    to U(dt): one exponential-Euler (Lawson) step is
+
+        v_{l+1} = U(dt) (v_l + dt F(v_l, phi_l) + K(v_l, phi_l, dbeta_l)).
 
     Step l reads phi_l = theta(Z_{t_l}, level) per row, at the row's entry
     of `levels` (one `cutoff` for the march), from the running-norm
-    accumulators of the states up to t_l, then sets
-
-        v_{l+1} = U(dt) (v_l + dt F(v_l, phi_l) + K(v_l, phi_l, dbeta_l))
-
-    with the forcing and the noise kick (`noise.stratonovich_drift` and
-    `noise.noise_term` are their noise terms at phi = 1)
+    accumulators of the states up to t_l.  The forcing and the noise kick
+    (`noise.stratonovich_drift` and `noise.noise_term` are their noise
+    terms at phi = 1) are
 
         F = -i lam phi |v|^(alpha-1) v + phi mu1 |v|^(2(gamma-1)) v + mu2 v,
         K = -i phi (dbeta_l . e) |v|^(gamma-1) v - i (dbeta'_l . b) v.
     """
-    plan = get_plan(config.grid, config.enable_laplacian)
     dt = config.dt
-    alpha = float(config.params.alpha)
-    gamma = float(config.params.gamma)
+    alpha, gamma = float(config.params.alpha), float(config.params.gamma)
     lam = config.params.lam if config.enable_nonlinearity else 0
-    mult_dt = plan.multiplier(dt)
     phi_of = cutoff(levels)
 
-    def step(v, acc1, acc2, dinc):
+    def step(v, acc1, acc2, l):
         z1, z2 = z_components(acc1, acc2, zexp)
         phi = phi_of(z1 + z2)
-        w = _ito_step(v, phi[:, None], dinc, dt, lam, alpha, gamma, model)
-        v = plan.inverse(mult_dt * plan.forward(w))
-        return v, v
+        return _ito_step(v, phi[:, None], increments[:, :, l], dt, lam, alpha, gamma, model)
 
     return step
 

@@ -23,6 +23,11 @@ round: `config` imports no module that solves, drives or reports a run.
 cap moves every stacked march, a march's blocks of recorded steps among
 them.  Nor does any other module bind a module-level name ending in
 `_BYTES`: a second cap on how much an array holds would be a second rule.
+
+`solver` names `.forward` and `.inverse` once each in code: both schemes
+are a pointwise map, then the free group's step U(dt), which the engine
+applies at one site.  A second transform in `solver` would be a second
+linear step, or a spectral carry beside the state.
 """
 
 import ast
@@ -148,3 +153,9 @@ def _module_bindings(path) -> set:
 def test_only_grid_field_binds_a_byte_cap():
     bound = [path.stem for path in sorted(PACKAGE.glob("*.py")) if any(n.endswith("_BYTES") for n in _module_bindings(path))]
     assert bound == ["grid_field"]
+
+
+def test_solver_transforms_at_one_site():
+    tree = _trees([PACKAGE / "solver.py"])[0]
+    named = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in ("forward", "inverse")]
+    assert sorted(named) == ["forward", "inverse"]

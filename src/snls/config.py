@@ -18,7 +18,9 @@ and integral floats (2.0, not 2.7; `as_integer`); T, dt, grid.L and
 truncation_level accept finite integers and floats (`as_real`), and the
 level also the string "inf", its one infinite spelling (`as_level`); the
 enable_* switches accept only JSON booleans.  A value that cannot be read
-as its type raises ConfigError.  Each key is named once, in one table of
+as its type raises ConfigError, in a file or passed to SimConfig from
+Python, which reads its fields by the same readers (its level as a number:
+math.inf, not the string).  Each key is named once, in one table of
 its reader and the SimConfig attribute that keeps it: `parse_config_dict`
 reads through it, and `config_to_dict` echoes each attribute through
 `json_value`.  `config_hash` is the SHA-256 of that echo's canonical JSON
@@ -89,6 +91,12 @@ def as_level(value) -> float:
     return math.inf if value == "inf" else as_real(value)
 
 
+def _level_number(value) -> float:
+    """A level passed as a number: math.inf, or `as_real`.  The string "inf"
+    is the file's spelling, which `as_level` has read before a config is made."""
+    return math.inf if value == math.inf else as_real(value)
+
+
 def as_integer(value) -> int:
     """An integer, or a float with an integral value, as an int; anything
     else (a boolean, a string, a fractional float) raises TypeError or
@@ -150,7 +158,14 @@ class SimConfig:
             raise ConfigError(f"grid dimension {self.grid.d} differs from the model's d = {self.params.d}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if not (self.T > 0 and math.isfinite(self.T)):
+        # read as the file's values are, so a value passed from Python is
+        # refused where the file's would be, and echoed as it is solved
+        for name, read in _FIELD_READERS.items():
+            try:
+                object.__setattr__(self, name, read(getattr(self, name)))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"malformed value for {name}: {exc}") from exc
+        if not self.T > 0:
             raise ConfigError(f"horizon T must be positive and finite, got {self.T}")
         if not (self.dt > 0 and self.dt <= self.T):
             raise ConfigError(f"dt must lie in (0, T], got {self.dt}")
@@ -159,10 +174,6 @@ class SimConfig:
             raise ConfigError(f"dt={self.dt} does not divide T={self.T}")
         if not self.truncation_level > 0:
             raise ConfigError(f"truncation level must be positive, got {self.truncation_level}")
-        try:
-            object.__setattr__(self, "seed", as_integer(self.seed))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}") from exc
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2^64), got {self.seed}")
         # built from the specs as given, so an error quotes them as written
@@ -299,6 +310,13 @@ _KEYS = {
     "enable_nonlinearity": (_flag, "enable_nonlinearity"),
 }
 _TOP_KEYS = {key.split(".")[0] for key in _KEYS} | {"initial_condition", "noise"}
+# SimConfig's own numbers and switches, by the table's readers; a level passed
+# from Python is a number (`scheme` is checked against SCHEMES instead).
+_FIELD_READERS = {
+    attr: _level_number if read is as_level else read
+    for read, attr in _KEYS.values()
+    if "." not in attr and read is not str
+}
 
 
 def parse_config_dict(doc: dict) -> SimConfig:

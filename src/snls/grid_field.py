@@ -4,7 +4,9 @@ The box is [-L/2, L/2)^d sampled with n points per axis (n a power of two),
 cell volume h^d with h = L/n.  Discrete Lebesgue norms carry the h^d weight
 so they approximate their continuum counterparts; time-integrated (Bochner)
 norms use left-endpoint quadrature throughout, matching the left-point
-convention of the stochastic integrals.
+convention of the stochastic integrals.  Every module reads the time axis's
+rules from here (`checked_mesh`, `check_time`, `checked_increments`, and
+`time_index` with its `TIME_SLACK`), as it reads the row kernel `mode_sum`.
 
 A `Trajectory` records states together with the running L^2 norm ("mass"
 column in exports) and the raw accumulators behind the running norm
@@ -28,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyTrajectory, GridMismatch, LengthMismatch, OutOfRange, SnlsError
+from .errors import EmptyTrajectory, GridMismatch, LengthMismatch, MeshMismatch, OutOfRange, SnlsError
 from .exponents import ZExponents
 
 _HEADER = struct.Struct("<qqd")  # d, n as int64, L as float64, little-endian
@@ -42,6 +44,9 @@ _HEADER = struct.Struct("<qqd")  # d, n as int64, L as float64, little-endian
 # no resolved gain, and peak RSS grows with the stack (+25 MB at 4 MiB for
 # d = 2, n = 128).
 CHUNK_STACK_BYTES = 1 << 18
+
+# How far a time may lie from a mesh or recorded time and still be read as it.
+TIME_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -199,6 +204,21 @@ def stack_slices(n_rows: int, row_size: int) -> list:
     return [slice(s, min(s + rows, n_rows)) for s in range(0, n_rows, rows)]
 
 
+def mode_sum(dinc: np.ndarray, fields: np.ndarray) -> np.ndarray:
+    """sum_m dinc[..., m] fields[m], accumulated in mode order.
+
+    `dinc` is (M,) for one field or (R, M) for a stack of R rows, cast to
+    the product's type once rather than by numpy's buffers in every product.
+    No matrix product: BLAS may block a product differently for different
+    row counts, which would make a row depend on the size of its stack.
+    """
+    d = dinc.astype(np.result_type(dinc, fields), copy=False)[..., None]
+    out = d[..., 0, :] * fields[0]
+    for m in range(1, fields.shape[0]):
+        out = out + d[..., m, :] * fields[m]
+    return out
+
+
 def _row_lp(a: np.ndarray, p: float, cell: float, sq=None):
     """L^p norms over the last axis of a = |v|; `sq` may carry sum(a*a)."""
     if p == math.inf:
@@ -281,11 +301,43 @@ def fill_accumulators(acc1, acc2, n1, n2, dt, zexp: ZExponents) -> None:
         np.maximum.accumulate(acc2, axis=0, out=acc2)
 
 
+def checked_mesh(mesh) -> np.ndarray:
+    """`mesh` as a float array, which must be one-dimensional and strictly
+    increasing (no NaN point); else OutOfRange."""
+    mesh = np.asarray(mesh, dtype=float)
+    if mesh.ndim != 1:
+        raise OutOfRange("mesh must be one-dimensional")
+    if mesh.size >= 2 and not np.all(np.diff(mesh) > 0):
+        raise OutOfRange("mesh must be strictly increasing")
+    return mesh
+
+
+def check_time(t: float) -> None:
+    """Reject a NaN time: every comparison with it is False, so the prefix
+    of mesh points before it would be empty and the result a silent zero."""
+    if np.isnan(t):
+        raise OutOfRange(f"t must be a number, got {t}")
+
+
+def checked_increments(mesh, increments, n_modes: int):
+    """Mesh and (P, M, K) increment block, checked against each other and
+    against the model's mode count."""
+    mesh = checked_mesh(mesh)
+    increments = np.asarray(increments, dtype=float)
+    if increments.ndim != 3:
+        raise LengthMismatch(f"increments must be a (P, M, K) block, got shape {increments.shape}")
+    if increments.shape[1] != n_modes:
+        raise LengthMismatch(f"path carries {increments.shape[1]} modes, model has {n_modes}")
+    if increments.shape[2] != max(mesh.size - 1, 0):
+        raise MeshMismatch(f"{increments.shape[2]} increments on a mesh of {mesh.size} points")
+    return mesh, increments
+
+
 def time_index(times, t: float) -> int:
-    """The index j of increasing `times` with |times[j] - t| <= 1e-12; any
-    other t, NaN included, raises OutOfRange."""
-    j = int(np.searchsorted(times, t - 1e-12))
-    if not (j < len(times) and abs(times[j] - t) <= 1e-12):
+    """The index j of increasing `times` with |times[j] - t| <= TIME_SLACK;
+    any other t, NaN included, raises OutOfRange."""
+    j = int(np.searchsorted(times, t - TIME_SLACK))
+    if not (j < len(times) and abs(times[j] - t) <= TIME_SLACK):
         raise OutOfRange(f"t={t} is not one of the {len(times)} recorded times")
     return j
 
@@ -341,8 +393,7 @@ class Trajectory:
         times = np.array(times, dtype=float)
         if times.shape != (len(states),):
             raise LengthMismatch(f"{times.size} times for {len(states)} states")
-        if not np.all(np.diff(times) > 0.0):
-            raise OutOfRange(f"times must increase, got {times}")
+        checked_mesh(times)
         grid = states[0].grid
         if any(s.grid != grid for s in states):
             raise GridMismatch("states lie on different grids")
@@ -353,8 +404,8 @@ class Trajectory:
         return cls(grid, zexp, times, mass, acc1, acc2, block)
 
     def z_components_at(self, t: float) -> tuple[float, float]:
-        """The two running-norm components at the recorded time t (1e-12
-        slack); any other t, NaN included, raises OutOfRange."""
+        """The two running-norm components at the recorded time t (within
+        TIME_SLACK); any other t, NaN included, raises OutOfRange."""
         j = time_index(self.times, t)
         c1, c2 = z_components(float(self.acc1[j]), float(self.acc2[j]), self.zexp)
         return float(c1), float(c2)

@@ -27,6 +27,7 @@ P = 1 case, and a row is bitwise the same in any stack.  The march takes
 Brownian increments are generated with the counter-based Philox generator,
 keyed by (seed, path index, mode), so every increment is a pure function of
 its address and results are bitwise reproducible under any execution order.
+Meshes, increment blocks and `mode_sum` follow `grid_field`'s rules.
 """
 
 from __future__ import annotations
@@ -35,15 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GridMismatch,
-    LengthMismatch,
-    MeshMismatch,
-    NotConservative,
-    OutOfRange,
-    UnboundedCoefficient,
-)
-from .grid_field import ComplexField, Grid, require_finite, stack_slices, time_index
+from .errors import GridMismatch, NotConservative, OutOfRange, UnboundedCoefficient
+from .grid_field import ComplexField, Grid, checked_increments, checked_mesh, mode_sum, require_finite, stack_slices, time_index
 
 _REAL_TOL = 1e-14
 
@@ -123,22 +117,6 @@ class BrownianPath:
     path_index: int
 
 
-def _checked_mesh(mesh) -> np.ndarray:
-    mesh = np.asarray(mesh, dtype=float)
-    if mesh.ndim != 1:
-        raise OutOfRange("mesh must be one-dimensional")
-    if mesh.size >= 2 and not np.all(np.diff(mesh) > 0):
-        raise OutOfRange("mesh must be strictly increasing")
-    return mesh
-
-
-def _check_time(t: float) -> None:
-    """Reject a NaN time: every comparison with it is False, so the prefix
-    of mesh points before it would be empty and the result a silent zero."""
-    if np.isnan(t):
-        raise OutOfRange(f"t must be a number, got {t}")
-
-
 def sample_brownian_path(mesh, M: int, seed: int, path_index: int) -> BrownianPath:
     """Counter-addressed increments: mode m uses Philox at counter
 
@@ -147,7 +125,7 @@ def sample_brownian_path(mesh, M: int, seed: int, path_index: int) -> BrownianPa
     so distinct (path, mode) streams occupy disjoint counter blocks and the
     full path is a pure function of (seed, path_index).
     """
-    mesh = _checked_mesh(mesh)
+    mesh = checked_mesh(mesh)
     if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 0:
         raise OutOfRange(f"mode count must be a nonnegative integer, got {M!r}")
     for k in (seed, path_index):  # Philox keys and counters are uint64, and the cast truncates
@@ -178,7 +156,7 @@ def coarsen_increments(increments: np.ndarray, factor: int) -> np.ndarray:
     steps = increments.shape[-1]
     if factor < 1 or steps % factor != 0:
         raise OutOfRange(f"factor {factor} does not divide {steps} steps")
-    return increments.reshape(increments.shape[:-1] + (-1, factor)).sum(axis=-1)
+    return increments.reshape(increments.shape[:-1] + (steps // factor, factor)).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -189,21 +167,6 @@ def coarsen_increments(increments: np.ndarray, factor: int) -> np.ndarray:
 def _check_model_grid(u: ComplexField, model: NoiseModel) -> None:
     if u.grid != model.grid:
         raise GridMismatch("field grid differs from noise-model grid")
-
-
-def mode_sum(dinc: np.ndarray, fields: np.ndarray) -> np.ndarray:
-    """sum_m dinc[..., m] fields[m], accumulated in mode order.
-
-    `dinc` is (M,) for one field or (R, M) for a stack of R rows, cast to
-    the product's type once rather than by numpy's buffers in every product.
-    No matrix product: BLAS may block a product differently for different
-    row counts, which would make a row depend on the size of its stack.
-    """
-    d = dinc.astype(np.result_type(dinc, fields), copy=False)[..., None]
-    out = d[..., 0, :] * fields[0]
-    for m in range(1, fields.shape[0]):
-        out = out + d[..., m, :] * fields[m]
-    return out
 
 
 def _power(v: np.ndarray, modulus, exponent: float) -> np.ndarray:
@@ -241,33 +204,19 @@ def noise_term(v: np.ndarray, model: NoiseModel, gamma, dinc: np.ndarray, modulu
     return out
 
 
-def _stack_increments(mesh, increments, n_modes: int):
-    """Mesh and (P, M, K) increment block, checked against each other and
-    against the model's mode count."""
-    mesh = _checked_mesh(mesh)
-    increments = np.asarray(increments, dtype=float)
-    if increments.ndim != 3:
-        raise LengthMismatch(f"increments must be a (P, M, K) block, got shape {increments.shape}")
-    if increments.shape[1] != n_modes:
-        raise LengthMismatch(f"path carries {increments.shape[1]} modes, model has {n_modes}")
-    if increments.shape[2] != max(mesh.size - 1, 0):
-        raise MeshMismatch(f"{increments.shape[2]} increments on a mesh of {mesh.size} points")
-    return mesh, increments
-
-
 def diffusion_only_exact_paths(
     u0: ComplexField, model: NoiseModel, gamma, mesh, increments, t: float
 ) -> np.ndarray:
     """`diffusion_only_exact` at the mesh time t for a (P, M, K) block of
     increments on one mesh, as a (P, grid.size) array; row p is bitwise the
     P = 1 result of path p.  beta(t) is known only at the mesh times, so a t
-    more than 1e-12 from every one of them, NaN included, raises OutOfRange."""
+    more than TIME_SLACK from every one of them, NaN included, raises OutOfRange."""
     _check_model_grid(u0, model)
     if not model.conservative or model.n_linear_modes:
         raise NotConservative(
             "exact diffusion-only solution requires real e_m and no linear part"
         )
-    mesh, increments = _stack_increments(mesh, increments, model.n_modes)
+    mesh, increments = checked_increments(mesh, increments, model.n_modes)
     j = time_index(mesh, t)
     g = float(gamma)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -308,7 +257,7 @@ def euler_maruyama_paths(u0: ComplexField, model: NoiseModel, gamma, mesh, incre
     so a non-finite entry stays non-finite.
     """
     _check_model_grid(u0, model)
-    mesh, increments = _stack_increments(mesh, increments, model.total_modes)
+    mesh, increments = checked_increments(mesh, increments, model.total_modes)
     g = float(gamma)
     out = np.repeat(u0.values[None, :], increments.shape[0], axis=0)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -11,7 +11,8 @@ of U(.)x behind the empirical Strichartz constant.
 The convolutions and `free_strichartz_norm` form their multipliers and
 evolutions as stacks of rows (`SpectralPlan.evolve_values` takes a time
 per row), each capped at `grid_field.CHUNK_STACK_BYTES`; a row is bitwise
-what the one-row call gives.
+what the one-row call gives.  The free group stands below the noise: this
+module imports nothing from `noise`; its mesh rules are `grid_field`'s.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import numpy as np
 
 from .errors import EmptyTrajectory, GridMismatch, LengthMismatch, MeshMismatch
 from .exponents import StrichartzPair
-from .grid_field import Grid, lp_norm_rows, random_field, stack_slices
-from .noise import _check_time, _checked_mesh, _stack_increments, mode_sum
+from .grid_field import Grid, check_time, checked_increments, checked_mesh, lp_norm_rows, mode_sum, random_field, stack_slices
 
 
 class SpectralPlan:
@@ -111,8 +111,8 @@ def duhamel_convolution(plan: SpectralPlan, times, forcing, t: float) -> np.ndar
     the last sample running up to t.  `forcing` is a (len(times),
     grid.size) array of the samples f(t_l); the result is a flat array.
     """
-    _check_time(t)
-    times = _checked_mesh(times)
+    check_time(t)
+    times = checked_mesh(times)
     forcing = np.asarray(forcing, dtype=np.complex128)
     if not times.size:
         raise EmptyTrajectory("forcing has no samples")
@@ -137,13 +137,13 @@ def stochastic_convolution(plan: SpectralPlan, mesh, fields, increments, t: floa
     once, for all paths, and the modes are summed in Fourier space in mode
     order.
     """
-    _check_time(t)
+    check_time(t)
     fields = np.asarray(fields, dtype=np.complex128)
     if fields.ndim != 3 or fields.shape[0] != np.size(mesh):
         raise MeshMismatch(f"fields shape {fields.shape} does not match a mesh of {np.size(mesh)} points")
     if fields.shape[2] != plan.grid.size:
         raise GridMismatch("mode fields do not match the plan's grid")
-    mesh, increments = _stack_increments(mesh, increments, fields.shape[1])
+    mesh, increments = checked_increments(mesh, increments, fields.shape[1])
     n = np.count_nonzero(mesh[:-1] < t) if fields.shape[1] else 0  # no modes: a zero sum
     modes_hat = plan.forward(fields[:n])
     terms = (mode_sum(increments[:, :, l], modes_hat[l]) for l in range(n))
@@ -160,7 +160,7 @@ def free_strichartz_norm(plan: SpectralPlan, values: np.ndarray, pair: Strichart
     evolved as stacks of rows.  A mesh that is not one-dimensional and
     strictly increasing (a NaN point included) raises OutOfRange, and a
     field that is not one flat field of the plan's grid GridMismatch."""
-    mesh = _checked_mesh(mesh)
+    mesh = checked_mesh(mesh)
     if np.shape(values) != (plan.grid.size,):
         raise GridMismatch(f"field has shape {np.shape(values)}, the plan's grid expects ({plan.grid.size},)")
     q, p = float(pair.q), float(pair.p)

@@ -42,8 +42,8 @@ from .config import SimConfig, read_levels
 from .dynamics import cutoff, detect_stopping_time, theta
 from .errors import BlowUp, ConfigError, LengthMismatch, MeshMismatch, SolverError
 from .exponents import z_exponents
-from .grid_field import Trajectory, fill_accumulators, lp_norm_rows, norms_and_leakage, stack_slices, time_index, z_components
-from .noise import BrownianPath, NoiseModel, mode_sum, sample_brownian_path
+from .grid_field import TIME_SLACK, Trajectory, fill_accumulators, lp_norm_rows, mode_sum, norms_and_leakage, stack_slices, time_index, z_components
+from .noise import BrownianPath, NoiseModel, sample_brownian_path
 from .propagator import get_plan
 
 # L^2 norm beyond which a step counts as blown up (either scheme).
@@ -134,21 +134,28 @@ def solve_paths(config: SimConfig, paths, keep_states: bool = False, levels=None
     batch, at any position, for any blocks.  Split-step rotates v in place:
     numpy computes v * exp(-i phase) of 256 KiB or more (a stack at the cap)
     as exp(-i phase) * v, which its SIMD kernels do not round alike.  Each
-    row's path is checked once, before the stack: a mesh more than 1e-12
-    off the config mesh at any point raises MeshMismatch, increments not of
-    shape (config.model.total_modes, K) LengthMismatch, `levels` not of
-    length P LengthMismatch, and a level that is not positive (NaN
-    included) ConfigError, as in SimConfig.
+    row's path is checked once, before the stack: a mesh more than
+    TIME_SLACK off the config mesh at any point raises MeshMismatch,
+    increments not of shape (config.model.total_modes, K) LengthMismatch,
+    `levels` not of length P LengthMismatch, and a level that is a
+    boolean, a string or not positive (NaN included) ConfigError, as in
+    SimConfig.
     """
     mesh, model = config.mesh(), config.model
     P, M, K = len(paths), model.total_modes, config.n_steps
-    levels = np.full(P, config.truncation_level) if levels is None else np.asarray(levels, dtype=float)
+    if levels is None:
+        levels = np.full(P, config.truncation_level)
+    else:
+        levels = np.asarray(levels, dtype=object)  # keeps a boolean or a string apart from the numbers
+        if any(isinstance(n, (bool, str)) for n in levels.flat):
+            raise ConfigError(f"truncation levels must be numbers, got {levels.tolist()}")
+        levels = levels.astype(float)
     if levels.shape != (P,):
         raise LengthMismatch(f"{np.size(levels)} cutoff levels for {P} paths")
     if not (levels > 0).all():
         raise ConfigError(f"truncation level must be positive, got {levels[~(levels > 0)][0]}")
     for r, path in enumerate(paths):
-        if np.shape(path.mesh) != mesh.shape or not (np.abs(path.mesh - mesh) <= 1e-12).all():
+        if np.shape(path.mesh) != mesh.shape or not (np.abs(path.mesh - mesh) <= TIME_SLACK).all():
             raise MeshMismatch(f"path {r} mesh ({np.size(path.mesh)} points) is not the config mesh ({mesh.size})")
         shape = np.shape(path.increments)
         if shape != (M, K):

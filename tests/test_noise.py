@@ -159,6 +159,10 @@ def test_coarsen_path_sums_increments():
     assert np.allclose(c.increments[:, 0], p.increments[:, :4].sum(axis=1))
     # total displacement preserved
     assert np.allclose(c.increments.sum(axis=1), p.increments.sum(axis=1))
+    # a noise-free path has no modes to sum, alone or in a (P, 0, K) block
+    free = coarsen_path(sample_brownian_path(mesh, 0, 0, 0), 4)
+    assert free.increments.shape == (0, 4) and free.mesh.size == 5
+    assert coarsen_increments(np.empty((3, 0, 16)), 4).shape == (3, 0, 4)
 
 
 def test_stratonovich_drift_cases():

@@ -26,6 +26,7 @@ import snls.solver
 from snls.config import SimConfig
 from snls.solver import (
     BLOWUP_L2,
+    SolveReport,
     path_coincidence_check,
     path_for,
     solve,
@@ -875,6 +876,80 @@ def test_splitstep_strong_order_is_one(gamma):
     assert 0.75 <= order <= 1.25, order
 
 
+PLANE_WAVE_AMPLITUDE = complex(0.9, 0.6)
+
+
+def plane_wave(d, alpha, gamma, n, lam, c, **kw) -> SimConfig:
+    """u0 = A e^{ik.x} on [-4, 4)^d, one constant real noise mode c (none at
+    c = 0); T = 1/2 and dt = 1/64 unless `kw` says otherwise."""
+    noise = {"coefficients": [{"kind": "constant", "value": c}] if c else []}
+    mode = [1, -2, 1][:d]
+    a = PLANE_WAVE_AMPLITUDE
+    ic = {"kind": "plane_wave", "mode": mode, "amplitude": [a.real, a.imag]}
+    params = ModelParams(d=d, alpha=Fraction(alpha), gamma=Fraction(gamma), lam=lam)
+    base = dict(params=params, grid=Grid(d=d, n=n, L=8.0), noise_spec=noise, ic_spec=ic, T=0.5, dt=1.0 / 64.0)
+    return SimConfig(**dict(base, **kw))
+
+
+def plane_wave_exact(cfg: SimConfig, paths) -> np.ndarray:
+    """The exact solution at every mesh time, (P, K + 1, size):
+
+        u = A e^{ik.x} exp(-i |k|^2 t - i lam |A|^(alpha-1) t - i c |A|^(gamma-1) beta_t),
+
+    |u| = |A| being constant, with beta_t the cumulative sum of a path's
+    increments."""
+    k_sq = (2.0 * np.pi / cfg.grid.L) ** 2 * float(np.sum(np.square(cfg.ic_spec["mode"])))
+    a, t = abs(PLANE_WAVE_AMPLITUDE), cfg.mesh()
+    c = cfg.model.coeffs[:, 0].real
+    beta = np.stack([np.concatenate([[0.0], np.cumsum(c @ path.increments)]) for path in paths])
+    phase = (k_sq + cfg.params.lam * a ** float(cfg.params.alpha - 1)) * t + a ** float(cfg.params.gamma - 1) * beta
+    return cfg.u0.values * np.exp(-1j * phase)[..., None]
+
+
+@pytest.mark.parametrize("lam", [1, -1], ids=["defocusing", "focusing"])
+@pytest.mark.parametrize(
+    "d, alpha, gamma, n", [(1, 5, 3, 64), (2, 3, 2, 32), (3, Fraction(7, 3), Fraction(5, 3), 16)], ids=["d1", "d2", "d3"]
+)
+def test_plane_wave_is_exact_for_splitstep(d, alpha, gamma, n, lam):
+    """A plane wave keeps |u| = |A|, so every split-step rotation is the
+    exact one and the linear step is exact on its mode: split-step matches
+    the exact solution at every recorded time of 3 paths to 1e-13 relative
+    L^2 (5.8e-15 measured) in d = 1, 2 and 3.  Picard marches the d = 3
+    config to a report on every path."""
+    cfg = plane_wave(d, alpha, gamma, n, lam, 0.7)
+    paths = [path_for(cfg, i) for i in range(3)]
+    exact = plane_wave_exact(cfg, paths)
+    for rep, want in zip(solve_paths(cfg, paths, keep_states=True), exact):
+        gap = lp_norm_rows(rep.trajectory.states - want, 2, cfg.grid) / lp_norm_rows(want, 2, cfg.grid)
+        assert np.max(gap) <= 1e-13, float(np.max(gap))
+    if d == 3:
+        assert all(isinstance(rep, SolveReport) for rep in solve_paths(replace(cfg, scheme="picard"), paths))
+
+
+@pytest.mark.parametrize(
+    "c, gamma, lo, hi", [(0.0, 1, 0.95, 1.05), (0.7, 1, 0.4, 0.75), (0.7, Fraction(3, 2), 0.4, 0.75)],
+    ids=["noise-free", "gamma1", "gamma3/2"],
+)
+def test_picard_strong_order_against_the_plane_wave(c, gamma, lo, hi):
+    """Picard's strong order on the full equation, against the exact plane
+    wave (d = 1, n = 16, alpha = 3, lam = 1, T = 1): 128 paths at
+    dt = 2^-4 ... 2^-8, each coarsened from one fine path, and the order
+    fitted to the mean relative L^2 error at T.  Noise-free it read 1.014;
+    with one constant mode c = 0.7, over seeds 1-20, 0.503-0.634 at
+    gamma = 1 and 0.499-0.639 at gamma = 3/2: order 1/2, as an
+    exponential-Euler step with Ito increments has."""
+    fine_cfg = plane_wave(1, 3, gamma, 16, 1, c, scheme="picard", T=1.0, dt=2.0**-8, seed=1)
+    fine = [path_for(fine_cfg, i) for i in range(128)]
+    exact = plane_wave_exact(fine_cfg, fine)[:, -1]
+    errors = []
+    for k in range(4, 9):
+        reps = solve_paths(replace(fine_cfg, dt=2.0**-k), [coarsen_path(p, 2 ** (8 - k)) for p in fine], keep_states=True)
+        got = np.stack([rep.trajectory.states[-1] for rep in reps])
+        errors.append(np.mean(lp_norm_rows(got - exact, 2, fine_cfg.grid) / lp_norm_rows(exact, 2, fine_cfg.grid)))
+    order = np.polyfit(np.log(2.0 ** -np.arange(4, 9)), np.log(errors), 1)[0]
+    assert lo <= order <= hi, order
+
+
 @pytest.mark.parametrize("scheme", ["picard", "splitstep"])
 def test_append_rebuild_matches_engine_columns(scheme):
     """`Trajectory.from_states` and the engine share one arithmetic for the
@@ -932,6 +1007,35 @@ def test_mesh_check_is_absolute():
     close = sample_brownian_path(cfg.mesh() + 5e-13, M, cfg.seed, 0)
     (report,) = solve_paths(cfg, [close])
     assert report.tau == cfg.T
+
+
+# Values passed from Python, read as the config file's are: a boolean or a
+# string is no number and a string no switch, and a number is kept as the
+# float the file would give.
+PYTHON_VALUES = {
+    "dt-true": lambda cfg, path: replace(cfg, dt=True),
+    "T-string": lambda cfg, path: replace(cfg, T="1"),
+    "level-true": lambda cfg, path: replace(cfg, truncation_level=True),
+    "level-string": lambda cfg, path: replace(cfg, truncation_level="3"),
+    "level-inf-string": lambda cfg, path: replace(cfg, truncation_level="inf"),
+    "laplacian-string": lambda cfg, path: replace(cfg, enable_laplacian="no"),
+    "nonlinearity-int": lambda cfg, path: replace(cfg, enable_nonlinearity=1),
+    "solve-paths-level-string": lambda cfg, path: solve_paths(cfg, [path], levels=["3"]),
+    "solve-paths-level-inf-string": lambda cfg, path: solve_paths(cfg, [path], levels=["inf"]),
+    "solve-paths-level-true": lambda cfg, path: solve_paths(cfg, [path], levels=[True]),
+    "T-int": lambda cfg, path: replace(cfg, T=1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PYTHON_VALUES))
+def test_python_values_follow_the_config_files_types(case):
+    cfg = config()
+    if case == "T-int":
+        same = PYTHON_VALUES[case](cfg, None)
+        assert type(same.T) is float and snls.config.config_hash(same) == snls.config.config_hash(cfg)
+        return
+    with pytest.raises(ConfigError):
+        PYTHON_VALUES[case](cfg, path_for(cfg))
 
 
 def test_seed_must_be_an_integer():

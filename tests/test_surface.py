@@ -15,6 +15,12 @@ Dunder methods and dataclass fields are outside the member rule: the
 interpreter calls the former, and `config.json_value` writes a record's
 fields by reflection, without naming them.
 
+The benchmark's entry points resolve: every `snls.<module>.<name>`
+attribute chain and every `from snls.<module> import <name>` in `bench/`
+names something the package has, so a change that moves a function the
+benchmark calls fails here, not in a benchmark run.  `bench/` is read as
+syntax trees, not imported or run.
+
 `config` owns a run's input and the engine reads it, never the other way
 round: `config` imports no module that solves, drives or reports a run.
 
@@ -28,9 +34,19 @@ them.  Nor does any other module bind a module-level name ending in
 are a pointwise map, then the free group's step U(dt), which the engine
 applies at one site.  A second transform in `solver` would be a second
 linear step, or a spectral carry beside the state.
+
+The free group stands below the noise: `propagator` imports no `noise`
+name, so its group and quadratures take the time-axis rules and
+`mode_sum` from `grid_field`, as the noise model does.  And no `snls`
+module imports a `_`-prefixed name of another (by `from ... import` or as
+an attribute of an imported module; dunders such as `__version__` are
+exempt): a helper that two modules need is a public name of the module
+that owns its rule, so a second copy or a back door into another module's
+internals shows up here.
 """
 
 import ast
+import importlib
 import importlib.util
 import inspect
 from pathlib import Path
@@ -159,3 +175,59 @@ def test_solver_transforms_at_one_site():
     tree = _trees([PACKAGE / "solver.py"])[0]
     named = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in ("forward", "inverse")]
     assert sorted(named) == ["forward", "inverse"]
+
+
+def test_propagator_imports_no_noise_name():
+    assert "noise" not in _package_imports(PACKAGE / "propagator.py")
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_imports(path) -> list:
+    """The `_`-prefixed names, dunders aside, that the module at `path`
+    takes from an `snls` module: imported by name, or read as an attribute
+    of an `snls` module it imported."""
+    tree = _trees([path])[0]
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "snls"):
+            base = node.module or "snls"
+            found += [f"{base}.{alias.name}" for alias in node.names if _private(alias.name)]
+            if not node.module:  # `from . import noise`: the names are modules
+                modules |= {alias.asname or alias.name for alias in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            found += [f"{node.value.id}.{node.attr}"] if _private(node.attr) else []
+    return found
+
+
+def test_no_module_imports_another_modules_private_name():
+    found = {path.stem: _private_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: names for module, names in found.items() if names} == {}
+
+
+def _bench_entry_points() -> set:
+    """(module, name) for every `snls.<module>.<name>` chain and every
+    `from snls.<module> import <name>` in `bench/`."""
+    found = set()
+    for tree in _program_trees()[1]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and not node.level and (node.module or "").startswith("snls."):
+                found |= {(node.module.removeprefix("snls."), alias.name) for alias in node.names}
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Attribute)
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id == "snls"
+            ):
+                found.add((node.value.attr, node.attr))
+    return found
+
+
+def test_benchmark_entry_points_resolve():
+    entry_points = _bench_entry_points()
+    assert len(entry_points) >= 10  # the reader still finds the benchmark's calls
+    missing = [f"snls.{m}.{name}" for m, name in sorted(entry_points) if not hasattr(importlib.import_module(f"snls.{m}"), name)]
+    assert missing == []

@@ -14,16 +14,17 @@ deterministically (`_picard_step`).  The split-step scheme
 (`_splitstep_step`) is the untruncated reference: Strang splitting in its
 phase-linear-phase order, whose sub-steps conserve discrete mass to
 rounding for conservative noise; it carries the state before its trailing
-half rotation, whose modulus is the state's.
+half rotation, whose modulus is the state's, and rotates by cos and sin of
+the negated phase written into one complex buffer per march.
 
 Both schemes are a pointwise map, then the free group's step U(dt), and
 both run in one engine, `solve_paths`, which applies U(dt) at one site, two
 transforms per step, to P paths marched as a (P, grid.size) stack: a
-batched 1-D FFT per spatial axis and transform, one |v|^2 pass per block of
-steps for the norms and the half-box leakage, kept with the accumulators as
-columns, and the cutoff theta(Z) per row, at the row's level.  A
-split-step block holds the states that `stack_slices` puts in one stack; a
-Picard block is one step.  A path's result does not depend on the blocks
+batched 1-D FFT per spatial axis and transform, one |v| per state, which
+the next step's map reads, one |v|^2 pass per block of steps for the norms
+and the half-box leakage, kept with the accumulators as columns, and the
+cutoff theta(Z) per row, at the row's level.  A split-step block holds the
+states that `stack_slices` puts in one stack; a Picard block is one step.  A path's result does not depend on the blocks
 or on the other rows of its stack, bitwise.  Every row marches to the last
 step; the march only records.  Each path's verdicts are read from its
 columns afterwards: its stopping time, whether the cutoff ever acted, its
@@ -117,11 +118,11 @@ def solve_paths(config: SimConfig, paths, keep_states: bool = False, levels=None
     (truncation_ever_active: theta(Z_l) < 1 at some step l < K, Picard
     only) and the half-box leakage (the max of its column) of the others.
     The march goes block by block over the states 0 .. K: each state's |v|
-    goes into the block, then one pass records the block's norms, leakage
-    and accumulators.  Split-step takes its blocks from
-    `stack_slices(K + 1, P * grid.size)`, as many states as a stack of
-    complex rows of P * grid.size values holds; Picard takes one step per
-    block, because its step l reads Z at t_l.  Each step is
+    goes into the block, where step l's pointwise map reads |v_l|, then one
+    pass records the block's norms, leakage and accumulators.  Split-step
+    takes its blocks from `stack_slices(K + 1, P * grid.size)`, as many
+    states as a stack of complex rows of P * grid.size values holds; Picard
+    takes one step per block, because its step l reads Z at t_l.  Each step is
     v_{l+1} = U(dt) map_l(v_l): the scheme gives the pointwise map, and the
     march applies U(dt) for both, in two transforms.  The columns read |v|,
     which for split-step is |z_l| = |u_l|.  With keep_states each state is
@@ -131,15 +132,16 @@ def solve_paths(config: SimConfig, paths, keep_states: bool = False, levels=None
     Every row is computed with numpy ufuncs, row-wise FFTs and sums over
     the C-contiguous last axis, mode sums in a fixed order and accumulators
     as left folds along time, so a path's result is bitwise the same in any
-    batch, at any position, for any blocks.  Split-step rotates v in place:
-    numpy computes v * exp(-i phase) of 256 KiB or more (a stack at the cap)
-    as exp(-i phase) * v, which its SIMD kernels do not round alike.  Each
-    row's path is checked once, before the stack: a mesh more than
-    TIME_SLACK off the config mesh at any point raises MeshMismatch,
-    increments not of shape (config.model.total_modes, K) LengthMismatch,
-    `levels` not of length P LengthMismatch, and a level that is a
-    boolean, a string or not positive (NaN included) ConfigError, as in
-    SimConfig.
+    batch, at any position, for any blocks.  Split-step's z *= rot and the
+    spectral product np.multiply(mult, w, out=w) are formed in place, their
+    factor order kept: numpy computes an out-of-place product v * e of 256
+    KiB or more (a stack at the cap) into its temporary operand as e * v,
+    which its SIMD kernels do not round alike.  Each row's path is checked
+    once, before the stack: a mesh more than TIME_SLACK off the config mesh
+    at any point raises MeshMismatch, increments not of shape
+    (config.model.total_modes, K) LengthMismatch, `levels` not of length P
+    LengthMismatch, and a level that is a boolean, a string or not positive
+    (NaN included) ConfigError, as in SimConfig.
     """
     mesh, model = config.mesh(), config.model
     P, M, K = len(paths), model.total_modes, config.n_steps
@@ -189,12 +191,13 @@ def solve_paths(config: SimConfig, paths, keep_states: bool = False, levels=None
         for b in blocks:
             for l in range(b.start, b.stop):
                 if l:
-                    v = plan.inverse(mult * plan.forward(pointwise(v, acc1[l - 1], acc2[l - 1], l - 1)))
-                np.abs(v, out=block[l - b.start])
+                    w = plan.forward(pointwise(v, absv, acc1[l - 1], acc2[l - 1], l - 1))
+                    v = plan.inverse(np.multiply(mult, w, out=w))
+                absv = np.abs(v, out=block[l - b.start])  # |v_l|, which step l reads before this row is written again
                 if keep_states:
                     states[l] = v
                     if pending and l:
-                        pending(states[l], l - 1)
+                        pending(states[l], absv, l - 1)
             # the block's columns, then the accumulators up to min(b.stop, K)
             mass[b], n1, n2, leak[b] = norms_and_leakage(block[: b.stop - b.start], grid, p1, p2)
             s, end = b.start, min(b.stop, K)
@@ -247,12 +250,12 @@ def _config_notes(config: SimConfig) -> list:
     return notes
 
 
-def _ito_step(v, phi, dinc, dt, lam, alpha, gamma, model: NoiseModel) -> np.ndarray:
-    """v + dt F(v, phi) + K(v, phi, dbeta) row by row, phi of shape (R, 1) or 1.0."""
+def _ito_step(v, absv, phi, dinc, dt, lam, alpha, gamma, model: NoiseModel) -> np.ndarray:
+    """v + dt F(v, phi) + K(v, phi, dbeta) row by row, given absv = |v|, phi
+    of shape (R, 1) or 1.0."""
     # The Euler–Maruyama oracle (`noise.stratonovich_drift` + `noise_term`)
     # computes the same terms in another association order, on purpose: the
     # oracle checks this step only while it shares no arithmetic with it.
-    absv = np.abs(v)
     w = v.copy()
     if lam:
         w += (-1j * lam * phi * dt) * absv ** (alpha - 1.0) * v
@@ -281,41 +284,47 @@ def _splitstep_step(config: SimConfig, model: NoiseModel, increments):
     (z_0 = u0, u_l = R_{l-1} z_l), and step l rotates z_l by
     w_l lam dt |z|^(alpha-1) + (c_l . e) |z|^(gamma-1) + c'_l . b, with
     c_l = (dbeta_{l-1} + dbeta_l) / 2, dbeta_{-1} = 0, w_0 = 1/2 and w_l = 1
-    after; the engine then applies U(dt).  Non-conservative noise rotates
-    by the nonlinear phase alone, then takes one Euler-Maruyama step with
-    the Ito correction drift and dbeta_l; its pending half is the
-    nonlinear one.
+    after; the engine then applies U(dt).  Both maps read |z| from the
+    engine's recording block.  A rotation forms the phase negated (negation
+    is exact) and writes its cos and sin into the real and imaginary parts
+    of one complex buffer, made once per march: exp(-i phase), without the
+    complex cast and the complex exp.  Non-conservative noise rotates by
+    the nonlinear phase alone, then takes one Euler-Maruyama step with the
+    Ito correction drift and dbeta_l, on its own |z| of the rotated state;
+    its pending half is the nonlinear one.
     """
     dt = config.dt
     alpha, gamma = float(config.params.alpha), float(config.params.gamma)
     lam_dt = dt * config.params.lam if config.enable_nonlinearity else 0.0
     exact_noise = model.conservative and model.linear_real
     n_e, n_b = (model.n_modes, model.n_linear_modes) if exact_noise else (0, 0)
-    coeffs_real, linear_real = model.coeffs.real, model.linear_coeffs.real
+    neg_coeffs, neg_linear = -model.coeffs.real, -model.linear_coeffs.real
     halves = 0.5 * increments
     merged = halves.copy()  # c_l, elementwise, so a row does not depend on its stack
     merged[:, :, 1:] += halves[:, :, :-1]
+    rot = np.empty((increments.shape[0], config.grid.size), dtype=np.complex128)
 
-    def rotate(z, lam_w, c):
+    def rotate(z, absz, lam_w, c):
         if lam_w or n_e or n_b:  # the noise phase joins only for exact_noise
-            absz = np.abs(z)
-            phase = lam_w * absz ** (alpha - 1.0) if lam_w else 0.0
+            neg = -lam_w * absz ** (alpha - 1.0) if lam_w else 0.0  # -phase, formed negated
             if n_e:
-                kick = mode_sum(c[:, :n_e], coeffs_real)
+                kick = mode_sum(c[:, :n_e], neg_coeffs)
                 if gamma != 1.0:  # |z| ** 0 is exactly 1
                     kick = kick * absz ** (gamma - 1.0)
-                phase = phase + kick
+                neg = neg + kick
             if n_b:
-                phase = phase + mode_sum(c[:, n_e:], linear_real)
-            z *= np.exp(-1j * phase)
+                neg = neg + mode_sum(c[:, n_e:], neg_linear)
+            np.cos(neg, out=rot.real)
+            np.sin(neg, out=rot.imag)
+            z *= rot
         return z
 
-    def step(z, acc1, acc2, l):
-        z = rotate(z, 0.5 * lam_dt if l == 0 else lam_dt, merged[:, :, l])
-        return z if exact_noise else _ito_step(z, 1.0, increments[:, :, l], dt, 0, alpha, gamma, model)
+    def step(z, absz, acc1, acc2, l):
+        z = rotate(z, absz, 0.5 * lam_dt if l == 0 else lam_dt, merged[:, :, l])
+        return z if exact_noise else _ito_step(z, np.abs(z), 1.0, increments[:, :, l], dt, 0, alpha, gamma, model)
 
-    def pending(z, l):
-        rotate(z, 0.5 * lam_dt, halves[:, :, l])
+    def pending(z, absz, l):
+        rotate(z, absz, 0.5 * lam_dt, halves[:, :, l])
 
     return step, pending
 
@@ -340,10 +349,10 @@ def _picard_step(config: SimConfig, model: NoiseModel, zexp, levels, increments)
     lam = config.params.lam if config.enable_nonlinearity else 0
     phi_of = cutoff(levels)
 
-    def step(v, acc1, acc2, l):
+    def step(v, absv, acc1, acc2, l):
         z1, z2 = z_components(acc1, acc2, zexp)
         phi = phi_of(z1 + z2)
-        return _ito_step(v, phi[:, None], increments[:, :, l], dt, lam, alpha, gamma, model)
+        return _ito_step(v, absv, phi[:, None], increments[:, :, l], dt, lam, alpha, gamma, model)
 
     return step
 

@@ -1,7 +1,8 @@
 """Reference helpers that only tests call: a zero field, a kept state of a
 trajectory as a field, the Bochner norm recomputed from stored states, a
 mesh-thinned Brownian path, the Stratonovich–Heun diffusion march, a
-record of the noise-model builds, and one-sample-at-a-time forms of the
+record of the noise-model builds, the 1-D ground state, the rotation
+factor check, and one-sample-at-a-time forms of the
 stacked sampling helpers: the free group on one field (`free_evolve`), the
 propagator residuals, the dispersive decay, the cutoff's Lipschitz check,
 the free Strichartz norm and constant, and the Euler–Maruyama march.  The
@@ -72,6 +73,41 @@ def bochner_norm(traj: Trajectory, q: float, p: float, t_end: float) -> float:
         dt = min(t_next, t_end) - tj
         total += lp_norm(state_at(traj, j), p) ** q * dt
     return total ** (1.0 / q) if total > 0 else 0.0
+
+
+def ground_state(grid: Grid, alpha, omega: float) -> ComplexField:
+    """The profile Q on a 1-D grid of the exact standing wave Q e^{i omega t}
+    of i u_t + u_xx + |u|^(alpha-1) u = 0 (the focusing equation, lam = -1):
+    with a = alpha - 1,
+
+        Q = ((a + 2) omega / 2)^(1/a) sech^(2/a)(a sqrt(omega) x / 2).
+
+    At alpha = 3 it is sqrt(2 omega) sech(sqrt(omega) x), the soliton; at
+    alpha = 5, the critical power, (3 omega)^(1/4) sech^(1/2)(2 sqrt(omega) x)."""
+    a = float(alpha) - 1.0
+    x = grid.axis_coords()
+    return ComplexField(grid, ((a + 2.0) * omega / 2.0) ** (1.0 / a) / np.cosh(0.5 * a * math.sqrt(omega) * x) ** (2.0 / a))
+
+
+def rotation_factor_mismatches(count: int = 2**16, seed: int = 0) -> list:
+    """Signed scales at which split-step's rotation factor, cos and sin of
+    the negated phase written into the real and imaginary views of one
+    complex buffer, differs in any bit from np.exp(-1j * phase): `count`
+    phases uniform in [0, scale) per scale 1e-3 ... 1e6 and sign, +0 and -0
+    among them.  Split-step's outputs equal those of the complex exp only
+    while this is empty."""
+    rng = np.random.default_rng(seed)
+    bad = []
+    for scale in (1e-3, 0.1, 1.0, 10.0, 1e3, 1e6):
+        for sign in (1.0, -1.0):
+            phase = sign * scale * rng.random(count)
+            phase[:2] = 0.0, -0.0
+            rot = np.empty(count, dtype=np.complex128)
+            np.cos(-phase, out=rot.real)
+            np.sin(-phase, out=rot.imag)
+            if rot.tobytes() != np.exp(-1j * phase).tobytes():
+                bad.append(sign * scale)
+    return bad
 
 
 def coarsen_path(path: BrownianPath, factor: int) -> BrownianPath:

@@ -33,7 +33,7 @@ from snls.solver import (
     solve_paths,
 )
 
-from reference import coarsen_path, count_model_builds, free_evolve, state_at
+from reference import coarsen_path, count_model_builds, free_evolve, ground_state, rotation_factor_mismatches, state_at
 
 PARAMS_31 = ModelParams(d=1, alpha=Fraction(3), gamma=Fraction(1), lam=1)
 GRID = Grid(d=1, n=128, L=32.0)
@@ -577,12 +577,23 @@ def test_rows_of_a_stack_at_the_cap_equal_their_solo_solves(case, scheme):
         assert rep.trajectory.states.tobytes() == solo.trajectory.states.tobytes(), path.path_index
 
 
+def test_splitstep_rotation_factor_is_the_complex_exp_bitwise():
+    """Split-step rotates by cos and sin of the negated phase, written into
+    one complex buffer, where it had taken np.exp(-1j * phase); its outputs
+    stay bitwise the same only while the two factors agree in every bit on
+    the running dispatch target (and one target lower, in the subprocess
+    of the next test)."""
+    bad = rotation_factor_mismatches()
+    assert not bad, f"cos/sin rotation factor differs from np.exp(-1j * phase) at scales {bad}"
+
+
 def test_rows_of_a_stack_at_the_cap_equal_their_solo_solves_on_another_dispatch_target(tmp_path):
     """The 128-row split-step stack (four steps) in a process whose numpy
     kernels run one SIMD target lower, "AVX512_SPR" and "X86_V4" disabled
     where numpy dispatches on them here (so the process starts on any
     host): every row equals its solo solve there bitwise, and the stack's
-    states agree with this process's to 1e-14 of their largest modulus."""
+    states agree with this process's to 1e-14 of their largest modulus.
+    Split-step's rotation factor equals the complex exp there too."""
     introspect = pytest.importorskip("numpy.lib.introspect")
 
     def targets(info):
@@ -597,6 +608,7 @@ def test_rows_of_a_stack_at_the_cap_equal_their_solo_solves_on_another_dispatch_
         "from numpy.lib.introspect import opt_func_info\n"
         "from snls.config import parse_config_dict\n"
         "from snls.solver import path_for, solve_paths\n"
+        "from reference import rotation_factor_mismatches\n"
         "cfg = parse_config_dict(json.loads(sys.argv[1]))\n"
         "paths = [path_for(cfg, i) for i in range(int(sys.argv[2]))]\n"
         "def columns(rep):\n"
@@ -606,15 +618,16 @@ def test_rows_of_a_stack_at_the_cap_equal_their_solo_solves_on_another_dispatch_
         "equal = sum(columns(rep) == columns(solve_paths(cfg, [p], keep_states=True)[0]) for p, rep in zip(paths, stack))\n"
         "np.save(sys.argv[3], np.stack([rep.trajectory.states for rep in stack]))\n"
         "targets = {t for sigs in opt_func_info().values() for d in sigs.values() for t in d['current'].split()}\n"
-        "print(json.dumps([equal, sorted(targets)]))\n"
+        "print(json.dumps([equal, sorted(targets), rotation_factor_mismatches()]))\n"
     )
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(snls.solver.__file__))
+    env["PYTHONPATH"] = os.pathsep.join((os.path.dirname(os.path.dirname(snls.solver.__file__)), os.path.dirname(__file__)))
     argv = [json.dumps(snls.config.config_to_dict(cfg)), str(rows), str(tmp_path / "states.npy")]
     proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, check=False)
     assert proc.returncode == 0, proc.stderr
-    equal, running = json.loads(proc.stdout)
+    equal, running, bad = json.loads(proc.stdout)
     assert not set(disabled) & set(running)
+    assert not bad, f"cos/sin rotation factor differs from np.exp(-1j * phase) at scales {bad}"
     assert equal == rows
     here = np.stack([rep.trajectory.states for rep in solve_paths(cfg, [path_for(cfg, i) for i in range(rows)], keep_states=True)])
     there = np.load(tmp_path / "states.npy")
@@ -833,27 +846,28 @@ def test_every_step_runs_two_transforms(monkeypatch, d, scheme):
     """Both schemes are a pointwise map, then U(dt), which the engine
     applies at one site: one solve_paths makes d K forward and d K inverse
     one-axis FFT calls, one of each per axis and step, and no transform of
-    u0."""
+    u0.  It calls np.exp once, for the multiplier: split-step rotates by
+    cos and sin, and Picard's step has no exponential."""
     cfg = config(dt=1.0 / 16.0) if d == 1 else config(**TEXTBOOK_CASES["d2-gamma1"], dt=1.0 / 16.0)
     cfg = replace(cfg, scheme=scheme)
     paths = [path_for(cfg, i) for i in range(2)]
     calls = []
 
-    def counted(name):
-        transform = getattr(np.fft, name)
+    def counted(module, name):
+        kernel = getattr(module, name)
 
         def call(*args, **kwargs):
             calls.append(name)
-            return transform(*args, **kwargs)
+            return kernel(*args, **kwargs)
 
         return call
 
-    for name in ("fft", "ifft"):
-        monkeypatch.setattr(np.fft, name, counted(name))
+    for module, name in ((np.fft, "fft"), (np.fft, "ifft"), (np, "exp")):
+        monkeypatch.setattr(module, name, counted(module, name))
     solve_paths(cfg, paths)
     K = cfg.n_steps
-    assert (calls.count("fft"), calls.count("ifft")) == (d * K, d * K)
-    assert len(calls) == 2 * d * K
+    assert (calls.count("fft"), calls.count("ifft"), calls.count("exp")) == (d * K, d * K, 1)
+    assert len(calls) == 2 * d * K + 1
 
 
 @pytest.mark.parametrize("gamma", [Fraction(1), Fraction(3, 2)], ids=["gamma1", "gamma3/2"])
@@ -924,6 +938,77 @@ def test_plane_wave_is_exact_for_splitstep(d, alpha, gamma, n, lam):
         assert np.max(gap) <= 1e-13, float(np.max(gap))
     if d == 3:
         assert all(isinstance(rep, SolveReport) for rep in solve_paths(replace(cfg, scheme="picard"), paths))
+
+
+def standing_wave(tmp_path, alpha, c=0.0) -> SimConfig:
+    """d = 1, n = 256, L = 32, lam = -1, gamma = 1, T = 1, split-step: u0 is
+    the ground state Q at omega = 1 (`reference.ground_state`), read from a
+    field file, with one constant real noise mode c (none at c = 0)."""
+    grid = Grid(d=1, n=256, L=32.0)
+    ic_path = tmp_path / f"ground-state-{alpha}.bin"
+    snls.grid_field.write_field(ic_path, ground_state(grid, alpha, 1.0))
+    noise = {"coefficients": [{"kind": "constant", "value": c}] if c else []}
+    params = ModelParams(d=1, alpha=Fraction(alpha), gamma=Fraction(1), lam=-1)
+    ic = {"kind": "file", "path": str(ic_path)}
+    return SimConfig(params=params, grid=grid, noise_spec=noise, ic_spec=ic, T=1.0, dt=1.0 / 64.0, scheme="splitstep", seed=1)
+
+
+def standing_wave_errors(cfg: SimConfig, n_paths, ks) -> tuple:
+    """(errors, reports): the mean relative L^2 error at T against the
+    exact Q e^{i T - i c beta_T}, and the kept-state reports, of `n_paths`
+    paths at dt = 2^-k for each k in ks, each coarsened from one path at
+    the finest dt."""
+    k_fine = max(ks)
+    fine = [path_for(replace(cfg, dt=2.0**-k_fine), i) for i in range(n_paths)]
+    beta = cfg.model.coeffs[:, 0].real @ np.stack([path.increments.sum(axis=1) for path in fine]).T
+    exact = cfg.u0.values * np.exp(1j * (cfg.T - beta))[:, None]
+    errors, reports = [], []
+    for k in ks:
+        reps = solve_paths(replace(cfg, dt=2.0**-k), [coarsen_path(p, 2 ** (k_fine - k)) for p in fine], keep_states=True)
+        got = np.stack([rep.trajectory.states[-1] for rep in reps])
+        errors.append(np.mean(lp_norm_rows(got - exact, 2, cfg.grid) / lp_norm_rows(exact, 2, cfg.grid)))
+        reports += reps
+    return np.array(errors), reports
+
+
+def _order(errors, ks) -> float:
+    return float(np.polyfit(np.log(2.0 ** -np.asarray(ks, dtype=float)), np.log(errors), 1)[0])
+
+
+def test_splitstep_converges_at_order_two_on_the_soliton_with_a_brownian_phase(tmp_path):
+    """At d = 1, alpha = 3, lam = -1 and gamma = 1, one constant real mode c
+    is a global gauge phase, so u = sqrt(2) sech(x) e^{it - ic beta_t}
+    exactly.  Split-step's error at T, over dt = 2^-5 ... 2^-8, falls at
+    order 2 (1.9993 measured, 7.5e-4 ... 1.2e-5), noise-free and with
+    c = 0.7 on 8 paths; over seeds 1-7 the noisy errors equalled the
+    noise-free ones to 1.6e-10 relative, as an exact phase makes them."""
+    ks = [5, 6, 7, 8]
+    quiet, _ = standing_wave_errors(standing_wave(tmp_path, 3), 1, ks)
+    noisy, _ = standing_wave_errors(standing_wave(tmp_path, 3, 0.7), 8, ks)
+    for errors in (quiet, noisy):
+        assert 1.95 <= _order(errors, ks) <= 2.05, errors
+        assert errors[-1] <= 2e-5, errors
+    assert np.max(np.abs(noisy / quiet - 1.0)) <= 1e-8, noisy / quiet
+
+
+def test_splitstep_keeps_the_critical_ground_states_mass_and_converges_at_order_two(tmp_path):
+    """At d = 1 and the critical power alpha = 5 (lam = -1, no noise),
+    Q = 3^(1/4) sech^(1/2)(2x) gives the exact solution Q e^{it}, with
+    ||Q||_2^2 = pi sqrt(3) / 2.  Split-step keeps ||u||_2^2 = ||Q||_2^2 to
+    1e-12 relative at every step (6.2e-14 measured), in its columns and its
+    kept states, and its error at T falls at order 2 over dt = 2^-6 ...
+    2^-9 (1.9956 measured, 3.8e-3 ... 6.0e-5)."""
+    cfg = standing_wave(tmp_path, 5)
+    mass = lp_norm(cfg.u0, 2) ** 2
+    assert abs(mass - math.pi * math.sqrt(3.0) / 2.0) <= 1e-12 * mass
+    ks = [6, 7, 8, 9]
+    errors, reports = standing_wave_errors(cfg, 1, ks)
+    for rep in reports:
+        traj = rep.trajectory
+        for norms in (traj.running_mass, lp_norm_rows(traj.states, 2, cfg.grid)):
+            assert np.max(np.abs(norms**2 - mass)) <= 1e-12 * mass
+    assert 1.95 <= _order(errors, ks) <= 2.05, errors
+    assert errors[-1] <= 1e-4, errors
 
 
 @pytest.mark.parametrize(
